@@ -11,12 +11,6 @@ import random
 
 from riordanlab import Field, Series, Weight, classify_membership, exp_case_weights
 from riordanlab.sampling import weight as random_weight
-from riordanlab.scalars import factorial_inv
-
-
-def exp_series(field, order, h):
-    h = field.scalar(h)
-    return Series(field, [h ** n * factorial_inv(field, n) for n in range(order)])
 
 
 def main():
@@ -28,7 +22,7 @@ def main():
 
     field = Field()
     base = Weight.exponential(field, args.order, 1)
-    alpha = exp_series(field, args.order, args.h)
+    alpha = Series.exp(field, args.order, args.h)
     rng = random.Random(args.seed)
 
     from riordanlab.errors import ForbiddenLambda

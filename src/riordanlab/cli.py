@@ -85,7 +85,7 @@ def build_weight(session: Session, spec: str) -> Weight:
             return exp_case_weights(f, n, lam, sigma)
         if kind == "custom":
             return Weight(f, args)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad weight spec {spec!r}: {exc}") from exc
     raise UnknownName(f"unknown weight spec {spec!r}")
 
@@ -93,25 +93,15 @@ def build_weight(session: Session, spec: str) -> Weight:
 def build_series(session: Session, spec: str) -> Series:
     kind, args = _split_kind(spec)
     f, n = session.field, session.order
-    if kind == "coeffs":
-        return Series.from_values(f, n, args)
-    if kind == "exp":
-        (h,) = args
-        # sum (hy)^l / l!  -- handy alpha for the two-weight workflows
-        return Series.from_values(f, n, _exp_coeffs(f, n, h))
+    try:
+        if kind == "coeffs":
+            return Series.from_values(f, n, args)
+        if kind == "exp":
+            (h,) = args
+            return Series.exp(f, n, h)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad series spec {spec!r}: {exc}") from exc
     raise UnknownName(f"unknown series spec {spec!r}")
-
-
-def _exp_coeffs(f: Field, n: int, h):
-    from .scalars import factorial_inv
-
-    h = f.scalar(h)
-    out, power = [], f.one()
-    for l in range(n):
-        if l:
-            power = power * h
-        out.append(power * factorial_inv(f, l))
-    return out
 
 
 def resolve_weight(session: Session, ref: str) -> Weight:
@@ -130,14 +120,31 @@ def resolve_series(session: Session, ref: str) -> Series:
     raise UnknownName(f"unknown series {ref!r}")
 
 
+# number of ':'-separated parts of each matrix spec, the kind included
+MATRIX_PARTS = {"identity": 1, "translation": 3, "appell": 3, "mw": 2, "findiff": 3, "pair": 3}
+
+
+def _scalar_arg(session: Session, text: str):
+    try:
+        return session.field.scalar(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad scalar {text!r}: {exc}") from exc
+
+
 def build_matrix(session: Session, parts: list[str]) -> TriMatrix:
     kind = parts[0]
+    if kind not in MATRIX_PARTS:
+        raise UnknownName(f"unknown matrix kind {kind!r}")
+    if len(parts) != MATRIX_PARTS[kind]:
+        raise UsageError(
+            f"matrix spec {':'.join(parts)!r}: {kind} takes {MATRIX_PARTS[kind] - 1} argument(s)"
+        )
     f, n = session.field, session.order
     if kind == "identity":
         return TriMatrix.identity(f, n)
     if kind == "translation":
         wref, h = parts[1], parts[2]
-        return translation_matrix(resolve_weight(session, wref), h)
+        return translation_matrix(resolve_weight(session, wref), _scalar_arg(session, h))
     if kind == "appell":
         sref, wref = parts[1], parts[2]
         return appell_from_alpha(
@@ -147,13 +154,9 @@ def build_matrix(session: Session, parts: list[str]) -> TriMatrix:
         return m_matrix(resolve_weight(session, parts[1]))
     if kind == "findiff":
         wref, a = parts[1], parts[2]
-        return finite_difference_matrix(resolve_weight(session, wref), a)
-    if kind == "pair":
-        pref, wref = parts[1], parts[2]
-        return pair_to_matrix(
-            resolve_pair(session, pref), resolve_weight(session, wref)
-        )
-    raise UnknownName(f"unknown matrix kind {kind!r}")
+        return finite_difference_matrix(resolve_weight(session, wref), _scalar_arg(session, a))
+    pref, wref = parts[1], parts[2]
+    return pair_to_matrix(resolve_pair(session, pref), resolve_weight(session, wref))
 
 
 def resolve_matrix(session: Session, ref: str) -> TriMatrix:

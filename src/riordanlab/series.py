@@ -7,13 +7,16 @@ field; every operation is exact through that order.  Orders are capped at
 
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
+
 from .errors import (
     BackendMismatch,
     InnerValuationZero,
     NotInvertible,
     NotValuationOne,
 )
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, _Q, factorial_inv
 
 MIN_ORDER = 2
 MAX_ORDER = 64
@@ -24,6 +27,19 @@ INFINITY = float("inf")  # valuation of the zero series
 def check_order(n: int) -> None:
     if not MIN_ORDER <= n <= MAX_ORDER:
         raise ValueError(f"order must be in {MIN_ORDER}..{MAX_ORDER}, got {n}")
+
+
+def _convolve(a, b):
+    """Truncated product of two equal-length int coefficient lists."""
+    n, rb = len(a), b[::-1]
+    return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) for m in range(n)]
+
+
+def _over_common_denominator(coeffs):
+    """Rational coefficients as (integer numerators, their common denominator)."""
+    vals = [c.val for c in coeffs]
+    den = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
 
 
 class Series:
@@ -59,6 +75,12 @@ class Series:
     @classmethod
     def constant(cls, field, order, c):
         return cls(field, [field.scalar(c)] + [field.zero()] * (order - 1))
+
+    @classmethod
+    def exp(cls, field, order, h):
+        """exp(h y) = sum (h y)^l / l!; in GF(p) it needs order <= p."""
+        h = field.scalar(h)
+        return cls(field, [h ** l * factorial_inv(field, l) for l in range(order)])
 
     @classmethod
     def identity(cls, field, order):
@@ -114,15 +136,18 @@ class Series:
         return Series(self.field, [c * a for a in self.coeffs])
 
     def __mul__(self, other):
+        # The convolution runs on Python ints: over QQ each operand is put
+        # over one common denominator, so only the N output coefficients
+        # are normalised; over GF(p) each sum is reduced once.
         self._check_same(other)
-        n = len(self.coeffs)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for m in range(n):
-            acc = a[0] * b[m]
-            for i in range(1, m + 1):
-                acc = acc + a[i] * b[m - i]
-            out.append(acc)
+        p = self.field.p
+        if p is None:
+            (a, da), (b, db) = map(_over_common_denominator, (self.coeffs, other.coeffs))
+            den = da * db
+            out = [Scalar(_Q(c, den)) for c in _convolve(a, b)]
+        else:
+            a, b = [c.val for c in self.coeffs], [c.val for c in other.coeffs]
+            out = [Scalar(c % p, p) for c in _convolve(a, b)]
         return Series(self.field, out)
 
     def __pow__(self, k: int):
@@ -163,17 +188,33 @@ class Series:
         return acc
 
     def comp_inverse(self):
-        """Compositional inverse of a valuation-1 series, by back-substitution."""
+        """Compositional inverse g of a valuation-1 series f, in O(N^3).
+
+        Column j of the ordinary Riordan matrix R of (1, f) holds f^j, so
+        g(f(y)) = y reads R g = e_1.  R is lower triangular with diagonal
+        f_1^m, and forward substitution gives, row by row,
+
+            g_m = ([m == 1] - sum_{j<m} [y^m] f^j * g_j) / f_1^m.
+
+        That takes the N-3 products f^2..f^{N-2} and divides only by
+        powers of f_1, never by an integer, so unlike Lagrange inversion
+        it holds in every characteristic.
+        """
         if self.valuation() != 1:
             raise NotValuationOne("compositional inverse needs valuation exactly 1")
         field, n = self.field, self.order
-        b1_inv = self.coeffs[1].inverse()
-        g = [field.zero()] * n
-        g[1] = b1_inv
+        powers = [self]  # powers[j - 1] = f^j
+        for _ in range(n - 3):
+            powers.append(powers[-1] * self)
+        f1_inv = self.coeffs[1].inverse()
+        diag_inv = f1_inv
+        g = [field.zero(), f1_inv]
         for m in range(2, n):
-            # coefficient m of self(g) with g_m still 0 must be cancelled
-            h = self.compose(Series(field, g))
-            g[m] = -(b1_inv * h.coeffs[m])
+            diag_inv = diag_inv * f1_inv
+            acc = field.zero()
+            for j in range(1, m):
+                acc = acc + powers[j - 1].coeffs[m] * g[j]
+            g.append(-(acc * diag_inv))
         return Series(field, g)
 
     # -- plumbing ----------------------------------------------------------

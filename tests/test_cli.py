@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from riordanlab import (
     Field,
     Series,
@@ -152,3 +154,28 @@ def test_show_command():
     assert code == 0
     last = json.loads(out.splitlines()[-1])
     assert last == {"w": ["1", "1", "2", "6"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "s", "coeffs=1/0"],
+        ["series", "s", "coeffs=abc"],
+        ["--field", "mod:7", "series", "s", "coeffs=1/2"],
+        ["check", "translation:exp=1", "exp=1", "sheffer"],
+        ["check", "translation:exp=1:x", "exp=1", "sheffer"],
+    ],
+)
+def test_bad_spec_is_a_one_line_usage_error(argv):
+    code, _, err = run_cli("--order", "6", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_prime_modulus_up_to_the_primality_bound():
+    code, out, _ = run_cli(
+        "--order", "6", "--field", "mod:2305843009213693951", "check", "translation:geom=2:3", "geom=2", "sheffer"
+    )
+    assert code == 0 and "sheffer: true" in out
+    code, _, err = run_cli("--field", "mod:3317044064679887385961981", "weight", "w", "exp", "1")
+    assert code == 2 and "primality bound" in err and "Traceback" not in err

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from riordanlab import Field, extended_binomial, factorial_inv, q_binomial
 from riordanlab.errors import BackendMismatch, DivisionByZero, NotInvertible, RootOfUnity
-from riordanlab.scalars import parse_scalar
+from riordanlab.scalars import PRIME_BOUND, parse_scalar
 
 
 def test_rational_arithmetic(QQ):
@@ -39,6 +39,18 @@ def test_backend_mismatch(QQ, F7):
 def test_non_prime_modulus_rejected():
     with pytest.raises(ValueError):
         Field(6)
+
+
+def test_primality_is_exact_up_to_the_bound():
+    assert Field(2305843009213693951).p == 2**61 - 1  # trial division never ends here
+    with pytest.raises(ValueError, match="not prime"):
+        Field(561)  # Carmichael: a Fermat liar for every coprime base
+    with pytest.raises(ValueError, match="not prime"):
+        Field(318665857834031151167461)  # strong pseudoprime to the bases 2..37
+    with pytest.raises(ValueError, match="bound"):
+        Field(PRIME_BOUND)
+    with pytest.raises(ValueError, match="bound"):
+        Field(2**89 - 1)  # prime, but beyond the proven range
 
 
 def test_parse_and_format(QQ, F7):

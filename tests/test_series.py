@@ -126,3 +126,76 @@ def test_order_bounds(QQ):
         Series(QQ, [QQ.one()])
     with pytest.raises(ValueError):
         Series.zero(QQ, 65)
+
+
+# -- the integer product kernel and the O(N^3) reversion, against references --
+
+
+def schoolbook_mul(x, y):
+    """Coefficient m of x*y as a sum of Scalar products: the reference kernel."""
+    a, b = x.coeffs, y.coeffs
+    out = []
+    for m in range(len(a)):
+        acc = a[0] * b[m]
+        for i in range(1, m + 1):
+            acc = acc + a[i] * b[m - i]
+        out.append(acc)
+    return Series(x.field, out)
+
+
+def back_substitution_inverse(f):
+    """Compositional inverse by N-2 full compositions: the reference reversion."""
+    field, n = f.field, f.order
+    f1_inv = f.coeffs[1].inverse()
+    g = [field.zero()] * n
+    g[1] = f1_inv
+    for m in range(2, n):
+        # coefficient m of f(g) with g_m still 0 must be cancelled
+        g[m] = -(f1_inv * f.compose(Series(field, g)).coeffs[m])
+    return Series(field, g)
+
+
+@st.composite
+def _series_pairs(draw):
+    p = draw(st.sampled_from([None, 2, 3, 7, 1000003]))
+    n = draw(st.integers(2, 12))
+    if p is None:  # mixed denominators, including 1 and coprime ones
+        coeff = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    else:
+        coeff = st.integers(0, p - 1)
+    a, b = (draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(2))
+    f = Field(p)
+    return Series.from_values(f, n, a), Series.from_values(f, n, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_pairs())
+def test_mul_matches_schoolbook(pair):
+    x, y = pair
+    assert x * y == schoolbook_mul(x, y)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_comp_inverse_two_sided_beyond_characteristic(p, rng):
+    f = Field(p)
+    n = 16  # N > p: Lagrange inversion would need 1/n with n = 0 in GF(p)
+    y = Series.identity(f, n)
+    for _ in range(5):
+        b = Series.from_values(f, n, [0, rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 2)])
+        g = b.comp_inverse()
+        assert b.compose(g) == y
+        assert g.compose(b) == y
+
+
+@pytest.mark.parametrize("p", [None, 2, 5, 1000003])
+def test_comp_inverse_matches_back_substitution(p, rng):
+    f = Field(p)
+    for n in (2, 3, 4, 9, 14):
+        for _ in range(3):
+            if p is None:
+                vals = [0, f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"]
+                vals += [f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" for _ in range(n - 2)]
+            else:
+                vals = [0, rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 2)]
+            b = Series.from_values(f, n, vals)
+            assert b.comp_inverse() == back_substitution_inverse(b)

@@ -1,6 +1,7 @@
 import pytest
 
 from riordanlab import (
+    Field,
     Series,
     Weight,
     appell_from_alpha,
@@ -182,3 +183,14 @@ def test_report_json(QQ):
     data = report.to_json()
     assert data["member"] is True and data["case"] == "I"
     assert len(data["gamma"]) == 5
+
+
+@pytest.mark.parametrize("p, order", [(None, 12), (7, 7), (1000003, 12)])
+def test_series_exp_matches_test_helpers(p, order):
+    from test_acceptance import exp_series as acceptance_exp_series
+
+    f = Field(p)
+    for h in (1, 2, -3, "1/2" if p is None else 5):
+        expected = Series.exp(f, order, h)
+        assert exp_series(f, order, h) == expected
+        assert acceptance_exp_series(f, order, h) == expected
