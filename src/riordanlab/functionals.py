@@ -11,10 +11,10 @@ evaluation functionals, dual bases) take it explicitly.
 from __future__ import annotations
 
 from .errors import BackendMismatch, NotCommuting, NotSheffer
-from .operators import m_matrix
+from .operators import is_appell
 from .riordan import RiordanPair, Weight, _beta_quotient, is_riordan, pair_to_matrix
 from .scalars import Field, Scalar
-from .series import INFINITY, Series
+from .series import INFINITY, Series, _convolve, _over_common_denominator
 from .triangular import Polynomial, TriMatrix, matrix_to_polys
 
 
@@ -121,8 +121,7 @@ def functional_of_operator(S: TriMatrix, W: Weight) -> Functional:
     Exists exactly when S commutes with the weighted derivative; psi is
     evaluation-at-0 composed with S, i.e. t_n = S_{n,0} / w_n.
     """
-    m = m_matrix(W)
-    if S @ m != m @ S:
+    if not is_appell(S, W):
         raise NotCommuting("operator does not commute with the weighted derivative")
     return Functional(S.field, [S.entry(n, 0) * W.recip[n] for n in range(S.order)])
 
@@ -175,17 +174,6 @@ def _binomial_candidate(A: TriMatrix, W: Weight) -> TriMatrix:
     return pair_to_matrix(RiordanPair(Series.one(A.field, A.order), beta), W)
 
 
-def _p_values(phi: Functional, B: TriMatrix, W: Weight) -> list[Scalar]:
-    # phi(row_n / w_n) for the rows of B
-    out = []
-    for n in range(B.order):
-        acc = phi.field.zero()
-        for k in range(n + 1):
-            acc = acc + B.rows[n][k] * W.w[k] * phi.values[k]
-        out.append(acc * W.recip[n])
-    return out
-
-
 def product_rule_check(A: TriMatrix, W: Weight, phi: Functional, psi: Functional) -> bool:
     """Test (phi*psi)(p_n/w_n) = sum_k phi(p_k/w_k) psi(d_{n-k}/w_{n-k})
     for every n, with d the binomial candidate sharing A's beta quotient.
@@ -193,9 +181,9 @@ def product_rule_check(A: TriMatrix, W: Weight, phi: Functional, psi: Functional
     Holds for all phi, psi exactly when A is Sheffer.
     """
     d = _binomial_candidate(A, W)
-    lhs_vals = _p_values(functional_mul(phi, psi), A, W)
-    pv = _p_values(phi, A, W)
-    dv = _p_values(psi, d, W)
+    lhs_vals = functional_after_operator(functional_mul(phi, psi), A, W).values
+    pv = functional_after_operator(phi, A, W).values
+    dv = functional_after_operator(psi, d, W).values
     for n in range(A.order):
         acc = phi.field.zero()
         for k in range(n + 1):
@@ -212,21 +200,29 @@ def product_rule_spanning_witness(A: TriMatrix, W: Weight):
     holds for every pair of functionals, which happens exactly for Sheffer
     matrices (with exactly geometric columns) at this order.
     """
-    n_ord = A.order
+    n_ord, p = A.order, A.field.p
     d = _binomial_candidate(A, W)
-    zero = A.field.zero()
     # p_val[i][k] = e_i(p_k / w_k) = a_{k,i} w_i / w_k, likewise for d
     p_val = [[A.entry(k, i) * W.w[i] * W.recip[k] for k in range(n_ord)] for i in range(n_ord)]
     d_val = [[d.entry(l, j) * W.w[j] * W.recip[l] for l in range(n_ord)] for j in range(n_ord)]
-    for i in range(n_ord):
-        for j in range(n_ord):
-            for n in range(n_ord):
-                # e_i * e_j = e_{i+j}, so the left side is e_{i+j}(p_n / w_n)
-                lhs = p_val[i + j][n] if i + j < n_ord else zero
-                acc = zero
-                for k in range(n + 1):
-                    acc = acc + p_val[i][k] * d_val[j][n - k]
-                if acc != lhs:
+    # each row as integers over a common denominator (residues over 1 in GF(p))
+    if p is None:
+        p_int = [_over_common_denominator(v) for v in p_val]
+        d_int = [_over_common_denominator(v) for v in d_val]
+    else:
+        p_int = [([c.val for c in v], 1) for v in p_val]
+        d_int = [([c.val for c in v], 1) for v in d_val]
+    zero = ([0] * n_ord, 1)
+    for i, (pi, dpi) in enumerate(p_int):
+        for j, (dj, ddj) in enumerate(d_int):
+            # e_i * e_j = e_{i+j}, so the left side is e_{i+j}(p_n / w_n);
+            # the right side sum_k e_i(p_k / w_k) e_j(d_{n-k} / w_{n-k}) is
+            # the truncated convolution of p_val[i] and d_val[j]
+            lhs, dl = p_int[i + j] if i + j < n_ord else zero
+            den = dpi * ddj
+            for n, c in enumerate(_convolve(pi, dj)):
+                diff = c * dl - lhs[n] * den
+                if diff if p is None else diff % p:
                     return (i, j, n)
     return None
 

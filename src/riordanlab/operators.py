@@ -123,9 +123,23 @@ def sheffer_by_commutation(A: TriMatrix, W: Weight, hs=None) -> bool:
 
 
 def is_appell(A: TriMatrix, W: Weight) -> bool:
-    """Appell = the lowering operator is M_W itself, i.e. A commutes with M_W."""
-    m = m_matrix(W)
-    return A @ m == m @ A
+    """Appell = the lowering operator is M_W itself, i.e. A commutes with M_W.
+
+    Tested entrywise in O(N^2): with r_n = w_n / w_{n-1}, entry (n, k < n)
+    of A M_W is a_{n,k+1} r_{k+1} and that of M_W A is r_n a_{n-1,k}; both
+    diagonals vanish.
+    """
+    if A.field != W.field or A.order != W.order:
+        raise BackendMismatch("matrix orders or fields differ")
+    p = A.field.p
+    r = [None] + [W.ratio(n).val for n in range(1, W.order)]
+    a = [[c.val for c in row] for row in A.rows]
+    for n in range(1, A.order):
+        for k in range(n):
+            diff = a[n][k + 1] * r[k + 1] - r[n] * a[n - 1][k]
+            if diff if p is None else diff % p:
+                return False
+    return True
 
 
 def is_binomial(A: TriMatrix, W: Weight) -> bool:

@@ -10,6 +10,7 @@ Text round-trip: rationals format as ``a/b`` or ``a``; residues as
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 try:  # gmpy2's mpq is a drop-in for Fraction and considerably faster
@@ -140,6 +141,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# The scalar grammar: 'a' or 'a/b' with a signed, 'a mod p' unsigned.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_RESIDUE = re.compile(r"([0-9]+)\s*mod\s*([0-9]+)")
+
+
 @dataclass(frozen=True)
 class Field:
     """Field configuration: exact rationals (p=None) or GF(p), p prime."""
@@ -177,17 +183,26 @@ class Field:
         raise BackendMismatch(f"cannot coerce {x!r} into {self!s}")
 
     def parse(self, text: str) -> Scalar:
-        """Parse 'a', 'a/b' (rational field) or 'a', 'a mod p' (GF(p))."""
+        """Parse 'a', 'a/b' (rational field) or 'a', 'a mod p' (GF(p)).
+
+        a is an optionally signed run of ASCII digits, b and p are runs of
+        digits; nothing else is accepted, whatever the rational backend.
+        """
         text = text.strip()
-        if "mod" in text:
-            left, _, right = text.partition("mod")
-            val, mod = int(left.strip()), int(right.strip())
-            if self.p is None or mod != self.p:
+        residue = _RESIDUE.fullmatch(text)
+        if residue:
+            val, mod = map(int, residue.groups())
+            if mod != self.p:
                 raise BackendMismatch(f"'{text}' does not belong to {self!s}")
             return Scalar(val % mod, mod)
-        if self.p is not None:
+        rational = _RATIONAL.fullmatch(text)
+        if rational and self.p is None:
+            num, den = rational.groups()
+            return Scalar(_Q(int(num), int(den or 1)))
+        if rational and rational[2] is None:
             return Scalar(int(text) % self.p, self.p)
-        return Scalar(_Q(text))
+        shapes = "a or a/b" if self.p is None else "a or a mod p"
+        raise ValueError(f"'{text}' is not a scalar of {self!s}: expected {shapes}")
 
     def range_elements(self, count: int) -> list[Scalar]:
         """The field elements 0, 1, ..., count-1; they must be distinct."""
@@ -201,11 +216,8 @@ class Field:
 
 def parse_scalar(text: str) -> Scalar:
     """Parse a scalar, inferring the backend from the text itself."""
-    if "mod" in text:
-        left, _, right = text.strip().partition("mod")
-        mod = int(right.strip())
-        return Field(mod).scalar(int(left.strip()))
-    return Field().parse(text)
+    residue = _RESIDUE.fullmatch(text.strip())
+    return Field(int(residue[2]) if residue else None).parse(text)
 
 
 def factorial_inv(field: Field, n: int) -> Scalar:

@@ -8,9 +8,11 @@ diagonal entry is nonzero, i.e. when the sequence has deg p_n = n.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import BackendMismatch, DegreeTooHigh, SingularDiagonal
-from .scalars import Field, Scalar
-from .series import check_order
+from .scalars import Field, Scalar, _Q
+from .series import _over_common_denominator, check_order
 
 
 class Polynomial:
@@ -155,17 +157,28 @@ class TriMatrix:
 
     # -- arithmetic --------------------------------------------------------
     def __matmul__(self, other):
+        # Each entry is one dot product of a row of self with a column of
+        # other, on Python ints: over GF(p) residues reduced once per entry;
+        # over QQ every row and column over its own common denominator, so
+        # only the output entry is normalised.
         self._check_same(other)
-        out = []
-        for n in range(self.order):
-            arow = self.rows[n]
-            row = []
-            for k in range(n + 1):
-                acc = arow[k] * other.rows[k][k]
-                for j in range(k + 1, n + 1):
-                    acc = acc + arow[j] * other.rows[j][k]
-                row.append(acc)
-            out.append(row)
+        p, n = self.field.p, self.order
+        cols = [[other.rows[j][k] for j in range(k, n)] for k in range(n)]
+        if p is None:
+            left = [_over_common_denominator(row) for row in self.rows]
+            right = [_over_common_denominator(col) for col in cols]
+            out = [
+                [Scalar(_Q(sum(map(mul, a[k:], b)), da * db))
+                 for k, (b, db) in enumerate(right[: i + 1])]
+                for i, (a, da) in enumerate(left)
+            ]
+        else:
+            left = [[c.val for c in row] for row in self.rows]
+            right = [[c.val for c in col] for col in cols]
+            out = [
+                [Scalar(sum(map(mul, a[k:], b)) % p, p) for k, b in enumerate(right[: i + 1])]
+                for i, a in enumerate(left)
+            ]
         return TriMatrix(self.field, out)
 
     def __add__(self, other):
@@ -189,21 +202,29 @@ class TriMatrix:
         return TriMatrix(self.field, [[c * a for a in row] for row in self.rows])
 
     def inverse(self):
-        """Inverse by forward substitution, column by column; exact."""
-        n = self.order
+        """Inverse by forward substitution, column by column; exact.
+
+        Column k solves A x = e_k: x_k = 1 / a_{k,k} and, below it,
+        x_i = -(sum_{k <= j < i} a_{i,j} x_j) / a_{i,i}.  The dot products
+        run on the raw values: residues over GF(p), rationals over QQ.
+        """
+        n, p = self.order, self.field.p
         for i in range(n):
             if not self.rows[i][i]:
                 raise SingularDiagonal(f"diagonal entry ({i},{i}) vanishes")
-        zero = self.field.zero()
-        inv = [[zero] * (i + 1) for i in range(n)]
+        vals = [[c.val for c in row] for row in self.rows]
+        if p is None:
+            diag_inv = [1 / row[i] for i, row in enumerate(vals)]
+        else:
+            diag_inv = [pow(row[i], p - 2, p) for i, row in enumerate(vals)]
+        cols = []
         for k in range(n):
-            inv[k][k] = self.rows[k][k].inverse()
+            x = [diag_inv[k]]
             for i in range(k + 1, n):
-                acc = zero
-                for j in range(k, i):
-                    acc = acc + self.rows[i][j] * inv[j][k]
-                inv[i][k] = -(acc / self.rows[i][i])
-        return TriMatrix(self.field, inv)
+                v = -sum(map(mul, vals[i][k:i], x)) * diag_inv[i]
+                x.append(v if p is None else v % p)
+            cols.append([Scalar(v, p) for v in x])
+        return TriMatrix(self.field, [[cols[k][i - k] for k in range(i + 1)] for i in range(n)])
 
     def commutes_with(self, other) -> bool:
         return self @ other == other @ self

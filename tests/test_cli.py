@@ -172,6 +172,14 @@ def test_bad_spec_is_a_one_line_usage_error(argv):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("field", ["rat", "mod:7"])
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1_000", "nan"])
+def test_scalar_outside_the_grammar_is_a_usage_error(field, text):
+    code, out, err = run_cli("--order", "4", "--field", field, "series", "s", f"coeffs={text},1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_prime_modulus_up_to_the_primality_bound():
     code, out, _ = run_cli(
         "--order", "6", "--field", "mod:2305843009213693951", "check", "translation:geom=2:3", "geom=2", "sheffer"

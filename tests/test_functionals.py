@@ -1,6 +1,7 @@
 import pytest
 
 from riordanlab import (
+    Field,
     Functional,
     Polynomial,
     RiordanPair,
@@ -17,6 +18,7 @@ from riordanlab import (
     functional_mul,
     functional_of_operator,
     functional_power,
+    is_appell,
     is_sheffer,
     m_matrix,
     matrix_to_pair,
@@ -26,13 +28,19 @@ from riordanlab import (
     product_rule_spanning_witness,
     translation_matrix,
 )
-from riordanlab.errors import NotCommuting, NotSheffer
+from riordanlab.errors import BackendMismatch, NotCommuting, NotSheffer
+from riordanlab.functionals import _binomial_candidate
+from riordanlab.operators import appell_from_alpha
 from riordanlab.riordan import Weight
 from riordanlab.sampling import (
+    degree_decreasing_matrix,
     functional_values,
     graded_matrix,
     perturbed_non_riordan,
     riordan_matrix,
+    scalar,
+    unit_series,
+    weight,
 )
 
 
@@ -235,3 +243,87 @@ def test_dual_characterization(QQ, rng):
 def test_functional_json(QQ, rng):
     phi = Functional(QQ, functional_values(QQ, 6, rng))
     assert Functional.from_json(QQ, phi.to_json()) == phi
+
+
+# -- the O(N^2) commutation test and the convolution witness, against references --
+
+
+def _weights(field, order, rng):
+    """A fixed and a random weight of this order; exponential where n! is a unit."""
+    ws = [Weight.geometric(field, order, 2 if field.p != 2 else 1), weight(field, order, rng)]
+    if field.p is None or order <= field.p:
+        ws.append(Weight.exponential(field, order, 1))
+    return ws
+
+
+def _near_appell(W, rng):
+    """Appell matrices, each also with one entry bumped, and other operators."""
+    field, n = W.field, W.order
+    mats = [riordan_matrix(W, rng), graded_matrix(field, n, rng), m_matrix(W),
+            TriMatrix.zero(field, n), degree_decreasing_matrix(field, n, rng)]
+    for _ in range(6):
+        a = appell_from_alpha(unit_series(field, n, rng), W)
+        rows = [list(r) for r in a.rows]
+        i = rng.randrange(n)
+        k = rng.randint(0, i)
+        rows[i][k] = rows[i][k] + scalar(field, rng, nonzero=True)
+        mats += [a, TriMatrix(field, rows)]
+    return mats
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 1000003])
+def test_commutation_with_m_matches_matrix_products(p, rng):
+    f = Field(p)
+    for n in (2, 3, 7, 12):
+        for W in _weights(f, n, rng):
+            m = m_matrix(W)
+            for a in _near_appell(W, rng):
+                commutes = a @ m == m @ a
+                assert is_appell(a, W) == commutes
+                if commutes:
+                    want = Functional(f, [a.entry(r, 0) * W.recip[r] for r in range(n)])
+                    assert functional_of_operator(a, W) == want
+                else:
+                    with pytest.raises(NotCommuting):
+                        functional_of_operator(a, W)
+
+
+def test_commutation_with_m_rejects_mismatched_weight(QQ, F7):
+    a = TriMatrix.identity(QQ, 6)
+    for W in (Weight.exponential(QQ, 5, 1), Weight.exponential(F7, 6, 1)):
+        with pytest.raises(BackendMismatch):
+            is_appell(a, W)
+        with pytest.raises(BackendMismatch):
+            functional_of_operator(a, W)
+
+
+def triple_loop_witness(A, W):
+    """The spanning-set search as an O(N^4) loop over Scalars: the reference."""
+    n_ord = A.order
+    d = _binomial_candidate(A, W)
+    zero = A.field.zero()
+    p_val = [[A.entry(k, i) * W.w[i] * W.recip[k] for k in range(n_ord)] for i in range(n_ord)]
+    d_val = [[d.entry(l, j) * W.w[j] * W.recip[l] for l in range(n_ord)] for j in range(n_ord)]
+    for i in range(n_ord):
+        for j in range(n_ord):
+            for n in range(n_ord):
+                lhs = p_val[i + j][n] if i + j < n_ord else zero
+                acc = zero
+                for k in range(n + 1):
+                    acc = acc + p_val[i][k] * d_val[j][n - k]
+                if acc != lhs:
+                    return (i, j, n)
+    return None
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 1000003])
+def test_spanning_witness_matches_triple_loop(p, rng):
+    f = Field(p)
+    for n in (4, 5, 8):  # below order 4 no perturbation is visible
+        for W in _weights(f, n, rng):
+            for _ in range(3):
+                bad = perturbed_non_riordan(W, rng)
+                assert product_rule_spanning_witness(bad, W) == triple_loop_witness(bad, W)
+            good = riordan_matrix(W, rng)
+            assert product_rule_spanning_witness(good, W) is None
+            assert triple_loop_witness(good, W) is None

@@ -66,6 +66,26 @@ def test_parse_and_format(QQ, F7):
     assert parse_scalar("5/6") == QQ.scalar("5/6")
 
 
+def test_parse_accepts_only_the_scalar_grammar(QQ, F7):
+    assert QQ.parse(" +4/6 ") == QQ.scalar(2) / QQ.scalar(3)
+    assert QQ.parse("-007") == QQ.scalar(-7)
+    assert F7.parse("-1") == F7.scalar(6)
+    assert F7.parse(" 10 mod 7 ") == F7.scalar(3)
+    # literals that int(), Fraction or mpq would take but the grammar does not
+    rejected = ["0.5", "1e3", "1_000", "nan", "inf", "1 / 2", "+-1", "", "/2", "1/-2",
+                "1/+2", "-3 mod 7", "\u0663", "0x10"]
+    for field in (QQ, F7):
+        for text in rejected:
+            with pytest.raises(ValueError):
+                field.parse(text)
+            with pytest.raises(ValueError):
+                parse_scalar(text)
+    with pytest.raises(ValueError):
+        F7.parse("1/2")  # a/b belongs to QQ only
+    with pytest.raises(ZeroDivisionError):
+        QQ.parse("1/0")
+
+
 def test_factorial_inv(QQ, F7):
     assert factorial_inv(QQ, 4) == QQ.scalar("1/24")
     assert factorial_inv(F7, 3) == F7.scalar(6)  # 6 * 6 = 36 = 1 mod 7

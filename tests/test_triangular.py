@@ -1,8 +1,13 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riordanlab import (
+    Field,
     Polynomial,
     TriMatrix,
     apply_matrix_to_poly,
@@ -166,3 +171,86 @@ def test_polynomial_str_and_eval(QQ, F7):
     q = Polynomial.from_values(F7, [1, 3])
     assert str(q) == "(3 mod 7)*x + (1 mod 7)"
     assert q.evaluate(F7.scalar(2)) == F7.scalar(0)
+
+
+# -- the integer matmul and inverse kernels, against the Scalar loops --------
+
+
+def schoolbook_matmul(a, b):
+    """Entry (n, k) of a @ b as a sum of Scalar products: the reference kernel."""
+    out = []
+    for n in range(a.order):
+        row = []
+        for k in range(n + 1):
+            acc = a.rows[n][k] * b.rows[k][k]
+            for j in range(k + 1, n + 1):
+                acc = acc + a.rows[n][j] * b.rows[j][k]
+            row.append(acc)
+        out.append(row)
+    return TriMatrix(a.field, out)
+
+
+def schoolbook_inverse(a):
+    """Forward substitution column by column in Scalars: the reference inverse."""
+    n, zero = a.order, a.field.zero()
+    inv = [[zero] * (i + 1) for i in range(n)]
+    for k in range(n):
+        inv[k][k] = a.rows[k][k].inverse()
+        for i in range(k + 1, n):
+            acc = zero
+            for j in range(k, i):
+                acc = acc + a.rows[i][j] * inv[j][k]
+            inv[i][k] = -(acc / a.rows[i][i])
+    return TriMatrix(a.field, inv)
+
+
+@st.composite
+def _matrices(draw, count, graded=False):
+    """`count` matrices of one field and order N in 2..20.
+
+    Over QQ the entries are signed with mixed denominators (1 and coprime
+    ones included); some rows and columns are zeroed below the diagonal,
+    and wholly unless `graded` keeps the diagonal nonzero.
+    """
+    p = draw(st.sampled_from([None, 2, 3, 1000003]))
+    n = draw(st.integers(2, 20))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    field = Field(p)
+
+    def entry(nonzero=False):
+        if p is None:
+            num = rnd.choice([-1, 1]) * rnd.randint(1, 50) if nonzero else rnd.randint(-50, 50)
+            return field.scalar(Fraction(num, rnd.randint(1, 30)))
+        return field.scalar(rnd.randrange(1 if nonzero else 0, p))
+
+    mats = []
+    for _ in range(count):
+        zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=3))
+        zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=3))
+        rows = []
+        for i in range(n):
+            row = []
+            for k in range(i + 1):
+                if graded and k == i:
+                    row.append(entry(nonzero=True))
+                elif i in zero_rows or k in zero_cols:
+                    row.append(field.zero())
+                else:
+                    row.append(entry())
+            rows.append(row)
+        mats.append(TriMatrix(field, rows))
+    return mats
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(2))
+def test_matmul_matches_schoolbook(mats):
+    a, b = mats
+    assert a @ b == schoolbook_matmul(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(1, graded=True))
+def test_inverse_matches_schoolbook(mats):
+    (a,) = mats
+    assert a.inverse() == schoolbook_inverse(a)
