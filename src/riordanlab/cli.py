@@ -27,6 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import MathDomainError, UnknownName
 from .operators import (
+    CHECK_KINDS,
     appell_from_alpha,
     check_report,
     finite_difference_matrix,
@@ -239,7 +240,7 @@ def cmd_polys(session, args):
 
 def cmd_check(session, args):
     mref, wref, kind = args
-    if kind not in ("riordan", "sheffer", "appell", "binomial"):
+    if kind not in CHECK_KINDS:
         raise UsageError(f"unknown check kind {kind!r}")
     report = check_report(resolve_matrix(session, mref), resolve_weight(session, wref), kind)
     if not report["verdict"]:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from .errors import BackendMismatch, NotCommuting, NotSheffer
 from .operators import is_appell
-from .riordan import RiordanPair, Weight, _beta_quotient, is_riordan, pair_to_matrix
+from .riordan import (
+    RiordanPair, Weight, _beta_quotient, _scaled_columns, is_riordan, pair_to_matrix,
+)
 from .scalars import Field, Scalar
-from .series import INFINITY, Series, _convolve, _over_common_denominator
+from .series import INFINITY, Series
 from .triangular import Polynomial, TriMatrix, matrix_to_polys
 
 
@@ -199,31 +201,24 @@ def product_rule_spanning_witness(A: TriMatrix, W: Weight):
     Returns a witness (i, j, n) or None; by bilinearity None means the rule
     holds for every pair of functionals, which happens exactly for Sheffer
     matrices (with exactly geometric columns) at this order.
+
+    With u_i = w_i C_i and beta the beta quotient, pair (i, j) fails exactly
+    when u_{i+j} != u_i beta^j (u_m = 0 for m >= N), as e_i * e_j = e_{i+j}.
+    If every (0, m) holds, u_i beta^j = u_0 beta^{i+j} = u_{i+j} for all i, j;
+    so the first witness in (i, j, n) order is (0, j, n), j the first column
+    with u_j != u_0 beta^j and n their first differing coefficient.  N series
+    products decide it instead of N^2 convolutions.
     """
-    n_ord, p = A.order, A.field.p
-    d = _binomial_candidate(A, W)
-    # p_val[i][k] = e_i(p_k / w_k) = a_{k,i} w_i / w_k, likewise for d
-    p_val = [[A.entry(k, i) * W.w[i] * W.recip[k] for k in range(n_ord)] for i in range(n_ord)]
-    d_val = [[d.entry(l, j) * W.w[j] * W.recip[l] for l in range(n_ord)] for j in range(n_ord)]
-    # each row as integers over a common denominator (residues over 1 in GF(p))
-    if p is None:
-        p_int = [_over_common_denominator(v) for v in p_val]
-        d_int = [_over_common_denominator(v) for v in d_val]
-    else:
-        p_int = [([c.val for c in v], 1) for v in p_val]
-        d_int = [([c.val for c in v], 1) for v in d_val]
-    zero = ([0] * n_ord, 1)
-    for i, (pi, dpi) in enumerate(p_int):
-        for j, (dj, ddj) in enumerate(d_int):
-            # e_i * e_j = e_{i+j}, so the left side is e_{i+j}(p_n / w_n);
-            # the right side sum_k e_i(p_k / w_k) e_j(d_{n-k} / w_{n-k}) is
-            # the truncated convolution of p_val[i] and d_val[j]
-            lhs, dl = p_int[i + j] if i + j < n_ord else zero
-            den = dpi * ddj
-            for n, c in enumerate(_convolve(pi, dj)):
-                diff = c * dl - lhs[n] * den
-                if diff if p is None else diff % p:
-                    return (i, j, n)
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
+    beta = RiordanPair(Series.one(A.field, A.order), _beta_quotient(A, W)).beta
+    u = _scaled_columns(A, W)
+    rhs = u[0]
+    for j, lhs in enumerate(u):
+        for n, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+            if x != y:
+                return (0, j, n)
+        rhs = rhs * beta
     return None
 
 

@@ -14,11 +14,14 @@ Central objects:
   A^{-1} M_W A.
 
 Sheffer membership is decided through the weighted column identity (cheap
-and total); sheffer_by_commutation provides the independent operator-level
-test through commutators with N distinct translations.  The two agree on
-matrices with exactly geometric columns and on matrices failing the column
-identity; a matrix whose deviation from geometric columns is invisible at
-order N can pass the column test while failing the operator one.
+and total); sheffer_by_commutation and is_normalizing are independent
+operator-level tests that never consult it.  Each family they sweep (N
+translations, the substitutions 1 + y^j) consists of series in M_W, so both
+reduce to whether A^{-1} M_W A commutes with M_W, in O(N^3).  The column and
+operator tests agree on matrices with exactly geometric columns and on
+matrices failing the column identity; a matrix whose deviation from
+geometric columns is invisible at order N can pass the column test while
+failing the operator one.
 """
 
 from __future__ import annotations
@@ -104,22 +107,17 @@ def is_sheffer(A: TriMatrix, W: Weight) -> bool:
 def sheffer_by_commutation(A: TriMatrix, W: Weight, hs=None) -> bool:
     """Independent Sheffer test: [A^{-1} M_W A, T_h] = 0 for N distinct h.
 
-    Commutator entries are polynomials of degree < N in h, so vanishing at
-    N distinct points decides the identity in h.  Defaults to h = 0..N-1
-    (requires p >= N over GF(p)).
+    With q = A^{-1} M_W A, [q, T_h] = sum_{l<N} h^l [q, M_W^l] / w_l is a
+    matrix polynomial of degree < N in h; by Vandermonde it vanishes at N
+    distinct points exactly when every [q, M_W^l] does, that is when
+    [q, M_W] = 0, which decides the test without building a translation.
+    Defaults to h = 0..N-1 (requires p >= N over GF(p)).
     """
     if hs is None:
-        hs = W.field.range_elements(W.order)
-    else:
-        hs = [W.field.scalar(h) for h in hs]
-        if len(set(hs)) != W.order:
-            raise ValueError(f"need {W.order} distinct sample points")
-    q = q_operator_matrix(A, W)
-    for h in hs:
-        t = translation_matrix(W, h)
-        if q @ t != t @ q:
-            return False
-    return True
+        W.field.range_elements(W.order)  # raises when GF(p) has fewer than N points
+    elif len({W.field.scalar(h) for h in hs}) != W.order:
+        raise ValueError(f"need {W.order} distinct sample points")
+    return is_appell(q_operator_matrix(A, W), W)
 
 
 def is_appell(A: TriMatrix, W: Weight) -> bool:
@@ -281,42 +279,40 @@ def is_normalizing(A: TriMatrix, W: Weight, samples: int = 6, rng=None) -> bool:
     (decisive at this order) plus `samples` random unit substitutions as a
     smoke test.  Matches the Sheffer verdict, up to the truncation-corner
     caveat in the module note.
+
+    appell_from_alpha(1 + y^j) is I + M_W^j, which A conjugates to I + q^j,
+    q = A^{-1} M_W A; all of these commute with M_W exactly when q does
+    (j = 1).  The samples are drawn before q is checked, so `rng` advances
+    as it would if the whole family were swept.
     """
     if not A.is_graded():
         return False
-    n_ord = A.order
-    field = A.field
-    a_inv = A.inverse()
-    basis = []
-    for j in range(1, n_ord):
-        basis.append(Series.monomial(field, n_ord, 0) + Series.monomial(field, n_ord, j))
+    extra = []
     if samples:
         rng = rng or random.Random(0)
         from .sampling import unit_series
 
-        basis.extend(unit_series(field, n_ord, rng) for _ in range(samples))
-    for alpha in basis:
-        b = appell_from_alpha(alpha, W)
-        if not is_appell(a_inv @ b @ A, W):
-            return False
-    return True
+        extra = [unit_series(A.field, A.order, rng) for _ in range(samples)]
+    a_inv = A.inverse()
+    if not is_appell(a_inv @ m_matrix(W) @ A, W):
+        return False
+    return all(is_appell(a_inv @ appell_from_alpha(alpha, W) @ A, W) for alpha in extra)
+
+
+_VERDICTS = {"riordan": is_riordan, "sheffer": is_sheffer,
+             "appell": is_appell, "binomial": is_binomial}
+CHECK_KINDS = tuple(_VERDICTS)
 
 
 def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
     """Classification verdict plus extracted parameters, JSON-ready.
 
-    alpha/beta are included whenever the matrix satisfies the weighted
-    column identity, whatever `kind` was asked.
+    `kind` is one of CHECK_KINDS.  alpha/beta are included whenever the
+    matrix satisfies the weighted column identity, whatever `kind` was asked.
     """
-    verdicts = {
-        "riordan": is_riordan,
-        "sheffer": is_sheffer,
-        "appell": is_appell,
-        "binomial": is_binomial,
-    }
-    if kind not in verdicts:
+    if kind not in _VERDICTS:
         raise ValueError(f"unknown check kind {kind!r}")
-    report = {"kind": kind, "verdict": verdicts[kind](A, W)}
+    report = {"kind": kind, "verdict": _VERDICTS[kind](A, W)}
     if is_riordan(A, W):
         report["alpha"] = column_series(A, W, 0).to_json()
         report["beta"] = _beta_quotient(A, W).to_json()

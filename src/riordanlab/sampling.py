@@ -68,9 +68,12 @@ def perturbed_non_riordan(W: Weight, rng) -> TriMatrix:
 
     Starts from a random Riordan matrix and bumps one entry below the
     diagonal in the region the identity can see, retrying until the
-    membership check rejects.
+    membership check rejects.  Raises ValueError below order 4, where the
+    identity sees only the diagonal.
     """
     order = W.order
+    if order < 4:
+        raise ValueError(f"order {order} < 4: the column identity sees only the diagonal")
     while True:
         a = riordan_matrix(W, rng)
         n = rng.randint(1, order - 2)

@@ -13,6 +13,7 @@ from riordanlab import (
     classify_membership,
     translation_matrix,
 )
+from riordanlab.operators import CHECK_KINDS
 from riordanlab.serialize import dumps
 from riordanlab.twoweight import exp_case_weights
 
@@ -85,6 +86,16 @@ def test_exit_code_usage_error():
     assert code == 2
     code, _, _ = run_cli("--order", "99", "weight", "e", "exp", "1")
     assert code == 2
+
+
+def test_check_kinds_are_shared_by_cli_and_library(QQ):
+    for kind in CHECK_KINDS:
+        code, out, _ = run_cli("--order", "4", "check", "identity", "exp=1", kind)
+        assert code == 0 and out.startswith(f"{kind}: true")
+    code, out, err = run_cli("--order", "4", "check", "identity", "exp=1", "notakind")
+    assert code == 2 and not out and len(err.strip().splitlines()) == 1 and "notakind" in err
+    with pytest.raises(ValueError):
+        check_report(TriMatrix.identity(QQ, 4), Weight.exponential(QQ, 4, 1), "notakind")
 
 
 def test_exit_code_math_error():
