@@ -310,6 +310,9 @@ def run_script(session: Session, stream) -> None:
             continue
         try:
             words = shlex.split(line)
+        except ValueError as exc:  # an unbalanced quote or a trailing backslash
+            raise UsageError(f"line {lineno}: {exc}") from exc
+        try:
             dispatch(session, words[0], words[1:])
         except (UsageError, UnknownName) as exc:
             raise UsageError(f"line {lineno}: {exc}") from exc

@@ -27,9 +27,7 @@ class Functional:
 
     def __init__(self, field: Field, values):
         values = tuple(values)
-        for v in values:
-            if not isinstance(v, Scalar) or v.p != field.p:
-                raise BackendMismatch(f"value {v!r} does not belong to {field}")
+        field.check(values, "value")
         self.field = field
         self.values = values
 
@@ -178,21 +176,16 @@ def _binomial_candidate(A: TriMatrix, W: Weight) -> TriMatrix:
 
 def product_rule_check(A: TriMatrix, W: Weight, phi: Functional, psi: Functional) -> bool:
     """Test (phi*psi)(p_n/w_n) = sum_k phi(p_k/w_k) psi(d_{n-k}/w_{n-k})
-    for every n, with d the binomial candidate sharing A's beta quotient.
+    for every n, with d the binomial candidate sharing A's beta quotient;
+    the right side is the weighted product of phi o A and psi o d.
 
     Holds for all phi, psi exactly when A is Sheffer.
     """
     d = _binomial_candidate(A, W)
-    lhs_vals = functional_after_operator(functional_mul(phi, psi), A, W).values
-    pv = functional_after_operator(phi, A, W).values
-    dv = functional_after_operator(psi, d, W).values
-    for n in range(A.order):
-        acc = phi.field.zero()
-        for k in range(n + 1):
-            acc = acc + pv[k] * dv[n - k]
-        if acc != lhs_vals[n]:
-            return False
-    return True
+    lhs = functional_after_operator(functional_mul(phi, psi), A, W)
+    return lhs == functional_mul(
+        functional_after_operator(phi, A, W), functional_after_operator(psi, d, W)
+    )
 
 
 def product_rule_spanning_witness(A: TriMatrix, W: Weight):

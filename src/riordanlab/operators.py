@@ -37,7 +37,7 @@ from .errors import (
 )
 from .riordan import Weight, _beta_quotient, column_series, is_riordan
 from .series import Series
-from .triangular import TriMatrix
+from .triangular import Polynomial, TriMatrix
 
 
 def m_matrix(W: Weight) -> TriMatrix:
@@ -51,16 +51,10 @@ def m_matrix(W: Weight) -> TriMatrix:
 
 
 def translation_matrix(W: Weight, h) -> TriMatrix:
-    """Matrix of T_h = W(h M_W): entry (n,k) = w_n h^{n-k} / (w_{n-k} w_k)."""
+    """Matrix of T_h = W(h M_W), the Appell matrix of W(hy):
+    entry (n,k) = w_n h^{n-k} / (w_{n-k} w_k)."""
     h = W.field.scalar(h)
-    powers = [W.field.one()]
-    for _ in range(W.order - 1):
-        powers.append(powers[-1] * h)
-
-    def entry(n, k):
-        return W.w[n] * powers[n - k] * W.recip[n - k] * W.recip[k]
-
-    return TriMatrix.from_entries(W.field, W.order, entry)
+    return appell_from_alpha(Series(W.field, [h ** l * r for l, r in enumerate(W.recip)]), W)
 
 
 def shifted_power_matrix(W: Weight, h) -> TriMatrix:
@@ -180,10 +174,7 @@ class HPolyMatrix:
         h = self.field.scalar(h)
 
         def entry(n, k):
-            acc = self.field.zero()
-            for c in reversed(self.entries[n][k]):
-                acc = acc * h + c
-            return acc
+            return Polynomial(self.field, self.entries[n][k]).evaluate(h)
 
         return TriMatrix.from_entries(self.field, self.order, entry)
 

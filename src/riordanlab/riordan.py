@@ -266,16 +266,10 @@ def riordan_inv(a: RiordanPair) -> RiordanPair:
 def generating_expansion(pair: RiordanPair, W: Weight) -> list[Series]:
     """Columns of alpha(y) * W(x beta(y)) expanded in powers of x.
 
-    Column k is alpha * beta^k / w_k; it coincides with column_series of
-    pair_to_matrix for every k.
+    Column k is alpha * beta^k / w_k, the column_series k of pair_to_matrix.
     """
-    cols = []
-    col = pair.alpha
-    for k in range(W.order):
-        cols.append(col.scale(W.recip[k]))
-        if k + 1 < W.order:
-            col = col * pair.beta
-    return cols
+    A = pair_to_matrix(pair, W)
+    return [column_series(A, W, k) for k in range(W.order)]
 
 
 def change_weight(A: TriMatrix, W: Weight, W2: Weight) -> TriMatrix:

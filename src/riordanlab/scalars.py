@@ -182,6 +182,13 @@ class Field:
             return Scalar(_Q(x))
         raise BackendMismatch(f"cannot coerce {x!r} into {self!s}")
 
+    def check(self, xs, what: str) -> None:
+        """Raise BackendMismatch unless every x in xs is a Scalar of this field."""
+        p = self.p
+        for x in xs:
+            if not isinstance(x, Scalar) or x.p != p:
+                raise BackendMismatch(f"{what} {x!r} does not belong to {self}")
+
     def parse(self, text: str) -> Scalar:
         """Parse 'a', 'a/b' (rational field) or 'a', 'a mod p' (GF(p)).
 

@@ -3,6 +3,11 @@
 A Series stores exactly ``order`` coefficients c_0..c_{order-1} over one
 field; every operation is exact through that order.  Orders are capped at
 2..64, the intended scale for exact triangular-group work.
+
+The two kernels here run on raw values (rationals, or residues mod p):
+``_convolve`` multiplies, and ``_forward_substitute`` is the one triangular
+solver, behind Series.invert (the Toeplitz matrix of the series),
+Series.comp_inverse (the Riordan matrix of (1, f)) and TriMatrix.inverse.
 """
 
 from __future__ import annotations
@@ -35,6 +40,28 @@ def _convolve(a, b):
     return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) for m in range(n)]
 
 
+def _forward_substitute(field, rows, ks):
+    """Solve L x = e_k by forward substitution on raw values, for each k in ks.
+
+    rows[i] lists L_{i,0..i} as raw values (rationals, or residues mod p)
+    with L_{i,i} nonzero.  Returns, per k, the list x_k..x_{n-1}:
+    x_k = 1 / L_{k,k} and x_i = -(sum_{k <= j < i} L_{i,j} x_j) / L_{i,i}.
+    """
+    p, n = field.p, len(rows)
+    if p is None:
+        diag_inv = [1 / row[i] for i, row in enumerate(rows)]
+    else:
+        diag_inv = [pow(row[i], p - 2, p) for i, row in enumerate(rows)]
+    out = []
+    for k in ks:
+        x = [diag_inv[k]]
+        for i in range(k + 1, n):
+            v = -sum(map(mul, rows[i][k:i], x)) * diag_inv[i]
+            x.append(v if p is None else v % p)
+        out.append(x)
+    return out
+
+
 def _over_common_denominator(coeffs):
     """Rational coefficients as (integer numerators, their common denominator)."""
     vals = [c.val for c in coeffs]
@@ -48,9 +75,7 @@ class Series:
     def __init__(self, field: Field, coeffs):
         coeffs = tuple(coeffs)
         check_order(len(coeffs))
-        for c in coeffs:
-            if not isinstance(c, Scalar) or c.p != field.p:
-                raise BackendMismatch(f"coefficient {c!r} does not belong to {field}")
+        field.check(coeffs, "coefficient")
         self.field = field
         self.coeffs = coeffs
 
@@ -159,18 +184,17 @@ class Series:
         return out
 
     def invert(self):
-        """Multiplicative inverse; requires a unit constant term."""
-        c = self.coeffs
+        """Multiplicative inverse; requires a unit constant term.
+
+        The inverse solves T x = e_0 for the Toeplitz matrix T of self,
+        row m being c_m, ..., c_0.
+        """
+        c = [a.val for a in self.coeffs]
         if not c[0]:
             raise NotInvertible("constant term vanishes")
-        inv0 = c[0].inverse()
-        out = [inv0]
-        for m in range(1, len(c)):
-            acc = c[1] * out[m - 1]
-            for i in range(2, m + 1):
-                acc = acc + c[i] * out[m - i]
-            out.append(-(inv0 * acc))
-        return Series(self.field, out)
+        rows = [c[m::-1] for m in range(len(c))]
+        (x,) = _forward_substitute(self.field, rows, [0])
+        return Series(self.field, [Scalar(v, self.field.p) for v in x])
 
     def __truediv__(self, other):
         return self * other.invert()
@@ -191,31 +215,20 @@ class Series:
         """Compositional inverse g of a valuation-1 series f, in O(N^3).
 
         Column j of the ordinary Riordan matrix R of (1, f) holds f^j, so
-        g(f(y)) = y reads R g = e_1.  R is lower triangular with diagonal
-        f_1^m, and forward substitution gives, row by row,
-
-            g_m = ([m == 1] - sum_{j<m} [y^m] f^j * g_j) / f_1^m.
-
-        That takes the N-3 products f^2..f^{N-2} and divides only by
-        powers of f_1, never by an integer, so unlike Lagrange inversion
-        it holds in every characteristic.
+        g(f(y)) = y reads R g = e_1, solved by forward substitution.
+        That takes the N-2 products f^2..f^{N-1} and divides only by the
+        diagonal entries f_1^m, never by an integer, so unlike Lagrange
+        inversion it holds in every characteristic.
         """
         if self.valuation() != 1:
             raise NotValuationOne("compositional inverse needs valuation exactly 1")
         field, n = self.field, self.order
-        powers = [self]  # powers[j - 1] = f^j
-        for _ in range(n - 3):
+        powers = [Series.one(field, n), self]  # powers[j] = f^j
+        for _ in range(n - 2):
             powers.append(powers[-1] * self)
-        f1_inv = self.coeffs[1].inverse()
-        diag_inv = f1_inv
-        g = [field.zero(), f1_inv]
-        for m in range(2, n):
-            diag_inv = diag_inv * f1_inv
-            acc = field.zero()
-            for j in range(1, m):
-                acc = acc + powers[j - 1].coeffs[m] * g[j]
-            g.append(-(acc * diag_inv))
-        return Series(field, g)
+        rows = [[powers[j].coeffs[m].val for j in range(m + 1)] for m in range(n)]
+        (g,) = _forward_substitute(field, rows, [1])
+        return Series(field, [field.zero()] + [Scalar(v, field.p) for v in g])
 
     # -- plumbing ----------------------------------------------------------
     def __eq__(self, other):

@@ -4,6 +4,10 @@ Row n of a matrix holds the coefficients of the n-th polynomial of a
 sequence (constant term first); matrix multiplication then realizes
 umbral composition of sequences.  A matrix is *graded* when every
 diagonal entry is nonzero, i.e. when the sequence has deg p_n = n.
+
+Both kernels run on raw values: @ takes one integer dot product per entry,
+and TriMatrix.inverse is the forward substitution of the series module,
+one column per k.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from operator import mul
 
 from .errors import BackendMismatch, DegreeTooHigh, SingularDiagonal
 from .scalars import Field, Scalar, _Q
-from .series import _over_common_denominator, check_order
+from .series import _forward_substitute, _over_common_denominator, check_order
 
 
 class Polynomial:
@@ -22,11 +26,9 @@ class Polynomial:
 
     def __init__(self, field: Field, coeffs):
         coeffs = list(coeffs)
+        field.check(coeffs, "coefficient")
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        for c in coeffs:
-            if not isinstance(c, Scalar) or c.p != field.p:
-                raise BackendMismatch(f"coefficient {c!r} does not belong to {field}")
         self.field = field
         self.coeffs = tuple(coeffs)
 
@@ -99,9 +101,7 @@ class TriMatrix:
         for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
-            for c in row:
-                if not isinstance(c, Scalar) or c.p != field.p:
-                    raise BackendMismatch(f"entry {c!r} does not belong to {field}")
+            field.check(row, "entry")
         self.field = field
         self.rows = rows
 
@@ -204,26 +204,15 @@ class TriMatrix:
     def inverse(self):
         """Inverse by forward substitution, column by column; exact.
 
-        Column k solves A x = e_k: x_k = 1 / a_{k,k} and, below it,
-        x_i = -(sum_{k <= j < i} a_{i,j} x_j) / a_{i,i}.  The dot products
-        run on the raw values: residues over GF(p), rationals over QQ.
+        Column k solves A x = e_k; the shared kernel runs on the raw
+        values: residues over GF(p), rationals over QQ.
         """
         n, p = self.order, self.field.p
         for i in range(n):
             if not self.rows[i][i]:
                 raise SingularDiagonal(f"diagonal entry ({i},{i}) vanishes")
         vals = [[c.val for c in row] for row in self.rows]
-        if p is None:
-            diag_inv = [1 / row[i] for i, row in enumerate(vals)]
-        else:
-            diag_inv = [pow(row[i], p - 2, p) for i, row in enumerate(vals)]
-        cols = []
-        for k in range(n):
-            x = [diag_inv[k]]
-            for i in range(k + 1, n):
-                v = -sum(map(mul, vals[i][k:i], x)) * diag_inv[i]
-                x.append(v if p is None else v % p)
-            cols.append([Scalar(v, p) for v in x])
+        cols = [[Scalar(v, p) for v in x] for x in _forward_substitute(self.field, vals, range(n))]
         return TriMatrix(self.field, [[cols[k][i - k] for k in range(i + 1)] for i in range(n)])
 
     def commutes_with(self, other) -> bool:

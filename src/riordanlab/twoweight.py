@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import BackendMismatch, CharP, ForbiddenLambda, NotValuationZero
 from .operators import appell_from_alpha
 from .riordan import Weight, is_riordan
-from .scalars import Field, Scalar, extended_binomial, factorial_inv
+from .scalars import Field, Scalar, extended_binomial
 from .series import Series
 
 
@@ -84,11 +84,8 @@ def is_exponential_alpha(alpha: Series):
         raise CharP(f"needs l! invertible for l < {alpha.order}")
     c0 = alpha.coeffs[0]
     h = alpha.coeffs[1] / c0
-    power = field.one()
-    for l in range(1, alpha.order):
-        power = power * h
-        if alpha.coeffs[l] != c0 * power * factorial_inv(field, l):
-            return None
+    if alpha != Series.exp(field, alpha.order, h).scale(c0):
+        return None
     return c0, h
 
 

@@ -198,3 +198,11 @@ def test_prime_modulus_up_to_the_primality_bound():
     assert code == 0 and "sheffer: true" in out
     code, _, err = run_cli("--field", "mod:3317044064679887385961981", "weight", "w", "exp", "1")
     assert code == 2 and "primality bound" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ['weight "e exp 1', "weight e exp 1 \\\\"])
+def test_unsplittable_script_line_is_a_usage_error(line):
+    code, out, err = run_cli("--order", "4", "run", stdin=f"weight w exp 1\n{line}\n")
+    assert code == 2 and out.startswith("weight w:")
+    assert err.startswith("error: line 2: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
