@@ -16,7 +16,7 @@ from .riordan import (
     RiordanPair, Weight, _beta_quotient, _scaled_columns, is_riordan, pair_to_matrix,
 )
 from .scalars import Field, Scalar
-from .series import INFINITY, Series
+from .series import INFINITY, Series, _convolve, _over_common_denominator
 from .triangular import Polynomial, TriMatrix, matrix_to_polys
 
 
@@ -106,6 +106,8 @@ def functional_power(phi: Functional, r: int) -> Functional:
 
 def functional_after_operator(phi: Functional, S: TriMatrix, W: Weight) -> Functional:
     """The functional phi o S: t_n = (1/w_n) sum_k S_{n,k} w_k t_k."""
+    if not phi.order == S.order == W.order or not phi.field == S.field == W.field:
+        raise BackendMismatch("functional, operator and weight orders or fields differ")
     vals = []
     for n in range(S.order):
         acc = phi.field.zero()
@@ -199,19 +201,28 @@ def product_rule_spanning_witness(A: TriMatrix, W: Weight):
     when u_{i+j} != u_i beta^j (u_m = 0 for m >= N), as e_i * e_j = e_{i+j}.
     If every (0, m) holds, u_i beta^j = u_0 beta^{i+j} = u_{i+j} for all i, j;
     so the first witness in (i, j, n) order is (0, j, n), j the first column
-    with u_j != u_0 beta^j and n their first differing coefficient.  N series
-    products decide it instead of N^2 convolutions.
+    with u_j != u_0 beta^j and n their first differing coefficient.  N raw
+    convolutions decide it instead of N^2.
     """
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
     beta = RiordanPair(Series.one(A.field, A.order), _beta_quotient(A, W)).beta
+    p = A.field.p
+    b, db = _over_common_denominator(beta.coeffs)
     u = _scaled_columns(A, W)
-    rhs = u[0]
-    for j, lhs in enumerate(u):
-        for n, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-            if x != y:
+    rhs, s0 = u[0]  # u_0 beta^j = s0 rhs / db^j
+    for j, (lhs, s) in enumerate(u):
+        if p is None:  # u_j = s lhs
+            t = s * db ** j / s0
+            diffs = (x * t.numerator - y * t.denominator for x, y in zip(lhs, rhs))
+        else:
+            diffs = ((x - y) % p for x, y in zip(lhs, rhs))
+        for n, d in enumerate(diffs):
+            if d:
                 return (0, j, n)
-        rhs = rhs * beta
+        rhs = _convolve(rhs, b)
+        if p is not None:
+            rhs = [v % p for v in rhs]
     return None
 
 

@@ -136,10 +136,11 @@ def is_appell(A: TriMatrix, W: Weight) -> bool:
 
 def is_binomial(A: TriMatrix, W: Weight) -> bool:
     """Binomial type = Sheffer with trivial alpha: column 0 is (1, 0, ...)."""
-    if not is_sheffer(A, W):
-        return False
-    e0 = [A.field.one()] + [A.field.zero()] * (A.order - 1)
-    return A.column(0) == e0
+    return is_sheffer(A, W) and _trivial_alpha(A)
+
+
+def _trivial_alpha(A: TriMatrix) -> bool:
+    return A.column(0) == [A.field.one()] + [A.field.zero()] * (A.order - 1)
 
 
 def dw_multiplier(A: TriMatrix, W: Weight) -> Series:
@@ -160,8 +161,12 @@ class HPolyMatrix:
     __slots__ = ("field", "entries")
 
     def __init__(self, field, entries):
+        entries = tuple(tuple(tuple(e) for e in row) for row in entries)
+        for row in entries:
+            for e in row:
+                field.check(e, "coefficient")
         self.field = field
-        self.entries = tuple(tuple(tuple(e) for e in row) for row in entries)
+        self.entries = entries
 
     @property
     def order(self):
@@ -290,9 +295,7 @@ def is_normalizing(A: TriMatrix, W: Weight, samples: int = 6, rng=None) -> bool:
     return all(is_appell(a_inv @ appell_from_alpha(alpha, W) @ A, W) for alpha in extra)
 
 
-_VERDICTS = {"riordan": is_riordan, "sheffer": is_sheffer,
-             "appell": is_appell, "binomial": is_binomial}
-CHECK_KINDS = tuple(_VERDICTS)
+CHECK_KINDS = ("riordan", "sheffer", "appell", "binomial")
 
 
 def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
@@ -300,11 +303,19 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
 
     `kind` is one of CHECK_KINDS.  alpha/beta are included whenever the
     matrix satisfies the weighted column identity, whatever `kind` was asked.
+    That identity is tested once: it is also the verdict of every kind but
+    appell.
     """
-    if kind not in _VERDICTS:
+    if kind not in CHECK_KINDS:
         raise ValueError(f"unknown check kind {kind!r}")
-    report = {"kind": kind, "verdict": _VERDICTS[kind](A, W)}
-    if is_riordan(A, W):
+    if kind == "appell":
+        verdict = is_appell(A, W)
+        riordan = is_riordan(A, W)
+    else:
+        riordan = is_riordan(A, W)
+        verdict = riordan and (kind != "binomial" or _trivial_alpha(A))
+    report = {"kind": kind, "verdict": verdict}
+    if riordan:
         report["alpha"] = column_series(A, W, 0).to_json()
         report["beta"] = _beta_quotient(A, W).to_json()
     else:

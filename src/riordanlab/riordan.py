@@ -10,11 +10,20 @@ All verdicts here are "at order N": identities are asserted through
 coefficient N-1 and say nothing beyond the truncation.  Matrices built
 from a pair have exactly geometric columns, and the membership check,
 group law and pair extraction are mutually exact on such matrices.
+
+The group layer runs on raw values (integers over common denominators
+over QQ, residues over GF(p)).  riordan_mul and riordan_inv build the power
+table R_beta of series.py once: the product applies it to gamma and delta,
+and the inverse solves R_beta h = alpha and R_beta x = e_1 on the same rows,
+h = alpha o beta^{<-1>} needing no composition.  pair_to_matrix convolves
+the columns alpha beta^k and forms each entry once, and is_riordan compares
+the scaled columns u_k = w_k C_k by cross-multiplied convolutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     BackendMismatch,
@@ -26,8 +35,16 @@ from .errors import (
     RootOfUnity,
     ZeroLambda,
 )
-from .scalars import Field, Scalar
-from .series import Series, check_order
+from .scalars import Field, Scalar, _Q
+from .series import (
+    Series,
+    _apply_power_table,
+    _convolve,
+    _forward_substitute,
+    _over_common_denominator,
+    _power_table,
+    check_order,
+)
 from .triangular import TriMatrix
 
 
@@ -185,9 +202,33 @@ def column_series(A: TriMatrix, W: Weight, k: int) -> Series:
     )
 
 
-def _scaled_columns(A: TriMatrix, W: Weight) -> list[Series]:
-    # u_k = w_k * C_k; the membership identity is u_k^2 = u_{k-1} u_{k+1}
-    return [column_series(A, W, k).scale(W.w[k]) for k in range(A.order)]
+def _mixed_backends(ours: Scalar, theirs: Scalar) -> BackendMismatch:
+    # the message a Scalar product of the two operands would raise
+    return BackendMismatch(
+        f"mixed scalar backends: {ours.backend_name()} vs {theirs.backend_name()}"
+    )
+
+
+def _scaled_columns(A: TriMatrix, W: Weight) -> list:
+    """The scaled columns u_k = w_k C_k of A on raw values, as pairs (U_k, s_k).
+
+    u_k = s_k U_k with U_k a list of N integers (over QQ) or residues (over
+    GF(p), where s_k = 1 and U_k is u_k itself); entries above the diagonal
+    are zero.  Over QQ the rows are scaled by 1/w_n over one denominator.
+    """
+    p, n = A.field.p, A.order
+    if p is None:
+        r, den = _over_common_denominator(W.recip)
+        out = []
+        for k in range(n):
+            a, da = _over_common_denominator([A.rows[i][k] for i in range(k, n)])
+            out.append(([0] * k + list(map(mul, a, r[k:])), W.w[k].val / (da * den)))
+        return out
+    r = [x.val for x in W.recip]
+    return [
+        ([0] * k + [A.rows[i][k].val * r[i] * W.w[k].val % p for i in range(k, n)], 1)
+        for k in range(n)
+    ]
 
 
 def is_riordan(A: TriMatrix, W: Weight) -> bool:
@@ -195,33 +236,58 @@ def is_riordan(A: TriMatrix, W: Weight) -> bool:
 
     Verifies w_k^2 C_k^2 = w_{k-1} C_{k-1} w_{k+1} C_{k+1} for
     1 <= k <= N-2.  Total: never divides, works for any graded matrix.
+    The two sides are convolutions of the raw scaled columns, compared
+    cross-multiplied by their scale factors.
     """
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
     if not A.is_graded():
         return False
+    if A.field != W.field:
+        raise _mixed_backends(A.rows[0][0], W.recip[0])
+    p = A.field.p
     u = _scaled_columns(A, W)
     for k in range(1, A.order - 1):
-        if u[k] * u[k] != u[k - 1] * u[k + 1]:
+        (lhs, s), (left, s0), (right, s1) = u[k], u[k - 1], u[k + 1]
+        square, cross = _convolve(lhs, lhs), _convolve(left, right)
+        if p is None:
+            t = s * s / (s0 * s1)  # u_k^2 = u_{k-1} u_{k+1} reads square * t = cross
+            tn, td = t.numerator, t.denominator
+            if any(x * tn != y * td for x, y in zip(square, cross)):
+                return False
+        elif any((x - y) % p for x, y in zip(square, cross)):
             return False
     return True
 
 
 def pair_to_matrix(pair: RiordanPair, W: Weight) -> TriMatrix:
-    """Matrix with columns C_k = alpha * beta^k / w_k (exactly geometric)."""
+    """Matrix with columns C_k = alpha * beta^k / w_k (exactly geometric).
+
+    Column k is a_{i,k} = w_i c_i / w_k with c = alpha beta^k, convolved on
+    raw values; over QQ c = num / den and each entry is one rational
+    w_i num_i / (den w_k).
+    """
     if pair.order != W.order:
         raise BackendMismatch("pair and weight orders differ")
-    n = W.order
-    zero = pair.field.zero()
-    rows = [[zero] * (i + 1) for i in range(n)]
-    col = pair.alpha
-    for k in range(n):
-        # a_{i,k} = w_i [y^i](alpha beta^k) / w_k
-        for i in range(k, n):
-            rows[i][k] = W.w[i] * col.coeffs[i] * W.recip[k]
-        if k + 1 < n:
-            col = col * pair.beta
-    return TriMatrix(pair.field, rows)
+    field, n = pair.field, W.order
+    if field != W.field:
+        raise _mixed_backends(W.w[0], pair.alpha.coeffs[0])
+    p = field.p
+    w, recip = [x.val for x in W.w], [x.val for x in W.recip]
+    rows = [[None] * (i + 1) for i in range(n)]
+    (col, den), (b, db) = map(_over_common_denominator, (pair.alpha.coeffs, pair.beta.coeffs))
+    if p is None:
+        for k in range(n):
+            num, dk = recip[k].numerator, den * recip[k].denominator
+            for i in range(k, n):
+                rows[i][k] = Scalar(_Q(w[i].numerator * col[i] * num, w[i].denominator * dk))
+            col, den = _convolve(col, b), den * db
+    else:
+        for k in range(n):
+            for i in range(k, n):
+                rows[i][k] = Scalar(w[i] * col[i] * recip[k] % p, p)
+            col = [v % p for v in _convolve(col, b)]
+    return TriMatrix(field, rows)
 
 
 def _beta_quotient(A: TriMatrix, W: Weight) -> Series:
@@ -249,18 +315,31 @@ def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:
 def riordan_mul(a: RiordanPair, b: RiordanPair) -> RiordanPair:
     """Group law: (alpha, beta) * (gamma, delta) = (alpha*(gamma o beta), delta o beta).
 
-    pair_to_matrix turns this into the matrix product, exactly at order N.
+    Both compositions apply the one power table R_beta.  pair_to_matrix
+    turns this into the matrix product, exactly at order N.
     """
+    b.alpha._check_same(a.beta)
+    table = _power_table(a.beta)
     return RiordanPair(
-        a.alpha * b.alpha.compose(a.beta),
-        b.beta.compose(a.beta),
+        a.alpha * _apply_power_table(table, b.alpha),
+        _apply_power_table(table, b.beta),
     )
 
 
 def riordan_inv(a: RiordanPair) -> RiordanPair:
-    """Group inverse (1/(alpha o beta_bar), beta_bar), beta_bar = beta^{<-1>}."""
-    beta_bar = a.beta.comp_inverse()
-    return RiordanPair(a.alpha.compose(beta_bar).invert(), beta_bar)
+    """Group inverse (1/(alpha o beta_bar), beta_bar), beta_bar = beta^{<-1>}.
+
+    With R = R_beta, h = alpha o beta_bar solves R h = alpha (as h o beta =
+    alpha) and beta_bar solves R x = e_1: two right-hand sides, one table.
+    """
+    field, n = a.field, a.order
+    rows, den = _power_table(a.beta)
+    alpha = [den * c.val for c in a.alpha.coeffs]
+    h, beta_bar = _forward_substitute(field, rows, [alpha, [den] + [0] * (n - 2)])
+    return RiordanPair(
+        Series(field, [Scalar(v, field.p) for v in h]).invert(),
+        Series(field, [field.zero()] + [Scalar(v, field.p) for v in beta_bar]),
+    )
 
 
 def generating_expansion(pair: RiordanPair, W: Weight) -> list[Series]:

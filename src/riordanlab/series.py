@@ -4,10 +4,17 @@ A Series stores exactly ``order`` coefficients c_0..c_{order-1} over one
 field; every operation is exact through that order.  Orders are capped at
 2..64, the intended scale for exact triangular-group work.
 
-The two kernels here run on raw values (rationals, or residues mod p):
+The kernels here run on raw values (rationals, or residues mod p):
 ``_convolve`` multiplies, and ``_forward_substitute`` is the one triangular
 solver, behind Series.invert (the Toeplitz matrix of the series),
-Series.comp_inverse (the Riordan matrix of (1, f)) and TriMatrix.inverse.
+Series.comp_inverse, riordan_inv and TriMatrix.inverse.
+
+``_power_table`` is the ordinary Riordan matrix R_g of (1, g): column j
+holds g^j, so R_g f is the coefficient vector of f o g.  One table serves
+the whole group law: Series.compose and riordan_mul apply it to vectors
+(``_apply_power_table``), and Series.comp_inverse and riordan_inv solve
+with it, R_g x = e_1 giving g^{<-1>} and R_g h = alpha giving
+alpha o g^{<-1>}.  It costs the N-2 products g^2..g^{N-1}, once per g.
 """
 
 from __future__ import annotations
@@ -40,33 +47,65 @@ def _convolve(a, b):
     return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) for m in range(n)]
 
 
-def _forward_substitute(field, rows, ks):
-    """Solve L x = e_k by forward substitution on raw values, for each k in ks.
+def _forward_substitute(field, rows, rhss):
+    """Solve L x = b by forward substitution on raw values, for each b in rhss.
 
-    rows[i] lists L_{i,0..i} as raw values (rationals, or residues mod p)
-    with L_{i,i} nonzero.  Returns, per k, the list x_k..x_{n-1}:
-    x_k = 1 / L_{k,k} and x_i = -(sum_{k <= j < i} L_{i,j} x_j) / L_{i,i}.
+    rows[i] lists L_{i,0..i} as raw values (rationals or integers, or
+    residues mod p) with L_{i,i} nonzero.  Each b lists b_k..b_{n-1}, its
+    entries before k being zero, and its solution x_k..x_{n-1} is returned:
+    x_i = (b_i - sum_{k <= j < i} L_{i,j} x_j) / L_{i,i}.
     """
     p, n = field.p, len(rows)
     if p is None:
-        diag_inv = [1 / row[i] for i, row in enumerate(rows)]
+        diag_inv = [_Q(1) / row[i] for i, row in enumerate(rows)]
     else:
         diag_inv = [pow(row[i], p - 2, p) for i, row in enumerate(rows)]
     out = []
-    for k in ks:
-        x = [diag_inv[k]]
-        for i in range(k + 1, n):
-            v = -sum(map(mul, rows[i][k:i], x)) * diag_inv[i]
+    for b in rhss:
+        k, x = n - len(b), []
+        for i in range(k, n):
+            v = (b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i]
             x.append(v if p is None else v % p)
         out.append(x)
     return out
 
 
 def _over_common_denominator(coeffs):
-    """Rational coefficients as (integer numerators, their common denominator)."""
+    """Rational coefficients as (integer numerators, their common denominator);
+    residues mod p as (residues, 1)."""
     vals = [c.val for c in coeffs]
+    if coeffs[0].p is not None:
+        return vals, 1
     den = lcm(*(v.denominator for v in vals))
     return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _power_table(g):
+    """R_g, the ordinary Riordan matrix of (1, g), on raw values: (rows, D).
+
+    g is a series with g_0 = 0; rows[m] lists [y^m] g^j for j <= m.  Over
+    GF(p) the rows hold residues and D is 1.  Over QQ they hold integers
+    over the one common denominator D = d^(N-1), d that of g: column j is
+    (d g)^j scaled by d^(N-1-j).
+    """
+    p, n = g.field.p, g.order
+    c, d = _over_common_denominator(g.coeffs)
+    cols = [[1] + [0] * (n - 1), c]
+    for _ in range(n - 2):
+        power = _convolve(cols[-1], c)
+        cols.append(power if p is None else [v % p for v in power])
+    scale = [d ** (n - 1 - j) for j in range(n)]
+    return [[cols[j][m] * scale[j] for j in range(m + 1)] for m in range(n)], d ** (n - 1)
+
+
+def _apply_power_table(table, f):
+    """R_g f, the series f o g, for table = _power_table(g): one dot product per row."""
+    rows, den = table
+    field, p = f.field, f.field.p
+    a, da = _over_common_denominator(f.coeffs)
+    if p is None:
+        return Series(field, [Scalar(_Q(sum(map(mul, row, a)), den * da)) for row in rows])
+    return Series(field, [Scalar(sum(map(mul, row, a)) % p, p) for row in rows])
 
 
 class Series:
@@ -193,7 +232,7 @@ class Series:
         if not c[0]:
             raise NotInvertible("constant term vanishes")
         rows = [c[m::-1] for m in range(len(c))]
-        (x,) = _forward_substitute(self.field, rows, [0])
+        (x,) = _forward_substitute(self.field, rows, [[1] + [0] * (len(c) - 1)])
         return Series(self.field, [Scalar(v, self.field.p) for v in x])
 
     def __truediv__(self, other):
@@ -201,33 +240,29 @@ class Series:
 
     # -- composition -----------------------------------------------------
     def compose(self, inner):
-        """self(inner(y)), exact through the order; inner must kill constants."""
+        """self(inner(y)), exact through the order; inner must kill constants.
+
+        One matrix-vector product R_inner self with the power table of inner.
+        """
         self._check_same(inner)
         if inner.coeffs[0]:
             raise InnerValuationZero("inner series has nonzero constant term")
-        acc = Series.constant(self.field, self.order, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * inner
-            acc = Series(self.field, (acc.coeffs[0] + c,) + acc.coeffs[1:])
-        return acc
+        return _apply_power_table(_power_table(inner), self)
 
     def comp_inverse(self):
         """Compositional inverse g of a valuation-1 series f, in O(N^3).
 
         Column j of the ordinary Riordan matrix R of (1, f) holds f^j, so
-        g(f(y)) = y reads R g = e_1, solved by forward substitution.
-        That takes the N-2 products f^2..f^{N-1} and divides only by the
-        diagonal entries f_1^m, never by an integer, so unlike Lagrange
-        inversion it holds in every characteristic.
+        g(f(y)) = y reads R g = e_1, solved by forward substitution on the
+        power table.  That divides only by the diagonal entries f_1^m (over
+        QQ, times the table's denominator), never by an integer, so unlike
+        Lagrange inversion it holds in every characteristic.
         """
         if self.valuation() != 1:
             raise NotValuationOne("compositional inverse needs valuation exactly 1")
         field, n = self.field, self.order
-        powers = [Series.one(field, n), self]  # powers[j] = f^j
-        for _ in range(n - 2):
-            powers.append(powers[-1] * self)
-        rows = [[powers[j].coeffs[m].val for j in range(m + 1)] for m in range(n)]
-        (g,) = _forward_substitute(field, rows, [1])
+        rows, den = _power_table(self)
+        (g,) = _forward_substitute(field, rows, [[den] + [0] * (n - 2)])
         return Series(field, [field.zero()] + [Scalar(v, field.p) for v in g])
 
     # -- plumbing ----------------------------------------------------------

@@ -212,7 +212,8 @@ class TriMatrix:
             if not self.rows[i][i]:
                 raise SingularDiagonal(f"diagonal entry ({i},{i}) vanishes")
         vals = [[c.val for c in row] for row in self.rows]
-        cols = [[Scalar(v, p) for v in x] for x in _forward_substitute(self.field, vals, range(n))]
+        e = [[1] + [0] * (n - 1 - k) for k in range(n)]
+        cols = [[Scalar(v, p) for v in x] for x in _forward_substitute(self.field, vals, e)]
         return TriMatrix(self.field, [[cols[k][i - k] for k in range(i + 1)] for i in range(n)])
 
     def commutes_with(self, other) -> bool:

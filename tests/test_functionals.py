@@ -327,3 +327,20 @@ def test_spanning_witness_matches_triple_loop(p, rng):
             good = riordan_matrix(W, rng)
             assert product_rule_spanning_witness(good, W) is None
             assert triple_loop_witness(good, W) is None
+
+
+def test_functional_after_operator_checks_orders_and_fields(QQ, F7, rng):
+    w = Weight.exponential(QQ, 5, 1)
+    a = riordan_matrix(w, rng)
+    for size in (4, 6):  # shorter used to raise IndexError, longer was cut silently
+        phi = Functional(QQ, functional_values(QQ, size, rng))
+        with pytest.raises(BackendMismatch, match="orders or fields differ"):
+            functional_after_operator(phi, a, w)
+    phi = Functional(QQ, functional_values(QQ, 5, rng))
+    with pytest.raises(BackendMismatch):
+        functional_after_operator(Functional(F7, functional_values(F7, 5, rng)), a, w)
+    with pytest.raises(BackendMismatch):
+        functional_after_operator(phi, a, Weight.exponential(QQ, 6, 1))
+    with pytest.raises(BackendMismatch):
+        functional_after_operator(phi, a, Weight.geometric(F7, 5, 1))
+    assert functional_after_operator(phi, TriMatrix.identity(QQ, 5), w) == phi

@@ -1,6 +1,9 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riordanlab import (
     Field,
@@ -28,6 +31,7 @@ from riordanlab import (
     translation_matrix,
 )
 from riordanlab.errors import (
+    BackendMismatch,
     NotDegreeDecreasing,
     NotSheffer,
     NotValuationZero,
@@ -35,12 +39,14 @@ from riordanlab.errors import (
 )
 from riordanlab.operators import HPolyMatrix
 from riordanlab.riordan import Weight
+from riordanlab.functionals import binomial_associate
 from riordanlab.sampling import (
     degree_decreasing_matrix,
     perturbed_non_riordan,
     riordan_matrix,
     riordan_pair,
     unit_series,
+    weight,
 )
 
 
@@ -443,3 +449,42 @@ def test_truncation_corner_is_documented_behavior(QQ):
     assert not is_normalizing(a, w, samples=0)
     with pytest.raises(NotRiordan):
         matrix_to_pair(a, w)
+
+
+def test_hpolymatrix_rejects_foreign_coefficients(QQ, F7):
+    one = QQ.one()
+    for stray in (F7.one(), F7.zero(), 1):  # a trailing zero or a bare int too
+        with pytest.raises(BackendMismatch, match="^coefficient .* does not belong to QQ$"):
+            HPolyMatrix(QQ, [[[one]], [[one, stray], [one]]])
+    assert HPolyMatrix(QQ, [[[one]], [[], [one]]]).entry(1, 0) == ()
+
+
+def _expansion_weight(kind, field, n, rng):
+    if kind == "exponential":
+        return Weight.exponential(field, n, 1)
+    if kind == "geometric":
+        return Weight.geometric(field, n, 3)
+    if kind == "q-factorial":
+        return Weight.q_factorial(field, n, 2, 3)  # 3 has order > 64 mod 1000003
+    return weight(field, n, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([None, 1000003]),
+    st.integers(2, 12),
+    st.sampled_from(["exponential", "geometric", "q-factorial", "random"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_translation_expansion_is_the_binomial_associate(p, n, wkind, seed):
+    # The weighted Sheffer identity s_n(x+h)/w_n = sum_k s_k(x)/w_k q_{n-k}(h)/w_{n-k}:
+    # for Sheffer A, every slot of diagonal l of d_polynomials(A, W) holds row l
+    # of the binomial associate, computed here from the pair, not from the
+    # translations.
+    field, rng = Field(p), random.Random(seed)
+    W = _expansion_weight(wkind, field, n, rng)
+    A = riordan_matrix(W, rng)
+    d, q = d_polynomials(A, W), binomial_associate(A, W)
+    for l in range(n):
+        for k in range(n - l):
+            assert d.entry(k + l, k) == q.rows[l]

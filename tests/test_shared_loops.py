@@ -182,7 +182,9 @@ def test_translation_matches_reference(case, wkind, hkind):
 def hpoly_matrices(draw, field, n, rng):
     """d_polynomials of a graded matrix, or random entries of any length
     (empty ones and trailing zeros included), or those with a coefficient of
-    another field, possibly a trailing zero."""
+    another field, possibly a trailing zero.  The constructor rejects a
+    foreign coefficient, so that matrix is built around it: evaluate must
+    still reject it on its own."""
     kind = draw(st.sampled_from(["d", "random", "foreign"]))
     if kind == "d":
         W = Weight.geometric(field, n, 1)
@@ -195,6 +197,9 @@ def hpoly_matrices(draw, field, n, rng):
         entry = entries[rng.randrange(n)][0]
         stray = rng.choice([other(field).zero(), other(field).one()])
         entry.insert(rng.randint(0, len(entry)), stray)
+        hp = object.__new__(HPolyMatrix)
+        hp.field, hp.entries = field, tuple(tuple(tuple(e) for e in row) for row in entries)
+        return hp
     return HPolyMatrix(field, entries)
 
 
