@@ -1,0 +1,109 @@
+"""d_polynomials as one banded pass, against the chain of powers it replaces.
+
+d_polynomials reads the coefficient of h^l in d_{n,k} off one inverse, as
+a shifted dot product of row n of D^{-1} A D with column k of its inverse
+(D = diag(w)).  The reference below is the code the library used before,
+kept verbatim: the N-1 powers of A M_W A^{-1} as full TriMatrix products.
+Every result, and the type and message of every raised error, must agree
+over QQ (signed, mixed denominators), GF(2), GF(3) and GF(1000003) at
+N = 2..16, N > p included, and at N = 64.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riordanlab import Field, Series, TriMatrix
+from riordanlab.operators import HPolyMatrix, d_polynomials, m_matrix
+from riordanlab.riordan import RiordanPair, Weight, pair_to_matrix
+
+from test_group_kernel import (
+    MATRICES,
+    WEIGHTS,
+    build_weight,
+    bumped,
+    cases,
+    matrix,
+    other,
+    outcome,
+    pair,
+    pair_to_matrix_reference,
+)
+
+# -- the replaced code --------------------------------------------------------
+
+
+def d_polynomials_reference(A, W):
+    """Expansion coefficients of translations in the basis of the sequence.
+
+    Writing T_h(p_n / w_n) = sum_k d_{n,k}(h) / w_{n-k} * p_k / w_k, the
+    entry (n, k) is the polynomial d_{n,k}.  Coefficient of h^l comes from
+    (A M_W A^{-1})^l scaled by w_{n-k} w_k / (w_l w_n); the h-degree of
+    entry (n, k) is at most n - k because the l-th power is supported on
+    diagonals <= -l.
+    """
+    n_ord = A.order
+    r = A @ m_matrix(W) @ A.inverse()
+    powers = [TriMatrix.identity(A.field, n_ord)]
+    for _ in range(n_ord - 1):
+        powers.append(powers[-1] @ r)
+    entries = []
+    for n in range(n_ord):
+        row = []
+        for k in range(n + 1):
+            norm = W.w[n - k] * W.w[k] * W.recip[n]
+            coeffs = [
+                powers[l].entry(n, k) * W.recip[l] * norm for l in range(n - k + 1)
+            ]
+            row.append(coeffs)
+        entries.append(row)
+    return HPolyMatrix(A.field, entries)
+
+
+# -- tests --------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
+def test_d_polynomials_matches_chain_of_powers(case, wkind, akind, where):
+    field, n, rng = case
+    W = build_weight(wkind, field, n, rng)
+    A = matrix(akind, W, rng)
+    if where == "other-field":
+        W = build_weight(wkind, other(field), n, rng)
+    elif where == "other-order":
+        W = build_weight(wkind, field, n + 1, rng)
+    assert outcome(d_polynomials, A, W) == outcome(d_polynomials_reference, A, W)
+
+
+def test_d_polynomials_at_the_largest_order():
+    # an integer pair keeps the reference's 65 products over QQ affordable;
+    # D^{-1} A D and the bumped entry still carry mixed denominators
+    rng = random.Random(64)
+    for field in (Field(), Field(1000003)):
+        W = Weight.exponential(field, 64, 1)
+        ab = RiordanPair(Series.from_values(field, 64, [1, -1, 2]),
+                         Series.from_values(field, 64, [0, 1, 1]))
+        A = bumped(pair_to_matrix(ab, W), rng)
+        assert d_polynomials(A, W) == d_polynomials_reference(A, W)
+
+
+def test_d_polynomials_builds_no_matrix_product(monkeypatch):
+    calls = []
+    matmul = TriMatrix.__matmul__
+
+    def counting(self, rhs):
+        calls.append(1)
+        return matmul(self, rhs)
+
+    monkeypatch.setattr(TriMatrix, "__matmul__", counting)
+    rng = random.Random(7)
+    for field in (Field(), Field(1000003)):
+        W = Weight.exponential(field, 12, 1)
+        A = pair_to_matrix_reference(pair(field, 12, rng), W)
+        calls.clear()
+        assert d_polynomials(A, W).constant_on_diagonals()
+        assert len(calls) == 0
+        d_polynomials_reference(A, W)
+        assert len(calls) == 13  # the chain it replaces: 2 + (N - 1) products

@@ -132,8 +132,9 @@ def exponential_alpha_reference(alpha):
 
 def outcome(f, *args):
     """The result of a call, or the type of the error it raised.  IndexError
-    counts too: functional_after_operator raises it, before and after, for a
-    functional shorter than the operator."""
+    counts too, so a bare index error on either side shows as a mismatch;
+    for a functional shorter than the operator, product_rule_check and its
+    reference both raise BackendMismatch from functional_after_operator."""
     try:
         return f(*args)
     except (MathDomainError, ValueError, IndexError) as e:
