@@ -173,6 +173,13 @@ class HPolyMatrix:
         self.field = field
         self.entries = entries
 
+    @classmethod
+    def _from_kernel(cls, field, entries):
+        """Wrap kernel output, tuples of valid Scalars of field, unchecked."""
+        out = object.__new__(cls)
+        out.field, out.entries = field, entries
+        return out
+
     @property
     def order(self):
         return len(self.entries)
@@ -250,13 +257,13 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
         row = []
         for k, (vk, dk) in enumerate(v[: n + 1]):
             sums = [sum(map(mul, un[k + l :], vk)) for l in range(n - k + 1)]
-            if p is None:
-                row.append([Scalar(_Q(s * c.numerator, dn * dk * c.denominator))
-                            for s, c in zip(sums, ratio[n - k])])
+            if p is None:  # tuples of lists: see series._ints_over_lcm
+                row.append(tuple([Scalar(_Q(s * c.numerator, dn * dk * c.denominator))
+                                  for s, c in zip(sums, ratio[n - k])]))
             else:
-                row.append([Scalar(s * c % p, p) for s, c in zip(sums, ratio[n - k])])
-        entries.append(row)
-    return HPolyMatrix(A.field, entries)
+                row.append(tuple([Scalar(s * c % p, p) for s, c in zip(sums, ratio[n - k])]))
+        entries.append(tuple(row))
+    return HPolyMatrix._from_kernel(A.field, tuple(entries))
 
 
 def is_degree_decreasing(M: TriMatrix) -> bool:

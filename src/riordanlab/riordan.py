@@ -40,6 +40,7 @@ from .series import (
     Series,
     _apply_power_table,
     _convolve,
+    _divide,
     _forward_substitute,
     _over_common_denominator,
     _power_table,
@@ -291,10 +292,18 @@ def pair_to_matrix(pair: RiordanPair, W: Weight) -> TriMatrix:
 
 
 def _beta_quotient(A: TriMatrix, W: Weight) -> Series:
-    """w_1 C_1 / C_0, the candidate beta of any graded matrix."""
-    c0 = column_series(A, W, 0)
-    c1 = column_series(A, W, 1)
-    return (c1 * c0.invert()).scale(W.w[1])
+    """w_1 C_1 / C_0, the candidate beta of any graded matrix.
+
+    One Toeplitz solve C_0 x = w_1 C_1 on the raw column values.
+    """
+    if A.field != W.field:
+        raise _mixed_backends(A.rows[0][0], W.recip[0])
+    p, w1, r = A.field.p, W.w[1].val, W.recip
+    c0 = [A.rows[n][0].val * r[n].val for n in range(A.order)]
+    c1 = [0] + [w1 * A.rows[n][1].val * r[n].val for n in range(1, A.order)]
+    if p is not None:
+        c0, c1 = [v % p for v in c0], [v % p for v in c1]
+    return _divide(A.field, c1, c0)
 
 
 def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:

@@ -6,20 +6,23 @@ field; every operation is exact through that order.  Orders are capped at
 
 The kernels here run on raw values (rationals, or residues mod p):
 ``_convolve`` multiplies, and ``_forward_substitute`` is the one triangular
-solver, behind Series.invert (the Toeplitz matrix of the series),
-Series.comp_inverse, riordan_inv and TriMatrix.inverse.
+solver, behind Series.invert and Series.__truediv__ (the Toeplitz matrix of
+the divisor), Series.comp_inverse, riordan_inv and TriMatrix.inverse; over
+QQ it runs fraction-free, on integers over one running denominator.
 
 ``_power_table`` is the ordinary Riordan matrix R_g of (1, g): column j
 holds g^j, so R_g f is the coefficient vector of f o g.  One table serves
 the whole group law: Series.compose and riordan_mul apply it to vectors
 (``_apply_power_table``), and Series.comp_inverse and riordan_inv solve
 with it, R_g x = e_1 giving g^{<-1>} and R_g h = alpha giving
-alpha o g^{<-1>}.  It costs the N-2 products g^2..g^{N-1}, once per g.
+alpha o g^{<-1>}.  It costs the N-2 products g^2..g^{N-1}, once per g;
+g^j has valuation j, so each product starts at index j, about N^3/6
+multiply-adds in all.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -54,20 +57,53 @@ def _forward_substitute(field, rows, rhss):
     residues mod p) with L_{i,i} nonzero.  Each b lists b_k..b_{n-1}, its
     entries before k being zero, and its solution x_k..x_{n-1} is returned:
     x_i = (b_i - sum_{k <= j < i} L_{i,j} x_j) / L_{i,i}.
+
+    Over GF(p) each step is one dot product of residues, reduced once.
+    Over QQ the solve is fraction-free: row i is R_i / e_i and b is B / d_b
+    with integer R_i and B, and the solved x_k..x_{i-1} are integers X over
+    one running denominator D, so each step is one integer dot product,
+
+        x_i = (B_i e_i D - d_b sum_j R_{i,j} X_j) / (d_b D R_{i,i}),
+
+    and one rational per output, normalised there.  When its denominator
+    does not divide D, D grows to their lcm and X is rescaled to match.
     """
     p, n = field.p, len(rows)
-    if p is None:
-        diag_inv = [_Q(1) / row[i] for i, row in enumerate(rows)]
-    else:
-        diag_inv = [pow(row[i], p - 2, p) for i, row in enumerate(rows)]
     out = []
+    if p is not None:
+        diag_inv = [pow(row[i], p - 2, p) for i, row in enumerate(rows)]
+        for b in rhss:
+            k, x = n - len(b), []
+            for i in range(k, n):
+                x.append((b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i] % p)
+            out.append(x)
+        return out
+    scaled = [_ints_over_lcm(row) for row in rows]
     for b in rhss:
-        k, x = n - len(b), []
+        k, (num_b, db) = n - len(b), _ints_over_lcm(b)
+        x, ints, den = [], [], 1
         for i in range(k, n):
-            v = (b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i]
-            x.append(v if p is None else v % p)
+            r, e = scaled[i]
+            v = _Q(num_b[i - k] * e * den - db * sum(map(mul, r[k:i], ints)), db * den * r[i])
+            dv = v.denominator
+            if den % dv:
+                grow = dv // gcd(den, dv)
+                ints = [c * grow for c in ints]
+                den *= grow
+            ints.append(v.numerator * (den // dv))
+            x.append(v)
         out.append(x)
     return out
+
+
+def _ints_over_lcm(vals):
+    """Rationals (or integers) as (integer numerators, their least common denominator)."""
+    # A list, not a generator: CPython builds a tuple from a generator by
+    # resizing, which bypasses its tuple free lists while freeing still
+    # fills them, so every call would park a tuple there until the next
+    # full collection (peak RSS grows).  tuple(generator) does the same.
+    den = lcm(*[v.denominator for v in vals])
+    return [v.numerator * (den // v.denominator) for v in vals], den
 
 
 def _over_common_denominator(coeffs):
@@ -76,8 +112,7 @@ def _over_common_denominator(coeffs):
     vals = [c.val for c in coeffs]
     if coeffs[0].p is not None:
         return vals, 1
-    den = lcm(*(v.denominator for v in vals))
-    return [v.numerator * (den // v.denominator) for v in vals], den
+    return _ints_over_lcm(vals)
 
 
 def _power_table(g):
@@ -91,9 +126,9 @@ def _power_table(g):
     p, n = g.field.p, g.order
     c, d = _over_common_denominator(g.coeffs)
     cols = [[1] + [0] * (n - 1), c]
-    for _ in range(n - 2):
-        power = _convolve(cols[-1], c)
-        cols.append(power if p is None else [v % p for v in power])
+    for j in range(2, n):  # g^j has valuation j: convolve from index j on
+        power = _convolve(cols[-1][j - 1 : n - 1], c[1 : n - j + 1])
+        cols.append([0] * j + (power if p is None else [v % p for v in power]))
     scale = [d ** (n - 1 - j) for j in range(n)]
     return [[cols[j][m] * scale[j] for j in range(m + 1)] for m in range(n)], d ** (n - 1)
 
@@ -106,6 +141,18 @@ def _apply_power_table(table, f):
     if p is None:
         return Series(field, [Scalar(_Q(sum(map(mul, row, a)), den * da)) for row in rows])
     return Series(field, [Scalar(sum(map(mul, row, a)) % p, p) for row in rows])
+
+
+def _divide(field, b, c):
+    """The series x with c x = b through the order, from raw values b and c.
+
+    One solve of T x = b for the Toeplitz matrix T of c, row m being
+    c_m, ..., c_0; c_0 must be nonzero.
+    """
+    if not c[0]:
+        raise NotInvertible("constant term vanishes")
+    (x,) = _forward_substitute(field, [c[m::-1] for m in range(len(c))], [b])
+    return Series(field, [Scalar(v, field.p) for v in x])
 
 
 class Series:
@@ -223,20 +270,13 @@ class Series:
         return out
 
     def invert(self):
-        """Multiplicative inverse; requires a unit constant term.
-
-        The inverse solves T x = e_0 for the Toeplitz matrix T of self,
-        row m being c_m, ..., c_0.
-        """
-        c = [a.val for a in self.coeffs]
-        if not c[0]:
-            raise NotInvertible("constant term vanishes")
-        rows = [c[m::-1] for m in range(len(c))]
-        (x,) = _forward_substitute(self.field, rows, [[1] + [0] * (len(c) - 1)])
-        return Series(self.field, [Scalar(v, self.field.p) for v in x])
+        """Multiplicative inverse; requires a unit constant term."""
+        return _divide(self.field, [1] + [0] * (self.order - 1), [a.val for a in self.coeffs])
 
     def __truediv__(self, other):
-        return self * other.invert()
+        """self / other; other needs a unit constant term."""
+        self._check_same(other)
+        return _divide(self.field, [a.val for a in self.coeffs], [a.val for a in other.coeffs])
 
     # -- composition -----------------------------------------------------
     def compose(self, inner):

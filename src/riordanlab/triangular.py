@@ -96,7 +96,7 @@ class TriMatrix:
     __slots__ = ("field", "rows")
 
     def __init__(self, field: Field, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple([tuple(r) for r in rows])  # a list: see series._ints_over_lcm
         check_order(len(rows))
         for n, row in enumerate(rows):
             if len(row) != n + 1:
@@ -205,7 +205,8 @@ class TriMatrix:
         """Inverse by forward substitution, column by column; exact.
 
         Column k solves A x = e_k; the shared kernel runs on the raw
-        values: residues over GF(p), rationals over QQ.
+        values: residues over GF(p), and over QQ integers over one running
+        denominator per column.
         """
         n, p = self.order, self.field.p
         for i in range(n):

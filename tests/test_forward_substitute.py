@@ -1,0 +1,187 @@
+"""The fraction-free QQ forward substitution, against the loop it replaces.
+
+Over QQ `_forward_substitute` carries the solved values as integers over
+one running denominator and builds one rational per output.  The reference
+below is the former QQ solver, kept verbatim: one `Fraction` per
+multiply-add.  Solves must agree exactly for rows of integers and of
+rationals (signed, mixed and large denominators, big diagonal numerators)
+and right-hand sides with leading zeros, at N = 2..64, and so must every
+QQ layer the solver serves: TriMatrix.inverse, Series.invert,
+Series.comp_inverse and riordan_inv.
+"""
+
+import random
+from fractions import Fraction
+from operator import mul
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import riordanlab.series
+from riordanlab import Field, Series, TriMatrix
+from riordanlab.errors import NotInvertible
+from riordanlab.riordan import RiordanPair, riordan_inv
+from riordanlab.scalars import Scalar, _Q
+from riordanlab.series import _forward_substitute
+
+from test_group_kernel import comp_inverse_reference, invert_reference, riordan_inv_reference
+
+QQ = Field()
+
+# -- the replaced code --------------------------------------------------------
+
+
+def forward_substitute_qq_reference(rows, rhss):
+    """Solve L x = b by forward substitution on raw rationals, for each b in rhss."""
+    n = len(rows)
+    diag_inv = [_Q(1) / row[i] for i, row in enumerate(rows)]
+    out = []
+    for b in rhss:
+        k, x = n - len(b), []
+        for i in range(k, n):
+            v = (b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i]
+            x.append(v)
+        out.append(x)
+    return out
+
+
+def inverse_reference(A):
+    """Inverse by forward substitution, column by column; exact."""
+    n = A.order
+    vals = [[c.val for c in row] for row in A.rows]
+    e = [[1] + [0] * (n - 1 - k) for k in range(n)]
+    cols = [[Scalar(v) for v in x] for x in forward_substitute_qq_reference(vals, e)]
+    return TriMatrix(QQ, [[cols[k][i - k] for k in range(i + 1)] for i in range(n)])
+
+
+# -- inputs -------------------------------------------------------------------
+
+KINDS = ["int", "small", "large", "zero"]
+
+
+def value(kind, rng, nonzero=False, dens=(2**61 - 1, 3**50)):
+    """An int, a small rational, a large one (80-bit numerator, denominator
+    one of `dens` or small), or zero (unless nonzero).  Drawing the large
+    denominators from a few keeps exact solves at N = 64 affordable."""
+    while True:
+        if kind == "int":
+            v = rng.randint(-40, 40)
+        elif kind == "small":
+            v = Fraction(rng.randint(-40, 40), rng.randint(1, 36))
+        elif kind == "large":
+            v = Fraction(rng.randint(-2**80, 2**80), rng.choice(dens) * rng.randint(1, 36))
+        else:
+            v = 0
+        if v or not nonzero:
+            return v
+
+
+def diagonal(kind, rng, dens):
+    """A nonzero diagonal entry; big numerators (up to 2^70) a third of the time."""
+    if rng.randrange(3):
+        return value(kind, rng, True, dens)
+    num = rng.choice([-1, 1]) * rng.randint(2**60, 2**70)
+    return num if kind == "int" else Fraction(num, rng.randint(1, 2**20))
+
+
+@st.composite
+def systems(draw, max_n=64):
+    """(rows, rhss): lower-triangular rows of one entry mode (all ints, small
+    or large rationals, or every entry of its own kind, zeros included) and
+    one to four right-hand sides with leading offsets k; half the draws at
+    N <= 4.  Large denominators come from two drawn per system."""
+    n = draw(st.one_of(st.integers(2, 4), st.integers(2, max_n)))
+    mode = draw(st.sampled_from(["int", "small", "large", "mixed"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dens = [rng.randint(2**40, 2**80) for _ in range(2)]
+
+    def entry():
+        return value(rng.choice(KINDS) if mode == "mixed" else mode, rng, False, dens)
+
+    def pivot():
+        return diagonal(rng.choice(KINDS[:3]) if mode == "mixed" else mode, rng, dens)
+
+    rows = [[entry() for _ in range(i)] + [pivot()] for i in range(n)]
+    rhss = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = rng.choice([0, 0, rng.randrange(n)])
+        rhss.append([entry() for _ in range(n - k)])
+    return rows, rhss
+
+
+def as_matrix(rows):
+    return TriMatrix(QQ, [[Scalar(_Q(v)) for v in row] for row in rows])
+
+
+# -- tests --------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_solver_matches_fraction_loop(system):
+    rows, rhss = system
+    got = _forward_substitute(QQ, rows, rhss)
+    assert got == forward_substitute_qq_reference(rows, rhss)
+    assert all(type(v) is _Q for x in got for v in x)
+
+
+def rationals_built(f, *args):
+    """f(*args), and how many rationals the series module built meanwhile."""
+    built = []
+
+    def counting(*a):
+        built.append(1)
+        return _Q(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riordanlab.series, "_Q", counting)
+        return f(*args), len(built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_one_rational_per_solved_entry(system):
+    got, built = rationals_built(_forward_substitute, QQ, *system)
+    assert built <= sum(map(len, got))
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(max_n=32))
+def test_inverse_and_invert_match_fraction_loop(system):
+    rows, rhss = system
+    A = as_matrix(rows)
+    assert A.inverse() == inverse_reference(A)
+    for b in rhss:  # each right-hand side as a series, leading zeros kept
+        s = Series(QQ, [Scalar(_Q(v)) for v in [0] * (len(rows) - len(b)) + b])
+        try:
+            expected = invert_reference(s)
+        except NotInvertible as e:
+            with pytest.raises(NotInvertible, match=f"^{e}$"):
+                s.invert()
+        else:
+            assert s.invert() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(max_n=24))
+def test_group_inverses_match_fraction_loop(system):
+    """comp_inverse and riordan_inv on series drawn from the rows' entries:
+    beta = row diagonal times y plus the rest, alpha = the first rhs."""
+    rows, rhss = system
+    n = len(rows)
+    b = [0, rows[-1][-1]] + rows[-1][: n - 2]
+    a = [rows[0][0]] + ([0] * (n - len(rhss[0])) + rhss[0])[1:]
+    beta = Series(QQ, [Scalar(_Q(v)) for v in b])
+    alpha = Series(QQ, [Scalar(_Q(v)) for v in a])
+    assert beta.comp_inverse() == comp_inverse_reference(beta)
+    pair = RiordanPair(alpha, beta)
+    assert riordan_inv(pair) == riordan_inv_reference(pair)
+
+
+def test_invert_one_rational_per_coefficient():
+    rng = random.Random(64)
+    s = Series(QQ, [Scalar(_Q(value("large", rng, nonzero=True))) for _ in range(64)])
+    inv, built = rationals_built(s.invert)
+    assert built <= 64
+    assert inv == invert_reference(s)

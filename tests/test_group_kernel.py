@@ -4,10 +4,11 @@ Series.compose, Series.comp_inverse, riordan_mul and riordan_inv run on the
 power table R_g of series.py (column j holds g^j); pair_to_matrix convolves
 raw columns; is_riordan and product_rule_spanning_witness compare raw
 scaled columns cross-multiplied; check_report tests the column identity
-once.  The references below are the code the library used before, kept
+once; _beta_quotient is one Toeplitz solve on raw column values.  The references below are the code the library used before, kept
 verbatim (the old solver included, so no reference touches the new
 kernel): Horner composition, comp_inverse with its inline powers, the group
-law through them, pair_to_matrix and is_riordan on Scalar series.  Every
+law through them, pair_to_matrix and is_riordan on Scalar series, and the
+beta quotient w_1 C_1 / C_0 as a Series product with an inverse.  Every
 result, and the type and message of every raised error, must agree over
 QQ (signed, mixed denominators), GF(2), GF(3) and GF(1000003) at
 N = 2..16, N > p included.
@@ -24,6 +25,7 @@ from riordanlab.errors import (
     BackendMismatch,
     InnerValuationZero,
     MathDomainError,
+    NotInvertible,
     NotValuationOne,
     RootOfUnity,
 )
@@ -117,6 +119,22 @@ def pair_to_matrix_reference(pair, W):
         if k + 1 < n:
             col = col * pair.beta
     return TriMatrix(pair.field, rows)
+
+
+def invert_reference(s):
+    """Multiplicative inverse: T x = e_0 for the Toeplitz matrix T of s."""
+    c = [a.val for a in s.coeffs]
+    if not c[0]:
+        raise NotInvertible("constant term vanishes")
+    (x,) = forward_substitute_reference(s.field, [c[m::-1] for m in range(len(c))], [0])
+    return Series(s.field, [Scalar(v, s.field.p) for v in x])
+
+
+def beta_quotient_reference(A, W):
+    """w_1 C_1 / C_0, the candidate beta of any graded matrix."""
+    c0 = column_series(A, W, 0)
+    c1 = column_series(A, W, 1)
+    return (c1 * invert_reference(c0)).scale(W.w[1])
 
 
 def scaled_columns_reference(A, W):
@@ -335,6 +353,19 @@ def test_is_riordan_matches_scaled_columns(case, wkind, akind, where):
     if where == "same":
         got = outcome(product_rule_spanning_witness, A, W)
         assert got == outcome(witness_reference, A, W)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
+def test_beta_quotient_matches_series_division(case, wkind, akind, where):
+    field, n, rng = case
+    W = build_weight(wkind, field, n, rng)
+    A = matrix(akind, W, rng)
+    if where == "other-field":
+        W = build_weight(wkind, other(field), n, rng)
+    elif where == "other-order":
+        W = build_weight(wkind, field, n + 1, rng)
+    assert outcome(_beta_quotient, A, W) == outcome(beta_quotient_reference, A, W)
 
 
 @settings(max_examples=200, deadline=None)

@@ -459,6 +459,14 @@ def test_hpolymatrix_rejects_foreign_coefficients(QQ, F7):
     assert HPolyMatrix(QQ, [[[one]], [[], [one]]]).entry(1, 0) == ()
 
 
+def test_d_polynomials_output_passes_the_public_check(QQ):
+    # d_polynomials wraps its coefficients unchecked; they must pass the check
+    for field in (QQ, Field(1000003)):
+        W = Weight.exponential(field, 8, 2)
+        d = d_polynomials(riordan_matrix(W, random.Random(8)), W)
+        assert HPolyMatrix(field, d.entries) == d
+
+
 def _expansion_weight(kind, field, n, rng):
     if kind == "exponential":
         return Weight.exponential(field, n, 1)

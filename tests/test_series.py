@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from riordanlab import INFINITY, Field, Series
 from riordanlab.errors import (
+    BackendMismatch,
     InnerValuationZero,
     NotInvertible,
     NotValuationOne,
@@ -36,6 +37,23 @@ def test_invert(QQ):
     assert Series.one(QQ, 4).invert() == Series.one(QQ, 4)
     with pytest.raises(NotInvertible):
         S(QQ, 4, 0, 1, 1).invert()
+
+
+def test_truediv(QQ, F7):
+    a, b = S(QQ, 5, 1, 2, 3), S(QQ, 5, 2, -1, 0, 4)
+    assert a / b == a * b.invert()
+    assert (a / b) * b == a
+    x, y = S(F7, 5, 3, 1), S(F7, 5, 5, 0, 2)
+    assert x / y == x * y.invert()
+    with pytest.raises(BackendMismatch, match="^expected Series, got int$"):
+        a / 3
+    with pytest.raises(BackendMismatch, match="^series orders or fields differ$"):
+        a / x
+    with pytest.raises(NotInvertible, match="^constant term vanishes$"):
+        a / S(QQ, 5, 0, 1)
+    # an operand both of another order and not invertible: the mismatch wins
+    with pytest.raises(BackendMismatch, match="^series orders or fields differ$"):
+        a / S(QQ, 4, 0, 1)
 
 
 def test_compose(QQ):
