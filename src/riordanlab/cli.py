@@ -14,6 +14,13 @@ inline specs wherever a name is expected:
     matrices  identity   translation:exp=1:1   appell:exp=1:exp=1
               mw:geom=1   findiff:exp=1:1   pair:NAME:WSPEC
 
+One table per spec family (WEIGHT_SPECS, SERIES_SPECS, MATRIX_SPECS) gives
+each kind its argument count and constructor; a matrix kind gives the kind
+each ':' argument names instead, and resolve() looks each one up in the
+registry or builds it from its inline spec.  _build is the one place that
+checks a count and turns a bad argument into a usage error, so a spec with
+the wrong number of arguments reads "<kind> takes <n> argument(s)".
+
 Exit codes: 0 success / verdict true, 1 some verdict false, 2 usage
 error, 3 mathematical domain error.
 """
@@ -42,6 +49,10 @@ from .triangular import TriMatrix, matrix_to_polys
 from .twoweight import classify_membership, exp_case_weights
 
 
+# the registry kinds, in the order `show` searches them
+KINDS = ("weight", "series", "pair", "matrix")
+
+
 @dataclass
 class Session:
     """Per-invocation state: order, field, and the name registry."""
@@ -49,10 +60,7 @@ class Session:
     order: int
     field: Field
     json_mode: bool = False
-    weights: dict = dc_field(default_factory=dict)
-    series: dict = dc_field(default_factory=dict)
-    pairs: dict = dc_field(default_factory=dict)
-    matrices: dict = dc_field(default_factory=dict)
+    registry: dict = dc_field(default_factory=lambda: {kind: {} for kind in KINDS})
     any_false: bool = False
 
 
@@ -63,66 +71,68 @@ class UsageError(Exception):
 # -- inline spec parsing ---------------------------------------------------
 
 
-def _split_kind(spec: str):
+def _args_only(fn):
+    # a matrix constructor needs its arguments, not the session's field and order
+    return lambda field, order, *args: fn(*args)
+
+
+# Each spec family maps a kind to (its argument count, None for any number;
+# its constructor, called as make(field, order, *args)).  A matrix kind
+# lists the kind each ':' argument names in place of a count.
+WEIGHT_SPECS = {
+    "exp": (1, Weight.exponential),
+    "geom": (1, Weight.geometric),
+    "qfac": (2, Weight.q_factorial),
+    "expcase": (2, exp_case_weights),
+    "custom": (None, lambda field, order, *w: Weight(field, w)),
+}
+SERIES_SPECS = {
+    "coeffs": (None, lambda field, order, *c: Series.from_values(field, order, c)),
+    "exp": (1, Series.exp),
+}
+MATRIX_SPECS = {
+    "identity": ((), TriMatrix.identity),
+    "translation": (("weight", "scalar"), _args_only(translation_matrix)),
+    "appell": (("series", "weight"), _args_only(appell_from_alpha)),
+    "mw": (("weight",), _args_only(m_matrix)),
+    "findiff": (("weight", "scalar"), _args_only(finite_difference_matrix)),
+    "pair": (("pair", "weight"), _args_only(pair_to_matrix)),
+}
+SPECS = {"weight": WEIGHT_SPECS, "series": SERIES_SPECS, "matrix": MATRIX_SPECS}
+
+
+def _build(session: Session, family: str, kind: str, args: list[str], label: str):
+    """Build a `kind` of `family` from its arguments: the one argument-count
+    check, and the one place where a bad argument becomes a usage error.
+    The arguments of a matrix are resolved by their kinds, left to right."""
+    arity, make = SPECS[family][kind]
+    count = len(arity) if family == "matrix" else arity
+    if count is not None and len(args) != count:
+        raise UsageError(f"{label}: {kind} takes {count} argument(s)")
+    if family == "matrix":
+        args = [
+            _scalar_arg(session, ref) if k == "scalar" else resolve(session, k, ref)
+            for k, ref in zip(arity, args)
+        ]
+    try:
+        return make(session.field, session.order, *args)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{label}: {exc}") from exc
+
+
+def build(session: Session, family: str, spec: str):
+    """The weight or series of an inline spec KIND=ARG,ARG,..."""
     kind, _, args = spec.partition("=")
-    return kind, [a for a in args.split(",") if a] if args else []
+    if kind not in SPECS[family]:
+        raise UnknownName(f"unknown {family} spec {spec!r}")
+    return _build(session, family, kind, [a for a in args.split(",") if a],
+                  f"bad {family} spec {spec!r}")
 
 
-def build_weight(session: Session, spec: str) -> Weight:
-    kind, args = _split_kind(spec)
-    f, n = session.field, session.order
-    try:
-        if kind == "exp":
-            (lam,) = args
-            return Weight.exponential(f, n, lam)
-        if kind == "geom":
-            (lam,) = args
-            return Weight.geometric(f, n, lam)
-        if kind == "qfac":
-            lam, q = args
-            return Weight.q_factorial(f, n, lam, q)
-        if kind == "expcase":
-            lam, sigma = args
-            return exp_case_weights(f, n, lam, sigma)
-        if kind == "custom":
-            return Weight(f, args)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad weight spec {spec!r}: {exc}") from exc
-    raise UnknownName(f"unknown weight spec {spec!r}")
-
-
-def build_series(session: Session, spec: str) -> Series:
-    kind, args = _split_kind(spec)
-    f, n = session.field, session.order
-    try:
-        if kind == "coeffs":
-            return Series.from_values(f, n, args)
-        if kind == "exp":
-            (h,) = args
-            return Series.exp(f, n, h)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad series spec {spec!r}: {exc}") from exc
-    raise UnknownName(f"unknown series spec {spec!r}")
-
-
-def resolve_weight(session: Session, ref: str) -> Weight:
-    if ref in session.weights:
-        return session.weights[ref]
-    if "=" in ref:
-        return build_weight(session, ref)
-    raise UnknownName(f"unknown weight {ref!r}")
-
-
-def resolve_series(session: Session, ref: str) -> Series:
-    if ref in session.series:
-        return session.series[ref]
-    if "=" in ref:
-        return build_series(session, ref)
-    raise UnknownName(f"unknown series {ref!r}")
-
-
-# number of ':'-separated parts of each matrix spec, the kind included
-MATRIX_PARTS = {"identity": 1, "translation": 3, "appell": 3, "mw": 2, "findiff": 3, "pair": 3}
+def build_matrix(session: Session, parts: list[str]) -> TriMatrix:
+    if parts[0] not in MATRIX_SPECS:
+        raise UnknownName(f"unknown matrix kind {parts[0]!r}")
+    return _build(session, "matrix", parts[0], parts[1:], f"matrix spec {':'.join(parts)!r}")
 
 
 def _scalar_arg(session: Session, text: str):
@@ -132,46 +142,16 @@ def _scalar_arg(session: Session, text: str):
         raise UsageError(f"bad scalar {text!r}: {exc}") from exc
 
 
-def build_matrix(session: Session, parts: list[str]) -> TriMatrix:
-    kind = parts[0]
-    if kind not in MATRIX_PARTS:
-        raise UnknownName(f"unknown matrix kind {kind!r}")
-    if len(parts) != MATRIX_PARTS[kind]:
-        raise UsageError(
-            f"matrix spec {':'.join(parts)!r}: {kind} takes {MATRIX_PARTS[kind] - 1} argument(s)"
-        )
-    f, n = session.field, session.order
-    if kind == "identity":
-        return TriMatrix.identity(f, n)
-    if kind == "translation":
-        wref, h = parts[1], parts[2]
-        return translation_matrix(resolve_weight(session, wref), _scalar_arg(session, h))
-    if kind == "appell":
-        sref, wref = parts[1], parts[2]
-        return appell_from_alpha(
-            resolve_series(session, sref), resolve_weight(session, wref)
-        )
-    if kind == "mw":
-        return m_matrix(resolve_weight(session, parts[1]))
-    if kind == "findiff":
-        wref, a = parts[1], parts[2]
-        return finite_difference_matrix(resolve_weight(session, wref), _scalar_arg(session, a))
-    pref, wref = parts[1], parts[2]
-    return pair_to_matrix(resolve_pair(session, pref), resolve_weight(session, wref))
-
-
-def resolve_matrix(session: Session, ref: str) -> TriMatrix:
-    if ref in session.matrices:
-        return session.matrices[ref]
-    if ":" in ref or ref == "identity":
+def resolve(session: Session, kind: str, ref: str):
+    """The `kind` registered as `ref`, else the one its inline spec builds."""
+    registry = session.registry[kind]
+    if ref in registry:
+        return registry[ref]
+    if kind == "matrix" and (":" in ref or ref == "identity"):
         return build_matrix(session, ref.split(":"))
-    raise UnknownName(f"unknown matrix {ref!r}")
-
-
-def resolve_pair(session: Session, ref: str) -> RiordanPair:
-    if ref in session.pairs:
-        return session.pairs[ref]
-    raise UnknownName(f"unknown pair {ref!r}")
+    if kind in ("weight", "series") and "=" in ref:
+        return build(session, kind, ref)
+    raise UnknownName(f"unknown {kind} {ref!r}")
 
 
 # -- commands ----------------------------------------------------------------
@@ -192,44 +172,44 @@ def _spec_from_args(args: list[str]) -> str:
     return f"{args[0]}={','.join(args[1:])}"
 
 
+def _define(session, kind, name, obj, text):
+    session.registry[kind][name] = obj
+    _emit(session, [f"{kind} {name}: {text}"], obj.to_json())
+
+
 def cmd_weight(session, args):
-    name = args[0]
-    w = build_weight(session, _spec_from_args(args[1:]))
-    session.weights[name] = w
-    _emit(session, [f"weight {name}: w = [{', '.join(str(x) for x in w.w)}]"], w.to_json())
+    w = build(session, "weight", _spec_from_args(args[1:]))
+    _define(session, "weight", args[0], w, f"w = [{', '.join(str(x) for x in w.w)}]")
 
 
 def cmd_series(session, args):
-    name = args[0]
-    s = build_series(session, _spec_from_args(args[1:]))
-    session.series[name] = s
-    _emit(session, [f"series {name}: [{', '.join(str(c) for c in s.coeffs)}]"], s.to_json())
+    s = build(session, "series", _spec_from_args(args[1:]))
+    _define(session, "series", args[0], s, f"[{', '.join(str(c) for c in s.coeffs)}]")
 
 
 def cmd_pair(session, args):
     name, aref, bref = args
-    p = RiordanPair(resolve_series(session, aref), resolve_series(session, bref))
-    session.pairs[name] = p
-    _emit(session, [f"pair {name}: alpha = {p.alpha!r}, beta = {p.beta!r}"], p.to_json())
+    p = RiordanPair(resolve(session, "series", aref), resolve(session, "series", bref))
+    _define(session, "pair", name, p, f"alpha = {p.alpha!r}, beta = {p.beta!r}")
 
 
 def cmd_matrix(session, args):
     name, rest = args[0], args[1:]
-    if len(rest) == 1 and (":" in rest[0] or rest[0] in session.matrices or rest[0] == "identity"):
-        m = resolve_matrix(session, rest[0])
+    matrices = session.registry["matrix"]
+    if len(rest) == 1 and rest[0] in matrices:
+        m = matrices[rest[0]]
     else:
-        m = build_matrix(session, rest)
-    session.matrices[name] = m
-    _emit(session, [f"matrix {name}: order {m.order}"], m.to_json())
+        m = build_matrix(session, rest[0].split(":") if len(rest) == 1 else rest)
+    _define(session, "matrix", name, m, f"order {m.order}")
 
 
 def cmd_polys(session, args):
     ref, wref = args
-    w = resolve_weight(session, wref)
-    if ref in session.pairs:
-        mat = pair_to_matrix(session.pairs[ref], w)
+    w = resolve(session, "weight", wref)
+    if ref in session.registry["pair"]:
+        mat = pair_to_matrix(session.registry["pair"][ref], w)
     else:
-        mat = resolve_matrix(session, ref)
+        mat = resolve(session, "matrix", ref)
     polys = matrix_to_polys(mat)
     _emit(
         session,
@@ -242,7 +222,7 @@ def cmd_check(session, args):
     mref, wref, kind = args
     if kind not in CHECK_KINDS:
         raise UsageError(f"unknown check kind {kind!r}")
-    report = check_report(resolve_matrix(session, mref), resolve_weight(session, wref), kind)
+    report = check_report(resolve(session, "matrix", mref), resolve(session, "weight", wref), kind)
     if not report["verdict"]:
         session.any_false = True
     lines = [f"{kind}: {'true' if report['verdict'] else 'false'}"]
@@ -255,9 +235,9 @@ def cmd_check(session, args):
 def cmd_twoweight(session, args):
     sref, wref, w2ref = args
     report = classify_membership(
-        resolve_series(session, sref),
-        resolve_weight(session, wref),
-        resolve_weight(session, w2ref),
+        resolve(session, "series", sref),
+        resolve(session, "weight", wref),
+        resolve(session, "weight", w2ref),
     )
     if not report.member:
         session.any_false = True
@@ -274,7 +254,7 @@ def cmd_twoweight(session, args):
 
 def cmd_show(session, args):
     (name,) = args
-    for registry in (session.weights, session.series, session.pairs, session.matrices):
+    for registry in session.registry.values():
         if name in registry:
             obj = registry[name]
             _emit(session, [repr(obj)], obj.to_json())

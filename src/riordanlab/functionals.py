@@ -13,10 +13,10 @@ from __future__ import annotations
 from .errors import BackendMismatch, NotCommuting, NotSheffer
 from .operators import is_appell
 from .riordan import (
-    RiordanPair, Weight, _beta_quotient, _scaled_columns, is_riordan, pair_to_matrix,
+    RiordanPair, Weight, _beta_quotient, _geometric_witness, is_riordan, pair_to_matrix,
 )
 from .scalars import Field, Scalar
-from .series import INFINITY, Series, _convolve, _over_common_denominator
+from .series import INFINITY, Series
 from .triangular import Polynomial, TriMatrix, matrix_to_polys
 
 
@@ -75,6 +75,8 @@ def delta_functional(field: Field, order: int, i: int) -> Functional:
 
 def functional_apply(phi: Functional, p: Polynomial, W: Weight) -> Scalar:
     """phi(p) = sum_n c_n w_n t_n for p = sum_n c_n x^n."""
+    if phi.order != W.order:
+        raise BackendMismatch("functional and weight orders differ")
     if p.degree >= phi.order:
         raise ValueError(f"deg p = {p.degree} >= order {phi.order}")
     acc = phi.field.zero()
@@ -134,6 +136,8 @@ def dual_basis(A: TriMatrix, W: Weight) -> list[Functional]:
     Built from the inverse matrix: phi_r(x^k / w_k) = (A^{-1})_{k,r} w_r / w_k.
     For graded A the valuation of phi_r is exactly r.
     """
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
     inv = A.inverse()
     duals = []
     for r in range(A.order):
@@ -204,26 +208,9 @@ def product_rule_spanning_witness(A: TriMatrix, W: Weight):
     with u_j != u_0 beta^j and n their first differing coefficient.  N raw
     convolutions decide it instead of N^2.
     """
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
     beta = RiordanPair(Series.one(A.field, A.order), _beta_quotient(A, W)).beta
-    p = A.field.p
-    b, db = _over_common_denominator(beta.coeffs)
-    u = _scaled_columns(A, W)
-    rhs, s0 = u[0]  # u_0 beta^j = s0 rhs / db^j
-    for j, (lhs, s) in enumerate(u):
-        if p is None:  # u_j = s lhs
-            t = s * db ** j / s0
-            diffs = (x * t.numerator - y * t.denominator for x, y in zip(lhs, rhs))
-        else:
-            diffs = ((x - y) % p for x, y in zip(lhs, rhs))
-        for n, d in enumerate(diffs):
-            if d:
-                return (0, j, n)
-        rhs = _convolve(rhs, b)
-        if p is not None:
-            rhs = [v % p for v in rhs]
-    return None
+    found = _geometric_witness(A, W, beta)
+    return None if found is None else (0, *found)
 
 
 def dual_characterization_check(A: TriMatrix, W: Weight, duals=None) -> bool:
@@ -232,6 +219,8 @@ def dual_characterization_check(A: TriMatrix, W: Weight, duals=None) -> bool:
     With its own dual basis this is a reformulation of duality; a dual
     basis taken from a different matrix fails it.
     """
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
     duals = dual_basis(A, W) if duals is None else duals
     polys = matrix_to_polys(A)
     for r, phi in enumerate(duals):

@@ -24,7 +24,12 @@ in about N^4/24 multiply-adds and no matrix product.  The column and
 operator tests agree on matrices with exactly geometric columns and on
 matrices failing the column identity; a matrix whose deviation from
 geometric columns is invisible at order N can pass the column test while
-failing the operator one.
+failing the operator one.  The production-matrix test of
+tests/test_production_matrix.py (P = R'^{-1} R-bar for R = A under the
+weight w_n = 1, with Toeplitz columns k >= 1, an A-sequence) holds exactly
+when the columns are exactly geometric, i.e. product_rule_spanning_witness
+is None; it implies the column identity, and fails where the column test
+passes only because the deviation sits at the truncation corner.
 """
 
 from __future__ import annotations
@@ -166,7 +171,7 @@ class HPolyMatrix:
     __slots__ = ("field", "entries")
 
     def __init__(self, field, entries):
-        entries = tuple(tuple(tuple(e) for e in row) for row in entries)
+        entries = tuple([tuple([tuple(e) for e in row]) for row in entries])
         for row in entries:
             for e in row:
                 field.check(e, "coefficient")

@@ -18,6 +18,9 @@ and the inverse solves R_beta h = alpha and R_beta x = e_1 on the same rows,
 h = alpha o beta^{<-1>} needing no composition.  pair_to_matrix convolves
 the columns alpha beta^k and forms each entry once, and is_riordan compares
 the scaled columns u_k = w_k C_k by cross-multiplied convolutions.
+matrix_to_pair accepts A when u_k = u_0 beta^k for every k (one raw
+convolution per column, _geometric_witness), which implies the column
+identity; it neither rebuilds A nor runs is_riordan on a Riordan input.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class Weight:
     __slots__ = ("field", "w", "recip")
 
     def __init__(self, field: Field, denominators):
-        w = tuple(field.scalar(x) for x in denominators)
+        w = tuple([field.scalar(x) for x in denominators])
         check_order(len(w))
         if w[0] != field.one():
             raise InvalidWeight(f"w[0] must be 1, got {w[0]}")
@@ -64,7 +67,7 @@ class Weight:
                 raise InvalidWeight(f"w[{n}] = 0")
         self.field = field
         self.w = w
-        self.recip = tuple(x.inverse() for x in w)
+        self.recip = tuple([x.inverse() for x in w])
 
     # -- builtins ----------------------------------------------------------
     @classmethod
@@ -196,6 +199,8 @@ def identity_pair(field: Field, order: int) -> RiordanPair:
 
 def column_series(A: TriMatrix, W: Weight, k: int) -> Series:
     """C_k(y) = sum_n a_{n,k} y^n / w_n; valuation k for graded A."""
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
     if k >= A.order:
         raise ValueError(f"column {k} out of range")
     return Series(
@@ -296,6 +301,8 @@ def _beta_quotient(A: TriMatrix, W: Weight) -> Series:
 
     One Toeplitz solve C_0 x = w_1 C_1 on the raw column values.
     """
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
     if A.field != W.field:
         raise _mixed_backends(A.rows[0][0], W.recip[0])
     p, w1, r = A.field.p, W.w[1].val, W.recip
@@ -306,19 +313,53 @@ def _beta_quotient(A: TriMatrix, W: Weight) -> Series:
     return _divide(A.field, c1, c0)
 
 
+def _geometric_witness(A: TriMatrix, W: Weight, beta: Series):
+    """The first (j, n) with [y^n] u_j != [y^n] u_0 beta^j, or None.
+
+    u_j = w_j C_j are the scaled columns of A on raw values; None says the
+    columns are exactly geometric with ratio beta, that is A is the matrix
+    of the pair (C_0, beta).  One raw convolution per column.
+    """
+    p = A.field.p
+    b, db = _over_common_denominator(beta.coeffs)
+    u = _scaled_columns(A, W)
+    rhs, s0 = u[0]  # u_0 beta^j = s0 rhs / db^j
+    for j, (lhs, s) in enumerate(u):
+        if p is None:  # u_j = s lhs
+            t = s * db ** j / s0
+            diffs = (x * t.numerator - y * t.denominator for x, y in zip(lhs, rhs))
+        else:
+            diffs = ((x - y) % p for x, y in zip(lhs, rhs))
+        for n, d in enumerate(diffs):
+            if d:
+                return (j, n)
+        rhs = _convolve(rhs, b)
+        if p is not None:
+            rhs = [v % p for v in rhs]
+    return None
+
+
 def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:
     """Extract (alpha, beta) = (C_0, w_1 C_1 / C_0) and verify it rebuilds A.
 
     Raises NotRiordan when the definitional identity fails, or when the
     columns are not exactly geometric at this order (possible for matrices
-    whose deviation hides beyond the truncation).
+    whose deviation hides beyond the truncation).  Exactly geometric
+    columns satisfy the column identity, so is_riordan runs only to word
+    the error.
     """
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
+    if not A.is_graded():
+        raise NotRiordan("matrix fails the weighted column identity")
+    if A.field != W.field:
+        raise _mixed_backends(A.rows[0][0], W.recip[0])
+    pair = RiordanPair(column_series(A, W, 0), _beta_quotient(A, W))
+    if _geometric_witness(A, W, pair.beta) is None:
+        return pair
     if not is_riordan(A, W):
         raise NotRiordan("matrix fails the weighted column identity")
-    pair = RiordanPair(column_series(A, W, 0), _beta_quotient(A, W))
-    if pair_to_matrix(pair, W) != A:
-        raise NotRiordan("columns are not exactly geometric at this order")
-    return pair
+    raise NotRiordan("columns are not exactly geometric at this order")
 
 
 def riordan_mul(a: RiordanPair, b: RiordanPair) -> RiordanPair:

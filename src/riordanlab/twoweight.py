@@ -36,10 +36,10 @@ class GammaSeq:
 
 def gamma_sequence(W: Weight, W2: Weight) -> GammaSeq:
     W._check_same(W2)
-    vals = tuple(
+    vals = tuple([
         W2.w[k] * W.w[k + 1] * W2.recip[k + 1] * W.recip[k]
         for k in range(W.order - 1)
-    )
+    ])
     return GammaSeq(vals)
 
 

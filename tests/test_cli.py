@@ -17,6 +17,8 @@ from riordanlab.operators import CHECK_KINDS
 from riordanlab.serialize import dumps
 from riordanlab.twoweight import exp_case_weights
 
+from test_cli_fuzz import call
+
 
 def run_cli(*args, stdin=None):
     proc = subprocess.run(
@@ -167,6 +169,48 @@ def test_show_command():
     assert last == {"w": ["1", "1", "2", "6"]}
 
 
+# A spec error of each kind of each family: the command, the word its one
+# stderr line must name (the kind, or the bad argument where that is what the
+# line quotes) and the exit code.  Inline and as line 5 of a script the exit
+# code and the message agree.
+SPEC_ERRORS = [
+    ("weight w exp=1,2", "exp", 2),
+    ("weight w geom", "geom", 2),
+    ("weight w qfac=1", "qfac", 2),
+    ("weight w expcase=1", "expcase", 2),
+    ("weight w custom", "custom", 2),
+    ("weight w nosuch=1", "nosuch", 2),
+    ("weight w exp=x", "exp", 2),
+    ("weight w geom=x", "geom", 2),
+    ("weight w qfac=x,2", "qfac", 2),
+    ("weight w expcase=1,x", "expcase", 2),
+    ("weight w custom=1,x", "custom", 2),
+    ("weight w geom=0", "lambda", 3),
+    ("series s exp=1,2", "exp", 2),
+    ("series s exp", "exp", 2),
+    ("series s coeffs=1,1,1,1,1,1,1", "coeffs", 2),
+    ("series s nosuch=1", "nosuch", 2),
+    ("series s coeffs=1,x", "coeffs", 2),
+    ("series s exp=x", "exp", 2),
+    ("matrix m identity:x", "identity", 2),
+    ("matrix m translation:exp=1", "translation", 2),
+    ("matrix m appell:exp=1", "appell", 2),
+    ("matrix m mw", "mw", 2),
+    ("matrix m mw:a:b", "mw", 2),
+    ("matrix m findiff:exp=1", "findiff", 2),
+    ("matrix m pair:p", "pair", 2),
+    ("matrix m nosuch:1", "nosuch", 2),
+    ("matrix m translation:exp=1:x", "'x'", 2),
+    ("matrix m translation:qfac=1:1", "weight spec 'qfac=1'", 2),
+    ("matrix m findiff:exp=1:x", "'x'", 2),
+    ("matrix m appell:coeffs=1,x:exp=1", "series spec 'coeffs=1,x'", 2),
+    ("matrix m appell:coeffs=1:exp=x", "weight spec 'exp=x'", 2),
+    ("matrix m mw:geom=x", "weight spec 'geom=x'", 2),
+    ("matrix m pair:q:e", "'q'", 2),
+    ("check m nosuch=1 appell", "'m'", 2),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -175,6 +219,7 @@ def test_show_command():
         ["--field", "mod:7", "series", "s", "coeffs=1/2"],
         ["check", "translation:exp=1", "exp=1", "sheffer"],
         ["check", "translation:exp=1:x", "exp=1", "sheffer"],
+        *[line.split() for line, _, code in SPEC_ERRORS if code == 2],
     ],
 )
 def test_bad_spec_is_a_one_line_usage_error(argv):
@@ -206,3 +251,27 @@ def test_unsplittable_script_line_is_a_usage_error(line):
     assert code == 2 and out.startswith("weight w:")
     assert err.startswith("error: line 2: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+PREAMBLE = "weight e exp 1\nseries a coeffs 1 1\nseries b coeffs 0 1\npair p a b\n"
+
+
+@pytest.mark.parametrize("line, named, exit", SPEC_ERRORS)
+def test_spec_error_names_its_kind_inline_and_in_a_script(line, named, exit):
+    code, out, err = call(["--order", "6", *line.split()])
+    assert code == exit and out == "" and len(err.splitlines()) == 1 and named in err
+    prefix = "error: " if code == 2 else "math error: "
+    assert err.startswith(prefix)
+    got = call(["--order", "6", "run"], PREAMBLE + line + "\n")
+    assert got[0] == code and got[2] == f"{prefix}line 5: {err[len(prefix):]}"
+
+
+@pytest.mark.parametrize("first", range(4))
+def test_show_searches_weights_series_pairs_then_matrices(first):
+    # x is registered as each kind from `first` on; show finds the first of them
+    defs = ["weight x exp 1", "series x coeffs 1 1", "pair x a b", "matrix x identity"]
+    script = "series a coeffs 1 1\nseries b coeffs 0 1\n"
+    script += "".join(d + "\n" for d in defs[first:]) + "show x\n"
+    code, out, _ = call(["--order", "3", "--json", "run"], script)
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == lines[2]

@@ -31,7 +31,7 @@ from riordanlab import (
 from riordanlab.errors import BackendMismatch, NotCommuting, NotSheffer
 from riordanlab.functionals import _binomial_candidate
 from riordanlab.operators import appell_from_alpha
-from riordanlab.riordan import Weight
+from riordanlab.riordan import Weight, column_series
 from riordanlab.sampling import (
     degree_decreasing_matrix,
     functional_values,
@@ -344,3 +344,24 @@ def test_functional_after_operator_checks_orders_and_fields(QQ, F7, rng):
     with pytest.raises(BackendMismatch):
         functional_after_operator(phi, a, Weight.geometric(F7, 5, 1))
     assert functional_after_operator(phi, TriMatrix.identity(QQ, 5), w) == phi
+
+
+_ORDER_CHECKED = {
+    "column_series": lambda a, w, phi, p: column_series(a, w, 0),
+    "dual_basis": lambda a, w, phi, p: dual_basis(a, w),
+    "functional_apply": lambda a, w, phi, p: functional_apply(phi, p, w),
+    "dual_characterization_check": lambda a, w, phi, p: dual_characterization_check(a, w),
+    "product_rule_check": lambda a, w, phi, p: product_rule_check(a, w, phi, phi),
+}
+
+
+@pytest.mark.parametrize("size", [4, 6])
+@pytest.mark.parametrize("entry", sorted(_ORDER_CHECKED))
+def test_weight_of_another_order_is_a_backend_mismatch(entry, size, QQ, rng):
+    # a shorter weight used to raise IndexError, a longer one was cut silently
+    a = riordan_matrix(Weight.exponential(QQ, 5, 1), rng)
+    phi = Functional(QQ, functional_values(QQ, 5, rng))
+    p = matrix_to_polys(a)[4]
+    what = "functional" if entry == "functional_apply" else "matrix"
+    with pytest.raises(BackendMismatch, match=f"^{what} and weight orders differ$"):
+        _ORDER_CHECKED[entry](a, Weight.exponential(QQ, size, 1), phi, p)

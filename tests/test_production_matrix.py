@@ -1,0 +1,69 @@
+"""A third membership test: the production matrix and its A-sequence.
+
+For a graded A, let R = change_weight(A, W, Weight.geometric(F, N, 1)), the
+plain matrix of the same pair, R' its leading (N-1)x(N-1) block and R-bar
+R without its first row.  The production matrix P = R'^{-1} R-bar is lower
+Hessenberg, and A has an A-sequence when every column k >= 1 of P is the
+column 1 shifted down by k - 1: P[j][k] == P[j-k+1][1] for 1 <= k <= j+1
+(Deutsch, Ferrari & Rinaldi, "Production matrices", Adv. Appl. Math. 2005;
+Merlini, Rogers, Sprugnoli & Verri, Canad. J. Math. 1997).
+
+At order N this holds exactly when the scaled columns of A are exactly
+geometric, that is product_rule_spanning_witness(A, W) is None, and so it
+implies the column identity of is_riordan.  The converse fails at the
+truncation corner: a change that no coefficient of the column identity
+sees (a_{N-1,N-1}, say) passes is_riordan and fails this test.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riordanlab import TriMatrix
+from riordanlab.functionals import product_rule_spanning_witness
+from riordanlab.riordan import Weight, change_weight, is_riordan, pair_to_matrix
+
+from test_group_kernel import WEIGHTS, build_weight, cases, matrix, pair
+
+
+def production_matrix(A, W):
+    """Rows 0..N-2 of P, N entries each, solving R' P = R-bar row by row."""
+    field, n = A.field, A.order
+    R = change_weight(A, W, Weight.geometric(field, n, 1)).rows
+    zero = field.zero()
+    P = []
+    for j in range(n - 1):
+        row = []
+        for k in range(n):
+            acc = R[j + 1][k] if k <= j + 1 else zero
+            for i in range(j):
+                acc = acc - R[j][i] * P[i][k]
+            row.append(acc / R[j][j])
+        P.append(row)
+    return P
+
+
+def has_a_sequence(A, W):
+    P = production_matrix(A, W)
+    return all(P[j][k] == P[j - k + 1][1] for j in range(len(P)) for k in range(1, j + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), WEIGHTS, st.sampled_from(["riordan", "perturbed", "bumped", "graded"]))
+def test_a_sequence_iff_exactly_geometric(case, wkind, akind):
+    field, n, rng = case
+    W = build_weight(wkind, field, n, rng)
+    A = matrix(akind, W, rng)
+    oracle = has_a_sequence(A, W)
+    assert oracle == (product_rule_spanning_witness(A, W) is None)
+    assert is_riordan(A, W) or not oracle
+
+
+def test_corner_change_passes_is_riordan_only(QQ, rng):
+    W = Weight.q_factorial(QQ, 6, -1, 2)
+    A = pair_to_matrix(pair(QQ, 6, rng), W)
+    assert has_a_sequence(A, W)
+    rows = [list(r) for r in A.rows]
+    rows[5][5] = rows[5][5] * QQ.scalar(3)
+    B = TriMatrix(QQ, rows)
+    assert is_riordan(B, W) and not has_a_sequence(B, W)
+    assert product_rule_spanning_witness(B, W) == (0, 5, 5)
