@@ -9,7 +9,7 @@ from stdin and keeps a named registry of weights, series, pairs and
 matrices for the duration of the script.  Single-shot commands accept
 inline specs wherever a name is expected:
 
-    weights   exp=1   geom=2   qfac=-1,2   expcase=1/2,1   custom=1,1,2,6
+    weights   exp=1   geom=2   qfac=-1,2   expcase=1/2,1   custom=1,1,2,6 (N values)
     series    coeffs=1,1,1/2   exp=2
     matrices  identity   translation:exp=1:1   appell:exp=1:exp=1
               mw:geom=1   findiff:exp=1:1   pair:NAME:WSPEC
@@ -76,6 +76,14 @@ def _args_only(fn):
     return lambda field, order, *args: fn(*args)
 
 
+def _custom_weight(field, order, *values):
+    # the values are checked before their count: custom=1,0,3 names w[1]
+    weight = Weight(field, values)
+    if weight.order != order:
+        raise ValueError(f"custom takes {order} argument(s)")
+    return weight
+
+
 # Each spec family maps a kind to (its argument count, None for any number;
 # its constructor, called as make(field, order, *args)).  A matrix kind
 # lists the kind each ':' argument names in place of a count.
@@ -84,7 +92,7 @@ WEIGHT_SPECS = {
     "geom": (1, Weight.geometric),
     "qfac": (2, Weight.q_factorial),
     "expcase": (2, exp_case_weights),
-    "custom": (None, lambda field, order, *w: Weight(field, w)),
+    "custom": (None, _custom_weight),
 }
 SERIES_SPECS = {
     "coeffs": (None, lambda field, order, *c: Series.from_values(field, order, c)),
@@ -109,12 +117,12 @@ def _build(session: Session, family: str, kind: str, args: list[str], label: str
     count = len(arity) if family == "matrix" else arity
     if count is not None and len(args) != count:
         raise UsageError(f"{label}: {kind} takes {count} argument(s)")
-    if family == "matrix":
-        args = [
-            _scalar_arg(session, ref) if k == "scalar" else resolve(session, k, ref)
-            for k, ref in zip(arity, args)
-        ]
     try:
+        if family == "matrix":
+            args = [
+                session.field.scalar(ref) if k == "scalar" else resolve(session, k, ref)
+                for k, ref in zip(arity, args)
+            ]
         return make(session.field, session.order, *args)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{label}: {exc}") from exc
@@ -133,13 +141,6 @@ def build_matrix(session: Session, parts: list[str]) -> TriMatrix:
     if parts[0] not in MATRIX_SPECS:
         raise UnknownName(f"unknown matrix kind {parts[0]!r}")
     return _build(session, "matrix", parts[0], parts[1:], f"matrix spec {':'.join(parts)!r}")
-
-
-def _scalar_arg(session: Session, text: str):
-    try:
-        return session.field.scalar(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad scalar {text!r}: {exc}") from exc
 
 
 def resolve(session: Session, kind: str, ref: str):

@@ -13,10 +13,11 @@ from __future__ import annotations
 from .errors import BackendMismatch, NotCommuting, NotSheffer
 from .operators import is_appell
 from .riordan import (
-    RiordanPair, Weight, _beta_quotient, _geometric_witness, is_riordan, pair_to_matrix,
+    RiordanPair, Weight, _beta_quotient, _geometric_witness, _unweighted_columns,
+    is_riordan, pair_to_matrix,
 )
 from .scalars import Field, Scalar
-from .series import INFINITY, Series
+from .series import INFINITY, Series, _wrap
 from .triangular import Polynomial, TriMatrix, matrix_to_polys
 
 
@@ -89,12 +90,7 @@ def functional_apply(phi: Functional, p: Polynomial, W: Weight) -> Scalar:
 def eval_functional(h, W: Weight) -> Functional:
     """Evaluation at h: t_n = h^n / w_n; corresponds to the series W(hy)."""
     h = W.field.scalar(h)
-    vals, power = [], W.field.one()
-    for n in range(W.order):
-        if n:
-            power = power * h
-        vals.append(power * W.recip[n])
-    return Functional(W.field, vals)
+    return Functional(W.field, [h ** n * r for n, r in enumerate(W.recip)])
 
 
 def functional_mul(phi: Functional, psi: Functional) -> Functional:
@@ -107,43 +103,39 @@ def functional_power(phi: Functional, r: int) -> Functional:
 
 
 def functional_after_operator(phi: Functional, S: TriMatrix, W: Weight) -> Functional:
-    """The functional phi o S: t_n = (1/w_n) sum_k S_{n,k} w_k t_k."""
+    """The functional phi o S: t_n = (1/w_n) sum_k S_{n,k} w_k t_k, that is
+    t -> U t for U = D^{-1} S D."""
     if not phi.order == S.order == W.order or not phi.field == S.field == W.field:
         raise BackendMismatch("functional, operator and weight orders or fields differ")
-    vals = []
-    for n in range(S.order):
-        acc = phi.field.zero()
-        for k in range(n + 1):
-            acc = acc + S.rows[n][k] * W.w[k] * phi.values[k]
-        vals.append(acc * W.recip[n])
-    return Functional(phi.field, vals)
+    cols = [_wrap(S.field, *col) for col in _unweighted_columns(S, W)]
+    zero = S.field.zero()
+    return Functional(phi.field, [sum((c[n] * t for c, t in zip(cols[: n + 1], phi.values)), zero)
+                                  for n in range(S.order)])
 
 
 def functional_of_operator(S: TriMatrix, W: Weight) -> Functional:
     """The unique psi with phi o S = phi * psi for all phi.
 
     Exists exactly when S commutes with the weighted derivative; psi is
-    evaluation-at-0 composed with S, i.e. t_n = S_{n,0} / w_n.
+    evaluation-at-0 composed with S, i.e. t_n = S_{n,0} / w_n, column 0 of
+    D^{-1} S D.
     """
     if not is_appell(S, W):
         raise NotCommuting("operator does not commute with the weighted derivative")
-    return Functional(S.field, [S.entry(n, 0) * W.recip[n] for n in range(S.order)])
+    return Functional(S.field, _wrap(S.field, *_unweighted_columns(S, W, 1)[0]))
 
 
 def dual_basis(A: TriMatrix, W: Weight) -> list[Functional]:
     """Functionals phi_r with phi_r(p_n / w_n) = delta_{n,r} for the rows p_n.
 
-    Built from the inverse matrix: phi_r(x^k / w_k) = (A^{-1})_{k,r} w_r / w_k.
-    For graded A the valuation of phi_r is exactly r.
+    phi_r(x^k / w_k) = (A^{-1})_{k,r} w_r / w_k: the values of phi_r are
+    column r of D^{-1} A^{-1} D.  For graded A the valuation of phi_r is
+    exactly r.
     """
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
-    inv = A.inverse()
-    duals = []
-    for r in range(A.order):
-        vals = [inv.entry(k, r) * W.w[r] * W.recip[k] for k in range(A.order)]
-        duals.append(Functional(A.field, vals))
-    return duals
+    return [Functional(A.field, _wrap(A.field, *col))
+            for col in _unweighted_columns(A.inverse(), W)]
 
 
 def check_geometric_dual(phis: list[Functional]):
@@ -201,15 +193,17 @@ def product_rule_spanning_witness(A: TriMatrix, W: Weight):
     holds for every pair of functionals, which happens exactly for Sheffer
     matrices (with exactly geometric columns) at this order.
 
-    With u_i = w_i C_i and beta the beta quotient, pair (i, j) fails exactly
-    when u_{i+j} != u_i beta^j (u_m = 0 for m >= N), as e_i * e_j = e_{i+j}.
+    With u_i = w_i C_i the columns of U = D^{-1} A D and beta = u_1 / u_0,
+    pair (i, j) fails exactly when u_{i+j} != u_i beta^j (u_m = 0 for
+    m >= N), as e_i * e_j = e_{i+j}.
     If every (0, m) holds, u_i beta^j = u_0 beta^{i+j} = u_{i+j} for all i, j;
     so the first witness in (i, j, n) order is (0, j, n), j the first column
     with u_j != u_0 beta^j and n their first differing coefficient.  N raw
     convolutions decide it instead of N^2.
     """
-    beta = RiordanPair(Series.one(A.field, A.order), _beta_quotient(A, W)).beta
-    found = _geometric_witness(A, W, beta)
+    u = _unweighted_columns(A, W)
+    beta = RiordanPair(Series.one(A.field, A.order), _beta_quotient(A, W, u)).beta
+    found = _geometric_witness(u, beta)
     return None if found is None else (0, *found)
 
 

@@ -13,14 +13,20 @@ Central objects:
 * the lowering operator of a graded sequence A, with matrix
   A^{-1} M_W A.
 
+Every weighted matrix here is an ordinary one conjugated by D = diag(w),
+through the two kernels of riordan.py: M_W = D S D^{-1} for the plain shift
+S, the Appell matrices are D T D^{-1} for lower-triangular Toeplitz T, and
+A commutes with M_W exactly when U = D^{-1} A D commutes with S, that is
+when U is Toeplitz.
+
 Sheffer membership is decided through the weighted column identity (cheap
 and total); sheffer_by_commutation and is_normalizing are independent
 operator-level tests that never consult it.  Each family they sweep (N
 translations, the substitutions 1 + y^j) consists of series in M_W, so both
 reduce to whether A^{-1} M_W A commutes with M_W, in O(N^3).  d_polynomials
-reads every power of A M_W A^{-1} off one inverse, as shifted dot products
-of the rows of D^{-1} A D against the columns of its inverse (D = diag(w)),
-in about N^4/24 multiply-adds and no matrix product.  The column and
+reads every power of A M_W A^{-1} = D U S U^{-1} D^{-1} off one inverse, as
+shifted dot products of the rows of U against the columns of U^{-1}, in
+about N^4/24 multiply-adds and no matrix product.  The column and
 operator tests agree on matrices with exactly geometric columns and on
 matrices failing the column identity; a matrix whose deviation from
 geometric columns is invisible at order N can pass the column test while
@@ -44,20 +50,21 @@ from .errors import (
     NotValuationZero,
     ZeroShift,
 )
-from .riordan import Weight, _beta_quotient, column_series, is_riordan
+from .riordan import (
+    Weight, _beta_quotient, _first_difference, _mixed_backends, _toeplitz_columns,
+    _unweighted_columns, _weighted_matrix, column_series, is_riordan,
+)
 from .scalars import Scalar, _Q
-from .series import Series, _over_common_denominator
+from .series import Series, _ints_over_lcm, _over_common_denominator
 from .triangular import Polynomial, TriMatrix
 
 
 def m_matrix(W: Weight) -> TriMatrix:
-    """Matrix of the weighted derivative: x^n / w_n -> x^{n-1} / w_{n-1}."""
-    zero = W.field.zero()
+    """Matrix of the weighted derivative: x^n / w_n -> x^{n-1} / w_{n-1}.
 
-    def entry(n, k):
-        return W.ratio(n) if k == n - 1 else zero
-
-    return TriMatrix.from_entries(W.field, W.order, entry)
+    M_W = D S D^{-1}, S the Toeplitz matrix of the series y.
+    """
+    return _weighted_matrix(W, _toeplitz_columns([0, 1] + [0] * (W.order - 2), 1))
 
 
 def translation_matrix(W: Weight, h) -> TriMatrix:
@@ -95,12 +102,9 @@ def appell_from_alpha(alpha: Series, W: Weight) -> TriMatrix:
         raise NotValuationZero("alpha must have valuation 0")
     if alpha.order != W.order:
         raise BackendMismatch("series and weight orders differ")
-    c = alpha.coeffs
-
-    def entry(n, k):
-        return c[n - k] * W.w[n] * W.recip[k]
-
-    return TriMatrix.from_entries(W.field, W.order, entry)
+    if alpha.field != W.field:
+        raise _mixed_backends(alpha.coeffs[0], W.w[0])
+    return _weighted_matrix(W, _toeplitz_columns(*_over_common_denominator(alpha.coeffs)))
 
 
 def is_sheffer(A: TriMatrix, W: Weight) -> bool:
@@ -127,21 +131,16 @@ def sheffer_by_commutation(A: TriMatrix, W: Weight, hs=None) -> bool:
 def is_appell(A: TriMatrix, W: Weight) -> bool:
     """Appell = the lowering operator is M_W itself, i.e. A commutes with M_W.
 
-    Tested entrywise in O(N^2): with r_n = w_n / w_{n-1}, entry (n, k < n)
-    of A M_W is a_{n,k+1} r_{k+1} and that of M_W A is r_n a_{n-1,k}; both
-    diagonals vanish.
+    Tested as U = D^{-1} A D being Toeplitz (module note): each column k
+    of U is its column 0 moved down by k.  O(N^2).
     """
     if A.field != W.field or A.order != W.order:
         raise BackendMismatch("matrix orders or fields differ")
-    p = A.field.p
-    r = [None] + [W.ratio(n).val for n in range(1, W.order)]
-    a = [[c.val for c in row] for row in A.rows]
-    for n in range(1, A.order):
-        for k in range(n):
-            diff = a[n][k + 1] * r[k + 1] - r[n] * a[n - 1][k]
-            if diff if p is None else diff % p:
-                return False
-    return True
+    n = A.order
+    u = _unweighted_columns(A, W)
+    c, d = u[0]
+    return all(_first_difference(col[k:], dk, c[: n - k], d) is None
+               for k, (col, dk) in enumerate(u[1:], 1))
 
 
 def is_binomial(A: TriMatrix, W: Weight) -> bool:
@@ -225,37 +224,32 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
 
     Writing T_h(p_n / w_n) = sum_k d_{n,k}(h) / w_{n-k} * p_k / w_k, the
     entry (n, k) is the polynomial d_{n,k}: its coefficient of h^l is entry
-    (n, k) of (A M_W A^{-1})^l = A M_W^l A^{-1}, scaled by
-    w_{n-k} w_k / (w_n w_l).  With D = diag(w) and S the plain shift,
-    M_W = D S D^{-1}, so A M_W^l A^{-1} = D U S^l U^{-1} D^{-1} for
-    U = D^{-1} A D, and each coefficient is one dot product:
+    (n, k) of (A M_W A^{-1})^l = D U S^l U^{-1} D^{-1} (module note),
+    scaled by w_{n-k} w_k / (w_n w_l).  So each coefficient is one dot
+    product of row n of U with column k of V = U^{-1}, the unweighted
+    columns of A^{-1}:
 
         [h^l] d_{n,k} = (w_{n-k} / w_l) * sum_{j=k}^{n-l} U_{n,j+l} V_{j,k}
 
-    with U_{n,i} = a_{n,i} w_i / w_n and V = U^{-1}, i.e.
-    V_{j,k} = (A^{-1})_{j,k} w_k / w_j.  The sum is empty for l > n - k, so
-    entry (n, k) has h-degree at most n - k.  No power of a matrix is
-    built: the sums run on raw values as in TriMatrix.__matmul__, residues
+    The sum is empty for l > n - k, so entry (n, k) has h-degree at most
+    n - k.  The sums run on raw values as in TriMatrix.__matmul__, residues
     reduced once per coefficient over GF(p), and over QQ each row of U and
     column of V over its own common denominator.
     """
     if A.field != W.field or A.order != W.order:
         raise BackendMismatch("matrix orders or fields differ")
     inv, n_ord, p = A.inverse(), A.order, A.field.p
-    # rows of U, columns of V and ratio[d][l] = w_d / w_l on raw values
+    w, r = W._w, W._recip
+    # rows of U, columns of V from the diagonal down, ratio[d][l] = w_d / w_l
+    v = [(col[k:], d) for k, (col, d) in enumerate(_unweighted_columns(inv, W))]
     if p is None:
-        w, r = W.w, W.recip
-        u = [_over_common_denominator([a * w[i] * r[n] for i, a in enumerate(row)])
-             for n, row in enumerate(A.rows)]
-        v = [_over_common_denominator([inv.rows[j][k] * w[k] * r[j] for j in range(k, n_ord)])
-             for k in range(n_ord)]
-        ratio = [[(w[d] * r[l]).val for l in range(d + 1)] for d in range(n_ord)]
+        wi, dw = _ints_over_lcm(w)
+        u = [([x * y * rn.numerator for x, y in zip(a, wi)], da * dw * rn.denominator)
+             for rn, (a, da) in zip(r, map(_over_common_denominator, A.rows))]
+        ratio = [[w[d] * r[l] for l in range(d + 1)] for d in range(n_ord)]
     else:
-        w, r = [x.val for x in W.w], [x.val for x in W.recip]
         u = [([a.val * w[i] * r[n] % p for i, a in enumerate(row)], 1)
              for n, row in enumerate(A.rows)]
-        v = [([inv.rows[j][k].val * w[k] * r[j] % p for j in range(k, n_ord)], 1)
-             for k in range(n_ord)]
         ratio = [[w[d] * r[l] % p for l in range(d + 1)] for d in range(n_ord)]
     entries = []
     for n, (un, dn) in enumerate(u):

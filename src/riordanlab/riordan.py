@@ -11,22 +11,32 @@ coefficient N-1 and say nothing beyond the truncation.  Matrices built
 from a pair have exactly geometric columns, and the membership check,
 group law and pair extraction are mutually exact on such matrices.
 
-The group layer runs on raw values (integers over common denominators
-over QQ, residues over GF(p)).  riordan_mul and riordan_inv build the power
-table R_beta of series.py once: the product applies it to gamma and delta,
-and the inverse solves R_beta h = alpha and R_beta x = e_1 on the same rows,
-h = alpha o beta^{<-1>} needing no composition.  pair_to_matrix convolves
-the columns alpha beta^k and forms each entry once, and is_riordan compares
-the scaled columns u_k = w_k C_k by cross-multiplied convolutions.
-matrix_to_pair accepts A when u_k = u_0 beta^k for every k (one raw
-convolution per column, _geometric_witness), which implies the column
+The weighted calculus is the ordinary one conjugated by D = diag(w):
+A is Riordan for W exactly when U = D^{-1} A D has the ordinary columns
+u_k = w_k C_k = alpha beta^k; the weighted derivative is M_W = D S D^{-1}
+for the plain shift S; and the Appell matrices are D T D^{-1} for
+lower-triangular Toeplitz T.  Two kernels hold that fact, on raw columns
+(ints, den), integers over one denominator over QQ and residues over 1 over
+GF(p): _unweighted_columns returns the columns of U, and _weighted_matrix
+builds D R D^{-1} from the columns of an ordinary R.  The weighted matrix
+routines here and in operators.py and functionals.py are the ordinary
+routines on U.
+
+riordan_mul and riordan_inv build the power table R_beta of series.py
+once: the product applies it to gamma and delta, and the inverse solves
+R_beta h = alpha and R_beta x = e_1 on the same rows, h = alpha o
+beta^{<-1>} needing no composition.  pair_to_matrix convolves the columns
+alpha beta^k, and is_riordan tests u_k^2 = u_{k-1} u_{k+1} by
+cross-multiplied convolutions.  matrix_to_pair reads alpha = u_0 and
+beta = u_1 / u_0 off U and accepts A when u_k = u_0 beta^k for every k (one
+raw convolution per column, _geometric_witness), which implies the column
 identity; it neither rebuilds A nor runs is_riordan on a Riordan input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from math import gcd
 
 from .errors import (
     BackendMismatch,
@@ -45,17 +55,23 @@ from .series import (
     _convolve,
     _divide,
     _forward_substitute,
+    _ints_over_lcm,
     _over_common_denominator,
     _power_table,
+    _wrap,
     check_order,
 )
 from .triangular import TriMatrix
 
 
 class Weight:
-    """Denominator sequence w_0..w_{N-1} with cached reciprocals 1/w_n."""
+    """Denominator sequence w_0..w_{N-1} with cached reciprocals 1/w_n.
 
-    __slots__ = ("field", "w", "recip")
+    The kernels read their raw values _w and _recip: rationals, or residues
+    mod p.
+    """
+
+    __slots__ = ("field", "w", "recip", "_w", "_recip")
 
     def __init__(self, field: Field, denominators):
         w = tuple([field.scalar(x) for x in denominators])
@@ -68,6 +84,8 @@ class Weight:
         self.field = field
         self.w = w
         self.recip = tuple([x.inverse() for x in w])
+        self._w = [x.val for x in w]
+        self._recip = [x.val for x in self.recip]
 
     # -- builtins ----------------------------------------------------------
     @classmethod
@@ -215,127 +233,124 @@ def _mixed_backends(ours: Scalar, theirs: Scalar) -> BackendMismatch:
     )
 
 
-def _scaled_columns(A: TriMatrix, W: Weight) -> list:
-    """The scaled columns u_k = w_k C_k of A on raw values, as pairs (U_k, s_k).
+# -- the conjugation by D = diag(w) ---------------------------------------------
 
-    u_k = s_k U_k with U_k a list of N integers (over QQ) or residues (over
-    GF(p), where s_k = 1 and U_k is u_k itself); entries above the diagonal
-    are zero.  Over QQ the rows are scaled by 1/w_n over one denominator.
+
+def _unweighted_columns(A: TriMatrix, W: Weight, stop=None) -> list:
+    """Columns 0..stop-1 (all by default) of U = D^{-1} A D as raw (ints, den):
+    u_{i,k} = a_{i,k} w_k / w_i.
+
+    Column k of U is the scaled column series w_k C_k.  Each column lists
+    all N rows, zero above the diagonal: integers over one denominator over
+    QQ, residues over 1 over GF(p).
     """
-    p, n = A.field.p, A.order
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
+    if A.field != W.field:
+        raise _mixed_backends(A.rows[0][0], W.recip[0])
+    p, n, rows = A.field.p, A.order, A.rows
     if p is None:
-        r, den = _over_common_denominator(W.recip)
+        r, dr = _ints_over_lcm(W._recip)
         out = []
-        for k in range(n):
-            a, da = _over_common_denominator([A.rows[i][k] for i in range(k, n)])
-            out.append(([0] * k + list(map(mul, a, r[k:])), W.w[k].val / (da * den)))
+        for k in range(stop or n):
+            a, da = _ints_over_lcm([rows[i][k].val for i in range(k, n)])
+            t = W._w[k] / (da * dr)
+            tn = t.numerator
+            out.append(([0] * k + [x * y * tn for x, y in zip(a, r[k:])], t.denominator))
         return out
-    r = [x.val for x in W.recip]
-    return [
-        ([0] * k + [A.rows[i][k].val * r[i] * W.w[k].val % p for i in range(k, n)], 1)
-        for k in range(n)
-    ]
+    r, w = W._recip, W._w
+    return [([0] * k + [rows[i][k].val * r[i] * w[k] % p for i in range(k, n)], 1)
+            for k in range(stop or n)]
+
+
+def _weighted_matrix(W: Weight, cols) -> TriMatrix:
+    """D R D^{-1}, entry (i, k) = w_i r_{i,k} / w_k, from the raw columns
+    (ints, den) of an ordinary lower-triangular R (as _unweighted_columns
+    returns them)."""
+    field, p, n, w, recip = W.field, W.field.p, W.order, W._w, W._recip
+    rows = [[None] * (i + 1) for i in range(n)]
+    if p is None:
+        zero = field.zero()
+        for k, (col, den) in enumerate(cols):
+            num, dk = recip[k].numerator, den * recip[k].denominator
+            for i in range(k, n):
+                x = col[i] * num
+                rows[i][k] = Scalar(_Q(w[i].numerator * x, w[i].denominator * dk)) if x else zero
+    else:
+        for k, ((col, _), rk) in enumerate(zip(cols, recip)):
+            for i in range(k, n):
+                rows[i][k] = Scalar(w[i] * col[i] * rk % p, p)
+    return TriMatrix(field, rows)
+
+
+def _toeplitz_columns(c, den) -> list:
+    """The raw columns of the lower-triangular Toeplitz matrix with column 0 c / den."""
+    n = len(c)
+    return [([0] * k + c[: n - k], den) for k in range(n)]
+
+
+def _first_difference(x, dx, y, dy):
+    """The first n with x_n / dx != y_n / dy, or None; raw values over
+    integer denominators (1 over GF(p)), compared cross-multiplied."""
+    g = gcd(dx, dy)
+    dx, dy = dx // g, dy // g
+    if dx == dy and x == y:  # equal denominators are 1 here
+        return None
+    return next((n for n, (a, b) in enumerate(zip(x, y)) if a * dy != b * dx), None)
 
 
 def is_riordan(A: TriMatrix, W: Weight) -> bool:
     """Definitional membership test, checked at order N.
 
     Verifies w_k^2 C_k^2 = w_{k-1} C_{k-1} w_{k+1} C_{k+1} for
-    1 <= k <= N-2.  Total: never divides, works for any graded matrix.
-    The two sides are convolutions of the raw scaled columns, compared
-    cross-multiplied by their scale factors.
+    1 <= k <= N-2, that is u_k^2 = u_{k-1} u_{k+1} for the columns u_k of
+    U.  Total: never divides, works for any graded matrix.
     """
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
     if not A.is_graded():
         return False
-    if A.field != W.field:
-        raise _mixed_backends(A.rows[0][0], W.recip[0])
-    p = A.field.p
-    u = _scaled_columns(A, W)
-    for k in range(1, A.order - 1):
-        (lhs, s), (left, s0), (right, s1) = u[k], u[k - 1], u[k + 1]
-        square, cross = _convolve(lhs, lhs), _convolve(left, right)
-        if p is None:
-            t = s * s / (s0 * s1)  # u_k^2 = u_{k-1} u_{k+1} reads square * t = cross
-            tn, td = t.numerator, t.denominator
-            if any(x * tn != y * td for x, y in zip(square, cross)):
-                return False
-        elif any((x - y) % p for x, y in zip(square, cross)):
-            return False
-    return True
+    p, u = A.field.p, _unweighted_columns(A, W)
+    return all(_first_difference(_convolve(x, x, p), d * d, _convolve(x0, x1, p), d0 * d1) is None
+               for (x0, d0), (x, d), (x1, d1) in zip(u, u[1:], u[2:]))
 
 
 def pair_to_matrix(pair: RiordanPair, W: Weight) -> TriMatrix:
-    """Matrix with columns C_k = alpha * beta^k / w_k (exactly geometric).
-
-    Column k is a_{i,k} = w_i c_i / w_k with c = alpha beta^k, convolved on
-    raw values; over QQ c = num / den and each entry is one rational
-    w_i num_i / (den w_k).
-    """
+    """Matrix with columns C_k = alpha * beta^k / w_k (exactly geometric):
+    D R D^{-1} for the ordinary matrix R with columns alpha beta^k."""
     if pair.order != W.order:
         raise BackendMismatch("pair and weight orders differ")
-    field, n = pair.field, W.order
-    if field != W.field:
+    if pair.field != W.field:
         raise _mixed_backends(W.w[0], pair.alpha.coeffs[0])
-    p = field.p
-    w, recip = [x.val for x in W.w], [x.val for x in W.recip]
-    rows = [[None] * (i + 1) for i in range(n)]
-    (col, den), (b, db) = map(_over_common_denominator, (pair.alpha.coeffs, pair.beta.coeffs))
-    if p is None:
-        for k in range(n):
-            num, dk = recip[k].numerator, den * recip[k].denominator
-            for i in range(k, n):
-                rows[i][k] = Scalar(_Q(w[i].numerator * col[i] * num, w[i].denominator * dk))
-            col, den = _convolve(col, b), den * db
-    else:
-        for k in range(n):
-            for i in range(k, n):
-                rows[i][k] = Scalar(w[i] * col[i] * recip[k] % p, p)
-            col = [v % p for v in _convolve(col, b)]
-    return TriMatrix(field, rows)
+    b, db = _over_common_denominator(pair.beta.coeffs)
+    cols = [_over_common_denominator(pair.alpha.coeffs)]
+    for _ in range(1, W.order):
+        col, den = cols[-1]
+        cols.append((_convolve(col, b, pair.field.p), den * db))
+    return _weighted_matrix(W, cols)
 
 
-def _beta_quotient(A: TriMatrix, W: Weight) -> Series:
-    """w_1 C_1 / C_0, the candidate beta of any graded matrix.
-
-    One Toeplitz solve C_0 x = w_1 C_1 on the raw column values.
-    """
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
-    if A.field != W.field:
-        raise _mixed_backends(A.rows[0][0], W.recip[0])
-    p, w1, r = A.field.p, W.w[1].val, W.recip
-    c0 = [A.rows[n][0].val * r[n].val for n in range(A.order)]
-    c1 = [0] + [w1 * A.rows[n][1].val * r[n].val for n in range(1, A.order)]
-    if p is not None:
-        c0, c1 = [v % p for v in c0], [v % p for v in c1]
-    return _divide(A.field, c1, c0)
+def _beta_quotient(A: TriMatrix, W: Weight, u=None) -> Series:
+    """w_1 C_1 / C_0 = u_1 / u_0, the candidate beta of any graded matrix:
+    one Toeplitz solve on the columns u of U, computed here unless given."""
+    (u0, d0), (u1, d1) = (u or _unweighted_columns(A, W, 2))[:2]
+    return _divide(A.field, [v * d0 for v in u1], [v * d1 for v in u0])
 
 
-def _geometric_witness(A: TriMatrix, W: Weight, beta: Series):
+def _geometric_witness(u, beta: Series):
     """The first (j, n) with [y^n] u_j != [y^n] u_0 beta^j, or None.
 
-    u_j = w_j C_j are the scaled columns of A on raw values; None says the
-    columns are exactly geometric with ratio beta, that is A is the matrix
-    of the pair (C_0, beta).  One raw convolution per column.
+    u lists the columns of U; None says they are exactly geometric with
+    ratio beta, that is A is the matrix of the pair (u_0, beta).  One raw
+    convolution per column.
     """
-    p = A.field.p
     b, db = _over_common_denominator(beta.coeffs)
-    u = _scaled_columns(A, W)
-    rhs, s0 = u[0]  # u_0 beta^j = s0 rhs / db^j
-    for j, (lhs, s) in enumerate(u):
-        if p is None:  # u_j = s lhs
-            t = s * db ** j / s0
-            diffs = (x * t.numerator - y * t.denominator for x, y in zip(lhs, rhs))
-        else:
-            diffs = ((x - y) % p for x, y in zip(lhs, rhs))
-        for n, d in enumerate(diffs):
-            if d:
-                return (j, n)
-        rhs = _convolve(rhs, b)
-        if p is not None:
-            rhs = [v % p for v in rhs]
+    rhs, den = u[0]  # u_0 beta^j = rhs / den
+    for j, (lhs, d) in enumerate(u):
+        n = _first_difference(lhs, d, rhs, den)
+        if n is not None:
+            return (j, n)
+        rhs, den = _convolve(rhs, b, beta.field.p), den * db
     return None
 
 
@@ -352,10 +367,9 @@ def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:
         raise BackendMismatch("matrix and weight orders differ")
     if not A.is_graded():
         raise NotRiordan("matrix fails the weighted column identity")
-    if A.field != W.field:
-        raise _mixed_backends(A.rows[0][0], W.recip[0])
-    pair = RiordanPair(column_series(A, W, 0), _beta_quotient(A, W))
-    if _geometric_witness(A, W, pair.beta) is None:
+    u = _unweighted_columns(A, W)
+    pair = RiordanPair(Series(A.field, _wrap(A.field, *u[0])), _beta_quotient(A, W, u))
+    if _geometric_witness(u, pair.beta) is None:
         return pair
     if not is_riordan(A, W):
         raise NotRiordan("matrix fails the weighted column identity")
@@ -402,7 +416,7 @@ def generating_expansion(pair: RiordanPair, W: Weight) -> list[Series]:
 
 
 def change_weight(A: TriMatrix, W: Weight, W2: Weight) -> TriMatrix:
-    """Conjugate by U = diag(w_n / w2_n): A -> U^{-1} A U.
+    """Conjugate by diag(w_n / w2_n): A -> D2 (D^{-1} A D) D2^{-1}.
 
     Sends the W-Riordan matrix of (alpha, beta) to the W2-Riordan matrix of
     the identical pair, and Appell to Appell.
@@ -410,10 +424,6 @@ def change_weight(A: TriMatrix, W: Weight, W2: Weight) -> TriMatrix:
     W._check_same(W2)
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
-    rows = []
-    for n in range(A.order):
-        left = W2.w[n] * W.recip[n]
-        rows.append(
-            [left * A.rows[n][k] * W.w[k] * W2.recip[k] for k in range(n + 1)]
-        )
-    return TriMatrix(A.field, rows)
+    if A.field != W.field:
+        raise _mixed_backends(W.w[0], A.rows[0][0])
+    return _weighted_matrix(W2, _unweighted_columns(A, W))

@@ -44,10 +44,13 @@ def check_order(n: int) -> None:
         raise ValueError(f"order must be in {MIN_ORDER}..{MAX_ORDER}, got {n}")
 
 
-def _convolve(a, b):
-    """Truncated product of two equal-length int coefficient lists."""
+def _convolve(a, b, p=None):
+    """Truncated product of two equal-length int coefficient lists, reduced
+    mod p when p is given."""
     n, rb = len(a), b[::-1]
-    return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) for m in range(n)]
+    if p is None:
+        return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) for m in range(n)]
+    return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) % p for m in range(n)]
 
 
 def _forward_substitute(field, rows, rhss):
@@ -115,6 +118,15 @@ def _over_common_denominator(coeffs):
     return _ints_over_lcm(vals)
 
 
+def _wrap(field, ints, den=1):
+    """The inverse of _over_common_denominator: integers over den as Scalars
+    of QQ, or integers reduced to residues of GF(p) (den is then 1)."""
+    p = field.p
+    if p is None:
+        return [Scalar(_Q(v, den)) for v in ints]
+    return [Scalar(v % p, p) for v in ints]
+
+
 def _power_table(g):
     """R_g, the ordinary Riordan matrix of (1, g), on raw values: (rows, D).
 
@@ -127,8 +139,7 @@ def _power_table(g):
     c, d = _over_common_denominator(g.coeffs)
     cols = [[1] + [0] * (n - 1), c]
     for j in range(2, n):  # g^j has valuation j: convolve from index j on
-        power = _convolve(cols[-1][j - 1 : n - 1], c[1 : n - j + 1])
-        cols.append([0] * j + (power if p is None else [v % p for v in power]))
+        cols.append([0] * j + _convolve(cols[-1][j - 1 : n - 1], c[1 : n - j + 1], p))
     scale = [d ** (n - 1 - j) for j in range(n)]
     return [[cols[j][m] * scale[j] for j in range(m + 1)] for m in range(n)], d ** (n - 1)
 
@@ -136,11 +147,8 @@ def _power_table(g):
 def _apply_power_table(table, f):
     """R_g f, the series f o g, for table = _power_table(g): one dot product per row."""
     rows, den = table
-    field, p = f.field, f.field.p
     a, da = _over_common_denominator(f.coeffs)
-    if p is None:
-        return Series(field, [Scalar(_Q(sum(map(mul, row, a)), den * da)) for row in rows])
-    return Series(field, [Scalar(sum(map(mul, row, a)) % p, p) for row in rows])
+    return Series(f.field, _wrap(f.field, [sum(map(mul, row, a)) for row in rows], den * da))
 
 
 def _divide(field, b, c):
@@ -251,15 +259,8 @@ class Series:
         # over one common denominator, so only the N output coefficients
         # are normalised; over GF(p) each sum is reduced once.
         self._check_same(other)
-        p = self.field.p
-        if p is None:
-            (a, da), (b, db) = map(_over_common_denominator, (self.coeffs, other.coeffs))
-            den = da * db
-            out = [Scalar(_Q(c, den)) for c in _convolve(a, b)]
-        else:
-            a, b = [c.val for c in self.coeffs], [c.val for c in other.coeffs]
-            out = [Scalar(c % p, p) for c in _convolve(a, b)]
-        return Series(self.field, out)
+        (a, da), (b, db) = map(_over_common_denominator, (self.coeffs, other.coeffs))
+        return Series(self.field, _wrap(self.field, _convolve(a, b), da * db))
 
     def __pow__(self, k: int):
         if k < 0:

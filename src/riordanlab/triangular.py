@@ -264,10 +264,16 @@ def polys_to_matrix(polys: list[Polynomial]) -> TriMatrix:
 def umbral_compose(ps: list[Polynomial], qs: list[Polynomial]) -> list[Polynomial]:
     """Substitute the sequence qs into the coefficient expansion of ps:
     r_n = sum_k a_{n,k} q_k where p_n = sum_k a_{n,k} x^k.
+
+    Requires deg p_n <= n and deg q_k < N for sequences of length N.
     """
     if len(ps) != len(qs):
         raise ValueError("sequences must have equal length")
     order = len(ps)
+    check_order(order)
+    for k, q in enumerate(qs):
+        if q.degree >= order:
+            raise DegreeTooHigh(f"deg q_{k} = {q.degree} >= order {order}")
     field = ps[0].field
     zero = field.zero()
     out = []

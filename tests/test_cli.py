@@ -208,6 +208,9 @@ SPEC_ERRORS = [
     ("matrix m mw:geom=x", "weight spec 'geom=x'", 2),
     ("matrix m pair:q:e", "'q'", 2),
     ("check m nosuch=1 appell", "'m'", 2),
+    ("weight w custom=1,1,2", "custom takes 6 argument(s)", 2),
+    ("matrix m translation:exp=1:y", "matrix spec 'translation:exp=1:y'", 2),
+    ("matrix m translation:exp=1:3mod5", "'3mod5' does not belong to QQ", 3),
 ]
 
 

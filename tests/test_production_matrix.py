@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 from riordanlab import TriMatrix
 from riordanlab.functionals import product_rule_spanning_witness
-from riordanlab.riordan import Weight, change_weight, is_riordan, pair_to_matrix
+from riordanlab.operators import sheffer_by_commutation
+from riordanlab.riordan import Weight, is_riordan, pair_to_matrix
 
 from test_group_kernel import WEIGHTS, build_weight, cases, matrix, pair
+from test_weight_conjugation import change_weight_reference as change_weight
 
 
 def production_matrix(A, W):
@@ -67,3 +69,14 @@ def test_corner_change_passes_is_riordan_only(QQ, rng):
     B = TriMatrix(QQ, rows)
     assert is_riordan(B, W) and not has_a_sequence(B, W)
     assert product_rule_spanning_witness(B, W) == (0, 5, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), WEIGHTS, st.sampled_from(["riordan", "perturbed", "bumped", "graded"]))
+def test_a_sequence_iff_sheffer_by_commutation(case, wkind, akind):
+    # the operator-level test needs N distinct sample points in the field
+    field, n, rng = case
+    W = build_weight(wkind, field, n, rng)
+    A = matrix(akind, W, rng)
+    if field.p is None or field.p >= n:
+        assert sheffer_by_commutation(A, W) == has_a_sequence(A, W)

@@ -140,6 +140,17 @@ def test_umbral_compose(QQ, rng):
     assert str(twice[2]) == "x^2 + 4*x + 4"
 
 
+def test_umbral_compose_rejects_what_it_cannot_compose(QQ):
+    monos = matrix_to_polys(TriMatrix.identity(QQ, 4))
+    high = monos[:3] + [Polynomial.from_values(QQ, [0, 0, 0, 0, 1])]  # deg q_3 = 4
+    with pytest.raises(DegreeTooHigh, match="deg q_3 = 4 >= order 4"):
+        umbral_compose(monos, high)
+    with pytest.raises(ValueError, match="order must be in 2..64, got 0"):
+        umbral_compose([], [])
+    with pytest.raises(ValueError, match="equal length"):
+        umbral_compose(monos, monos[:3])
+
+
 def test_umbral_agrees_with_matrix_product(QQ, rng):
     for _ in range(10):
         a, b = graded_matrix(QQ, 5, rng), graded_matrix(QQ, 5, rng)
