@@ -44,7 +44,7 @@ from .operators import (
 from .riordan import RiordanPair, Weight, pair_to_matrix
 from .scalars import Field
 from .serialize import dumps
-from .series import Series
+from .series import MAX_ORDER, MIN_ORDER, Series
 from .triangular import TriMatrix, matrix_to_polys
 from .twoweight import classify_membership, exp_case_weights
 
@@ -77,9 +77,9 @@ def _args_only(fn):
 
 
 def _custom_weight(field, order, *values):
-    # the values are checked before their count: custom=1,0,3 names w[1]
-    weight = Weight(field, values)
-    if weight.order != order:
+    # any count that can form a weight is built first: custom=1,0,3 names w[1]
+    weight = Weight(field, values) if MIN_ORDER <= len(values) <= MAX_ORDER else None
+    if weight is None or weight.order != order:
         raise ValueError(f"custom takes {order} argument(s)")
     return weight
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from .errors import BackendMismatch, NotCommuting, NotSheffer
 from .operators import is_appell
 from .riordan import (
-    RiordanPair, Weight, _beta_quotient, _geometric_witness, _unweighted_columns,
-    is_riordan, pair_to_matrix,
+    RiordanPair, Weight, _beta_quotient, _geometric_witness, _iter_unweighted_columns,
+    _unweighted_columns, is_riordan, pair_to_matrix,
 )
 from .scalars import Field, Scalar
 from .series import INFINITY, Series, _wrap
@@ -122,7 +122,7 @@ def functional_of_operator(S: TriMatrix, W: Weight) -> Functional:
     """
     if not is_appell(S, W):
         raise NotCommuting("operator does not commute with the weighted derivative")
-    return Functional(S.field, _wrap(S.field, *_unweighted_columns(S, W, 1)[0]))
+    return Functional(S.field, _wrap(S.field, *next(_iter_unweighted_columns(S, W))))
 
 
 def dual_basis(A: TriMatrix, W: Weight) -> list[Functional]:

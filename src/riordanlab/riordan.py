@@ -17,8 +17,9 @@ u_k = w_k C_k = alpha beta^k; the weighted derivative is M_W = D S D^{-1}
 for the plain shift S; and the Appell matrices are D T D^{-1} for
 lower-triangular Toeplitz T.  Two kernels hold that fact, on raw columns
 (ints, den), integers over one denominator over QQ and residues over 1 over
-GF(p): _unweighted_columns returns the columns of U, and _weighted_matrix
-builds D R D^{-1} from the columns of an ordinary R.  The weighted matrix
+GF(p): _iter_unweighted_columns yields the columns of U one at a time
+(_unweighted_columns lists them), and _weighted_matrix builds D R D^{-1}
+from the columns of an ordinary R.  The weighted matrix
 routines here and in operators.py and functionals.py are the ordinary
 routines on U.
 
@@ -36,6 +37,7 @@ identity; it neither rebuilds A nor runs is_riordan on a Riordan input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 from .errors import (
@@ -236,13 +238,14 @@ def _mixed_backends(ours: Scalar, theirs: Scalar) -> BackendMismatch:
 # -- the conjugation by D = diag(w) ---------------------------------------------
 
 
-def _unweighted_columns(A: TriMatrix, W: Weight, stop=None) -> list:
-    """Columns 0..stop-1 (all by default) of U = D^{-1} A D as raw (ints, den):
+def _iter_unweighted_columns(A: TriMatrix, W: Weight):
+    """The columns of U = D^{-1} A D as raw (ints, den), yielded one at a
+    time so that a caller can stop at the first column it rejects:
     u_{i,k} = a_{i,k} w_k / w_i.
 
     Column k of U is the scaled column series w_k C_k.  Each column lists
     all N rows, zero above the diagonal: integers over one denominator over
-    QQ, residues over 1 over GF(p).
+    QQ, residues over 1 over GF(p).  The arguments are checked on the call.
     """
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
@@ -251,16 +254,22 @@ def _unweighted_columns(A: TriMatrix, W: Weight, stop=None) -> list:
     p, n, rows = A.field.p, A.order, A.rows
     if p is None:
         r, dr = _ints_over_lcm(W._recip)
-        out = []
-        for k in range(stop or n):
+
+        def column(k):
             a, da = _ints_over_lcm([rows[i][k].val for i in range(k, n)])
             t = W._w[k] / (da * dr)
             tn = t.numerator
-            out.append(([0] * k + [x * y * tn for x, y in zip(a, r[k:])], t.denominator))
-        return out
+            return [0] * k + [x * y * tn for x, y in zip(a, r[k:])], t.denominator
+
+        return map(column, range(n))
     r, w = W._recip, W._w
-    return [([0] * k + [rows[i][k].val * r[i] * w[k] % p for i in range(k, n)], 1)
-            for k in range(stop or n)]
+    return (([0] * k + [rows[i][k].val * r[i] * w[k] % p for i in range(k, n)], 1)
+            for k in range(n))
+
+
+def _unweighted_columns(A: TriMatrix, W: Weight) -> list:
+    """The columns of U as a list (_iter_unweighted_columns)."""
+    return list(_iter_unweighted_columns(A, W))
 
 
 def _weighted_matrix(W: Weight, cols) -> TriMatrix:
@@ -333,7 +342,7 @@ def pair_to_matrix(pair: RiordanPair, W: Weight) -> TriMatrix:
 def _beta_quotient(A: TriMatrix, W: Weight, u=None) -> Series:
     """w_1 C_1 / C_0 = u_1 / u_0, the candidate beta of any graded matrix:
     one Toeplitz solve on the columns u of U, computed here unless given."""
-    (u0, d0), (u1, d1) = (u or _unweighted_columns(A, W, 2))[:2]
+    (u0, d0), (u1, d1) = islice(u or _iter_unweighted_columns(A, W), 2)
     return _divide(A.field, [v * d0 for v in u1], [v * d1 for v in u0])
 
 

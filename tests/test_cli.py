@@ -107,6 +107,15 @@ def test_exit_code_math_error():
     assert code == 3
 
 
+def test_custom_weight_names_its_count_not_an_order():
+    # one value cannot form a weight; it is a count error, not an order error
+    for values in ("1", "0"):
+        code, _, err = run_cli("--order", "6", "weight", "w", f"custom={values}")
+        assert code == 2 and "custom takes 6 argument(s)" in err and "order" not in err
+    code, _, err = run_cli("--order", "6", "weight", "w", "custom=1,0,3")
+    assert code == 3 and "w[1]" in err
+
+
 def test_run_script_with_registry():
     script = """\
 # define, then classify

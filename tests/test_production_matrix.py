@@ -18,12 +18,12 @@ sees (a_{N-1,N-1}, say) passes is_riordan and fails this test.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlab import TriMatrix
+from riordanlab import Series, TriMatrix
 from riordanlab.functionals import product_rule_spanning_witness
 from riordanlab.operators import sheffer_by_commutation
 from riordanlab.riordan import Weight, is_riordan, pair_to_matrix
 
-from test_group_kernel import WEIGHTS, build_weight, cases, matrix, pair
+from test_group_kernel import WEIGHTS, build_weight, cases, compose_reference, matrix, pair
 from test_weight_conjugation import change_weight_reference as change_weight
 
 
@@ -58,6 +58,21 @@ def test_a_sequence_iff_exactly_geometric(case, wkind, akind):
     oracle = has_a_sequence(A, W)
     assert oracle == (product_rule_spanning_witness(A, W) is None)
     assert is_riordan(A, W) or not oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), WEIGHTS)
+def test_z_sequence_closed_form(case, wkind):
+    # Column 0 of P is the Z-sequence z_j = P[j][0] of the plain pair (alpha,
+    # beta): alpha = alpha_0 / (1 - y Z(beta)) (Merlini, Rogers, Sprugnoli &
+    # Verri 1997, d(t) = d_0 / (1 - t Z(t h(t)))).  Coefficient m reads only
+    # z_0..z_{m-1}, so z_{N-1}, beyond P, is not needed.
+    field, n, rng = case
+    W = build_weight(wkind, field, n, rng)
+    a = pair(field, n, rng)
+    z = Series(field, [row[0] for row in production_matrix(pair_to_matrix(a, W), W)] + [field.zero()])
+    y_z_beta = Series.identity(field, n) * compose_reference(z, a.beta)
+    assert a.alpha * (Series.one(field, n) - y_z_beta) == Series.constant(field, n, a.alpha.coeffs[0])
 
 
 def test_corner_change_passes_is_riordan_only(QQ, rng):
