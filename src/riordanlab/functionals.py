@@ -143,8 +143,11 @@ def check_geometric_dual(phis: list[Functional]):
 
     Returns (xi, eta) with xi = phi_0 and eta = phi_1 / phi_0 when the whole
     family matches, None otherwise.  The family of dual functionals of a
-    graded matrix has this shape exactly when the matrix is Sheffer.
+    graded matrix has this shape exactly when the matrix is Sheffer.  Needs
+    at least two functionals, phi_0 and phi_1.
     """
+    if len(phis) < 2:
+        raise ValueError(f"need at least two functionals, got {len(phis)}")
     if phis[0].valuation() != 0:
         raise ValueError("phi_0 must have valuation 0")
     xi = phis[0].series()

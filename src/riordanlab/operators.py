@@ -60,10 +60,10 @@ from .errors import (
 )
 from .riordan import (
     Weight, _beta_quotient, _first_difference, _iter_unweighted_columns, _mixed_backends,
-    _toeplitz_columns, _unweighted_columns, _weighted_matrix, column_series, is_riordan,
+    _riordan_witness, _toeplitz_columns, _unweighted_columns, _weighted_matrix, is_riordan,
 )
 from .scalars import Scalar, _Q
-from .series import Series, _forward_substitute, _ints_over_lcm, _over_common_denominator
+from .series import Series, _forward_substitute, _ints_over_lcm, _over_common_denominator, _wrap
 from .triangular import Polynomial, TriMatrix
 
 
@@ -142,6 +142,12 @@ def sheffer_by_commutation(A: TriMatrix, W: Weight, hs=None) -> bool:
     return _lowering_witness(A, W) is None
 
 
+def _check_frame(A: TriMatrix, W: Weight):
+    """A and W share field and order, or BackendMismatch (the operator tests)."""
+    if A.field != W.field or A.order != W.order:
+        raise BackendMismatch("matrix orders or fields differ")
+
+
 def _lowering_witness(A: TriMatrix, W: Weight):
     """The first entry (k, n) at which the lowering operator q = A^{-1} M_W A
     fails to commute with M_W, or None when it commutes.
@@ -164,8 +170,7 @@ def _lowering_witness(A: TriMatrix, W: Weight):
     for i, row in enumerate(A.rows):
         if not row[i]:
             raise SingularDiagonal(f"diagonal entry ({i},{i}) vanishes")
-    if A.field != W.field or A.order != W.order:
-        raise BackendMismatch("matrix orders or fields differ")
+    _check_frame(A, W)
     p, n = A.field.p, A.order
     u = _unweighted_columns(A, W)
     if p is None:
@@ -191,12 +196,14 @@ def is_appell(A: TriMatrix, W: Weight) -> bool:
     of U is its column 0 moved down by k.  O(N^2); the columns are built one
     at a time, so a failing column ends the test.
     """
-    if A.field != W.field or A.order != W.order:
-        raise BackendMismatch("matrix orders or fields differ")
-    n = A.order
-    u = _iter_unweighted_columns(A, W)
+    _check_frame(A, W)
+    return _is_toeplitz(_iter_unweighted_columns(A, W))
+
+
+def _is_toeplitz(u) -> bool:
+    """Is each raw column u_k of U, from the iterator u, u_0 moved down by k?"""
     c, d = next(u)
-    return all(_first_difference(col[k:], dk, c[: n - k], d) is None
+    return all(_first_difference(col[k:], dk, c[: len(c) - k], d) is None
                for k, (col, dk) in enumerate(u, 1))
 
 
@@ -300,8 +307,7 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     minimum of 2 calls (Python 3.11, Fraction backend, 2 CPUs).  The CLI
     does not call it.
     """
-    if A.field != W.field or A.order != W.order:
-        raise BackendMismatch("matrix orders or fields differ")
+    _check_frame(A, W)
     inv, n_ord, p = A.inverse(), A.order, A.field.p
     w, r = W._w, W._recip
     # rows of U, columns of V from the diagonal down, ratio[d][l] = w_d / w_l
@@ -401,22 +407,20 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
 
     `kind` is one of CHECK_KINDS.  alpha/beta are included whenever the
     matrix satisfies the weighted column identity, whatever `kind` was asked.
-    That identity is tested once: it is also the verdict of every kind but
-    appell.
+    U is built once: the column identity (_riordan_witness), the Toeplitz
+    test of appell, alpha = u_0 and beta = u_1 / u_0 all read the same
+    columns.  The errors are those of the public test of `kind`.
     """
     if kind not in CHECK_KINDS:
         raise ValueError(f"unknown check kind {kind!r}")
     if kind == "appell":
-        verdict = is_appell(A, W)
-        riordan = is_riordan(A, W)
-    else:
-        riordan = is_riordan(A, W)
-        verdict = riordan and (kind != "binomial" or _trivial_alpha(A))
-    report = {"kind": kind, "verdict": verdict}
-    if riordan:
-        report["alpha"] = column_series(A, W, 0).to_json()
-        report["beta"] = _beta_quotient(A, W).to_json()
-    else:
-        report["alpha"] = None
-        report["beta"] = None
-    return report
+        _check_frame(A, W)
+    elif A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
+    u = _unweighted_columns(A, W) if kind == "appell" or A.is_graded() else None
+    riordan = A.is_graded() and _riordan_witness(u, A.field.p) is None
+    trivial = kind != "binomial" or _trivial_alpha(A)
+    verdict = _is_toeplitz(iter(u)) if kind == "appell" else riordan and trivial
+    alpha = Series(A.field, _wrap(A.field, *u[0])).to_json() if riordan else None
+    beta = _beta_quotient(A, W, u).to_json() if riordan else None
+    return {"kind": kind, "verdict": verdict, "alpha": alpha, "beta": beta}

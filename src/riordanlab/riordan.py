@@ -26,12 +26,17 @@ routines on U.
 riordan_mul and riordan_inv build the power table R_beta of series.py
 once: the product applies it to gamma and delta, and the inverse solves
 R_beta h = alpha and R_beta x = e_1 on the same rows, h = alpha o
-beta^{<-1>} needing no composition.  pair_to_matrix convolves the columns
-alpha beta^k, and is_riordan tests u_k^2 = u_{k-1} u_{k+1} by
-cross-multiplied convolutions.  matrix_to_pair reads alpha = u_0 and
-beta = u_1 / u_0 off U and accepts A when u_k = u_0 beta^k for every k (one
-raw convolution per column, _geometric_witness), which implies the column
-identity; it neither rebuilds A nor runs is_riordan on a Riordan input.
+beta^{<-1>} needing no composition.  _geometric_columns yields the raw
+columns c beta^k, one convolution each: pair_to_matrix weights alpha beta^k,
+and _geometric_witness compares u_k with u_0 beta^k.  _riordan_witness
+walks the columns of U for the first (k, m) at which u_k^2 and
+u_{k-1} u_{k+1} differ, by cross-multiplied convolutions; given the lazy
+columns it builds none past u_{k+1}, so is_riordan stops at the first
+failing column.  Every verdict runs on the U its caller holds:
+matrix_to_pair reads alpha = u_0 and beta = u_1 / u_0 off U, accepts A
+when u_k = u_0 beta^k for every k (which implies the column identity), and
+otherwise words its error from _riordan_witness on the same columns;
+check_report (operators.py) reads its verdict, alpha and beta off one U.
 """
 
 from __future__ import annotations
@@ -221,7 +226,7 @@ def column_series(A: TriMatrix, W: Weight, k: int) -> Series:
     """C_k(y) = sum_n a_{n,k} y^n / w_n; valuation k for graded A."""
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
-    if k >= A.order:
+    if not 0 <= k < A.order:
         raise ValueError(f"column {k} out of range")
     return Series(
         A.field, [A.entry(n, k) * W.recip[n] for n in range(A.order)]
@@ -308,20 +313,44 @@ def _first_difference(x, dx, y, dy):
     return next((n for n, (a, b) in enumerate(zip(x, y)) if a * dy != b * dx), None)
 
 
+def _riordan_witness(u, p):
+    """The first (k, m) with [y^m] u_k^2 != [y^m] u_{k-1} u_{k+1}, or None.
+
+    u holds the raw columns (ints, den) of U, as a list or as the lazy
+    _iter_unweighted_columns; the walk ends at the first failing k, so no
+    column after u_{k+1} is built.  None says that u_k^2 = u_{k-1} u_{k+1}
+    for 1 <= k <= N-2, the column identity.  Total: never divides.
+    """
+    u = iter(u)
+    (x0, d0), (x, d) = islice(u, 2)
+    for k, (x1, d1) in enumerate(u, 1):
+        m = _first_difference(_convolve(x, x, p), d * d, _convolve(x0, x1, p), d0 * d1)
+        if m is not None:
+            return (k, m)
+        (x0, d0), (x, d) = (x, d), (x1, d1)
+    return None
+
+
 def is_riordan(A: TriMatrix, W: Weight) -> bool:
     """Definitional membership test, checked at order N.
 
     Verifies w_k^2 C_k^2 = w_{k-1} C_{k-1} w_{k+1} C_{k+1} for
     1 <= k <= N-2, that is u_k^2 = u_{k-1} u_{k+1} for the columns u_k of
-    U.  Total: never divides, works for any graded matrix.
+    U, built one at a time up to the first failing k (_riordan_witness).
+    Total: never divides, works for any graded matrix.
     """
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
-    if not A.is_graded():
-        return False
-    p, u = A.field.p, _unweighted_columns(A, W)
-    return all(_first_difference(_convolve(x, x, p), d * d, _convolve(x0, x1, p), d0 * d1) is None
-               for (x0, d0), (x, d), (x1, d1) in zip(u, u[1:], u[2:]))
+    return A.is_graded() and _riordan_witness(_iter_unweighted_columns(A, W), A.field.p) is None
+
+
+def _geometric_columns(c, dc, beta: Series):
+    """The raw columns (c / dc) beta^k for k = 0, 1, ..., one convolution
+    per column after the first.  Endless: the caller stops it."""
+    b, db = _over_common_denominator(beta.coeffs)
+    while True:
+        yield c, dc
+        c, dc = _convolve(c, b, beta.field.p), dc * db
 
 
 def pair_to_matrix(pair: RiordanPair, W: Weight) -> TriMatrix:
@@ -331,12 +360,8 @@ def pair_to_matrix(pair: RiordanPair, W: Weight) -> TriMatrix:
         raise BackendMismatch("pair and weight orders differ")
     if pair.field != W.field:
         raise _mixed_backends(W.w[0], pair.alpha.coeffs[0])
-    b, db = _over_common_denominator(pair.beta.coeffs)
-    cols = [_over_common_denominator(pair.alpha.coeffs)]
-    for _ in range(1, W.order):
-        col, den = cols[-1]
-        cols.append((_convolve(col, b, pair.field.p), den * db))
-    return _weighted_matrix(W, cols)
+    alpha = _over_common_denominator(pair.alpha.coeffs)
+    return _weighted_matrix(W, islice(_geometric_columns(*alpha, pair.beta), W.order))
 
 
 def _beta_quotient(A: TriMatrix, W: Weight, u=None) -> Series:
@@ -351,15 +376,12 @@ def _geometric_witness(u, beta: Series):
 
     u lists the columns of U; None says they are exactly geometric with
     ratio beta, that is A is the matrix of the pair (u_0, beta).  One raw
-    convolution per column.
+    convolution per column (_geometric_columns).
     """
-    b, db = _over_common_denominator(beta.coeffs)
-    rhs, den = u[0]  # u_0 beta^j = rhs / den
-    for j, (lhs, d) in enumerate(u):
+    for j, ((lhs, d), (rhs, den)) in enumerate(zip(u, _geometric_columns(*u[0], beta))):
         n = _first_difference(lhs, d, rhs, den)
         if n is not None:
             return (j, n)
-        rhs, den = _convolve(rhs, b, beta.field.p), den * db
     return None
 
 
@@ -369,8 +391,8 @@ def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:
     Raises NotRiordan when the definitional identity fails, or when the
     columns are not exactly geometric at this order (possible for matrices
     whose deviation hides beyond the truncation).  Exactly geometric
-    columns satisfy the column identity, so is_riordan runs only to word
-    the error.
+    columns satisfy the column identity, so _riordan_witness walks the same
+    columns of U only to word the error.
     """
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
@@ -380,7 +402,7 @@ def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:
     pair = RiordanPair(Series(A.field, _wrap(A.field, *u[0])), _beta_quotient(A, W, u))
     if _geometric_witness(u, pair.beta) is None:
         return pair
-    if not is_riordan(A, W):
+    if _riordan_witness(u, A.field.p) is not None:
         raise NotRiordan("matrix fails the weighted column identity")
     raise NotRiordan("columns are not exactly geometric at this order")
 

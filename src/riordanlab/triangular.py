@@ -135,6 +135,8 @@ class TriMatrix:
         return len(self.rows)
 
     def entry(self, n: int, k: int) -> Scalar:
+        if n < 0 or k < 0:
+            raise IndexError(f"entry ({n}, {k}) out of range")
         if k > n:
             return self.field.zero()
         return self.rows[n][k]

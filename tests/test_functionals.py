@@ -167,6 +167,13 @@ def test_check_geometric_dual(QQ, rng):
     assert check_geometric_dual(dual_basis(bad, e1)) is None
 
 
+def test_check_geometric_dual_needs_two_functionals(QQ):
+    phi = dual_basis(TriMatrix.identity(QQ, 6), Weight.exponential(QQ, 6, 1))[0]
+    for phis in ([], [phi]):
+        with pytest.raises(ValueError, match=f"^need at least two functionals, got {len(phis)}$"):
+            check_geometric_dual(phis)
+
+
 def test_geometric_dual_iff_sheffer(QQ, rng):
     e1 = Weight.exponential(QQ, 6, 1)
     for _ in range(5):

@@ -1,17 +1,21 @@
 """The group layer on one power table, against the loops it replaces.
 
 Series.compose, Series.comp_inverse, riordan_mul and riordan_inv run on the
-power table R_g of series.py (column j holds g^j); pair_to_matrix convolves
-raw columns; is_riordan and product_rule_spanning_witness compare raw
-scaled columns cross-multiplied; check_report tests the column identity
-once; _beta_quotient is one Toeplitz solve on raw column values.  The references below are the code the library used before, kept
-verbatim (the old solver included, so no reference touches the new
-kernel): Horner composition, comp_inverse with its inline powers, the group
-law through them, pair_to_matrix and is_riordan on Scalar series, and the
-beta quotient w_1 C_1 / C_0 as a Series product with an inverse.  Every
-result, and the type and message of every raised error, must agree over
-QQ (signed, mixed denominators), GF(2), GF(3) and GF(1000003) at
-N = 2..16, N > p included.
+power table R_g of series.py (column j holds g^j).  pair_to_matrix and
+product_rule_spanning_witness take c beta^k from one generator of raw
+columns.  _riordan_witness walks the raw columns of U for the first (k, m)
+at which u_k^2 and u_{k-1} u_{k+1} differ, cross-multiplied; is_riordan
+runs it on the lazy columns and stops at the first failing column, and
+check_report builds U once and walks it once.  _beta_quotient is one
+Toeplitz solve on raw column values.  The references below are the code
+the library used before, kept verbatim (the old solver included, so no
+reference touches the new kernel): Horner composition, comp_inverse with
+its inline powers, the group law through them, pair_to_matrix and
+is_riordan on Scalar series, and the beta quotient w_1 C_1 / C_0 as a
+Series product with an inverse; the witness reference compares the
+Series products coefficient by coefficient.  Every result, and the type
+and message of every raised error, must agree over QQ (signed, mixed
+denominators), GF(2), GF(3) and GF(1000003) at N = 2..16, N > p included.
 """
 
 import random
@@ -30,12 +34,15 @@ from riordanlab.errors import (
     RootOfUnity,
 )
 from riordanlab.functionals import product_rule_spanning_witness
-from riordanlab import operators
+from riordanlab import operators, riordan
 from riordanlab.operators import CHECK_KINDS, check_report
 from riordanlab.riordan import (
     RiordanPair,
     Weight,
     _beta_quotient,
+    _iter_unweighted_columns,
+    _riordan_witness,
+    _unweighted_columns,
     column_series,
     is_riordan,
     pair_to_matrix,
@@ -153,6 +160,17 @@ def is_riordan_reference(A, W):
         if u[k] * u[k] != u[k - 1] * u[k + 1]:
             return False
     return True
+
+
+def riordan_witness_reference(A, W):
+    """The first (k, m) with [y^m] u_k^2 != [y^m] u_{k-1} u_{k+1}, on Scalar series."""
+    u = scaled_columns_reference(A, W)
+    for k in range(1, A.order - 1):
+        lhs, rhs = u[k] * u[k], u[k - 1] * u[k + 1]
+        for m, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+            if x != y:
+                return (k, m)
+    return None
 
 
 def witness_reference(A, W):
@@ -356,6 +374,36 @@ def test_is_riordan_matches_scaled_columns(case, wkind, akind, where):
 
 
 @settings(max_examples=300, deadline=None)
+@given(cases(), WEIGHTS, st.sampled_from(["riordan", "perturbed", "bumped", "graded"]))
+def test_riordan_witness_matches_series_products(case, wkind, akind):
+    field, n, rng = case
+    W = build_weight(wkind, field, n, rng)
+    A = matrix(akind, W, rng)
+    want = riordan_witness_reference(A, W)
+    assert _riordan_witness(_unweighted_columns(A, W), field.p) == want
+    assert _riordan_witness(_iter_unweighted_columns(A, W), field.p) == want
+    assert is_riordan(A, W) == (want is None)
+
+
+def test_is_riordan_stops_at_the_first_failing_column(QQ, rng, monkeypatch):
+    W = Weight.exponential(QQ, 12, 1)
+    rows = [list(r) for r in pair_to_matrix(pair(QQ, 12, rng), W).rows]
+    rows[2][1] = rows[2][1] + QQ.one()  # u_1 changes at y^2, so u_1^2 = u_0 u_2 fails at y^3
+    A = TriMatrix(QQ, rows)
+    assert riordan_witness_reference(A, W) == (1, 3)
+    built, columns = [], riordan._iter_unweighted_columns
+
+    def counting(*args):
+        for col in columns(*args):
+            built.append(col)
+            yield col
+
+    monkeypatch.setattr(riordan, "_iter_unweighted_columns", counting)
+    assert not is_riordan(A, W)
+    assert len(built) <= 3
+
+
+@settings(max_examples=300, deadline=None)
 @given(cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
 def test_beta_quotient_matches_series_division(case, wkind, akind, where):
     field, n, rng = case
@@ -378,19 +426,33 @@ def test_check_report_matches_two_calls(case, wkind, akind, kind):
 
 
 def test_check_report_tests_the_column_identity_once(QQ, rng, monkeypatch):
-    calls = []
+    # U is built once per report, and the column identity walks it once
+    builds, walks = [], []
+    build_lazy, walk = riordan._iter_unweighted_columns, riordan._riordan_witness
 
-    def counting(A, W):
-        calls.append(1)
-        return is_riordan(A, W)
+    def counting_list(*args):
+        builds.append(1)
+        return list(build_lazy(*args))  # not through the counted lazy build
 
-    monkeypatch.setattr(operators, "is_riordan", counting)
+    def counting_lazy(*args):
+        builds.append(1)
+        return build_lazy(*args)
+
+    def counting_walk(*args):
+        walks.append(1)
+        return walk(*args)
+
+    for module in (operators, riordan):
+        monkeypatch.setattr(module, "_unweighted_columns", counting_list)
+        monkeypatch.setattr(module, "_iter_unweighted_columns", counting_lazy)
+        monkeypatch.setattr(module, "_riordan_witness", counting_walk)
     W = Weight.exponential(QQ, 6, 1)
     for A in (pair_to_matrix(pair(QQ, 6, rng), W), graded_matrix(QQ, 6, rng)):
         for kind in CHECK_KINDS:
-            calls.clear()
+            builds.clear()
+            walks.clear()
             check_report(A, W, kind)
-            assert len(calls) == 1, kind
+            assert (len(builds), len(walks)) == (1, 1), kind
 
 
 def test_group_law_at_the_largest_order(QQ):

@@ -95,6 +95,16 @@ def test_column_series(QQ):
     assert col1 == S(QQ, 6, *expected)  # y e^y
 
 
+def test_column_series_rejects_every_index_outside_the_matrix(QQ):
+    W = Weight.exponential(QQ, 4, 1)
+    A = TriMatrix(QQ, [[QQ.scalar(v) for v in row]
+                       for row in ([1], [2, 3], [4, 5, 6], [7, 8, 9, 10])])
+    for k in (-1, -3, -4, -5, 4, 5):  # -1 once read the diagonal, -3 an IndexError
+        with pytest.raises(ValueError, match=f"^column {k} out of range$"):
+            column_series(A, W, k)
+    assert column_series(A, W, 3) == Series.monomial(QQ, 4, 3, "10/6")
+
+
 def test_is_riordan(QQ):
     e1 = Weight.exponential(QQ, 6, 1)
     assert is_riordan(TriMatrix.identity(QQ, 6), e1)

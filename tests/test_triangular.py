@@ -27,6 +27,18 @@ def pascal(field, order):
     )
 
 
+def test_negative_indices_are_out_of_range(QQ):
+    A = TriMatrix(QQ, [[QQ.scalar(v) for v in row]
+                       for row in ([1], [2, 3], [4, 5, 6], [7, 8, 9, 10])])
+    for n, k in ((2, -1), (-1, 0), (-1, -1), (0, -4)):
+        with pytest.raises(IndexError):
+            A.entry(n, k)
+    with pytest.raises(IndexError):
+        A.column(-1)  # once the diagonal
+    assert A.entry(1, 3) == QQ.zero() and A.entry(2, 1) == QQ.scalar(5)
+    assert A.column(1) == [QQ.scalar(v) for v in (0, 3, 5, 8)]
+
+
 def test_matrix_to_polys(QQ):
     ident = TriMatrix.identity(QQ, 4)
     polys = matrix_to_polys(ident)
