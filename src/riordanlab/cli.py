@@ -23,11 +23,14 @@ the wrong number of arguments reads "<kind> takes <n> argument(s)".
 
 Exit codes: 0 success / verdict true, 1 some verdict false, 2 usage
 error, 3 mathematical domain error.
+
+The argument parser is built once per process, on the first call to main.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import shlex
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -312,7 +315,8 @@ def _parse_field(text: str) -> Field:
     raise argparse.ArgumentTypeError(f"field must be 'rat' or 'mod:P', got {text!r}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Weighted Riordan arrays, Sheffer classification, and two-weight analysis.",
@@ -327,10 +331,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("args", nargs="*")
     sub.add_parser("run", help="read commands from stdin, one per line")
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    ns = _parser().parse_args(argv)
     if not 2 <= ns.order <= 64:
-        parser.error(f"--order must be in 2..64, got {ns.order}")
+        _parser().error(f"--order must be in 2..64, got {ns.order}")
 
     session = Session(order=ns.order, field=ns.field, json_mode=ns.json)
     try:

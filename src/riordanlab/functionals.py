@@ -14,7 +14,7 @@ from .errors import BackendMismatch, NotCommuting, NotSheffer
 from .operators import is_appell
 from .riordan import (
     RiordanPair, Weight, _beta_quotient, _geometric_witness, _iter_unweighted_columns,
-    _unweighted_columns, is_riordan, pair_to_matrix,
+    _riordan_columns, _unweighted_columns, pair_to_matrix,
 )
 from .scalars import Field, Scalar
 from .series import INFINITY, Series, _wrap
@@ -164,14 +164,15 @@ def check_geometric_dual(phis: list[Functional]):
 
 def binomial_associate(A: TriMatrix, W: Weight) -> TriMatrix:
     """The binomial-type matrix with the same beta parameter as Sheffer A."""
-    if not is_riordan(A, W):
+    u = _riordan_columns(A, W)
+    if u is None:
         raise NotSheffer("matrix is not Sheffer for this weight")
-    return _binomial_candidate(A, W)
+    return _binomial_candidate(A, W, u)
 
 
-def _binomial_candidate(A: TriMatrix, W: Weight) -> TriMatrix:
+def _binomial_candidate(A: TriMatrix, W: Weight, u=None) -> TriMatrix:
     # defined for any graded A; coincides with binomial_associate on Sheffer input
-    beta = _beta_quotient(A, W)
+    beta = _beta_quotient(A, W, u)
     return pair_to_matrix(RiordanPair(Series.one(A.field, A.order), beta), W)
 
 

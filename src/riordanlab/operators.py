@@ -60,7 +60,8 @@ from .errors import (
 )
 from .riordan import (
     Weight, _beta_quotient, _first_difference, _iter_unweighted_columns, _mixed_backends,
-    _riordan_witness, _toeplitz_columns, _unweighted_columns, _weighted_matrix, is_riordan,
+    _riordan_columns, _riordan_witness, _toeplitz_columns, _unweighted_columns,
+    _weighted_matrix, is_riordan,
 )
 from .scalars import Scalar, _Q
 from .series import Series, _forward_substitute, _ints_over_lcm, _over_common_denominator, _wrap
@@ -219,9 +220,10 @@ def _trivial_alpha(A: TriMatrix) -> bool:
 def dw_multiplier(A: TriMatrix, W: Weight) -> Series:
     """Series by which the weighted derivative multiplies the weighted
     generating expression of a Sheffer sequence: its beta parameter."""
-    if not is_sheffer(A, W):
+    u = _riordan_columns(A, W)
+    if u is None:
         raise NotSheffer("matrix is not Sheffer for this weight")
-    return _beta_quotient(A, W)
+    return _beta_quotient(A, W, u)
 
 
 class HPolyMatrix:

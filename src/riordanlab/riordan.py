@@ -344,6 +344,18 @@ def is_riordan(A: TriMatrix, W: Weight) -> bool:
     return A.is_graded() and _riordan_witness(_iter_unweighted_columns(A, W), A.field.p) is None
 
 
+def _riordan_columns(A: TriMatrix, W: Weight):
+    """The columns of U (_unweighted_columns) when A is Riordan for W, else
+    None: the verdict of is_riordan, with its guards, on one list of
+    columns that the caller can read again (alpha, beta)."""
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
+    if not A.is_graded():
+        return None
+    u = _unweighted_columns(A, W)
+    return u if _riordan_witness(u, A.field.p) is None else None
+
+
 def _geometric_columns(c, dc, beta: Series):
     """The raw columns (c / dc) beta^k for k = 0, 1, ..., one convolution
     per column after the first.  Endless: the caller stops it."""

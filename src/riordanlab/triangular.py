@@ -135,7 +135,7 @@ class TriMatrix:
         return len(self.rows)
 
     def entry(self, n: int, k: int) -> Scalar:
-        if n < 0 or k < 0:
+        if not 0 <= n < self.order or k < 0:
             raise IndexError(f"entry ({n}, {k}) out of range")
         if k > n:
             return self.field.zero()

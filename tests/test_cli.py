@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from riordanlab import (
     classify_membership,
     translation_matrix,
 )
+from riordanlab import cli
 from riordanlab.operators import CHECK_KINDS
 from riordanlab.serialize import dumps
 from riordanlab.twoweight import exp_case_weights
@@ -287,3 +289,57 @@ def test_show_searches_weights_series_pairs_then_matrices(first):
     code, out, _ = call(["--order", "3", "--json", "run"], script)
     lines = out.splitlines()
     assert code == 0 and lines[-1] == lines[2]
+
+
+# one session's calls: text and --json, two fields interleaved, both ends of
+# --order and past them, a bad modulus and an unknown field, no command, an
+# unknown command, --help, and a `run` script
+SESSION = [
+    (["--order", "6", "check", "translation:exp=1:1", "exp=1", "sheffer"], ""),
+    (["--order", "6", "--field", "mod:1000003", "--json", "check", "mw:geom=1", "geom=1", "riordan"], ""),
+    (["--order", "6", "--field", "rat", "--json", "polys", "translation:geom=2:1", "geom=2"], ""),
+    (["--order", "5", "--field", "mod:1000003", "twoweight", "exp=1", "exp=1", "expcase=1/2,1"], ""),
+    (["--order", "1", "show", "x"], ""),
+    (["--order", "65", "--json", "show", "x"], ""),
+    (["--order", "2", "--field", "mod:1000003", "weight", "e", "exp", "1"], ""),
+    (["--order", "64", "--json", "series", "s", "coeffs", "1", "1"], ""),
+    (["--field", "mod:4", "show", "x"], ""),
+    (["--field", "foo", "--json", "show", "x"], ""),
+    ([], ""),
+    (["frobnicate", "x"], ""),
+    (["--help"], ""),
+    (["check", "--help"], ""),
+    (["--order", "6", "check", "identity", "exp=1"], ""),
+    (["--order", "4", "--json", "run"],
+     "weight e exp 1\nseries s coeffs 1 1\nseries t coeffs 0 1\npair p s t\n"
+     "matrix m pair p e\ncheck m e sheffer\ncheck m e binomial\nshow p\n"),
+    (["--order", "4", "--field", "mod:1000003", "run"], "check identity exp=1 riordan\nshow nothing\n"),
+]
+
+
+def test_shared_parser_answers_as_a_fresh_one():
+    fresh = []
+    for argv, stdin in SESSION:
+        cli._parser.cache_clear()
+        fresh.append(call(argv, stdin))
+    shared = [call(argv, stdin) for argv, stdin in SESSION]
+    assert shared == fresh
+    assert {code for code, _, _ in fresh} == {0, 1, 2, 3}
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    # every parser one build makes (the top level and its subparsers) counts
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    one_build = None
+    for i in range(20):
+        argv, stdin = SESSION[i % len(SESSION)]
+        call(argv, stdin)
+        one_build = one_build or list(built)
+    assert built == one_build and built.count("riordan") == 1

@@ -33,9 +33,9 @@ from riordanlab.errors import (
     NotValuationOne,
     RootOfUnity,
 )
-from riordanlab.functionals import product_rule_spanning_witness
-from riordanlab import operators, riordan
-from riordanlab.operators import CHECK_KINDS, check_report
+from riordanlab.functionals import binomial_associate, product_rule_spanning_witness
+from riordanlab import functionals, operators, riordan
+from riordanlab.operators import CHECK_KINDS, check_report, dw_multiplier, translation_matrix
 from riordanlab.riordan import (
     RiordanPair,
     Weight,
@@ -425,8 +425,9 @@ def test_check_report_matches_two_calls(case, wkind, akind, kind):
     assert outcome(check_report, A, W, kind) == outcome(check_report_reference, A, W, kind)
 
 
-def test_check_report_tests_the_column_identity_once(QQ, rng, monkeypatch):
-    # U is built once per report, and the column identity walks it once
+def counted_u(monkeypatch):
+    """Lists that grow by one per build of U and per walk of the column
+    identity, in every module that builds or walks it."""
     builds, walks = [], []
     build_lazy, walk = riordan._iter_unweighted_columns, riordan._riordan_witness
 
@@ -442,10 +443,17 @@ def test_check_report_tests_the_column_identity_once(QQ, rng, monkeypatch):
         walks.append(1)
         return walk(*args)
 
-    for module in (operators, riordan):
+    for module in (operators, riordan, functionals):
         monkeypatch.setattr(module, "_unweighted_columns", counting_list)
         monkeypatch.setattr(module, "_iter_unweighted_columns", counting_lazy)
+    for module in (operators, riordan):
         monkeypatch.setattr(module, "_riordan_witness", counting_walk)
+    return builds, walks
+
+
+def test_check_report_tests_the_column_identity_once(QQ, rng, monkeypatch):
+    # U is built once per report, and the column identity walks it once
+    builds, walks = counted_u(monkeypatch)
     W = Weight.exponential(QQ, 6, 1)
     for A in (pair_to_matrix(pair(QQ, 6, rng), W), graded_matrix(QQ, 6, rng)):
         for kind in CHECK_KINDS:
@@ -453,6 +461,18 @@ def test_check_report_tests_the_column_identity_once(QQ, rng, monkeypatch):
             walks.clear()
             check_report(A, W, kind)
             assert (len(builds), len(walks)) == (1, 1), kind
+
+
+def test_beta_of_a_sheffer_matrix_builds_u_once(QQ, rng, monkeypatch):
+    # the verdict and beta = u_1 / u_0 read the same columns of U
+    builds, walks = counted_u(monkeypatch)
+    W = Weight.exponential(QQ, 8, 1)
+    for A in (translation_matrix(W, QQ.one()), pair_to_matrix(pair(QQ, 8, rng), W)):
+        for fn in (dw_multiplier, binomial_associate):
+            builds.clear()
+            walks.clear()
+            fn(A, W)
+            assert (len(builds), len(walks)) == (1, 1), fn.__name__
 
 
 def test_group_law_at_the_largest_order(QQ):

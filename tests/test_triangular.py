@@ -39,6 +39,18 @@ def test_negative_indices_are_out_of_range(QQ):
     assert A.column(1) == [QQ.scalar(v) for v in (0, 3, 5, 8)]
 
 
+def test_rows_past_the_last_are_out_of_range(QQ):
+    A = TriMatrix(QQ, [[QQ.scalar(v) for v in row]
+                       for row in ([1], [2, 3], [4, 5, 6], [7, 8, 9, 10])])
+    for n, k in ((10, 20), (10, 2), (4, 0), (4, 5), (10, -1)):
+        with pytest.raises(IndexError, match=rf"^entry \({n}, {k}\) out of range$"):
+            A.entry(n, k)
+    with pytest.raises(IndexError, match=r"^entry \(0, -1\) out of range$"):
+        A.entry(0, -1)
+    assert A.entry(3, 3) == QQ.scalar(10)
+    assert A.entry(0, 3) == QQ.zero() and A.entry(3, 20) == QQ.zero()  # above the diagonal
+
+
 def test_matrix_to_polys(QQ):
     ident = TriMatrix.identity(QQ, 4)
     polys = matrix_to_polys(ident)
