@@ -10,15 +10,15 @@ evaluation functionals, dual bases) take it explicitly.
 
 from __future__ import annotations
 
-from .errors import BackendMismatch, NotCommuting, NotSheffer
-from .operators import is_appell
+from .errors import BackendMismatch, NotCommuting
+from .operators import dw_multiplier, is_appell
 from .riordan import (
-    RiordanPair, Weight, _beta_quotient, _geometric_witness, _iter_unweighted_columns,
-    _riordan_columns, _unweighted_columns, pair_to_matrix,
+    RiordanPair, Weight, _beta_quotient, _check_matrix_order, _geometric_witness,
+    _iter_unweighted_columns, _unweighted_columns, pair_to_matrix,
 )
 from .scalars import Field, Scalar
 from .series import INFINITY, Series, _wrap
-from .triangular import Polynomial, TriMatrix, matrix_to_polys
+from .triangular import Polynomial, TriMatrix, _linear_combination, matrix_to_polys
 
 
 class Functional:
@@ -108,9 +108,7 @@ def functional_after_operator(phi: Functional, S: TriMatrix, W: Weight) -> Funct
     if not phi.order == S.order == W.order or not phi.field == S.field == W.field:
         raise BackendMismatch("functional, operator and weight orders or fields differ")
     cols = [_wrap(S.field, *col) for col in _unweighted_columns(S, W)]
-    zero = S.field.zero()
-    return Functional(phi.field, [sum((c[n] * t for c, t in zip(cols[: n + 1], phi.values)), zero)
-                                  for n in range(S.order)])
+    return Functional(phi.field, _linear_combination(S.field, S.order, phi.values, cols))
 
 
 def functional_of_operator(S: TriMatrix, W: Weight) -> Functional:
@@ -132,8 +130,7 @@ def dual_basis(A: TriMatrix, W: Weight) -> list[Functional]:
     column r of D^{-1} A^{-1} D.  For graded A the valuation of phi_r is
     exactly r.
     """
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
+    _check_matrix_order(A, W)
     return [Functional(A.field, _wrap(A.field, *col))
             for col in _unweighted_columns(A.inverse(), W)]
 
@@ -164,16 +161,12 @@ def check_geometric_dual(phis: list[Functional]):
 
 def binomial_associate(A: TriMatrix, W: Weight) -> TriMatrix:
     """The binomial-type matrix with the same beta parameter as Sheffer A."""
-    u = _riordan_columns(A, W)
-    if u is None:
-        raise NotSheffer("matrix is not Sheffer for this weight")
-    return _binomial_candidate(A, W, u)
+    return pair_to_matrix(RiordanPair(Series.one(A.field, A.order), dw_multiplier(A, W)), W)
 
 
-def _binomial_candidate(A: TriMatrix, W: Weight, u=None) -> TriMatrix:
+def _binomial_candidate(A: TriMatrix, W: Weight) -> TriMatrix:
     # defined for any graded A; coincides with binomial_associate on Sheffer input
-    beta = _beta_quotient(A, W, u)
-    return pair_to_matrix(RiordanPair(Series.one(A.field, A.order), beta), W)
+    return pair_to_matrix(RiordanPair(Series.one(A.field, A.order), _beta_quotient(A, W)), W)
 
 
 def product_rule_check(A: TriMatrix, W: Weight, phi: Functional, psi: Functional) -> bool:
@@ -217,8 +210,7 @@ def dual_characterization_check(A: TriMatrix, W: Weight, duals=None) -> bool:
     With its own dual basis this is a reformulation of duality; a dual
     basis taken from a different matrix fails it.
     """
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
+    _check_matrix_order(A, W)
     duals = dual_basis(A, W) if duals is None else duals
     polys = matrix_to_polys(A)
     for r, phi in enumerate(duals):

@@ -20,7 +20,10 @@ A commutes with M_W exactly when U = D^{-1} A D commutes with S, that is
 when U is Toeplitz.
 
 Sheffer membership is decided through the weighted column identity (cheap
-and total); sheffer_by_commutation and is_normalizing are independent
+and total): is_sheffer, dw_multiplier and check_report take the verdict
+from riordan._riordan_columns, which stops at the first failing column,
+and check_report's appell test alone lists every column of U, for its
+Toeplitz test; sheffer_by_commutation and is_normalizing are independent
 operator-level tests that never consult it.  Each family they sweep (N
 translations, the substitutions 1 + y^j) consists of series in M_W, so both
 reduce to whether q = A^{-1} M_W A commutes with M_W.  As q = D q' D^{-1}
@@ -55,7 +58,6 @@ from .errors import (
     NotDegreeDecreasing,
     NotSheffer,
     NotValuationZero,
-    SingularDiagonal,
     ZeroShift,
 )
 from .riordan import (
@@ -65,7 +67,7 @@ from .riordan import (
 )
 from .scalars import Scalar, _Q
 from .series import Series, _forward_substitute, _ints_over_lcm, _over_common_denominator, _wrap
-from .triangular import Polynomial, TriMatrix
+from .triangular import Polynomial, TriMatrix, _triangle_rows
 
 
 def m_matrix(W: Weight) -> TriMatrix:
@@ -168,9 +170,7 @@ def _lowering_witness(A: TriMatrix, W: Weight):
     Sheffer A, t = beta^{<-1>} in the unweighted frame, as y u_k = t(beta) u_k.
     Raises SingularDiagonal for a non-graded A.
     """
-    for i, row in enumerate(A.rows):
-        if not row[i]:
-            raise SingularDiagonal(f"diagonal entry ({i},{i}) vanishes")
+    A._check_diagonal()
     _check_frame(A, W)
     p, n = A.field.p, A.order
     u = _unweighted_columns(A, W)
@@ -237,7 +237,7 @@ class HPolyMatrix:
 
     def __init__(self, field, entries):
         entries = tuple([tuple([tuple(e) for e in row]) for row in entries])
-        for row in entries:
+        for row in _triangle_rows(entries):
             for e in row:
                 field.check(e, "coefficient")
         self.field = field
@@ -409,20 +409,24 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
 
     `kind` is one of CHECK_KINDS.  alpha/beta are included whenever the
     matrix satisfies the weighted column identity, whatever `kind` was asked.
-    U is built once: the column identity (_riordan_witness), the Toeplitz
-    test of appell, alpha = u_0 and beta = u_1 / u_0 all read the same
-    columns.  The errors are those of the public test of `kind`.
+    U is built once, and alpha = u_0 and beta = u_1 / u_0 read the columns
+    the verdict walked.  riordan, sheffer and binomial take the verdict of
+    _riordan_columns, which builds no column past the first failing one;
+    appell lists all of U for its Toeplitz test and walks the column
+    identity on that list.  The errors are those of the public test of
+    `kind`.
     """
     if kind not in CHECK_KINDS:
         raise ValueError(f"unknown check kind {kind!r}")
     if kind == "appell":
         _check_frame(A, W)
-    elif A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
-    u = _unweighted_columns(A, W) if kind == "appell" or A.is_graded() else None
-    riordan = A.is_graded() and _riordan_witness(u, A.field.p) is None
-    trivial = kind != "binomial" or _trivial_alpha(A)
-    verdict = _is_toeplitz(iter(u)) if kind == "appell" else riordan and trivial
+        u = _unweighted_columns(A, W)
+        verdict = _is_toeplitz(iter(u))
+        riordan = A.is_graded() and _riordan_witness(u, A.field.p) is None
+    else:
+        u = _riordan_columns(A, W)
+        riordan = u is not None
+        verdict = riordan and (kind != "binomial" or _trivial_alpha(A))
     alpha = Series(A.field, _wrap(A.field, *u[0])).to_json() if riordan else None
     beta = _beta_quotient(A, W, u).to_json() if riordan else None
     return {"kind": kind, "verdict": verdict, "alpha": alpha, "beta": beta}

@@ -31,12 +31,15 @@ columns c beta^k, one convolution each: pair_to_matrix weights alpha beta^k,
 and _geometric_witness compares u_k with u_0 beta^k.  _riordan_witness
 walks the columns of U for the first (k, m) at which u_k^2 and
 u_{k-1} u_{k+1} differ, by cross-multiplied convolutions; given the lazy
-columns it builds none past u_{k+1}, so is_riordan stops at the first
-failing column.  Every verdict runs on the U its caller holds:
-matrix_to_pair reads alpha = u_0 and beta = u_1 / u_0 off U, accepts A
-when u_k = u_0 beta^k for every k (which implies the column identity), and
-otherwise words its error from _riordan_witness on the same columns;
-check_report (operators.py) reads its verdict, alpha and beta off one U.
+columns it builds none past u_{k+1}.  _riordan_columns is the one walk of
+the column identity, with its guards: it runs _riordan_witness on the lazy
+columns and keeps each one as it is built, so it stops at the first
+failing column and, on a Riordan A, returns the whole list.  is_riordan
+is its verdict, and dw_multiplier and check_report (operators.py) read
+alpha = u_0 and beta = u_1 / u_0 off the list it returns.  matrix_to_pair
+reads alpha and beta off U, accepts A when u_k = u_0 beta^k for every k
+(which implies the column identity), and otherwise words its error from
+_riordan_witness on the same columns.
 """
 
 from __future__ import annotations
@@ -126,6 +129,7 @@ class Weight:
 
         Needs q^j != 1 for 1 <= j < order, so every w_n is a unit.
         """
+        check_order(order)
         lam, q = field.scalar(lam), field.scalar(q)
         if not lam:
             raise ZeroLambda("lambda must be nonzero")
@@ -224,13 +228,18 @@ def identity_pair(field: Field, order: int) -> RiordanPair:
 
 def column_series(A: TriMatrix, W: Weight, k: int) -> Series:
     """C_k(y) = sum_n a_{n,k} y^n / w_n; valuation k for graded A."""
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
+    _check_matrix_order(A, W)
     if not 0 <= k < A.order:
         raise ValueError(f"column {k} out of range")
     return Series(
         A.field, [A.entry(n, k) * W.recip[n] for n in range(A.order)]
     )
+
+
+def _check_matrix_order(A: TriMatrix, W: Weight):
+    """A and W have the same order, or BackendMismatch."""
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
 
 
 def _mixed_backends(ours: Scalar, theirs: Scalar) -> BackendMismatch:
@@ -252,8 +261,7 @@ def _iter_unweighted_columns(A: TriMatrix, W: Weight):
     all N rows, zero above the diagonal: integers over one denominator over
     QQ, residues over 1 over GF(p).  The arguments are checked on the call.
     """
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
+    _check_matrix_order(A, W)
     if A.field != W.field:
         raise _mixed_backends(A.rows[0][0], W.recip[0])
     p, n, rows = A.field.p, A.order, A.rows
@@ -339,21 +347,21 @@ def is_riordan(A: TriMatrix, W: Weight) -> bool:
     U, built one at a time up to the first failing k (_riordan_witness).
     Total: never divides, works for any graded matrix.
     """
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
-    return A.is_graded() and _riordan_witness(_iter_unweighted_columns(A, W), A.field.p) is None
+    return _riordan_columns(A, W) is not None
 
 
 def _riordan_columns(A: TriMatrix, W: Weight):
     """The columns of U (_unweighted_columns) when A is Riordan for W, else
-    None: the verdict of is_riordan, with its guards, on one list of
-    columns that the caller can read again (alpha, beta)."""
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
+    None: the membership verdict with its guards (the order check, then
+    None for a non-graded A).  The walk runs on the lazy columns and keeps
+    each one as it is built, so it stops at the first failing column and
+    the caller can read the list again (alpha, beta)."""
+    _check_matrix_order(A, W)
     if not A.is_graded():
         return None
-    u = _unweighted_columns(A, W)
-    return u if _riordan_witness(u, A.field.p) is None else None
+    u = []
+    kept = (u.append(col) or col for col in _iter_unweighted_columns(A, W))
+    return u if _riordan_witness(kept, A.field.p) is None else None
 
 
 def _geometric_columns(c, dc, beta: Series):
@@ -406,8 +414,7 @@ def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:
     columns satisfy the column identity, so _riordan_witness walks the same
     columns of U only to word the error.
     """
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
+    _check_matrix_order(A, W)
     if not A.is_graded():
         raise NotRiordan("matrix fails the weighted column identity")
     u = _unweighted_columns(A, W)
@@ -465,8 +472,7 @@ def change_weight(A: TriMatrix, W: Weight, W2: Weight) -> TriMatrix:
     the identical pair, and Appell to Appell.
     """
     W._check_same(W2)
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
+    _check_matrix_order(A, W)
     if A.field != W.field:
         raise _mixed_backends(W.w[0], A.rows[0][0])
     return _weighted_matrix(W2, _unweighted_columns(A, W))

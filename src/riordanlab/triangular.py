@@ -90,6 +90,16 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _triangle_rows(rows):
+    """Yield the rows of a triangle, after checking its order and, row by
+    row, that row n has n + 1 entries; ValueError otherwise."""
+    check_order(len(rows))
+    for n, row in enumerate(rows):
+        if len(row) != n + 1:
+            raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
+        yield row
+
+
 class TriMatrix:
     """Lower-triangular square matrix; row n stores entries (n,0)..(n,n)."""
 
@@ -97,10 +107,7 @@ class TriMatrix:
 
     def __init__(self, field: Field, rows):
         rows = tuple([tuple(r) for r in rows])  # a list: see series._ints_over_lcm
-        check_order(len(rows))
-        for n, row in enumerate(rows):
-            if len(row) != n + 1:
-                raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
+        for row in _triangle_rows(rows):
             field.check(row, "entry")
         self.field = field
         self.rows = rows
@@ -150,6 +157,12 @@ class TriMatrix:
 
     def is_strictly_lower(self) -> bool:
         return not any(row[n] for n, row in enumerate(self.rows))
+
+    def _check_diagonal(self):
+        """Raise SingularDiagonal at the first vanishing diagonal entry."""
+        for i, row in enumerate(self.rows):
+            if not row[i]:
+                raise SingularDiagonal(f"diagonal entry ({i},{i}) vanishes")
 
     def _check_same(self, other):
         if not isinstance(other, TriMatrix):
@@ -211,9 +224,7 @@ class TriMatrix:
         denominator per column.
         """
         n, p = self.order, self.field.p
-        for i in range(n):
-            if not self.rows[i][i]:
-                raise SingularDiagonal(f"diagonal entry ({i},{i}) vanishes")
+        self._check_diagonal()
         vals = [[c.val for c in row] for row in self.rows]
         e = [[1] + [0] * (n - 1 - k) for k in range(n)]
         cols = [[Scalar(v, p) for v in x] for x in _forward_substitute(self.field, vals, e)]
@@ -276,20 +287,12 @@ def umbral_compose(ps: list[Polynomial], qs: list[Polynomial]) -> list[Polynomia
     for k, q in enumerate(qs):
         if q.degree >= order:
             raise DegreeTooHigh(f"deg q_{k} = {q.degree} >= order {order}")
-    field = ps[0].field
-    zero = field.zero()
+    field, vectors = ps[0].field, [q.coeffs for q in qs]
     out = []
     for n, p in enumerate(ps):
         if p.degree > n:
             raise DegreeTooHigh(f"deg p_{n} = {p.degree} > {n}")
-        acc = [zero] * order
-        for k in range(min(p.degree, order - 1) + 1):
-            a = p.coeff(k)
-            if not a:
-                continue
-            for j, qc in enumerate(qs[k].coeffs):
-                acc[j] = acc[j] + a * qc
-        out.append(Polynomial(field, acc))
+        out.append(Polynomial(field, _linear_combination(field, order, p.coeffs, vectors)))
     return out
 
 
@@ -297,11 +300,17 @@ def apply_matrix_to_poly(S: TriMatrix, p: Polynomial) -> Polynomial:
     """Linear extension of x^n -> sum_k S_{n,k} x^k."""
     if p.degree >= S.order:
         raise DegreeTooHigh(f"deg p = {p.degree} >= order {S.order}")
-    zero = S.field.zero()
-    acc = [zero] * S.order
-    for n, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        for k, s in enumerate(S.rows[n]):
-            acc[k] = acc[k] + c * s
-    return Polynomial(S.field, acc)
+    return Polynomial(S.field, _linear_combination(S.field, S.order, p.coeffs, S.rows))
+
+
+def _linear_combination(field: Field, order: int, coeffs, vectors) -> list[Scalar]:
+    """The `order` Scalars of sum_i c_i v_i over the pairs of coeffs and
+    vectors, zero c_i skipped; a vector may be shorter than order.  Each
+    product is c_i * x, so a coefficient of another field raises the
+    BackendMismatch of that product."""
+    acc = [field.zero()] * order
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for j, x in enumerate(v):
+                acc[j] = acc[j] + c * x
+    return acc

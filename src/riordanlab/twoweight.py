@@ -18,7 +18,7 @@ from .errors import BackendMismatch, CharP, ForbiddenLambda, NotValuationZero
 from .operators import appell_from_alpha
 from .riordan import Weight, is_riordan
 from .scalars import Field, Scalar, extended_binomial
-from .series import Series
+from .series import Series, check_order
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,8 @@ def classify_gamma(gamma: GammaSeq) -> GammaShape:
     the first two entries and verifies the rest exactly.
     """
     vals = gamma.values
+    if not vals:
+        raise ValueError("gamma sequence is empty")
     first = vals[0]
     if all(v == first for v in vals):
         return GammaShape("constant", lam=first)
@@ -105,6 +107,7 @@ def exp_case_weights(field: Field, order: int, lam, sigma) -> Weight:
     Requires characteristic 0, sigma != 0, and lam outside
     {0, sigma, ..., (order-2)*sigma} so that no denominator vanishes.
     """
+    check_order(order)
     if field.char != 0:
         raise CharP("defined in characteristic 0 only")
     lam, sigma = field.scalar(lam), field.scalar(sigma)

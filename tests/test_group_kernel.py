@@ -403,6 +403,28 @@ def test_is_riordan_stops_at_the_first_failing_column(QQ, rng, monkeypatch):
     assert len(built) <= 3
 
 
+def test_check_report_stops_at_the_first_failing_column(QQ, rng, monkeypatch):
+    # the identity fails at (1, 3): riordan, sheffer and binomial need u_0, u_1, u_2 only
+    W = Weight.exponential(QQ, 12, 1)
+    rows = [list(r) for r in pair_to_matrix(pair(QQ, 12, rng), W).rows]
+    rows[2][1] = rows[2][1] + QQ.one()
+    A = TriMatrix(QQ, rows)
+    assert riordan_witness_reference(A, W) == (1, 3)
+    built, columns = [], riordan._iter_unweighted_columns
+
+    def counting(*args):
+        for col in columns(*args):
+            built.append(col)
+            yield col
+
+    monkeypatch.setattr(riordan, "_iter_unweighted_columns", counting)
+    for kind in ("riordan", "sheffer", "binomial"):
+        built.clear()
+        assert check_report(A, W, kind) == {"kind": kind, "verdict": False,
+                                            "alpha": None, "beta": None}
+        assert len(built) <= 3, kind
+
+
 @settings(max_examples=300, deadline=None)
 @given(cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
 def test_beta_quotient_matches_series_division(case, wkind, akind, where):

@@ -210,6 +210,20 @@ def test_hpolymatrix_evaluate_and_json(QQ):
     assert HPolyMatrix(QQ, [[[QQ.parse(c) for c in e] for e in row] for row in data]) == d
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([[()], [()]], "row 1 must have 2 entries, got 1"),
+    ([], "order must be in 2..64, got 0"),
+    ([[()]], "order must be in 2..64, got 1"),
+    ([[()], [(), (), ()]], "row 1 must have 2 entries, got 3"),
+])
+def test_hpolymatrix_checks_the_shape_of_the_triangle(QQ, entries, message):
+    # the messages of TriMatrix; a malformed triangle used to fail later, on a bare index
+    with pytest.raises(ValueError) as raised:
+        HPolyMatrix(QQ, entries)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
+
+
 # -- classification -------------------------------------------------------------
 
 

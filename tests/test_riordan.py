@@ -3,12 +3,14 @@ import math
 import pytest
 
 from riordanlab import (
+    Field,
     RiordanPair,
     Series,
     TriMatrix,
     Weight,
     change_weight,
     column_series,
+    exp_case_weights,
     generating_expansion,
     identity_pair,
     is_appell,
@@ -66,6 +68,25 @@ def test_weight_errors(QQ, F7):
         Weight(QQ, [1, 0, 3])
     with pytest.raises(InvalidWeight):
         Weight(QQ, [2, 1, 1])
+
+
+@pytest.mark.parametrize("order", [0, 1, 65])
+@pytest.mark.parametrize("build", [
+    lambda f, n: Weight(f, [1] * n),
+    lambda f, n: Weight.exponential(f, n, 1),
+    lambda f, n: Weight.geometric(f, n, 2),
+    lambda f, n: Weight.q_factorial(f, n, 1, 2),
+    lambda f, n: Weight.q_factorial(f, n, 1, 1),  # q = 1: lam / (1 - q) divides by zero
+    lambda f, n: exp_case_weights(f, n, 1, 1),  # lam = sigma: w[2] vanishes from order 3
+    lambda f, n: exp_case_weights(f, n, "1/2", 1),
+    lambda f, n: exp_case_weights(Field(5), n, 1, 1),  # characteristic p
+], ids=["init", "exponential", "geometric", "q_factorial", "q_factorial-q=1",
+        "exp_case", "exp_case-1/2", "exp_case-GF(5)"])
+def test_weight_constructors_name_the_order_given(QQ, build, order):
+    with pytest.raises(ValueError) as raised:
+        build(QQ, order)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"order must be in 2..64, got {order}"
 
 
 def test_exponential_weight_ok_below_p(F7):

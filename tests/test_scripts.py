@@ -23,3 +23,20 @@ def test_script_runs_at_default_order(script):
 
 def test_scripts_are_found():
     assert len(SCRIPTS) >= 3
+
+
+def test_code_lines_against_a_revision():
+    if subprocess.run(["git", "cat-file", "-e", "HEAD:./src/riordanlab"], cwd=ROOT,
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout of the package")
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py"),
+                           "--against", "HEAD"], cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    modules = {path.name for path in (ROOT / "src" / "riordanlab").glob("*.py")}
+    assert {name for name, *_ in rows[:-1]} >= modules
+    assert all(len(row) == 4 and row[2] == "->" for row in rows)
+    assert rows[-1][0] == "total"
+    for side in (1, 3):
+        assert int(rows[-1][side]) == sum(int(row[side]) for row in rows[:-1])

@@ -177,6 +177,13 @@ def test_monomial_scalar_matrix_member_other(QQ):
     assert report.member and report.case == "other"
 
 
+def test_classify_gamma_rejects_an_empty_sequence():
+    with pytest.raises(ValueError) as raised:
+        classify_gamma(GammaSeq(()))
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "gamma sequence is empty"
+
+
 def test_report_json(QQ):
     e1 = Weight.exponential(QQ, 6, 1)
     report = classify_membership(Series.one(QQ, 6), e1, e1.rescale(2))
