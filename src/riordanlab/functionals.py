@@ -105,10 +105,15 @@ def functional_power(phi: Functional, r: int) -> Functional:
 def functional_after_operator(phi: Functional, S: TriMatrix, W: Weight) -> Functional:
     """The functional phi o S: t_n = (1/w_n) sum_k S_{n,k} w_k t_k, that is
     t -> U t for U = D^{-1} S D."""
-    if not phi.order == S.order == W.order or not phi.field == S.field == W.field:
+    return _after_operator(S, W, phi)[0]
+
+
+def _after_operator(S: TriMatrix, W: Weight, *fs) -> list[Functional]:
+    """[f o S for f in fs], the functionals fs all on one build of the columns of U."""
+    if any(not f.order == S.order == W.order or not f.field == S.field == W.field for f in fs):
         raise BackendMismatch("functional, operator and weight orders or fields differ")
     cols = [_wrap(S.field, *col) for col in _unweighted_columns(S, W)]
-    return Functional(phi.field, _linear_combination(S.field, S.order, phi.values, cols))
+    return [Functional(f.field, _linear_combination(S.field, S.order, f.values, cols)) for f in fs]
 
 
 def functional_of_operator(S: TriMatrix, W: Weight) -> Functional:
@@ -174,13 +179,12 @@ def product_rule_check(A: TriMatrix, W: Weight, phi: Functional, psi: Functional
     for every n, with d the binomial candidate sharing A's beta quotient;
     the right side is the weighted product of phi o A and psi o d.
 
-    Holds for all phi, psi exactly when A is Sheffer.
+    Holds for all phi, psi exactly when A is Sheffer.  U of A is built once
+    for both phi*psi and phi.
     """
     d = _binomial_candidate(A, W)
-    lhs = functional_after_operator(functional_mul(phi, psi), A, W)
-    return lhs == functional_mul(
-        functional_after_operator(phi, A, W), functional_after_operator(psi, d, W)
-    )
+    lhs, phi_a = _after_operator(A, W, functional_mul(phi, psi), phi)
+    return lhs == functional_mul(phi_a, functional_after_operator(psi, d, W))
 
 
 def product_rule_spanning_witness(A: TriMatrix, W: Weight):

@@ -29,10 +29,12 @@ translations, the substitutions 1 + y^j) consists of series in M_W, so both
 reduce to whether q = A^{-1} M_W A commutes with M_W.  As q = D q' D^{-1}
 with q' = U^{-1} S U, that holds exactly when q' is Toeplitz, q' = T(t),
 that is when S U = U T(t): the lowering-side analogue of the production
-matrix (Deutsch, Ferrari & Rinaldi 2005).  _lowering_witness solves
-U t = S u_0 for t and checks the other entries as dot products on the
-columns of U, in O(N^3) with no inverse, no matrix product and an exit at
-the first failing entry; for a Sheffer A, t = beta^{<-1>}.  d_polynomials
+matrix (Deutsch, Ferrari & Rinaldi 2005).  _lowering_witness puts the
+columns of U over one denominator as rows, as series._power_table does
+the columns of R_beta, solves U t = S u_0 for t on them and checks the
+other entries as dot products, in O(N^3) with no inverse, no matrix
+product and an exit at the first failing entry; for a Sheffer A,
+t = beta^{<-1>}.  d_polynomials
 reads every power of A M_W A^{-1} = D U S U^{-1} D^{-1} off one inverse, as
 shifted dot products of the rows of U against the columns of U^{-1}, in
 about N^4/24 multiply-adds and no matrix product.  The column and
@@ -50,7 +52,6 @@ passes only because the deviation sits at the truncation corner.
 from __future__ import annotations
 
 import random
-from math import lcm
 from operator import mul
 
 from .errors import (
@@ -66,7 +67,9 @@ from .riordan import (
     _weighted_matrix, is_riordan,
 )
 from .scalars import Scalar, _Q
-from .series import Series, _forward_substitute, _ints_over_lcm, _over_common_denominator, _wrap
+from .series import (
+    Series, _forward_substitute, _ints_over_lcm, _over_common_denominator, _rows_over_lcm, _wrap,
+)
 from .triangular import Polynomial, TriMatrix, _triangle_rows
 
 
@@ -173,14 +176,8 @@ def _lowering_witness(A: TriMatrix, W: Weight):
     A._check_diagonal()
     _check_frame(A, W)
     p, n = A.field.p, A.order
-    u = _unweighted_columns(A, W)
-    if p is None:
-        den = lcm(*[d for _, d in u])
-        u = [[x * (den // d) for x in col] for col, d in u]
-    else:
-        u = [col for col, _ in u]
-    rows = [row[: i + 1] for i, row in enumerate(zip(*u))]  # the rows of U
-    (t,) = _forward_substitute(A.field, rows, [u[0][: n - 1]])  # t_1..t_{N-1}
+    rows, _ = _rows_over_lcm(_unweighted_columns(A, W))  # the rows of U
+    (t,) = _forward_substitute(A.field, rows, [[row[0] for row in rows[: n - 1]]])  # t_1..t_{N-1}
     t, td = _ints_over_lcm(t) if p is None else (t, 1)
     for k in range(1, n):
         for m in range(k + 1, n):

@@ -23,12 +23,13 @@ from the columns of an ordinary R.  The weighted matrix
 routines here and in operators.py and functionals.py are the ordinary
 routines on U.
 
-riordan_mul and riordan_inv build the power table R_beta of series.py
-once: the product applies it to gamma and delta, and the inverse solves
-R_beta h = alpha and R_beta x = e_1 on the same rows, h = alpha o
-beta^{<-1>} needing no composition.  _geometric_columns yields the raw
-columns c beta^k, one convolution each: pair_to_matrix weights alpha beta^k,
-and _geometric_witness compares u_k with u_0 beta^k.  _riordan_witness
+The powers of beta come from the one kernel of series.py,
+_geometric_columns, the raw columns c beta^k of R_(c,beta):
+pair_to_matrix weights alpha beta^k, and _geometric_witness compares u_k
+with u_0 beta^k.  riordan_mul and riordan_inv go through R_beta =
+R_(1,beta) once: the product applies it to gamma and delta, and the
+inverse solves R_beta x = e_1 and R_beta h = alpha on the same rows,
+h = alpha o beta^{<-1>} needing no composition.  _riordan_witness
 walks the columns of U for the first (k, m) at which u_k^2 and
 u_{k-1} u_{k+1} differ, by cross-multiplied convolutions; given the lazy
 columns it builds none past u_{k+1}.  _riordan_columns is the one walk of
@@ -64,10 +65,10 @@ from .series import (
     _apply_power_table,
     _convolve,
     _divide,
-    _forward_substitute,
+    _geometric_columns,
     _ints_over_lcm,
     _over_common_denominator,
-    _power_table,
+    _solve_power_table,
     _wrap,
     check_order,
 )
@@ -101,6 +102,7 @@ class Weight:
     @classmethod
     def exponential(cls, field, order, lam):
         """w_n = lam^n * n!; the classical umbral calculus."""
+        check_order(order)
         lam = field.scalar(lam)
         if not lam:
             raise ZeroLambda("lambda must be nonzero")
@@ -118,6 +120,7 @@ class Weight:
     @classmethod
     def geometric(cls, field, order, lam):
         """w_n = lam^n; the power-reduction calculus."""
+        check_order(order)
         lam = field.scalar(lam)
         if not lam:
             raise ZeroLambda("lambda must be nonzero")
@@ -364,15 +367,6 @@ def _riordan_columns(A: TriMatrix, W: Weight):
     return u if _riordan_witness(kept, A.field.p) is None else None
 
 
-def _geometric_columns(c, dc, beta: Series):
-    """The raw columns (c / dc) beta^k for k = 0, 1, ..., one convolution
-    per column after the first.  Endless: the caller stops it."""
-    b, db = _over_common_denominator(beta.coeffs)
-    while True:
-        yield c, dc
-        c, dc = _convolve(c, b, beta.field.p), dc * db
-
-
 def pair_to_matrix(pair: RiordanPair, W: Weight) -> TriMatrix:
     """Matrix with columns C_k = alpha * beta^k / w_k (exactly geometric):
     D R D^{-1} for the ordinary matrix R with columns alpha beta^k."""
@@ -381,7 +375,7 @@ def pair_to_matrix(pair: RiordanPair, W: Weight) -> TriMatrix:
     if pair.field != W.field:
         raise _mixed_backends(W.w[0], pair.alpha.coeffs[0])
     alpha = _over_common_denominator(pair.alpha.coeffs)
-    return _weighted_matrix(W, islice(_geometric_columns(*alpha, pair.beta), W.order))
+    return _weighted_matrix(W, _geometric_columns(*alpha, pair.beta))
 
 
 def _beta_quotient(A: TriMatrix, W: Weight, u=None) -> Series:
@@ -396,7 +390,7 @@ def _geometric_witness(u, beta: Series):
 
     u lists the columns of U; None says they are exactly geometric with
     ratio beta, that is A is the matrix of the pair (u_0, beta).  One raw
-    convolution per column (_geometric_columns).
+    convolution per column (series._geometric_columns).
     """
     for j, ((lhs, d), (rhs, den)) in enumerate(zip(u, _geometric_columns(*u[0], beta))):
         n = _first_difference(lhs, d, rhs, den)
@@ -433,11 +427,8 @@ def riordan_mul(a: RiordanPair, b: RiordanPair) -> RiordanPair:
     turns this into the matrix product, exactly at order N.
     """
     b.alpha._check_same(a.beta)
-    table = _power_table(a.beta)
-    return RiordanPair(
-        a.alpha * _apply_power_table(table, b.alpha),
-        _apply_power_table(table, b.beta),
-    )
+    gamma, delta = _apply_power_table(a.beta, b.alpha, b.beta)
+    return RiordanPair(a.alpha * gamma, delta)
 
 
 def riordan_inv(a: RiordanPair) -> RiordanPair:
@@ -446,14 +437,8 @@ def riordan_inv(a: RiordanPair) -> RiordanPair:
     With R = R_beta, h = alpha o beta_bar solves R h = alpha (as h o beta =
     alpha) and beta_bar solves R x = e_1: two right-hand sides, one table.
     """
-    field, n = a.field, a.order
-    rows, den = _power_table(a.beta)
-    alpha = [den * c.val for c in a.alpha.coeffs]
-    h, beta_bar = _forward_substitute(field, rows, [alpha, [den] + [0] * (n - 2)])
-    return RiordanPair(
-        Series(field, [Scalar(v, field.p) for v in h]).invert(),
-        Series(field, [field.zero()] + [Scalar(v, field.p) for v in beta_bar]),
-    )
+    beta_bar, h = _solve_power_table(a.beta, a.alpha)
+    return RiordanPair(h.invert(), beta_bar)
 
 
 def generating_expansion(pair: RiordanPair, W: Weight) -> list[Series]:

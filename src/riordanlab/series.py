@@ -10,14 +10,17 @@ solver, behind Series.invert and Series.__truediv__ (the Toeplitz matrix of
 the divisor), Series.comp_inverse, riordan_inv and TriMatrix.inverse; over
 QQ it runs fraction-free, on integers over one running denominator.
 
-``_power_table`` is the ordinary Riordan matrix R_g of (1, g): column j
-holds g^j, so R_g f is the coefficient vector of f o g.  One table serves
-the whole group law: Series.compose and riordan_mul apply it to vectors
-(``_apply_power_table``), and Series.comp_inverse and riordan_inv solve
-with it, R_g x = e_1 giving g^{<-1>} and R_g h = alpha giving
-alpha o g^{<-1>}.  It costs the N-2 products g^2..g^{N-1}, once per g;
-g^j has valuation j, so each product starts at index j, about N^3/6
-multiply-adds in all.
+``_geometric_columns`` is the one loop over the powers of a series: it
+yields the raw columns c g^k of R_(c,g), the ordinary Riordan matrix of
+(c, g), column k from row k - 1 of column k - 1 on (g_0 = 0), about
+N^3/6 multiply-adds for all N.  pair_to_matrix and the geometric test of
+riordan.py consume it; ``_power_table`` puts the columns of R_g = R_(1,g)
+over one denominator as rows (``_rows_over_lcm``, which also gives
+_lowering_witness the rows of U).  Column j of R_g holds g^j, so R_g f is
+the coefficient vector of f o g, and R_g serves the whole group law:
+``_apply_power_table`` applies it (Series.compose, riordan_mul), and
+``_solve_power_table`` solves with it, R_g x = e_1 giving g^{<-1>} and
+R_g h = f giving f o g^{<-1>} (Series.comp_inverse, riordan_inv).
 """
 
 from __future__ import annotations
@@ -127,28 +130,57 @@ def _wrap(field, ints, den=1):
     return [Scalar(v % p, p) for v in ints]
 
 
-def _power_table(g):
-    """R_g, the ordinary Riordan matrix of (1, g), on raw values: (rows, D).
+def _geometric_columns(c, dc, g):
+    """The N raw columns (c / dc) g^k, k = 0..N-1, of R_(c,g), the ordinary
+    Riordan matrix of (c, g): column k is column k-1 times g.
 
-    g is a series with g_0 = 0; rows[m] lists [y^m] g^j for j <= m.  Over
-    GF(p) the rows hold residues and D is 1.  Over QQ they hold integers
-    over the one common denominator D = d^(N-1), d that of g: column j is
-    (d g)^j scaled by d^(N-1-j).
+    g must have g_0 = 0: then column k - 1 is zero above row k - 1 and g_0
+    adds nothing, so each product starts there, one convolution of N - k
+    terms for column k, about N^3/6 multiply-adds in all.  A RiordanPair's
+    beta, the inner series of compose and the argument of comp_inverse all
+    have g_0 = 0.
     """
-    p, n = g.field.p, g.order
-    c, d = _over_common_denominator(g.coeffs)
-    cols = [[1] + [0] * (n - 1), c]
-    for j in range(2, n):  # g^j has valuation j: convolve from index j on
-        cols.append([0] * j + _convolve(cols[-1][j - 1 : n - 1], c[1 : n - j + 1], p))
-    scale = [d ** (n - 1 - j) for j in range(n)]
-    return [[cols[j][m] * scale[j] for j in range(m + 1)] for m in range(n)], d ** (n - 1)
+    (b, db), n = _over_common_denominator(g.coeffs), g.order
+    yield c, dc
+    for k in range(1, n):
+        c, dc = [0] * k + _convolve(c[k - 1 : n - 1], b[1 : n - k + 1], g.field.p), dc * db
+        yield c, dc
 
 
-def _apply_power_table(table, f):
-    """R_g f, the series f o g, for table = _power_table(g): one dot product per row."""
-    rows, den = table
-    a, da = _over_common_denominator(f.coeffs)
-    return Series(f.field, _wrap(f.field, [sum(map(mul, row, a)) for row in rows], den * da))
+def _rows_over_lcm(cols):
+    """A list of raw columns (ints, den) of a lower-triangular matrix as its
+    rows over one denominator: (rows, D), D the lcm of the den and rows[m]
+    listing entries (m, 0..m) as integers over D (residues over 1 over GF(p))."""
+    ints, dens = zip(*cols)
+    den = lcm(*dens)
+    scale = [den // d for d in dens]
+    return [[ints[j][m] * scale[j] for j in range(m + 1)] for m in range(len(ints))], den
+
+
+def _power_table(g):
+    """R_g = R_(1,g) on raw values, (rows, D): rows[m] lists [y^m] g^j for
+    j <= m over D (d^(N-1) over QQ, d the denominator of g; 1 over GF(p))."""
+    return _rows_over_lcm(list(_geometric_columns([1] + [0] * (g.order - 1), 1, g)))
+
+
+def _apply_power_table(g, *series):
+    """[f o g for f in series], f of the field and order of g: R_g f, one dot
+    product per row of R_g."""
+    (rows, den), field = _power_table(g), g.field
+    return [Series(field, _wrap(field, [sum(map(mul, row, a)) for row in rows], den * da))
+            for a, da in [_over_common_denominator(f.coeffs) for f in series]]
+
+
+def _solve_power_table(g, *series):
+    """[g^{<-1>}] + [f o g^{<-1>} for f in series], g of valuation 1 and f of
+    its field and order: h = f o g^{<-1>} solves R_g h = f (as h o g = f),
+    and g^{<-1>} = y o g^{<-1>} solves R_g x = y.  One forward substitution
+    on R_g for all; it divides only by the diagonal g_1^m, never by an
+    integer."""
+    field, (rows, den) = g.field, _power_table(g)
+    rhss = [[0, den] + [0] * (g.order - 2)] + [[den * c.val for c in f.coeffs] for f in series]
+    return [Series(field, [Scalar(v, field.p) for v in x])
+            for x in _forward_substitute(field, rows, rhss)]
 
 
 def _divide(field, b, c):
@@ -198,6 +230,7 @@ class Series:
     @classmethod
     def exp(cls, field, order, h):
         """exp(h y) = sum (h y)^l / l!; in GF(p) it needs order <= p."""
+        check_order(order)
         h = field.scalar(h)
         return cls(field, [h ** l * factorial_inv(field, l) for l in range(order)])
 
@@ -283,28 +316,25 @@ class Series:
     def compose(self, inner):
         """self(inner(y)), exact through the order; inner must kill constants.
 
-        One matrix-vector product R_inner self with the power table of inner.
+        One matrix-vector product R_inner self (_apply_power_table).
         """
         self._check_same(inner)
         if inner.coeffs[0]:
             raise InnerValuationZero("inner series has nonzero constant term")
-        return _apply_power_table(_power_table(inner), self)
+        return _apply_power_table(inner, self)[0]
 
     def comp_inverse(self):
         """Compositional inverse g of a valuation-1 series f, in O(N^3).
 
         Column j of the ordinary Riordan matrix R of (1, f) holds f^j, so
-        g(f(y)) = y reads R g = e_1, solved by forward substitution on the
-        power table.  That divides only by the diagonal entries f_1^m (over
-        QQ, times the table's denominator), never by an integer, so unlike
-        Lagrange inversion it holds in every characteristic.
+        g(f(y)) = y reads R g = e_1, solved by forward substitution
+        (_solve_power_table).  That divides only by the diagonal entries
+        f_1^m, never by an integer, so unlike Lagrange inversion it holds in
+        every characteristic.
         """
         if self.valuation() != 1:
             raise NotValuationOne("compositional inverse needs valuation exactly 1")
-        field, n = self.field, self.order
-        rows, den = _power_table(self)
-        (g,) = _forward_substitute(field, rows, [[den] + [0] * (n - 2)])
-        return Series(field, [field.zero()] + [Scalar(v, field.p) for v in g])
+        return _solve_power_table(self)[0]
 
     # -- plumbing ----------------------------------------------------------
     def __eq__(self, other):

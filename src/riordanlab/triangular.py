@@ -134,6 +134,7 @@ class TriMatrix:
     @classmethod
     def from_entries(cls, field, order, entry_fn):
         """entry_fn(n, k) -> Scalar for 0 <= k <= n < order."""
+        check_order(order)
         return cls(field, [[entry_fn(n, k) for k in range(n + 1)] for n in range(order)])
 
     # -- basics ----------------------------------------------------------

@@ -509,3 +509,22 @@ def test_group_law_at_the_largest_order(QQ):
         B = bumped(A, rng)
         assert is_riordan(A, W)
         assert is_riordan(B, W) == is_riordan_reference(B, W)
+
+
+def test_product_rule_check_builds_u_of_a_in_full_once(QQ, rng, monkeypatch):
+    # beta reads two columns of U of A, phi * psi and phi share one full
+    # build of it, and psi takes one of U of the binomial candidate d
+    built, build_lazy = [], riordan._iter_unweighted_columns
+
+    def counting(A, W):
+        built.append([A, 0])
+        for col in build_lazy(A, W):
+            built[-1][1] += 1
+            yield col
+
+    monkeypatch.setattr(riordan, "_iter_unweighted_columns", counting)
+    W = Weight.exponential(QQ, 8, 1)
+    A = pair_to_matrix(pair(QQ, 8, rng), W)
+    phi, psi = (functionals.Functional.from_series(series(QQ, 8, rng)) for _ in range(2))
+    assert functionals.product_rule_check(A, W, phi, psi)
+    assert [(B is A, n) for B, n in built] == [(True, 2), (True, 8), (False, 8)]

@@ -302,3 +302,26 @@ def test_weight_and_pair_json(QQ, rng):
     assert Weight.from_json(QQ, w.to_json()) == w
     p = riordan_pair(QQ, 5, rng)
     assert RiordanPair.from_json(QQ, p.to_json()) == p
+
+
+@pytest.mark.parametrize("order", [0, 1, 65, 3000])
+def test_constructors_check_the_order_before_any_entry(QQ, order, monkeypatch):
+    # an order out of range is rejected before one entry is computed, and
+    # before a zero lambda or n! in GF(p) is looked at
+    def unreachable(*args):
+        raise AssertionError("an entry was computed before the order check")
+
+    monkeypatch.setattr("riordanlab.series.factorial_inv", unreachable)
+    monkeypatch.setattr("riordanlab.scalars.Scalar.__pow__", unreachable)
+    builds = [lambda: Series.exp(QQ, order, 1),
+              lambda: Weight.exponential(QQ, order, 1),
+              lambda: Weight.exponential(QQ, order, 0),
+              lambda: Weight.exponential(Field(5), order, 1),
+              lambda: Weight.geometric(QQ, order, 3),
+              lambda: Weight.geometric(QQ, order, 0),
+              lambda: TriMatrix.from_entries(QQ, order, unreachable)]
+    for build in builds:
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"order must be in 2..64, got {order}"
