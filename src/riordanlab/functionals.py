@@ -17,7 +17,7 @@ from .riordan import (
     _iter_unweighted_columns, _unweighted_columns, pair_to_matrix,
 )
 from .scalars import Field, Scalar
-from .series import INFINITY, Series, _wrap
+from .series import Series, _wrap
 from .triangular import Polynomial, TriMatrix, _linear_combination, matrix_to_polys
 
 
@@ -45,10 +45,7 @@ class Functional:
         return Series(self.field, self.values)
 
     def valuation(self):
-        for n, v in enumerate(self.values):
-            if v:
-                return n
-        return INFINITY
+        return self.series().valuation()
 
     def __eq__(self, other):
         if not isinstance(other, Functional):

@@ -19,10 +19,11 @@ S, the Appell matrices are D T D^{-1} for lower-triangular Toeplitz T, and
 A commutes with M_W exactly when U = D^{-1} A D commutes with S, that is
 when U is Toeplitz.
 
-Sheffer membership is decided through the weighted column identity (cheap
-and total): is_sheffer, dw_multiplier and check_report take the verdict
-from riordan._riordan_columns, which stops at the first failing column,
-and check_report's appell test alone lists every column of U, for its
+Sheffer membership is the definition, exactly geometric columns of U
+through y^{N-1}: is_sheffer, dw_multiplier and check_report take the
+verdict from riordan._riordan_columns, which walks u_0 u_k = u_1 u_{k-1}
+without division and stops at the first failing column, and
+check_report's appell test alone lists every column of U, for its
 Toeplitz test; sheffer_by_commutation and is_normalizing are independent
 operator-level tests that never consult it.  Each family they sweep (N
 translations, the substitutions 1 + y^j) consists of series in M_W, so both
@@ -38,15 +39,11 @@ t = beta^{<-1>}.  d_polynomials
 reads every power of A M_W A^{-1} = D U S U^{-1} D^{-1} off one inverse, as
 shifted dot products of the rows of U against the columns of U^{-1}, in
 about N^4/24 multiply-adds and no matrix product.  The column and
-operator tests agree on matrices with exactly geometric columns and on
-matrices failing the column identity; a matrix whose deviation from
-geometric columns is invisible at order N can pass the column test while
-failing the operator one.  The production-matrix test of
-tests/test_production_matrix.py (P = R'^{-1} R-bar for R = A under the
-weight w_n = 1, with Toeplitz columns k >= 1, an A-sequence) holds exactly
-when the columns are exactly geometric, i.e. product_rule_spanning_witness
-is None; it implies the column identity, and fails where the column test
-passes only because the deviation sits at the truncation corner.
+operator tests give the same verdict on every graded matrix, and so does
+the production-matrix test of tests/test_production_matrix.py
+(P = R'^{-1} R-bar for R = A under the weight w_n = 1, with Toeplitz
+columns k >= 1, an A-sequence), which holds exactly when
+product_rule_spanning_witness is None.
 """
 
 from __future__ import annotations
@@ -252,6 +249,8 @@ class HPolyMatrix:
         return len(self.entries)
 
     def entry(self, n, k):
+        if not 0 <= k <= n < self.order:
+            raise IndexError(f"entry ({n}, {k}) out of range")
         return self.entries[n][k]
 
     def evaluate(self, h) -> TriMatrix:
@@ -263,15 +262,12 @@ class HPolyMatrix:
         return TriMatrix.from_entries(self.field, self.order, entry)
 
     def constant_on_diagonals(self) -> bool:
-        for n in range(self.order):
-            for k in range(n + 1):
-                if self.entries[n][k] != self.entries[n - k][0]:
-                    return False
-        return True
+        return all(e == self.entries[n - k][0]
+                   for n, row in enumerate(self.entries) for k, e in enumerate(row))
 
     def diagonal(self, l: int):
         """The common polynomial d_l on diagonal n - k = l (first slot)."""
-        return self.entries[l][0]
+        return self.entry(l, 0)
 
     def __eq__(self, other):
         if not isinstance(other, HPolyMatrix):
@@ -376,8 +372,8 @@ def is_normalizing(A: TriMatrix, W: Weight, samples: int = 6, rng=None) -> bool:
     """Does conjugation by A preserve the group of matrices commuting with M_W?
 
     Checks the deterministic spanning family 1 + y^j substituted at M_W,
-    which is decisive at this order.  Matches the Sheffer verdict, up to
-    the truncation-corner caveat in the module note.
+    which is decisive at this order.  Matches the Sheffer verdict on every
+    graded A.
 
     appell_from_alpha(1 + y^j) is I + M_W^j, which A conjugates to I + q^j,
     q = A^{-1} M_W A; all of these commute with M_W exactly when q does
@@ -405,13 +401,13 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
     """Classification verdict plus extracted parameters, JSON-ready.
 
     `kind` is one of CHECK_KINDS.  alpha/beta are included whenever the
-    matrix satisfies the weighted column identity, whatever `kind` was asked.
-    U is built once, and alpha = u_0 and beta = u_1 / u_0 read the columns
-    the verdict walked.  riordan, sheffer and binomial take the verdict of
+    matrix is Riordan for W, whatever `kind` was asked, and then
+    pair_to_matrix(RiordanPair(alpha, beta), W) rebuilds A.  U is built
+    once, and alpha = u_0 and beta = u_1 / u_0 read the columns the verdict
+    walked.  riordan, sheffer and binomial take the verdict of
     _riordan_columns, which builds no column past the first failing one;
-    appell lists all of U for its Toeplitz test and walks the column
-    identity on that list.  The errors are those of the public test of
-    `kind`.
+    appell lists all of U for its Toeplitz test and walks the membership
+    test on that list.  The errors are those of the public test of `kind`.
     """
     if kind not in CHECK_KINDS:
         raise ValueError(f"unknown check kind {kind!r}")

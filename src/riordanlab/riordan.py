@@ -7,9 +7,10 @@ form a geometric progression C_k = alpha * beta^k / w_k; the pair
 (alpha, beta) with v(alpha) = 0, v(beta) = 1 then determines A.
 
 All verdicts here are "at order N": identities are asserted through
-coefficient N-1 and say nothing beyond the truncation.  Matrices built
-from a pair have exactly geometric columns, and the membership check,
-group law and pair extraction are mutually exact on such matrices.
+coefficient N-1 and say nothing beyond the truncation.  A is Riordan at
+order N when its columns are exactly geometric through y^{N-1}, which is
+what pair_to_matrix builds, so the membership check, group law and pair
+extraction agree on every matrix.
 
 The weighted calculus is the ordinary one conjugated by D = diag(w):
 A is Riordan for W exactly when U = D^{-1} A D has the ordinary columns
@@ -29,18 +30,21 @@ pair_to_matrix weights alpha beta^k, and _geometric_witness compares u_k
 with u_0 beta^k.  riordan_mul and riordan_inv go through R_beta =
 R_(1,beta) once: the product applies it to gamma and delta, and the
 inverse solves R_beta x = e_1 and R_beta h = alpha on the same rows,
-h = alpha o beta^{<-1>} needing no composition.  _riordan_witness
-walks the columns of U for the first (k, m) at which u_k^2 and
-u_{k-1} u_{k+1} differ, by cross-multiplied convolutions; given the lazy
-columns it builds none past u_{k+1}.  _riordan_columns is the one walk of
-the column identity, with its guards: it runs _riordan_witness on the lazy
-columns and keeps each one as it is built, so it stops at the first
-failing column and, on a Riordan A, returns the whole list.  is_riordan
-is its verdict, and dw_multiplier and check_report (operators.py) read
+h = alpha o beta^{<-1>} needing no composition.
+
+Membership is the definition itself, exactly geometric columns through
+y^{N-1}, decided one of two ways on the same columns of U.
+_riordan_witness walks them for the first (k, m) at which u_0 u_k and
+u_1 u_{k-1} differ, by cross-multiplied convolutions and no division;
+u_0 is a unit, so that says u_k = u_{k-1} beta for beta = u_1 / u_0, and
+its (k, m) is the (j, n) of _geometric_witness.  Given the lazy columns
+it builds none past u_k.  _riordan_columns is that walk with its guards:
+it keeps each column as it is built, so it stops at the first failing
+column and, on a Riordan A, returns the whole list.  is_riordan is its
+verdict, and dw_multiplier and check_report (operators.py) read
 alpha = u_0 and beta = u_1 / u_0 off the list it returns.  matrix_to_pair
-reads alpha and beta off U, accepts A when u_k = u_0 beta^k for every k
-(which implies the column identity), and otherwise words its error from
-_riordan_witness on the same columns.
+and the product-rule witness need beta anyway, so they compare u_k with
+u_0 beta^k directly (_geometric_witness).
 """
 
 from __future__ import annotations
@@ -325,30 +329,36 @@ def _first_difference(x, dx, y, dy):
 
 
 def _riordan_witness(u, p):
-    """The first (k, m) with [y^m] u_k^2 != [y^m] u_{k-1} u_{k+1}, or None.
+    """The first (k, m), k >= 2, with [y^m] u_0 u_k != [y^m] u_1 u_{k-1},
+    or None.
 
     u holds the raw columns (ints, den) of U, as a list or as the lazy
     _iter_unweighted_columns; the walk ends at the first failing k, so no
-    column after u_{k+1} is built.  None says that u_k^2 = u_{k-1} u_{k+1}
-    for 1 <= k <= N-2, the column identity.  Total: never divides.
+    column after u_k is built.  Both products have valuation k, so only
+    their window y^k..y^{N-1} is convolved.  For a graded A, u_0 is a unit
+    and None says u_k = u_{k-1} beta with beta = u_1 / u_0 for every k,
+    that is u_k = u_0 beta^k: exactly geometric columns, and the first
+    failure is the (j, n) of _geometric_witness.  Total: never divides.
     """
     u = iter(u)
-    (x0, d0), (x, d) = islice(u, 2)
-    for k, (x1, d1) in enumerate(u, 1):
-        m = _first_difference(_convolve(x, x, p), d * d, _convolve(x0, x1, p), d0 * d1)
+    (a, da), (b, db) = islice(u, 2)
+    n, x0, d0 = len(a), b, db  # x0 is u_{k-1}
+    for k, (x, d) in enumerate(u, 2):
+        m = _first_difference(_convolve(a[: n - k], x[k:], p), da * d,
+                              _convolve(b[1 : n - k + 1], x0[k - 1 : n - 1], p), db * d0)
         if m is not None:
-            return (k, m)
-        (x0, d0), (x, d) = (x, d), (x1, d1)
+            return (k, k + m)
+        x0, d0 = x, d
     return None
 
 
 def is_riordan(A: TriMatrix, W: Weight) -> bool:
-    """Definitional membership test, checked at order N.
+    """Definitional membership test, checked at order N: the columns u_k of
+    U = D^{-1} A D are exactly u_0 beta^k through y^{N-1}, beta = u_1 / u_0.
 
-    Verifies w_k^2 C_k^2 = w_{k-1} C_{k-1} w_{k+1} C_{k+1} for
-    1 <= k <= N-2, that is u_k^2 = u_{k-1} u_{k+1} for the columns u_k of
-    U, built one at a time up to the first failing k (_riordan_witness).
-    Total: never divides, works for any graded matrix.
+    Walks u_0 u_k = u_1 u_{k-1} for 2 <= k <= N-1 (_riordan_witness),
+    building the columns one at a time up to the first failing k.  Total:
+    never divides, works for any graded matrix.
     """
     return _riordan_columns(A, W) is not None
 
@@ -357,8 +367,9 @@ def _riordan_columns(A: TriMatrix, W: Weight):
     """The columns of U (_unweighted_columns) when A is Riordan for W, else
     None: the membership verdict with its guards (the order check, then
     None for a non-graded A).  The walk runs on the lazy columns and keeps
-    each one as it is built, so it stops at the first failing column and
-    the caller can read the list again (alpha, beta)."""
+    each one as it is built, so it stops at the first failing column and,
+    on a Riordan A, returns all N of them for the caller to read again
+    (alpha, beta)."""
     _check_matrix_order(A, W)
     if not A.is_graded():
         return None
@@ -400,24 +411,20 @@ def _geometric_witness(u, beta: Series):
 
 
 def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:
-    """Extract (alpha, beta) = (C_0, w_1 C_1 / C_0) and verify it rebuilds A.
+    """Extract (alpha, beta) = (C_0, w_1 C_1 / C_0), which rebuilds A
+    exactly when A is Riordan for W.
 
-    Raises NotRiordan when the definitional identity fails, or when the
-    columns are not exactly geometric at this order (possible for matrices
-    whose deviation hides beyond the truncation).  Exactly geometric
-    columns satisfy the column identity, so _riordan_witness walks the same
-    columns of U only to word the error.
+    Raises NotRiordan unless A is graded and its columns u_k of U are
+    exactly u_0 beta^k through y^{N-1} (_geometric_witness), the verdict of
+    is_riordan.
     """
     _check_matrix_order(A, W)
-    if not A.is_graded():
-        raise NotRiordan("matrix fails the weighted column identity")
-    u = _unweighted_columns(A, W)
-    pair = RiordanPair(Series(A.field, _wrap(A.field, *u[0])), _beta_quotient(A, W, u))
-    if _geometric_witness(u, pair.beta) is None:
-        return pair
-    if _riordan_witness(u, A.field.p) is not None:
-        raise NotRiordan("matrix fails the weighted column identity")
-    raise NotRiordan("columns are not exactly geometric at this order")
+    if A.is_graded():
+        u = _unweighted_columns(A, W)
+        pair = RiordanPair(Series(A.field, _wrap(A.field, *u[0])), _beta_quotient(A, W, u))
+        if _geometric_witness(u, pair.beta) is None:
+            return pair
+    raise NotRiordan("matrix is not Riordan for this weight")
 
 
 def riordan_mul(a: RiordanPair, b: RiordanPair) -> RiordanPair:

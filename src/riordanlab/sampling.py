@@ -64,16 +64,16 @@ def graded_matrix(field, order, rng) -> TriMatrix:
 
 
 def perturbed_non_riordan(W: Weight, rng) -> TriMatrix:
-    """A graded matrix that provably fails the weighted column identity.
+    """A graded matrix that provably is not Riordan for W.
 
-    Starts from a random Riordan matrix and bumps one entry below the
-    diagonal in the region the identity can see, retrying until the
-    membership check rejects.  Raises ValueError below order 4, where the
-    identity sees only the diagonal.
+    Starts from a random Riordan matrix and bumps one entry (n, k) below the
+    diagonal with n + k <= N - 2, retrying until the membership check
+    rejects.  Raises ValueError below order 4, where that region holds at
+    most a_{1,0}, and a matrix bumped there is still Riordan.
     """
     order = W.order
     if order < 4:
-        raise ValueError(f"order {order} < 4: the column identity sees only the diagonal")
+        raise ValueError(f"order {order} < 4: its bumps below the diagonal stay Riordan")
     while True:
         a = riordan_matrix(W, rng)
         n = rng.randint(1, order - 2)

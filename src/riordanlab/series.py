@@ -253,6 +253,8 @@ class Series:
         return len(self.coeffs)
 
     def coeff(self, n: int) -> Scalar:
+        if not 0 <= n < self.order:
+            raise IndexError(f"coefficient {n} out of range")
         return self.coeffs[n]
 
     def valuation(self):

@@ -6,7 +6,7 @@ gamma is a nonzero constant (a rescaled weight, any alpha), and in
 characteristic 0 when gamma is a never-vanishing nonconstant linear
 function of k and alpha = c0 * e^{hy}.  Whenever the linear coefficient
 c_1 of alpha is nonzero these two cases are the only ones; membership is
-nevertheless always decided by the direct column-identity check, and the
+nevertheless always decided by is_riordan under the second weight, and the
 case labels are diagnostic only.
 """
 
@@ -143,8 +143,8 @@ class TwoWeightReport:
 def classify_membership(alpha: Series, W: Weight, W2: Weight) -> TwoWeightReport:
     """Decide whether the Appell matrix of alpha under W is Riordan under W2.
 
-    The verdict is the direct column-identity check at this order; the
-    label reports which of the two structural cases explains it.
+    The verdict is is_riordan under W2, exactly geometric columns at this
+    order; the label reports which of the two structural cases explains it.
     """
     a = appell_from_alpha(alpha, W)
     member = is_riordan(a, W2)

@@ -189,7 +189,7 @@ def test_a02_semidirect_product():
 
 def test_a03_sheffer_riordan_equivalence():
     comp_equivalence_suite(QQ, 16, three_weights(QQ, 16), 50, random.Random(103))
-    report("03 column identity agrees with translation commutators")
+    report("03 exactly geometric columns agree with translation commutators")
 
 
 def test_a04_appell_binomial_characterizations():

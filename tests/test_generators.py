@@ -119,7 +119,7 @@ def build_matrix(kind, W, rng):
     if kind in ("perturbed", "bumped"):  # one entry below the diagonal
         i = rng.randint(1, n - 1)
         return _bumped(riordan_matrix(W, rng), rng, i, rng.randrange(i))
-    if kind == "corner":  # hides from the column identity at this order
+    if kind == "corner":  # hides from u_k^2 = u_{k-1} u_{k+1} at this order, from N = 5
         return _bumped(riordan_matrix(W, rng), rng, n - 1, n - 2)
     if kind == "graded":
         return graded_matrix(field, n, rng)

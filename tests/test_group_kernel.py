@@ -4,17 +4,20 @@ Series.compose, Series.comp_inverse, riordan_mul and riordan_inv run on the
 power table R_g of series.py (column j holds g^j).  pair_to_matrix and
 product_rule_spanning_witness take c beta^k from one generator of raw
 columns.  _riordan_witness walks the raw columns of U for the first (k, m)
-at which u_k^2 and u_{k-1} u_{k+1} differ, cross-multiplied; is_riordan
+at which u_0 u_k and u_1 u_{k-1} differ, cross-multiplied; is_riordan
 runs it on the lazy columns and stops at the first failing column, and
 check_report builds U once and walks it once.  _beta_quotient is one
 Toeplitz solve on raw column values.  The references below are the code
 the library used before, kept verbatim (the old solver included, so no
 reference touches the new kernel): Horner composition, comp_inverse with
-its inline powers, the group law through them, pair_to_matrix and
-is_riordan on Scalar series, and the beta quotient w_1 C_1 / C_0 as a
-Series product with an inverse; the witness reference compares the
-Series products coefficient by coefficient.  Every result, and the type
-and message of every raised error, must agree over QQ (signed, mixed
+its inline powers, the group law through them, pair_to_matrix and the
+column identity u_k^2 = u_{k-1} u_{k+1} on Scalar series, and the beta
+quotient w_1 C_1 / C_0 as a Series product with an inverse.  Membership
+is checked against an independent Scalar-level rebuild: A is Riordan
+exactly when pair_to_matrix_reference of (C_0, w_1 C_1 / C_0) gives A
+back, and the first failing column and coefficient are those where
+u_j and u_0 beta^j differ as Series.  Every result, and the type and
+message of every raised error, must agree over QQ (signed, mixed
 denominators), GF(2), GF(3) and GF(1000003) at N = 2..16, N > p included.
 """
 
@@ -150,7 +153,9 @@ def scaled_columns_reference(A, W):
 
 
 def is_riordan_reference(A, W):
-    """Definitional membership test, checked at order N."""
+    """The column identity u_k^2 = u_{k-1} u_{k+1}, checked at order N: the
+    membership test before it was made exact, which misses a change that
+    moves both sides only beyond y^{N-1}."""
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
     if not A.is_graded():
@@ -171,6 +176,16 @@ def riordan_witness_reference(A, W):
             if x != y:
                 return (k, m)
     return None
+
+
+def is_riordan_rebuild_reference(A, W):
+    """Does the pair (C_0, w_1 C_1 / C_0) rebuild A, on Scalar series?"""
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
+    if not A.is_graded():
+        return False
+    pair = RiordanPair(column_series(A, W, 0), beta_quotient_reference(A, W))
+    return pair_to_matrix_reference(pair, W) == A
 
 
 def witness_reference(A, W):
@@ -367,7 +382,7 @@ def test_is_riordan_matches_scaled_columns(case, wkind, akind, where):
         W = build_weight(wkind, other(field), n, rng)
     elif where == "other-order":
         W = build_weight(wkind, field, n + 1, rng)
-    assert outcome(is_riordan, A, W) == outcome(is_riordan_reference, A, W)
+    assert outcome(is_riordan, A, W) == outcome(is_riordan_rebuild_reference, A, W)
     if where == "same":
         got = outcome(product_rule_spanning_witness, A, W)
         assert got == outcome(witness_reference, A, W)
@@ -379,7 +394,8 @@ def test_riordan_witness_matches_series_products(case, wkind, akind):
     field, n, rng = case
     W = build_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
-    want = riordan_witness_reference(A, W)
+    found = witness_reference(A, W)  # (0, j, n): u_j and u_0 beta^j first differ at y^n
+    want = None if found is None else found[1:]
     assert _riordan_witness(_unweighted_columns(A, W), field.p) == want
     assert _riordan_witness(_iter_unweighted_columns(A, W), field.p) == want
     assert is_riordan(A, W) == (want is None)
@@ -508,7 +524,7 @@ def test_group_law_at_the_largest_order(QQ):
         assert A == pair_to_matrix_reference(a, W)
         B = bumped(A, rng)
         assert is_riordan(A, W)
-        assert is_riordan(B, W) == is_riordan_reference(B, W)
+        assert is_riordan(B, W) == is_riordan_rebuild_reference(B, W)
 
 
 def test_product_rule_check_builds_u_of_a_in_full_once(QQ, rng, monkeypatch):

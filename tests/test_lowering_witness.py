@@ -55,8 +55,7 @@ def is_normalizing_reference(A: TriMatrix, W: Weight, samples: int = 6, rng=None
     """Does conjugation by A preserve the group of matrices commuting with M_W?
 
     Checks the deterministic spanning family 1 + y^j substituted at M_W,
-    which is decisive at this order.  Matches the Sheffer verdict, up to
-    the truncation-corner caveat in the module note.
+    which is decisive at this order.  Matches the Sheffer verdict.
 
     appell_from_alpha(1 + y^j) is I + M_W^j, which A conjugates to I + q^j,
     q = A^{-1} M_W A; all of these commute with M_W exactly when q does

@@ -1,14 +1,16 @@
-"""matrix_to_pair on one exactly-geometric test, against the code it replaces.
+"""matrix_to_pair on one exactly-geometric test, against a Scalar-level rebuild.
 
 matrix_to_pair extracts (C_0, w_1 C_1 / C_0) and accepts A when its scaled
 columns u_k = w_k C_k are exactly u_0 beta^k, the raw-value test that
-product_rule_spanning_witness also runs; is_riordan is consulted only to
-word the rejection.  The reference below is the code the library used
-before, kept verbatim: the column identity first, then the pair rebuilt
-through pair_to_matrix and compared entry by entry.  Every result, and the
-type and message of every raised error, must agree over QQ (signed, mixed
-denominators), GF(2), GF(3) and GF(1000003) at N = 2..16, N > p included,
-for weights of the matrix's order and field and of another order or field.
+product_rule_spanning_witness also runs, and raises one NotRiordan
+otherwise.  The reference below is independent of the raw-value kernels:
+the pair is extracted from Scalar column series, the beta quotient is a
+Series product with an inverse, and the pair is rebuilt through the
+Scalar-level pair_to_matrix and compared entry by entry.  Every result,
+and the type and message of every raised error, must agree over QQ
+(signed, mixed denominators), GF(2), GF(3) and GF(1000003) at N = 2..16,
+N > p included, for weights of the matrix's order and field and of
+another order or field.
 """
 
 import random
@@ -18,11 +20,10 @@ from hypothesis import strategies as st
 
 import riordanlab.riordan as riordan
 from riordanlab import Field, TriMatrix
-from riordanlab.errors import NotRiordan
+from riordanlab.errors import BackendMismatch, NotRiordan
 from riordanlab.riordan import (
     RiordanPair,
     Weight,
-    _beta_quotient,
     column_series,
     is_riordan,
     matrix_to_pair,
@@ -32,31 +33,30 @@ from riordanlab.riordan import (
 from test_group_kernel import (
     MATRICES,
     WEIGHTS,
+    beta_quotient_reference,
     build_weight,
     bumped,
     cases,
+    is_riordan_reference,
     matrix,
     other,
     outcome,
     pair,
+    pair_to_matrix_reference,
 )
 
-# -- the replaced code --------------------------------------------------------
+# -- the reference ------------------------------------------------------------
 
 
 def matrix_to_pair_reference(A, W):
-    """Extract (alpha, beta) = (C_0, w_1 C_1 / C_0) and verify it rebuilds A.
-
-    Raises NotRiordan when the definitional identity fails, or when the
-    columns are not exactly geometric at this order (possible for matrices
-    whose deviation hides beyond the truncation).
-    """
-    if not is_riordan(A, W):
-        raise NotRiordan("matrix fails the weighted column identity")
-    pair = RiordanPair(column_series(A, W, 0), _beta_quotient(A, W))
-    if pair_to_matrix(pair, W) != A:
-        raise NotRiordan("columns are not exactly geometric at this order")
-    return pair
+    """(C_0, w_1 C_1 / C_0) on Scalar series when it rebuilds A, else NotRiordan."""
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
+    if A.is_graded():
+        pair = RiordanPair(column_series(A, W, 0), beta_quotient_reference(A, W))
+        if pair_to_matrix_reference(pair, W) == A:
+            return pair
+    raise NotRiordan("matrix is not Riordan for this weight")
 
 
 # -- tests --------------------------------------------------------------------
@@ -76,16 +76,17 @@ def test_matrix_to_pair_matches_rebuild(case, wkind, akind, where):
 
 
 def test_corner_bump_is_rejected_as_not_geometric(QQ):
-    # a_{N-1,N-1} enters no coefficient the column identity sees
+    # a_{N-1,N-1} enters no coefficient the column identity u_k^2 =
+    # u_{k-1} u_{k+1} sees, but u_{N-1} is no longer u_0 beta^{N-1}
     rng = random.Random(5)
     W = Weight.exponential(QQ, 6, 1)
     A = pair_to_matrix(pair(QQ, 6, rng), W)
     rows = [list(r) for r in A.rows]
     rows[5][5] = rows[5][5] * QQ.scalar(2)
     B = TriMatrix(QQ, rows)
-    assert is_riordan(B, W)
+    assert is_riordan_reference(B, W) and not is_riordan(B, W)
     assert outcome(matrix_to_pair, B, W) == outcome(matrix_to_pair_reference, B, W) == (
-        NotRiordan, "columns are not exactly geometric at this order")
+        NotRiordan, "matrix is not Riordan for this weight")
 
 
 def test_riordan_input_needs_no_rebuild_and_no_column_identity(monkeypatch):

@@ -2,7 +2,7 @@
 
 apply_matrix_to_poly, umbral_compose and functional_after_operator (t -> U t)
 sum c_i v_i through one helper of triangular.py.  _riordan_columns is the
-one walk of the column identity: is_riordan is its verdict, and
+one membership walk: is_riordan is its verdict, and
 check_report takes riordan, sheffer and binomial from it.  TriMatrix.inverse
 and _lowering_witness share one check of the diagonal, and TriMatrix and
 HPolyMatrix one check of the triangle's shape.  binomial_associate is

@@ -37,7 +37,7 @@ from riordanlab.errors import (
     NotValuationZero,
     ZeroShift,
 )
-from riordanlab.operators import HPolyMatrix
+from riordanlab.operators import HPolyMatrix, check_report
 from riordanlab.riordan import Weight
 from riordanlab.functionals import binomial_associate
 from riordanlab.sampling import (
@@ -447,10 +447,11 @@ def test_commutation_sampling_needs_enough_points():
         sheffer_by_commutation(TriMatrix.identity(f5, 6), w)
 
 
-def test_truncation_corner_is_documented_behavior(QQ):
-    # A bump at (N-1, N-2) of the identity hides from the column identity at
-    # this order (both sides of every k-identity move only beyond coefficient
-    # N-1), but the operator-level tests see it and pair extraction rejects it.
+def test_truncation_corner_fails_every_membership_test(QQ):
+    # A bump at (N-1, N-2) of the identity moves both sides of every column
+    # identity u_k^2 = u_{k-1} u_{k+1} only beyond coefficient N-1, but u_3 is
+    # no longer u_0 beta^3 at y^4: the column test rejects it, as the
+    # operator-level tests and pair extraction do.
     from riordanlab.errors import NotRiordan
     from riordanlab import is_riordan, matrix_to_pair
 
@@ -458,7 +459,10 @@ def test_truncation_corner_is_documented_behavior(QQ):
     rows = [list(r) for r in TriMatrix.identity(QQ, 5).rows]
     rows[4][3] = rows[4][3] + QQ.one()
     a = TriMatrix(QQ, rows)
-    assert is_riordan(a, w)
+    assert not is_riordan(a, w)
+    for kind in ("riordan", "sheffer", "binomial"):
+        assert check_report(a, w, kind) == {"kind": kind, "verdict": False,
+                                            "alpha": None, "beta": None}
     assert not sheffer_by_commutation(a, w)
     assert not is_normalizing(a, w, samples=0)
     with pytest.raises(NotRiordan):
@@ -510,3 +514,15 @@ def test_translation_expansion_is_the_binomial_associate(p, n, wkind, seed):
     for l in range(n):
         for k in range(n - l):
             assert d.entry(k + l, k) == q.rows[l]
+
+
+def test_hpolymatrix_rejects_indices_out_of_range(QQ):
+    W = Weight.exponential(QQ, 4, 1)
+    d = d_polynomials(translation_matrix(W, 1), W)
+    assert d.entry(3, 0) == d.diagonal(3) and d.entry(3, 3) == d.diagonal(0)
+    for n, k in ((-1, 0), (4, 0), (3, -1), (2, 3)):  # (-1, 0) once read (3, 0), (3, -1) read (3, 3)
+        with pytest.raises(IndexError, match=rf"^entry \({n}, {k}\) out of range$"):
+            d.entry(n, k)
+    for l in (-1, 4):  # -1 once read (3, 0)
+        with pytest.raises(IndexError, match=rf"^entry \({l}, 0\) out of range$"):
+            d.diagonal(l)

@@ -9,10 +9,10 @@ column 1 shifted down by k - 1: P[j][k] == P[j-k+1][1] for 1 <= k <= j+1
 Merlini, Rogers, Sprugnoli & Verri, Canad. J. Math. 1997).
 
 At order N this holds exactly when the scaled columns of A are exactly
-geometric, that is product_rule_spanning_witness(A, W) is None, and so it
-implies the column identity of is_riordan.  The converse fails at the
-truncation corner: a change that no coefficient of the column identity
-sees (a_{N-1,N-1}, say) passes is_riordan and fails this test.
+geometric, that is product_rule_spanning_witness(A, W) is None, which is
+the verdict of is_riordan.  The column identity u_k^2 = u_{k-1} u_{k+1}
+that is_riordan once tested is weaker: a change that none of its
+coefficients sees (a_{N-1,N-1}, say) fails this test and is_riordan alike.
 """
 
 from hypothesis import given, settings
@@ -21,9 +21,13 @@ from hypothesis import strategies as st
 from riordanlab import Series, TriMatrix
 from riordanlab.functionals import product_rule_spanning_witness
 from riordanlab.operators import sheffer_by_commutation
-from riordanlab.riordan import Weight, is_riordan, pair_to_matrix
+from riordanlab.riordan import (
+    Weight, _riordan_witness, _unweighted_columns, is_riordan, pair_to_matrix,
+)
 
-from test_group_kernel import WEIGHTS, build_weight, cases, compose_reference, matrix, pair
+from test_group_kernel import (
+    WEIGHTS, build_weight, cases, compose_reference, is_riordan_reference, matrix, pair,
+)
 from test_weight_conjugation import change_weight_reference as change_weight
 
 
@@ -75,15 +79,17 @@ def test_z_sequence_closed_form(case, wkind):
     assert a.alpha * (Series.one(field, n) - y_z_beta) == Series.constant(field, n, a.alpha.coeffs[0])
 
 
-def test_corner_change_passes_is_riordan_only(QQ, rng):
+def test_corner_change_fails_is_riordan_too(QQ, rng):
     W = Weight.q_factorial(QQ, 6, -1, 2)
     A = pair_to_matrix(pair(QQ, 6, rng), W)
     assert has_a_sequence(A, W)
     rows = [list(r) for r in A.rows]
     rows[5][5] = rows[5][5] * QQ.scalar(3)
     B = TriMatrix(QQ, rows)
-    assert is_riordan(B, W) and not has_a_sequence(B, W)
+    assert is_riordan_reference(B, W)  # the column identity cannot see a_{5,5}
+    assert not is_riordan(B, W) and not has_a_sequence(B, W)
     assert product_rule_spanning_witness(B, W) == (0, 5, 5)
+    assert _riordan_witness(_unweighted_columns(B, W), QQ.p) == (5, 5)
 
 
 @settings(max_examples=200, deadline=None)

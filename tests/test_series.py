@@ -217,3 +217,11 @@ def test_comp_inverse_matches_back_substitution(p, rng):
                 vals = [0, rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 2)]
             b = Series.from_values(f, n, vals)
             assert b.comp_inverse() == back_substitution_inverse(b)
+
+
+def test_coeff_rejects_indices_out_of_range(QQ):
+    s = Series.from_values(QQ, 4, [1, 2, 3, 4])
+    assert [s.coeff(n) for n in range(4)] == list(s.coeffs)
+    for n in (-1, 4):  # -1 once read the last coefficient
+        with pytest.raises(IndexError, match=f"^coefficient {n} out of range$"):
+            s.coeff(n)
