@@ -11,14 +11,14 @@ evaluation functionals, dual bases) take it explicitly.
 from __future__ import annotations
 
 from .errors import BackendMismatch, NotCommuting
-from .operators import dw_multiplier, is_appell
+from .operators import _inverse_frame, _translation_series, dw_multiplier, is_appell
 from .riordan import (
     RiordanPair, Weight, _beta_quotient, _check_matrix_order, _geometric_witness,
     _iter_unweighted_columns, _unweighted_columns, pair_to_matrix,
 )
 from .scalars import Field, Scalar
 from .series import Series, _wrap
-from .triangular import Polynomial, TriMatrix, _linear_combination, matrix_to_polys
+from .triangular import Polynomial, TriMatrix, _linear_combination
 
 
 class Functional:
@@ -86,8 +86,7 @@ def functional_apply(phi: Functional, p: Polynomial, W: Weight) -> Scalar:
 
 def eval_functional(h, W: Weight) -> Functional:
     """Evaluation at h: t_n = h^n / w_n; corresponds to the series W(hy)."""
-    h = W.field.scalar(h)
-    return Functional(W.field, [h ** n * r for n, r in enumerate(W.recip)])
+    return Functional.from_series(_translation_series(W, h))
 
 
 def functional_mul(phi: Functional, psi: Functional) -> Functional:
@@ -129,12 +128,13 @@ def dual_basis(A: TriMatrix, W: Weight) -> list[Functional]:
     """Functionals phi_r with phi_r(p_n / w_n) = delta_{n,r} for the rows p_n.
 
     phi_r(x^k / w_k) = (A^{-1})_{k,r} w_r / w_k: the values of phi_r are
-    column r of D^{-1} A^{-1} D.  For graded A the valuation of phi_r is
-    exactly r.
+    column r of V = D^{-1} A^{-1} D = U^{-1}, solved on the rows of U
+    (operators._inverse_frame) without forming A^{-1}.  For graded A the
+    valuation of phi_r is exactly r.
     """
     _check_matrix_order(A, W)
-    return [Functional(A.field, _wrap(A.field, *col))
-            for col in _unweighted_columns(A.inverse(), W)]
+    return [Functional(A.field, _wrap(A.field, [0] * r + col))
+            for r, col in enumerate(_inverse_frame(A, W)[1])]
 
 
 def check_geometric_dual(phis: list[Functional]):
@@ -208,16 +208,12 @@ def product_rule_spanning_witness(A: TriMatrix, W: Weight):
 def dual_characterization_check(A: TriMatrix, W: Weight, duals=None) -> bool:
     """Check phi_r(sum_n p_n(x) y^n / w_n) = y^r for every r.
 
-    With its own dual basis this is a reformulation of duality; a dual
-    basis taken from a different matrix fails it.
+    phi_r(p_n / w_n) is value n of phi_r o A, so the check compares
+    _after_operator(A, W, *duals) with the delta functionals, on one build
+    of the columns of U.  With its own dual basis this is a reformulation
+    of duality; a dual basis taken from a different matrix fails it.
     """
     _check_matrix_order(A, W)
     duals = dual_basis(A, W) if duals is None else duals
-    polys = matrix_to_polys(A)
-    for r, phi in enumerate(duals):
-        coeffs = [
-            functional_apply(phi, polys[n], W) * W.recip[n] for n in range(A.order)
-        ]
-        if Series(A.field, coeffs) != Series.monomial(A.field, A.order, r):
-            return False
-    return True
+    return all(phi == delta_functional(A.field, A.order, r)
+               for r, phi in enumerate(_after_operator(A, W, *duals)))

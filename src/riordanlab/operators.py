@@ -36,9 +36,11 @@ the columns of R_beta, solves U t = S u_0 for t on them and checks the
 other entries as dot products, in O(N^3) with no inverse, no matrix
 product and an exit at the first failing entry; for a Sheffer A,
 t = beta^{<-1>}.  d_polynomials
-reads every power of A M_W A^{-1} = D U S U^{-1} D^{-1} off one inverse, as
-shifted dot products of the rows of U against the columns of U^{-1}, in
-about N^4/24 multiply-adds and no matrix product.  The column and
+reads every power of A M_W A^{-1} = D U S U^{-1} D^{-1} off the same rows
+of U and the columns of V = U^{-1}, which one forward substitution on
+those rows solves (_inverse_frame, also behind functionals.dual_basis), as
+shifted dot products in about N^4/24 multiply-adds, with no weighted
+inverse and no matrix product.  The column and
 operator tests give the same verdict on every graded matrix, and so does
 the production-matrix test of tests/test_production_matrix.py
 (P = R'^{-1} R-bar for R = A under the weight w_n = 1, with Toeplitz
@@ -78,24 +80,30 @@ def m_matrix(W: Weight) -> TriMatrix:
     return _weighted_matrix(W, _toeplitz_columns([0, 1] + [0] * (W.order - 2), 1))
 
 
+def _translation_series(W: Weight, h) -> Series:
+    """W(hy) = sum h^l y^l / w_l, the series of T_h."""
+    h = W.field.scalar(h)
+    return Series(W.field, [h ** l * r for l, r in enumerate(W.recip)])
+
+
 def translation_matrix(W: Weight, h) -> TriMatrix:
     """Matrix of T_h = W(h M_W), the Appell matrix of W(hy):
     entry (n,k) = w_n h^{n-k} / (w_{n-k} w_k)."""
-    h = W.field.scalar(h)
-    return appell_from_alpha(Series(W.field, [h ** l * r for l, r in enumerate(W.recip)]), W)
+    return appell_from_alpha(_translation_series(W, h), W)
 
 
 def shifted_power_matrix(W: Weight, h) -> TriMatrix:
     """Matrix whose row n is the W-analogue of the shifted power (x+h)^n.
 
-    Defined as the inverse of translation by -h (equivalently, the Appell
-    matrix of 1/W(-hy)).  For the exponential weight this is the
-    translation matrix itself with rows (x+h)^n; for the q-factorial
-    weight the rows factor as prod_{j<n} (x + h q^j), so their roots run
-    through a geometric progression.  For q != 1 these rows differ from
-    the rows of translation_matrix(W, h), which do not factor.
+    The inverse of translation by -h, built as the Appell matrix of
+    1/W(-hy): one series inverse, no matrix inverse.  For the exponential
+    weight this is the translation matrix itself with rows (x+h)^n; for
+    the q-factorial weight the rows factor as prod_{j<n} (x + h q^j), so
+    their roots run through a geometric progression.  For q != 1 these
+    rows differ from the rows of translation_matrix(W, h), which do not
+    factor.
     """
-    return translation_matrix(W, -W.field.scalar(h)).inverse()
+    return appell_from_alpha(_translation_series(W, -W.field.scalar(h)).invert(), W)
 
 
 def q_operator_matrix(A: TriMatrix, W: Weight) -> TriMatrix:
@@ -278,6 +286,23 @@ class HPolyMatrix:
         return [[[str(c) for c in e] for e in row] for row in self.entries]
 
 
+def _inverse_frame(A: TriMatrix, W: Weight):
+    """The rows of U = D^{-1} A D over one denominator, (rows, den) as
+    series._rows_over_lcm gives them, and the columns of V = U^{-1} =
+    D^{-1} A^{-1} D as raw values from the diagonal down, column k listing
+    V_{k..N-1,k}.
+
+    The rows hold den U, so one forward substitution on them with
+    right-hand sides den e_k solves for V itself: no weight enters and no
+    inverse is weighted.  Raises SingularDiagonal for a non-graded A
+    before it checks the field.
+    """
+    A._check_diagonal()
+    rows, den = _rows_over_lcm(_unweighted_columns(A, W))
+    rhss = [[den] + [0] * (A.order - 1 - k) for k in range(A.order)]
+    return (rows, den), _forward_substitute(A.field, rows, rhss)
+
+
 def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     """Expansion coefficients of translations in the basis of the sequence.
 
@@ -285,44 +310,36 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     entry (n, k) is the polynomial d_{n,k}: its coefficient of h^l is entry
     (n, k) of (A M_W A^{-1})^l = D U S^l U^{-1} D^{-1} (module note),
     scaled by w_{n-k} w_k / (w_n w_l).  So each coefficient is one dot
-    product of row n of U with column k of V = U^{-1}, the unweighted
-    columns of A^{-1}:
+    product of row n of U with column k of V = U^{-1} (_inverse_frame):
 
         [h^l] d_{n,k} = (w_{n-k} / w_l) * sum_{j=k}^{n-l} U_{n,j+l} V_{j,k}
 
     The sum is empty for l > n - k, so entry (n, k) has h-degree at most
     n - k.  The sums run on raw values as in TriMatrix.__matmul__, residues
-    reduced once per coefficient over GF(p), and over QQ each row of U and
-    column of V over its own common denominator.
+    reduced once per coefficient over GF(p), and over QQ on the integer
+    rows of U over their one denominator and each column of V over its own.
 
-    The cost is real arithmetic on entries whose size depends on the
-    weight: over QQ at N = 64, on the matrices of two random pairs, one call
-    took 0.44-0.80 s under the exponential weight (entries up to 311 bits)
-    and 3.4-5.9 s under q_factorial(-1, 2) (entries up to 2034 bits),
-    minimum of 2 calls (Python 3.11, Fraction backend, 2 CPUs).  The CLI
-    does not call it.
+    The cost is about N^4/24 big-integer multiply-adds.  V is solved at
+    its reduced size, but the rows of U keep the content the weight puts
+    into them: over QQ at N = 64, on the matrix of one random pair, they
+    hold 2133-bit integers under q_factorial(-1, 2) and 398-bit ones under
+    the exponential weight, against at most 276 bits in the columns of V.
+    One call there took 1.0-1.1 s and 0.3-0.5 s (minimum of 1-2 calls,
+    Python 3.11, Fraction backend, 2 shared CPUs).  The CLI does not call
+    it.
     """
     _check_frame(A, W)
-    inv, n_ord, p = A.inverse(), A.order, A.field.p
-    w, r = W._w, W._recip
-    # rows of U, columns of V from the diagonal down, ratio[d][l] = w_d / w_l
-    v = [(col[k:], d) for k, (col, d) in enumerate(_unweighted_columns(inv, W))]
-    if p is None:
-        wi, dw = _ints_over_lcm(w)
-        u = [([x * y * rn.numerator for x, y in zip(a, wi)], da * dw * rn.denominator)
-             for rn, (a, da) in zip(r, map(_over_common_denominator, A.rows))]
-        ratio = [[w[d] * r[l] for l in range(d + 1)] for d in range(n_ord)]
-    else:
-        u = [([a.val * w[i] * r[n] % p for i, a in enumerate(row)], 1)
-             for n, row in enumerate(A.rows)]
-        ratio = [[w[d] * r[l] % p for l in range(d + 1)] for d in range(n_ord)]
+    (u, den), v = _inverse_frame(A, W)
+    p, w, r = A.field.p, W._w, W._recip
+    v = [_ints_over_lcm(col) for col in v]  # residues over 1 over GF(p)
+    ratio = [[w[d] * r[l] for l in range(d + 1)] for d in range(A.order)]  # w_d / w_l
     entries = []
-    for n, (un, dn) in enumerate(u):
+    for n, un in enumerate(u):
         row = []
         for k, (vk, dk) in enumerate(v[: n + 1]):
             sums = [sum(map(mul, un[k + l :], vk)) for l in range(n - k + 1)]
             if p is None:  # tuples of lists: see series._ints_over_lcm
-                row.append(tuple([Scalar(_Q(s * c.numerator, dn * dk * c.denominator))
+                row.append(tuple([Scalar(_Q(s * c.numerator, den * dk * c.denominator))
                                   for s, c in zip(sums, ratio[n - k])]))
             else:
                 row.append(tuple([Scalar(s * c % p, p) for s, c in zip(sums, ratio[n - k])]))
@@ -406,8 +423,10 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
     once, and alpha = u_0 and beta = u_1 / u_0 read the columns the verdict
     walked.  riordan, sheffer and binomial take the verdict of
     _riordan_columns, which builds no column past the first failing one;
-    appell lists all of U for its Toeplitz test and walks the membership
-    test on that list.  The errors are those of the public test of `kind`.
+    appell lists all of U for its Toeplitz test and, on a graded A that
+    fails it, walks the membership test on that list (a Toeplitz U is
+    Riordan with beta = y).  The errors are those of the public test of
+    `kind`.
     """
     if kind not in CHECK_KINDS:
         raise ValueError(f"unknown check kind {kind!r}")
@@ -415,7 +434,8 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
         _check_frame(A, W)
         u = _unweighted_columns(A, W)
         verdict = _is_toeplitz(iter(u))
-        riordan = A.is_graded() and _riordan_witness(u, A.field.p) is None
+        # a graded A with Toeplitz U is Riordan: u_k = y^k u_0
+        riordan = A.is_graded() and (verdict or _riordan_witness(u, A.field.p) is None)
     else:
         u = _riordan_columns(A, W)
         riordan = u is not None

@@ -1,8 +1,8 @@
 """d_polynomials as one banded pass, against the chain of powers it replaces.
 
-d_polynomials reads the coefficient of h^l in d_{n,k} off one inverse, as
-a shifted dot product of row n of D^{-1} A D with column k of its inverse
-(D = diag(w)).  The reference below is the code the library used before,
+d_polynomials reads the coefficient of h^l in d_{n,k} as a shifted dot
+product of row n of U = D^{-1} A D (D = diag(w)) with column k of
+V = U^{-1}, which one forward substitution on the rows of U solves.  The reference below is the code the library used before,
 kept verbatim: the N-1 powers of A M_W A^{-1} as full TriMatrix products.
 Every result, and the type and message of every raised error, must agree
 over QQ (signed, mixed denominators), GF(2), GF(3) and GF(1000003) at
