@@ -13,12 +13,12 @@ from __future__ import annotations
 from .errors import BackendMismatch, NotCommuting
 from .operators import _inverse_frame, _translation_series, dw_multiplier, is_appell
 from .riordan import (
-    RiordanPair, Weight, _beta_quotient, _check_matrix_order, _geometric_witness,
+    RiordanPair, Weight, _beta_quotient, _check_matrix_order, _geometric_walk,
     _iter_unweighted_columns, _unweighted_columns, pair_to_matrix,
 )
 from .scalars import Field, Scalar
-from .series import Series, _wrap
-from .triangular import Polynomial, TriMatrix, _linear_combination
+from .series import Series, _apply_rows, _rows_over_lcm, _wrap
+from .triangular import Polynomial, TriMatrix
 
 
 class Functional:
@@ -105,11 +105,12 @@ def functional_after_operator(phi: Functional, S: TriMatrix, W: Weight) -> Funct
 
 
 def _after_operator(S: TriMatrix, W: Weight, *fs) -> list[Functional]:
-    """[f o S for f in fs], the functionals fs all on one build of the columns of U."""
+    """[f o S for f in fs], f o S having the values U t of f: the rows of U,
+    built once over one denominator, applied to each (series._apply_rows)."""
     if any(not f.order == S.order == W.order or not f.field == S.field == W.field for f in fs):
         raise BackendMismatch("functional, operator and weight orders or fields differ")
-    cols = [_wrap(S.field, *col) for col in _unweighted_columns(S, W)]
-    return [Functional(f.field, _linear_combination(S.field, S.order, f.values, cols)) for f in fs]
+    table = _rows_over_lcm(_unweighted_columns(S, W))
+    return [Functional(S.field, t) for t in _apply_rows(S.field, table, *[f.values for f in fs])]
 
 
 def functional_of_operator(S: TriMatrix, W: Weight) -> Functional:
@@ -199,9 +200,8 @@ def product_rule_spanning_witness(A: TriMatrix, W: Weight):
     with u_j != u_0 beta^j and n their first differing coefficient.  N raw
     convolutions decide it instead of N^2.
     """
-    u = _unweighted_columns(A, W)
-    beta = RiordanPair(Series.one(A.field, A.order), _beta_quotient(A, W, u)).beta
-    found = _geometric_witness(u, beta)
+    _, beta, found = _geometric_walk(A, W)
+    RiordanPair(Series.one(A.field, A.order), beta)  # NotValuationOne unless v(beta) = 1
     return None if found is None else (0, *found)
 
 

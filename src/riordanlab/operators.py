@@ -21,9 +21,8 @@ when U is Toeplitz.
 
 Sheffer membership is the definition, exactly geometric columns of U
 through y^{N-1}: is_sheffer, dw_multiplier and check_report take the
-verdict from riordan._riordan_columns, which walks u_0 u_k = u_1 u_{k-1}
-without division and stops at the first failing column, and
-check_report's appell test alone lists every column of U, for its
+verdict and beta from riordan._riordan_columns, the one membership walk,
+and check_report's appell test alone lists every column of U, for its
 Toeplitz test; sheffer_by_commutation and is_normalizing are independent
 operator-level tests that never consult it.  Each family they sweep (N
 translations, the substitutions 1 + y^j) consists of series in M_W, so both
@@ -61,9 +60,8 @@ from .errors import (
     ZeroShift,
 )
 from .riordan import (
-    Weight, _beta_quotient, _first_difference, _iter_unweighted_columns, _mixed_backends,
-    _riordan_columns, _riordan_witness, _toeplitz_columns, _unweighted_columns,
-    _weighted_matrix, is_riordan,
+    Weight, _first_difference, _geometric_walk, _iter_unweighted_columns, _mixed_backends,
+    _riordan_columns, _toeplitz_columns, _unweighted_columns, _weighted_matrix, is_riordan,
 )
 from .scalars import Scalar, _Q
 from .series import (
@@ -222,10 +220,10 @@ def _trivial_alpha(A: TriMatrix) -> bool:
 def dw_multiplier(A: TriMatrix, W: Weight) -> Series:
     """Series by which the weighted derivative multiplies the weighted
     generating expression of a Sheffer sequence: its beta parameter."""
-    u = _riordan_columns(A, W)
-    if u is None:
+    found = _riordan_columns(A, W)
+    if found is None:
         raise NotSheffer("matrix is not Sheffer for this weight")
-    return _beta_quotient(A, W, u)
+    return found[1]
 
 
 class HPolyMatrix:
@@ -420,13 +418,13 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
     `kind` is one of CHECK_KINDS.  alpha/beta are included whenever the
     matrix is Riordan for W, whatever `kind` was asked, and then
     pair_to_matrix(RiordanPair(alpha, beta), W) rebuilds A.  U is built
-    once, and alpha = u_0 and beta = u_1 / u_0 read the columns the verdict
-    walked.  riordan, sheffer and binomial take the verdict of
+    once, and alpha = u_0 and beta = u_1 / u_0 are those the membership
+    walk formed.  riordan, sheffer and binomial take them from
     _riordan_columns, which builds no column past the first failing one;
     appell lists all of U for its Toeplitz test and, on a graded A that
-    fails it, walks the membership test on that list (a Toeplitz U is
-    Riordan with beta = y).  The errors are those of the public test of
-    `kind`.
+    fails it, walks the membership test on that list (a graded A with
+    Toeplitz U is Riordan with beta = y, u_k = y^k u_0).  The errors are
+    those of the public test of `kind`.
     """
     if kind not in CHECK_KINDS:
         raise ValueError(f"unknown check kind {kind!r}")
@@ -434,12 +432,14 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
         _check_frame(A, W)
         u = _unweighted_columns(A, W)
         verdict = _is_toeplitz(iter(u))
-        # a graded A with Toeplitz U is Riordan: u_k = y^k u_0
-        riordan = A.is_graded() and (verdict or _riordan_witness(u, A.field.p) is None)
+        found = None
+        if A.is_graded():  # a Toeplitz U is Riordan with beta = y: u_k = y^k u_0
+            y = Series.identity(A.field, A.order)
+            u, beta, witness = (u, y, None) if verdict else _geometric_walk(A, W, u)
+            found = None if witness else (u, beta)
     else:
-        u = _riordan_columns(A, W)
-        riordan = u is not None
-        verdict = riordan and (kind != "binomial" or _trivial_alpha(A))
-    alpha = Series(A.field, _wrap(A.field, *u[0])).to_json() if riordan else None
-    beta = _beta_quotient(A, W, u).to_json() if riordan else None
+        found = _riordan_columns(A, W)
+        verdict = found is not None and (kind != "binomial" or _trivial_alpha(A))
+    alpha, beta = (None, None) if found is None else (
+        Series(A.field, _wrap(A.field, *found[0][0])).to_json(), found[1].to_json())
     return {"kind": kind, "verdict": verdict, "alpha": alpha, "beta": beta}

@@ -26,25 +26,20 @@ routines on U.
 
 The powers of beta come from the one kernel of series.py,
 _geometric_columns, the raw columns c beta^k of R_(c,beta):
-pair_to_matrix weights alpha beta^k, and _geometric_witness compares u_k
+pair_to_matrix weights alpha beta^k, and the membership walk compares u_k
 with u_0 beta^k.  riordan_mul and riordan_inv go through R_beta =
 R_(1,beta) once: the product applies it to gamma and delta, and the
 inverse solves R_beta x = e_1 and R_beta h = alpha on the same rows,
 h = alpha o beta^{<-1>} needing no composition.
 
 Membership is the definition itself, exactly geometric columns through
-y^{N-1}, decided one of two ways on the same columns of U.
-_riordan_witness walks them for the first (k, m) at which u_0 u_k and
-u_1 u_{k-1} differ, by cross-multiplied convolutions and no division;
-u_0 is a unit, so that says u_k = u_{k-1} beta for beta = u_1 / u_0, and
-its (k, m) is the (j, n) of _geometric_witness.  Given the lazy columns
-it builds none past u_k.  _riordan_columns is that walk with its guards:
-it keeps each column as it is built, so it stops at the first failing
-column and, on a Riordan A, returns the whole list.  is_riordan is its
-verdict, and dw_multiplier and check_report (operators.py) read
-alpha = u_0 and beta = u_1 / u_0 off the list it returns.  matrix_to_pair
-and the product-rule witness need beta anyway, so they compare u_k with
-u_0 beta^k directly (_geometric_witness).
+y^{N-1}, decided by one walk on the columns of U, _geometric_walk: it
+forms beta = u_1 / u_0 once (_beta_quotient) and compares each u_k with
+u_0 beta^k, building no column of U past the first that differs.
+_riordan_columns is that walk with its guards and returns (u, beta) for a
+Riordan A.  is_riordan is its verdict; matrix_to_pair, dw_multiplier and
+check_report (operators.py) read alpha = u_0 and beta from it, and the
+product-rule witness (functionals.py) reads the first differing (j, n).
 """
 
 from __future__ import annotations
@@ -67,7 +62,6 @@ from .scalars import Field, Scalar, _Q
 from .series import (
     Series,
     _apply_power_table,
-    _convolve,
     _divide,
     _geometric_columns,
     _ints_over_lcm,
@@ -328,54 +322,51 @@ def _first_difference(x, dx, y, dy):
     return next((n for n, (a, b) in enumerate(zip(x, y)) if a * dy != b * dx), None)
 
 
-def _riordan_witness(u, p):
-    """The first (k, m), k >= 2, with [y^m] u_0 u_k != [y^m] u_1 u_{k-1},
-    or None.
+def _geometric_walk(A: TriMatrix, W: Weight, u=None):
+    """(u, beta, witness): the first (j, n) with [y^n] u_j != [y^n]
+    u_0 beta^j for beta = u_1 / u_0, or None, with beta and the columns of
+    U built up to u_j (all N of them for None).
 
     u holds the raw columns (ints, den) of U, as a list or as the lazy
-    _iter_unweighted_columns; the walk ends at the first failing k, so no
-    column after u_k is built.  Both products have valuation k, so only
-    their window y^k..y^{N-1} is convolved.  For a graded A, u_0 is a unit
-    and None says u_k = u_{k-1} beta with beta = u_1 / u_0 for every k,
-    that is u_k = u_0 beta^k: exactly geometric columns, and the first
-    failure is the (j, n) of _geometric_witness.  Total: never divides.
+    _iter_unweighted_columns, built here unless given.  beta is one
+    Toeplitz solve (_beta_quotient), which needs u_0 to be a unit; then
+    u_0 beta^0 and u_0 beta = u_1 hold exactly, and u_0 beta^j is one raw
+    convolution per further column (series._geometric_columns).  None
+    says the columns are exactly geometric: A is the matrix of the pair
+    (u_0, beta).
     """
-    u = iter(u)
-    (a, da), (b, db) = islice(u, 2)
-    n, x0, d0 = len(a), b, db  # x0 is u_{k-1}
-    for k, (x, d) in enumerate(u, 2):
-        m = _first_difference(_convolve(a[: n - k], x[k:], p), da * d,
-                              _convolve(b[1 : n - k + 1], x0[k - 1 : n - 1], p), db * d0)
-        if m is not None:
-            return (k, k + m)
-        x0, d0 = x, d
-    return None
+    cols = iter(u or _iter_unweighted_columns(A, W))
+    u = list(islice(cols, 2))
+    beta = _beta_quotient(A, W, u)
+    for j, (col, rhs) in enumerate(zip(cols, islice(_geometric_columns(*u[0], beta), 2, None)), 2):
+        u.append(col)
+        n = _first_difference(*col, *rhs)
+        if n is not None:
+            return u, beta, (j, n)
+    return u, beta, None
 
 
 def is_riordan(A: TriMatrix, W: Weight) -> bool:
     """Definitional membership test, checked at order N: the columns u_k of
     U = D^{-1} A D are exactly u_0 beta^k through y^{N-1}, beta = u_1 / u_0.
 
-    Walks u_0 u_k = u_1 u_{k-1} for 2 <= k <= N-1 (_riordan_witness),
-    building the columns one at a time up to the first failing k.  Total:
-    never divides, works for any graded matrix.
+    Walks the columns one at a time up to the first that differs
+    (_geometric_walk).  Works for any matrix: False unless A is graded.
     """
     return _riordan_columns(A, W) is not None
 
 
 def _riordan_columns(A: TriMatrix, W: Weight):
-    """The columns of U (_unweighted_columns) when A is Riordan for W, else
-    None: the membership verdict with its guards (the order check, then
-    None for a non-graded A).  The walk runs on the lazy columns and keeps
-    each one as it is built, so it stops at the first failing column and,
-    on a Riordan A, returns all N of them for the caller to read again
-    (alpha, beta)."""
+    """(u, beta) when A is Riordan for W, u the N columns of U
+    (_unweighted_columns) and beta = u_1 / u_0, else None: the membership
+    walk with its guards (the order check, then None for a non-graded A).
+    It stops at the first failing column."""
     _check_matrix_order(A, W)
-    if not A.is_graded():
-        return None
-    u = []
-    kept = (u.append(col) or col for col in _iter_unweighted_columns(A, W))
-    return u if _riordan_witness(kept, A.field.p) is None else None
+    if A.is_graded():
+        u, beta, found = _geometric_walk(A, W)
+        if found is None:
+            return u, beta
+    return None
 
 
 def pair_to_matrix(pair: RiordanPair, W: Weight) -> TriMatrix:
@@ -396,35 +387,19 @@ def _beta_quotient(A: TriMatrix, W: Weight, u=None) -> Series:
     return _divide(A.field, [v * d0 for v in u1], [v * d1 for v in u0])
 
 
-def _geometric_witness(u, beta: Series):
-    """The first (j, n) with [y^n] u_j != [y^n] u_0 beta^j, or None.
-
-    u lists the columns of U; None says they are exactly geometric with
-    ratio beta, that is A is the matrix of the pair (u_0, beta).  One raw
-    convolution per column (series._geometric_columns).
-    """
-    for j, ((lhs, d), (rhs, den)) in enumerate(zip(u, _geometric_columns(*u[0], beta))):
-        n = _first_difference(lhs, d, rhs, den)
-        if n is not None:
-            return (j, n)
-    return None
-
-
 def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:
     """Extract (alpha, beta) = (C_0, w_1 C_1 / C_0), which rebuilds A
     exactly when A is Riordan for W.
 
     Raises NotRiordan unless A is graded and its columns u_k of U are
-    exactly u_0 beta^k through y^{N-1} (_geometric_witness), the verdict of
+    exactly u_0 beta^k through y^{N-1} (_riordan_columns), the verdict of
     is_riordan.
     """
-    _check_matrix_order(A, W)
-    if A.is_graded():
-        u = _unweighted_columns(A, W)
-        pair = RiordanPair(Series(A.field, _wrap(A.field, *u[0])), _beta_quotient(A, W, u))
-        if _geometric_witness(u, pair.beta) is None:
-            return pair
-    raise NotRiordan("matrix is not Riordan for this weight")
+    found = _riordan_columns(A, W)
+    if found is None:
+        raise NotRiordan("matrix is not Riordan for this weight")
+    u, beta = found
+    return RiordanPair(Series(A.field, _wrap(A.field, *u[0])), beta)
 
 
 def riordan_mul(a: RiordanPair, b: RiordanPair) -> RiordanPair:

@@ -13,12 +13,14 @@ QQ it runs fraction-free, on integers over one running denominator.
 ``_geometric_columns`` is the one loop over the powers of a series: it
 yields the raw columns c g^k of R_(c,g), the ordinary Riordan matrix of
 (c, g), column k from row k - 1 of column k - 1 on (g_0 = 0), about
-N^3/6 multiply-adds for all N.  pair_to_matrix and the geometric test of
-riordan.py consume it; ``_power_table`` puts the columns of R_g = R_(1,g)
+N^3/6 multiply-adds for all N.  pair_to_matrix and the membership walk
+of riordan.py consume it; ``_power_table`` puts the columns of R_g = R_(1,g)
 over one denominator as rows (``_rows_over_lcm``, which also gives
 _lowering_witness the rows of U).  Column j of R_g holds g^j, so R_g f is
 the coefficient vector of f o g, and R_g serves the whole group law:
-``_apply_power_table`` applies it (Series.compose, riordan_mul), and
+``_apply_power_table`` applies it (Series.compose, riordan_mul) through
+``_apply_rows``, the one product of rows over one denominator with a
+vector, which functionals._after_operator runs on the rows of U; and
 ``_solve_power_table`` solves with it, R_g x = e_1 giving g^{<-1>} and
 R_g h = f giving f o g^{<-1>} (Series.comp_inverse, riordan_inv).
 """
@@ -64,7 +66,8 @@ def _forward_substitute(field, rows, rhss):
     entries before k being zero, and its solution x_k..x_{n-1} is returned:
     x_i = (b_i - sum_{k <= j < i} L_{i,j} x_j) / L_{i,i}.
 
-    Over GF(p) each step is one dot product of residues, reduced once.
+    Over GF(p) each step is one dot product of residues, reduced once, and
+    each distinct diagonal value is inverted once (a Toeplitz solve has one).
     Over QQ the solve is fraction-free: row i is R_i / e_i and b is B / d_b
     with integer R_i and B, and the solved x_k..x_{i-1} are integers X over
     one running denominator D, so each step is one integer dot product,
@@ -77,7 +80,8 @@ def _forward_substitute(field, rows, rhss):
     p, n = field.p, len(rows)
     out = []
     if p is not None:
-        diag_inv = [pow(row[i], p - 2, p) for i, row in enumerate(rows)]
+        inv = {d: pow(d, -1, p) for d in {row[i] for i, row in enumerate(rows)}}
+        diag_inv = [inv[row[i]] for i, row in enumerate(rows)]
         for b in rhss:
             k, x = n - len(b), []
             for i in range(k, n):
@@ -163,12 +167,21 @@ def _power_table(g):
     return _rows_over_lcm(list(_geometric_columns([1] + [0] * (g.order - 1), 1, g)))
 
 
+def _apply_rows(field, table, *vectors):
+    """[M v for v in vectors] as lists of Scalars of field, M given as
+    table = (rows, D) (_rows_over_lcm) and each v as N Scalars of field:
+    one integer dot product per output over D times the denominator of v."""
+    rows, den = table
+    return [_wrap(field, [sum(map(mul, row, a)) for row in rows], den * da)
+            for a, da in [_over_common_denominator(v) for v in vectors]]
+
+
 def _apply_power_table(g, *series):
-    """[f o g for f in series], f of the field and order of g: R_g f, one dot
-    product per row of R_g."""
-    (rows, den), field = _power_table(g), g.field
-    return [Series(field, _wrap(field, [sum(map(mul, row, a)) for row in rows], den * da))
-            for a, da in [_over_common_denominator(f.coeffs) for f in series]]
+    """[f o g for f in series], f of the field and order of g: R_g f
+    (_apply_rows)."""
+    field = g.field
+    return [Series(field, x)
+            for x in _apply_rows(field, _power_table(g), *[f.coeffs for f in series])]
 
 
 def _solve_power_table(g, *series):

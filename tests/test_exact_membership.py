@@ -1,20 +1,25 @@
-"""Membership is exactly geometric columns, against the column identity it replaced.
+"""Membership is exactly geometric columns, against the walks it replaced.
 
 A graded A is Riordan for W at order N when the columns u_k of
 U = D^{-1} A D are exactly u_0 beta^k through y^{N-1}, beta = u_1 / u_0.
-_riordan_witness decides it without division, as u_0 u_k = u_1 u_{k-1}
-for k >= 2, and must return the (j, n) of _geometric_witness, which
-compares u_k with u_0 beta^k directly.  The library used to test the
-column identity u_k^2 = u_{k-1} u_{k+1} instead; its walk is kept below
-verbatim.  That identity follows from geometric columns but is weaker at
-order N: a change whose every product lands beyond y^{N-1} (the
-truncation corner, entry (N-1, N-2) among others) passes it.  The
-properties: the two walks agree with their references over QQ, GF(2),
-GF(7) and GF(1000003) at N = 2..16; the new verdict implies the old one;
-wherever the two differ, the operator-level and product-rule tests side
-with the new one; check_report's alpha and beta rebuild A; the CLI's
-`check` agrees with sheffer_by_commutation; and the matrices that
-perturbed_non_riordan draws for the benchmark are those it drew before.
+One walk decides it, _geometric_walk: it forms beta once and compares each
+u_k with u_0 beta^k, and returns the first (j, n) at which they differ.
+Two walks did this before, and both are kept below verbatim:
+riordan_witness_reference, which cross-multiplied u_0 u_k against
+u_1 u_{k-1} for k >= 2 without division, and geometric_witness_reference,
+which compared u_k with u_0 beta^k on the listed columns.  The library
+tested the column identity u_k^2 = u_{k-1} u_{k+1} before both; its walk
+is kept below verbatim too.  That identity follows from geometric columns
+but is weaker at order N: a change whose every product lands beyond
+y^{N-1} (the truncation corner, entry (N-1, N-2) among others) passes it.
+The properties: the walk returns the witness of both replaced walks, on
+listed and on lazy columns, over QQ, GF(2), GF(7) and GF(1000003) at
+N = 2..16 for every kind of matrix, and raises what they raised where
+beta does not exist; the new verdict implies the old one; wherever the two
+differ, the operator-level and product-rule tests side with the new one;
+check_report's alpha and beta rebuild A; the CLI's `check` agrees with
+sheffer_by_commutation; and the matrices that perturbed_non_riordan draws
+for the benchmark are those it drew before.
 """
 
 import random
@@ -25,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlab import Field, Series, TriMatrix
-from riordanlab.errors import NotSheffer
+from riordanlab.errors import MathDomainError, NotSheffer
 from riordanlab.functionals import binomial_associate, product_rule_spanning_witness
 from riordanlab.operators import (
     CHECK_KINDS,
@@ -42,9 +47,9 @@ from riordanlab.riordan import (
     _beta_quotient,
     _check_matrix_order,
     _first_difference,
-    _geometric_witness,
+    _geometric_columns,
+    _geometric_walk,
     _iter_unweighted_columns,
-    _riordan_witness,
     _unweighted_columns,
     is_riordan,
     pair_to_matrix,
@@ -82,6 +87,65 @@ def identity_verdict_reference(A, W):
         _iter_unweighted_columns(A, W), A.field.p) is None
 
 
+def riordan_witness_reference(u, p):
+    """The first (k, m), k >= 2, with [y^m] u_0 u_k != [y^m] u_1 u_{k-1},
+    or None.
+
+    u holds the raw columns (ints, den) of U, as a list or as the lazy
+    _iter_unweighted_columns; the walk ends at the first failing k, so no
+    column after u_k is built.  Both products have valuation k, so only
+    their window y^k..y^{N-1} is convolved.  For a graded A, u_0 is a unit
+    and None says u_k = u_{k-1} beta with beta = u_1 / u_0 for every k,
+    that is u_k = u_0 beta^k: exactly geometric columns, and the first
+    failure is the (j, n) of _geometric_witness.  Total: never divides.
+    """
+    u = iter(u)
+    (a, da), (b, db) = islice(u, 2)
+    n, x0, d0 = len(a), b, db  # x0 is u_{k-1}
+    for k, (x, d) in enumerate(u, 2):
+        m = _first_difference(_convolve(a[: n - k], x[k:], p), da * d,
+                              _convolve(b[1 : n - k + 1], x0[k - 1 : n - 1], p), db * d0)
+        if m is not None:
+            return (k, k + m)
+        x0, d0 = x, d
+    return None
+
+
+def geometric_witness_reference(u, beta):
+    """The first (j, n) with [y^n] u_j != [y^n] u_0 beta^j, or None.
+
+    u lists the columns of U; None says they are exactly geometric with
+    ratio beta, that is A is the matrix of the pair (u_0, beta).  One raw
+    convolution per column (series._geometric_columns).
+    """
+    for j, ((lhs, d), (rhs, den)) in enumerate(zip(u, _geometric_columns(*u[0], beta))):
+        n = _first_difference(lhs, d, rhs, den)
+        if n is not None:
+            return (j, n)
+    return None
+
+
+def geometric_beta_and_witness_reference(A, W):
+    """(beta, first differing (j, n)) as the product-rule witness formed
+    them: beta = u_1 / u_0 on the listed columns, then the comparison."""
+    u = _unweighted_columns(A, W)
+    beta = _beta_quotient(A, W, u)
+    return beta, geometric_witness_reference(u, beta)
+
+
+def beta_and_witness(A, W, u=None):
+    """(beta, first differing (j, n)) of the one walk."""
+    return _geometric_walk(A, W, u)[1:]
+
+
+def outcome(f, *args):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except (MathDomainError, ValueError) as e:
+        return type(e), str(e)
+
+
 # -- inputs -------------------------------------------------------------------
 
 
@@ -108,15 +172,36 @@ def test_walk_finds_the_first_non_geometric_column(case):
     if A.is_graded():
         u = _unweighted_columns(A, W)
         beta = RiordanPair(Series.one(field, n), _beta_quotient(A, W, u)).beta
-        want = _geometric_witness(u, beta)
-        assert _riordan_witness(u, field.p) == want
-        assert _riordan_witness(_iter_unweighted_columns(A, W), field.p) == want
+        want = geometric_witness_reference(u, beta)
+        assert riordan_witness_reference(u, field.p) == want
+        assert riordan_witness_reference(_iter_unweighted_columns(A, W), field.p) == want
+        for cols in (u, _iter_unweighted_columns(A, W), None):
+            kept, got_beta, found = _geometric_walk(A, W, cols)
+            assert (found, got_beta) == (want, beta)
+            assert kept == u[: n if want is None else want[0] + 1]
         assert new == (want is None)
     if new != old:  # the identity passed where the columns are not geometric
         assert product_rule_spanning_witness(A, W) is not None
         assert _lowering_witness(A, W) is not None
         if field.p is None or field.p >= n:
             assert not sheffer_by_commutation(A, W)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p", [None, 2, 7, 1000003])
+def test_walk_returns_the_replaced_witnesses_for_every_kind(kind, p):
+    # graded or not: where beta = u_1 / u_0 exists the walk finds the
+    # (j, n) of geometric_witness_reference, else it raises what that did
+    rng, field = random.Random(18), Field(p)
+    for n in range(2, 17 if p != 2 else 9):
+        for wkind in ("geometric", "random", "exponential"):
+            W = build_weight(wkind, field, n, rng)
+            A = build_matrix(kind, W, rng)
+            want = outcome(geometric_beta_and_witness_reference, A, W)
+            assert outcome(beta_and_witness, A, W) == want
+            assert outcome(beta_and_witness, A, W, _unweighted_columns(A, W)) == want
+            if A.is_graded():
+                assert want[1] == riordan_witness_reference(_iter_unweighted_columns(A, W), p)
 
 
 @settings(max_examples=300, deadline=None)

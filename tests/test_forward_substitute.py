@@ -1,4 +1,4 @@
-"""The fraction-free QQ forward substitution, against the loop it replaces.
+"""The forward substitution over QQ and GF(p), against the loops it replaces.
 
 Over QQ `_forward_substitute` carries the solved values as integers over
 one running denominator and builds one rational per output.  The reference
@@ -8,6 +8,12 @@ rationals (signed, mixed and large denominators, big diagonal numerators)
 and right-hand sides with leading zeros, at N = 2..64, and so must every
 QQ layer the solver serves: TriMatrix.inverse, Series.invert,
 Series.comp_inverse and riordan_inv.
+
+Over GF(p) it inverts each distinct diagonal value once, where the former
+solver, kept verbatim below, took one power per row.  Solves must agree
+over GF(2), GF(7) and GF(1000003) at N = 2..64, with one diagonal value
+throughout (a Toeplitz solve) and with many, and a Toeplitz solve takes
+one inverse.
 """
 
 import random
@@ -42,6 +48,19 @@ def forward_substitute_qq_reference(rows, rhss):
         for i in range(k, n):
             v = (b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i]
             x.append(v)
+        out.append(x)
+    return out
+
+
+def forward_substitute_gfp_reference(p, rows, rhss):
+    """Solve L x = b over GF(p) on residues, for each b in rhss."""
+    n = len(rows)
+    out = []
+    diag_inv = [pow(row[i], p - 2, p) for i, row in enumerate(rows)]
+    for b in rhss:
+        k, x = n - len(b), []
+        for i in range(k, n):
+            x.append((b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i] % p)
         out.append(x)
     return out
 
@@ -110,6 +129,29 @@ def systems(draw, max_n=64):
     return rows, rhss
 
 
+@st.composite
+def gfp_systems(draw):
+    """(p, rows, rhss) over GF(2), GF(7) or GF(1000003): residues, about a
+    third of them zero, under one nonzero diagonal value or a fresh one
+    per row, and one to four right-hand sides with leading offsets k."""
+    p = draw(st.sampled_from([2, 7, 1000003]))
+    n = draw(st.one_of(st.integers(2, 4), st.integers(2, 64)))
+    constant = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def entry():
+        return rng.randrange(p) if rng.randrange(3) else 0
+
+    d = rng.randrange(1, p)
+    rows = [[entry() for _ in range(i)] + [d if constant else rng.randrange(1, p)]
+            for i in range(n)]
+    rhss = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = rng.choice([0, 0, rng.randrange(n)])
+        rhss.append([entry() for _ in range(n - k)])
+    return p, rows, rhss
+
+
 def as_matrix(rows):
     return TriMatrix(QQ, [[Scalar(_Q(v)) for v in row] for row in rows])
 
@@ -124,6 +166,32 @@ def test_solver_matches_fraction_loop(system):
     got = _forward_substitute(QQ, rows, rhss)
     assert got == forward_substitute_qq_reference(rows, rhss)
     assert all(type(v) is _Q for x in got for v in x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gfp_systems())
+def test_gfp_solver_matches_per_row_powers(system):
+    p, rows, rhss = system
+    assert _forward_substitute(Field(p), rows, rhss) == forward_substitute_gfp_reference(p, rows, rhss)
+
+
+def test_gfp_toeplitz_solve_inverts_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(riordanlab.series, "pow", counting, raising=False)
+    rng, field = random.Random(64), Field(1000003)
+    s = Series(field, [Scalar(rng.randrange(1, field.p), field.p) for _ in range(64)])
+    assert s.invert() == invert_reference(s)
+    assert len(calls) == 1
+    calls.clear()
+    rows = [[rng.randrange(field.p) for _ in range(i)] + [1 + i % 3] for i in range(64)]
+    A = TriMatrix(field, [[Scalar(v, field.p) for v in row] for row in rows])
+    assert A @ A.inverse() == TriMatrix.identity(field, 64)
+    assert len(calls) == 3  # diagonal values 1, 2, 3
 
 
 def rationals_built(f, *args):

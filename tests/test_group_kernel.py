@@ -3,9 +3,9 @@
 Series.compose, Series.comp_inverse, riordan_mul and riordan_inv run on the
 power table R_g of series.py (column j holds g^j).  pair_to_matrix and
 product_rule_spanning_witness take c beta^k from one generator of raw
-columns.  _riordan_witness walks the raw columns of U for the first (k, m)
-at which u_0 u_k and u_1 u_{k-1} differ, cross-multiplied; is_riordan
-runs it on the lazy columns and stops at the first failing column, and
+columns.  _geometric_walk walks the raw columns of U for the first (j, n)
+at which u_j and u_0 beta^j differ, beta = u_1 / u_0; is_riordan runs it
+on the lazy columns and stops at the first failing column, and
 check_report builds U once and walks it once.  _beta_quotient is one
 Toeplitz solve on raw column values.  The references below are the code
 the library used before, kept verbatim (the old solver included, so no
@@ -43,8 +43,7 @@ from riordanlab.riordan import (
     RiordanPair,
     Weight,
     _beta_quotient,
-    _iter_unweighted_columns,
-    _riordan_witness,
+    _geometric_walk,
     _unweighted_columns,
     column_series,
     is_riordan,
@@ -396,8 +395,8 @@ def test_riordan_witness_matches_series_products(case, wkind, akind):
     A = matrix(akind, W, rng)
     found = witness_reference(A, W)  # (0, j, n): u_j and u_0 beta^j first differ at y^n
     want = None if found is None else found[1:]
-    assert _riordan_witness(_unweighted_columns(A, W), field.p) == want
-    assert _riordan_witness(_iter_unweighted_columns(A, W), field.p) == want
+    assert _geometric_walk(A, W, _unweighted_columns(A, W))[2] == want
+    assert _geometric_walk(A, W)[2] == want
     assert is_riordan(A, W) == (want is None)
 
 
@@ -464,10 +463,10 @@ def test_check_report_matches_two_calls(case, wkind, akind, kind):
 
 
 def counted_u(monkeypatch):
-    """Lists that grow by one per build of U and per walk of the column
-    identity, in every module that builds or walks it."""
+    """Lists that grow by one per build of U and per membership walk, in
+    every module that builds or walks it."""
     builds, walks = [], []
-    build_lazy, walk = riordan._iter_unweighted_columns, riordan._riordan_witness
+    build_lazy, walk = riordan._iter_unweighted_columns, riordan._geometric_walk
 
     def counting_list(*args):
         builds.append(1)
@@ -484,13 +483,13 @@ def counted_u(monkeypatch):
     for module in (operators, riordan, functionals):
         monkeypatch.setattr(module, "_unweighted_columns", counting_list)
         monkeypatch.setattr(module, "_iter_unweighted_columns", counting_lazy)
-    for module in (operators, riordan):
-        monkeypatch.setattr(module, "_riordan_witness", counting_walk)
+    for module in (operators, riordan, functionals):
+        monkeypatch.setattr(module, "_geometric_walk", counting_walk)
     return builds, walks
 
 
 def test_check_report_tests_the_column_identity_once(QQ, rng, monkeypatch):
-    # U is built once per report, and the column identity walks it once
+    # U is built once per report, and the membership walk walks it once
     builds, walks = counted_u(monkeypatch)
     W = Weight.exponential(QQ, 6, 1)
     for A in (pair_to_matrix(pair(QQ, 6, rng), W), graded_matrix(QQ, 6, rng)):

@@ -159,7 +159,7 @@ def test_never_consults_the_column_identity(case):
             outcome(is_normalizing_reference, A, W, 0, None))
     saved = [(m, name, getattr(m, name))
              for m in (riordan, operators, functionals)
-             for name in ("is_riordan", "_beta_quotient", "_geometric_witness")
+             for name in ("is_riordan", "_beta_quotient", "_geometric_witness", "_geometric_walk")
              if hasattr(m, name)]
     try:
         for m, name, _ in saved:

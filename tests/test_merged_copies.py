@@ -1,9 +1,10 @@
 """Four duplicates merged into one copy each, against the copies they replace.
 
-apply_matrix_to_poly, umbral_compose and functional_after_operator (t -> U t)
-sum c_i v_i through one helper of triangular.py.  _riordan_columns is the
-one membership walk: is_riordan is its verdict, and
-check_report takes riordan, sheffer and binomial from it.  TriMatrix.inverse
+apply_matrix_to_poly and umbral_compose sum c_i v_i through one helper of
+triangular.py, and functional_after_operator (t -> U t) applies the rows of
+U through the one matrix-vector product of series.py that the power table
+uses.  _riordan_columns is the one membership walk: is_riordan is its
+verdict, and check_report takes riordan, sheffer and binomial from it.  TriMatrix.inverse
 and _lowering_witness share one check of the diagonal, and TriMatrix and
 HPolyMatrix one check of the triangle's shape.  binomial_associate is
 pair_to_matrix of (1, dw_multiplier).  The references below are the
@@ -26,6 +27,7 @@ from riordanlab.errors import (
 )
 from riordanlab.functionals import (
     Functional,
+    _after_operator,
     _binomial_candidate,
     binomial_associate,
     functional_after_operator,
@@ -43,15 +45,17 @@ from riordanlab.riordan import (
     _beta_quotient,
     _iter_unweighted_columns,
     _riordan_columns,
-    _riordan_witness,
     _unweighted_columns,
     is_riordan,
     pair_to_matrix,
 )
 from riordanlab.scalars import Scalar
 from riordanlab.series import _forward_substitute, _wrap, check_order
-from riordanlab.triangular import Polynomial, apply_matrix_to_poly, umbral_compose
+from riordanlab.triangular import (
+    Polynomial, _linear_combination, apply_matrix_to_poly, umbral_compose,
+)
 
+from test_exact_membership import riordan_witness_reference as _riordan_witness
 from test_group_kernel import MATRICES, WEIGHTS, build_weight, cases, matrix, other, value
 
 # -- the replaced code --------------------------------------------------------
@@ -109,6 +113,14 @@ def functional_after_operator_reference(phi, S, W):
                                   for n in range(S.order)])
 
 
+def after_operator_reference(S, W, *fs):
+    """[f o S for f in fs], the functionals fs all on one build of the columns of U."""
+    if any(not f.order == S.order == W.order or not f.field == S.field == W.field for f in fs):
+        raise BackendMismatch("functional, operator and weight orders or fields differ")
+    cols = [_wrap(S.field, *col) for col in _unweighted_columns(S, W)]
+    return [Functional(f.field, _linear_combination(S.field, S.order, f.values, cols)) for f in fs]
+
+
 def is_riordan_reference(A, W):
     """Definitional membership test, checked at order N."""
     if A.order != W.order:
@@ -124,6 +136,12 @@ def riordan_columns_reference(A, W):
         return None
     u = _unweighted_columns(A, W)
     return u if _riordan_witness(u, A.field.p) is None else None
+
+
+def riordan_columns_and_beta_reference(A, W):
+    """_riordan_columns' (u, beta): beta = u_1 / u_0 on the columns above."""
+    u = riordan_columns_reference(A, W)
+    return None if u is None else (u, _beta_quotient(A, W, u))
 
 
 def check_report_reference(A, W, kind):
@@ -284,11 +302,28 @@ def test_functional_after_operator_matches_its_loop(case, wkind, akind, where):
 
 
 @settings(max_examples=300, deadline=None)
+@given(cases(), WEIGHTS, MATRICES, st.integers(0, 4), st.sampled_from(
+    ["same", "same", "same", "zero", "other-order", "other-field", "foreign-phi", "short-phi"]))
+def test_after_operator_matches_its_loop(case, wkind, akind, count, where):
+    # several functionals on one build of U, one of them off on request
+    field, n, rng = case
+    A, W = frame(case, wkind, akind, where if where.startswith("other") else "same")
+    fs = [Functional(field, vector(field, n, rng)) for _ in range(count)]
+    if where == "zero":
+        fs.append(Functional(field, [field.zero()] * n))
+    elif where == "foreign-phi":
+        fs.insert(rng.randint(0, count), Functional(other(field), vector(other(field), n, rng)))
+    elif where == "short-phi":
+        fs.append(Functional(field, vector(field, n - 1, rng)))
+    assert outcome(_after_operator, A, W, *fs) == outcome(after_operator_reference, A, W, *fs)
+
+
+@settings(max_examples=300, deadline=None)
 @given(cases(), WEIGHTS, MATRICES, WHERE)
 def test_column_identity_walk_matches_its_copies(case, wkind, akind, where):
     A, W = frame(case, wkind, akind, where)
     assert outcome(is_riordan, A, W) == outcome(is_riordan_reference, A, W)
-    assert outcome(_riordan_columns, A, W) == outcome(riordan_columns_reference, A, W)
+    assert outcome(_riordan_columns, A, W) == outcome(riordan_columns_and_beta_reference, A, W)
     for kind in CHECK_KINDS + ("unknown",):
         assert outcome(check_report, A, W, kind) == outcome(check_report_reference, A, W, kind)
 

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlab import Field, Series, riordan, series as series_module
+from riordanlab import Field, Series, series as series_module
 from riordanlab.errors import InnerValuationZero, NotValuationOne
 from riordanlab.riordan import (
     RiordanPair,
@@ -260,7 +260,7 @@ def test_pair_to_matrix_starts_each_power_at_its_valuation(p, monkeypatch):
         terms.append(len(x) * (len(x) + 1) // 2)
         return convolve(x, y, p)
 
-    for module in (series_module, riordan, sys.modules[__name__]):
+    for module in (series_module, sys.modules[__name__]):
         monkeypatch.setattr(module, "_convolve", counting)
     pair_to_matrix(a, W)
     assert sum(terms) == 680

@@ -22,7 +22,7 @@ from riordanlab import Series, TriMatrix
 from riordanlab.functionals import product_rule_spanning_witness
 from riordanlab.operators import sheffer_by_commutation
 from riordanlab.riordan import (
-    Weight, _riordan_witness, _unweighted_columns, is_riordan, pair_to_matrix,
+    Weight, _geometric_walk, is_riordan, pair_to_matrix,
 )
 
 from test_group_kernel import (
@@ -89,7 +89,7 @@ def test_corner_change_fails_is_riordan_too(QQ, rng):
     assert is_riordan_reference(B, W)  # the column identity cannot see a_{5,5}
     assert not is_riordan(B, W) and not has_a_sequence(B, W)
     assert product_rule_spanning_witness(B, W) == (0, 5, 5)
-    assert _riordan_witness(_unweighted_columns(B, W), QQ.p) == (5, 5)
+    assert _geometric_walk(B, W)[2] == (5, 5)
 
 
 @settings(max_examples=200, deadline=None)
