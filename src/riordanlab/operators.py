@@ -21,12 +21,14 @@ when U is Toeplitz.
 
 Sheffer membership is the definition, exactly geometric columns of U
 through y^{N-1}: is_sheffer, dw_multiplier and check_report take the
-verdict and beta from riordan._riordan_columns, the one membership walk,
-and check_report's appell test alone lists every column of U, for its
-Toeplitz test; sheffer_by_commutation and is_normalizing are independent
-operator-level tests that never consult it.  Each family they sweep (N
-translations, the substitutions 1 + y^j) consists of series in M_W, so both
-reduce to whether q = A^{-1} M_W A commutes with M_W.  As q = D q' D^{-1}
+verdict and (alpha, beta) from riordan._riordan_columns, the one
+membership walk.  check_report reads every kind off that pair: Appell is
+beta = y on a graded A (a Toeplitz U is u_k = y^k u_0), and only a
+non-graded A goes to is_appell's Toeplitz test.  sheffer_by_commutation
+and is_normalizing are independent operator-level tests that never
+consult it.  Each family they sweep (N translations, the substitutions
+1 + y^j) consists of series in M_W, so both reduce to whether
+q = A^{-1} M_W A commutes with M_W.  As q = D q' D^{-1}
 with q' = U^{-1} S U, that holds exactly when q' is Toeplitz, q' = T(t),
 that is when S U = U T(t): the lowering-side analogue of the production
 matrix (Deutsch, Ferrari & Rinaldi 2005).  _lowering_witness puts the
@@ -60,8 +62,8 @@ from .errors import (
     ZeroShift,
 )
 from .riordan import (
-    Weight, _first_difference, _geometric_walk, _iter_unweighted_columns, _mixed_backends,
-    _riordan_columns, _toeplitz_columns, _unweighted_columns, _weighted_matrix, is_riordan,
+    Weight, _first_difference, _iter_unweighted_columns, _mixed_backends, _riordan_columns,
+    _toeplitz_columns, _unweighted_columns, _weighted_matrix, is_riordan,
 )
 from .scalars import Scalar, _Q
 from .series import (
@@ -195,14 +197,11 @@ def is_appell(A: TriMatrix, W: Weight) -> bool:
 
     Tested as U = D^{-1} A D being Toeplitz (module note): each column k
     of U is its column 0 moved down by k.  O(N^2); the columns are built one
-    at a time, so a failing column ends the test.
+    at a time, so a failing column ends the test.  Any A, graded or not:
+    check_report calls it for a non-graded A alone.
     """
     _check_frame(A, W)
-    return _is_toeplitz(_iter_unweighted_columns(A, W))
-
-
-def _is_toeplitz(u) -> bool:
-    """Is each raw column u_k of U, from the iterator u, u_0 moved down by k?"""
+    u = _iter_unweighted_columns(A, W)
     c, d = next(u)
     return all(_first_difference(col[k:], dk, c[: len(c) - k], d) is None
                for k, (col, dk) in enumerate(u, 1))
@@ -417,29 +416,25 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
 
     `kind` is one of CHECK_KINDS.  alpha/beta are included whenever the
     matrix is Riordan for W, whatever `kind` was asked, and then
-    pair_to_matrix(RiordanPair(alpha, beta), W) rebuilds A.  U is built
-    once, and alpha = u_0 and beta = u_1 / u_0 are those the membership
-    walk formed.  riordan, sheffer and binomial take them from
-    _riordan_columns, which builds no column past the first failing one;
-    appell lists all of U for its Toeplitz test and, on a graded A that
-    fails it, walks the membership test on that list (a graded A with
-    Toeplitz U is Riordan with beta = y, u_k = y^k u_0).  The errors are
-    those of the public test of `kind`.
+    pair_to_matrix(RiordanPair(alpha, beta), W) rebuilds A.  Every kind
+    reads the one membership walk, _riordan_columns, which builds U once,
+    builds no column past the first failing one and gives alpha = u_0 and
+    beta = u_1 / u_0.  Each verdict is a reading of that pair: riordan and
+    sheffer are membership, binomial adds alpha = 1, and appell is
+    beta = y, since a graded A commutes with M_W exactly when
+    u_k = y^k u_0.  A non-graded A is not walked; its appell verdict is
+    is_appell (a finite difference has a strictly lower Toeplitz U).  The
+    errors are those of the public test of `kind`.
     """
     if kind not in CHECK_KINDS:
         raise ValueError(f"unknown check kind {kind!r}")
     if kind == "appell":
         _check_frame(A, W)
-        u = _unweighted_columns(A, W)
-        verdict = _is_toeplitz(iter(u))
-        found = None
-        if A.is_graded():  # a Toeplitz U is Riordan with beta = y: u_k = y^k u_0
-            y = Series.identity(A.field, A.order)
-            u, beta, witness = (u, y, None) if verdict else _geometric_walk(A, W, u)
-            found = None if witness else (u, beta)
+    alpha, beta = _riordan_columns(A, W) or (None, None)
+    if kind == "appell":
+        verdict = beta == Series.identity(A.field, A.order) if A.is_graded() else is_appell(A, W)
     else:
-        found = _riordan_columns(A, W)
-        verdict = found is not None and (kind != "binomial" or _trivial_alpha(A))
-    alpha, beta = (None, None) if found is None else (
-        Series(A.field, _wrap(A.field, *found[0][0])).to_json(), found[1].to_json())
+        verdict = beta is not None and (kind != "binomial" or _trivial_alpha(A))
+    if alpha is not None:
+        alpha, beta = Series(A.field, _wrap(A.field, *alpha)).to_json(), beta.to_json()
     return {"kind": kind, "verdict": verdict, "alpha": alpha, "beta": beta}

@@ -33,13 +33,15 @@ inverse solves R_beta x = e_1 and R_beta h = alpha on the same rows,
 h = alpha o beta^{<-1>} needing no composition.
 
 Membership is the definition itself, exactly geometric columns through
-y^{N-1}, decided by one walk on the columns of U, _geometric_walk: it
+y^{N-1}, decided by one walk on the lazy columns of U, _geometric_walk: it
 forms beta = u_1 / u_0 once (_beta_quotient) and compares each u_k with
-u_0 beta^k, building no column of U past the first that differs.
-_riordan_columns is that walk with its guards and returns (u, beta) for a
-Riordan A.  is_riordan is its verdict; matrix_to_pair, dw_multiplier and
-check_report (operators.py) read alpha = u_0 and beta from it, and the
-product-rule witness (functionals.py) reads the first differing (j, n).
+u_0 beta^k = u_1 beta^{k-1}, building no column of U past the first that
+differs and keeping none.  It returns (alpha, beta, witness), alpha = u_0
+raw.  _riordan_columns is that walk with its guards and returns
+(alpha, beta) for a Riordan A.  is_riordan is its verdict; matrix_to_pair,
+dw_multiplier and check_report (operators.py, every kind) read alpha and
+beta from it, and the product-rule witness (functionals.py) reads the
+first differing (j, n).
 """
 
 from __future__ import annotations
@@ -156,7 +158,10 @@ class Weight:
         return Series(self.field, self.recip)
 
     def ratio(self, n: int) -> Scalar:
-        """w_n / w_{n-1}, the subdiagonal of the weighted derivative."""
+        """w_n / w_{n-1}, the subdiagonal of the weighted derivative, for
+        1 <= n < N."""
+        if not 0 < n < self.order:
+            raise IndexError(f"ratio {n} out of range")
         return self.w[n] / self.w[n - 1]
 
     def rescale(self, lam) -> "Weight":
@@ -322,28 +327,26 @@ def _first_difference(x, dx, y, dy):
     return next((n for n, (a, b) in enumerate(zip(x, y)) if a * dy != b * dx), None)
 
 
-def _geometric_walk(A: TriMatrix, W: Weight, u=None):
-    """(u, beta, witness): the first (j, n) with [y^n] u_j != [y^n]
-    u_0 beta^j for beta = u_1 / u_0, or None, with beta and the columns of
-    U built up to u_j (all N of them for None).
+def _geometric_walk(A: TriMatrix, W: Weight):
+    """(alpha, beta, witness): alpha = u_0 as raw (ints, den), beta = u_1 / u_0
+    and the first (j, n) with [y^n] u_j != [y^n] u_0 beta^j, or None.
 
-    u holds the raw columns (ints, den) of U, as a list or as the lazy
-    _iter_unweighted_columns, built here unless given.  beta is one
-    Toeplitz solve (_beta_quotient), which needs u_0 to be a unit; then
-    u_0 beta^0 and u_0 beta = u_1 hold exactly, and u_0 beta^j is one raw
-    convolution per further column (series._geometric_columns).  None
-    says the columns are exactly geometric: A is the matrix of the pair
-    (u_0, beta).
+    The columns u_k of U come one at a time from _iter_unweighted_columns,
+    and none is built past u_j.  beta is one Toeplitz solve
+    (_beta_quotient), which needs u_0 to be a unit; it makes u_0 beta = u_1
+    exactly through y^{N-1}, so u_0 beta^j = u_1 beta^{j-1} there, and the
+    products start at u_1: one raw convolution per compared column
+    (series._geometric_columns), N - 2 in all.  None says the columns are
+    exactly geometric: A is the matrix of the pair (u_0, beta).
     """
-    cols = iter(u or _iter_unweighted_columns(A, W))
-    u = list(islice(cols, 2))
-    beta = _beta_quotient(A, W, u)
-    for j, (col, rhs) in enumerate(zip(cols, islice(_geometric_columns(*u[0], beta), 2, None)), 2):
-        u.append(col)
+    cols = _iter_unweighted_columns(A, W)
+    u0, u1 = islice(cols, 2)
+    beta = _beta_quotient(A, W, (u0, u1))
+    for j, (col, rhs) in enumerate(zip(cols, islice(_geometric_columns(*u1, beta), 1, None)), 2):
         n = _first_difference(*col, *rhs)
         if n is not None:
-            return u, beta, (j, n)
-    return u, beta, None
+            return u0, beta, (j, n)
+    return u0, beta, None
 
 
 def is_riordan(A: TriMatrix, W: Weight) -> bool:
@@ -357,15 +360,15 @@ def is_riordan(A: TriMatrix, W: Weight) -> bool:
 
 
 def _riordan_columns(A: TriMatrix, W: Weight):
-    """(u, beta) when A is Riordan for W, u the N columns of U
-    (_unweighted_columns) and beta = u_1 / u_0, else None: the membership
-    walk with its guards (the order check, then None for a non-graded A).
+    """(alpha, beta) when A is Riordan for W, alpha = u_0 as raw (ints, den)
+    and beta = u_1 / u_0, else None: the membership walk with its guards
+    (the order check, then None for a non-graded A, which is not walked).
     It stops at the first failing column."""
     _check_matrix_order(A, W)
     if A.is_graded():
-        u, beta, found = _geometric_walk(A, W)
+        alpha, beta, found = _geometric_walk(A, W)
         if found is None:
-            return u, beta
+            return alpha, beta
     return None
 
 
@@ -398,8 +401,8 @@ def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:
     found = _riordan_columns(A, W)
     if found is None:
         raise NotRiordan("matrix is not Riordan for this weight")
-    u, beta = found
-    return RiordanPair(Series(A.field, _wrap(A.field, *u[0])), beta)
+    alpha, beta = found
+    return RiordanPair(Series(A.field, _wrap(A.field, *alpha)), beta)
 
 
 def riordan_mul(a: RiordanPair, b: RiordanPair) -> RiordanPair:

@@ -143,7 +143,8 @@ class TriMatrix:
         return len(self.rows)
 
     def entry(self, n: int, k: int) -> Scalar:
-        if not 0 <= n < self.order or k < 0:
+        """Entry (n, k) for 0 <= n, k < N: zero above the diagonal."""
+        if not (0 <= n < self.order and 0 <= k < self.order):
             raise IndexError(f"entry ({n}, {k}) out of range")
         if k > n:
             return self.field.zero()

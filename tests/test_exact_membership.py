@@ -2,20 +2,24 @@
 
 A graded A is Riordan for W at order N when the columns u_k of
 U = D^{-1} A D are exactly u_0 beta^k through y^{N-1}, beta = u_1 / u_0.
-One walk decides it, _geometric_walk: it forms beta once and compares each
-u_k with u_0 beta^k, and returns the first (j, n) at which they differ.
-Two walks did this before, and both are kept below verbatim:
+One walk decides it, _geometric_walk: it forms beta once, compares each
+u_k with u_0 beta^k = u_1 beta^{k-1} on the lazy columns of U, and returns
+alpha = u_0, beta and the first (j, n) at which they differ.  Three walks
+did this before, and all are kept below verbatim:
 riordan_witness_reference, which cross-multiplied u_0 u_k against
-u_1 u_{k-1} for k >= 2 without division, and geometric_witness_reference,
-which compared u_k with u_0 beta^k on the listed columns.  The library
+u_1 u_{k-1} for k >= 2 without division, geometric_witness_reference,
+which compared u_k with u_0 beta^k on the listed columns, and
+geometric_walk_reference, which took listed or lazy columns, started its
+products at u_0 and returned the columns it built.  The library
 tested the column identity u_k^2 = u_{k-1} u_{k+1} before both; its walk
 is kept below verbatim too.  That identity follows from geometric columns
 but is weaker at order N: a change whose every product lands beyond
 y^{N-1} (the truncation corner, entry (N-1, N-2) among others) passes it.
-The properties: the walk returns the witness of both replaced walks, on
-listed and on lazy columns, over QQ, GF(2), GF(7) and GF(1000003) at
-N = 2..16 for every kind of matrix, and raises what they raised where
-beta does not exist; the new verdict implies the old one; wherever the two
+The properties: the walk returns the u_0, beta and witness of the replaced
+walks over QQ, GF(2), GF(7) and GF(1000003) at N = 2..16 for every kind
+of matrix, builds no column past the witness, makes N - 2 convolutions on
+a member of order N, and raises what they raised where beta does not
+exist; the new verdict implies the old one; wherever the two
 differ, the operator-level and product-rule tests side with the new one;
 check_report's alpha and beta rebuild A; the CLI's `check` agrees with
 sheffer_by_commutation; and the matrices that perturbed_non_riordan draws
@@ -40,7 +44,7 @@ from riordanlab.operators import (
     dw_multiplier,
     sheffer_by_commutation,
 )
-from riordanlab import sampling
+from riordanlab import riordan, sampling, series
 from riordanlab.riordan import (
     RiordanPair,
     Weight,
@@ -125,6 +129,30 @@ def geometric_witness_reference(u, beta):
     return None
 
 
+def geometric_walk_reference(A: TriMatrix, W: Weight, u=None):
+    """(u, beta, witness): the first (j, n) with [y^n] u_j != [y^n]
+    u_0 beta^j for beta = u_1 / u_0, or None, with beta and the columns of
+    U built up to u_j (all N of them for None).
+
+    u holds the raw columns (ints, den) of U, as a list or as the lazy
+    _iter_unweighted_columns, built here unless given.  beta is one
+    Toeplitz solve (_beta_quotient), which needs u_0 to be a unit; then
+    u_0 beta^0 and u_0 beta = u_1 hold exactly, and u_0 beta^j is one raw
+    convolution per further column (series._geometric_columns).  None
+    says the columns are exactly geometric: A is the matrix of the pair
+    (u_0, beta).
+    """
+    cols = iter(u or _iter_unweighted_columns(A, W))
+    u = list(islice(cols, 2))
+    beta = _beta_quotient(A, W, u)
+    for j, (col, rhs) in enumerate(zip(cols, islice(_geometric_columns(*u[0], beta), 2, None)), 2):
+        u.append(col)
+        n = _first_difference(*col, *rhs)
+        if n is not None:
+            return u, beta, (j, n)
+    return u, beta, None
+
+
 def geometric_beta_and_witness_reference(A, W):
     """(beta, first differing (j, n)) as the product-rule witness formed
     them: beta = u_1 / u_0 on the listed columns, then the comparison."""
@@ -133,9 +161,23 @@ def geometric_beta_and_witness_reference(A, W):
     return beta, geometric_witness_reference(u, beta)
 
 
-def beta_and_witness(A, W, u=None):
-    """(beta, first differing (j, n)) of the one walk."""
-    return _geometric_walk(A, W, u)[1:]
+def walk_reference(A, W):
+    """geometric_walk_reference's (u_0, beta, witness), as the walk returns them."""
+    u, beta, found = geometric_walk_reference(A, W)
+    return u[0], beta, found
+
+
+def counted_columns(monkeypatch):
+    """A list that grows by one per column of U the library builds lazily."""
+    built, columns = [], riordan._iter_unweighted_columns
+
+    def counting(*args):
+        for col in columns(*args):
+            built.append(col)
+            yield col
+
+    monkeypatch.setattr(riordan, "_iter_unweighted_columns", counting)
+    return built
 
 
 def outcome(f, *args):
@@ -176,9 +218,10 @@ def test_walk_finds_the_first_non_geometric_column(case):
         assert riordan_witness_reference(u, field.p) == want
         assert riordan_witness_reference(_iter_unweighted_columns(A, W), field.p) == want
         for cols in (u, _iter_unweighted_columns(A, W), None):
-            kept, got_beta, found = _geometric_walk(A, W, cols)
+            kept, got_beta, found = geometric_walk_reference(A, W, cols)
             assert (found, got_beta) == (want, beta)
             assert kept == u[: n if want is None else want[0] + 1]
+        assert _geometric_walk(A, W) == (u[0], beta, want)
         assert new == (want is None)
     if new != old:  # the identity passed where the columns are not geometric
         assert product_rule_spanning_witness(A, W) is not None
@@ -189,19 +232,48 @@ def test_walk_finds_the_first_non_geometric_column(case):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("p", [None, 2, 7, 1000003])
-def test_walk_returns_the_replaced_witnesses_for_every_kind(kind, p):
+def test_walk_returns_the_replaced_witnesses_for_every_kind(kind, p, monkeypatch):
     # graded or not: where beta = u_1 / u_0 exists the walk finds the
-    # (j, n) of geometric_witness_reference, else it raises what that did
+    # (j, n) of geometric_witness_reference, else it raises what that did;
+    # it builds u_0..u_j, or all N columns when they are geometric
     rng, field = random.Random(18), Field(p)
+    built = counted_columns(monkeypatch)
     for n in range(2, 17 if p != 2 else 9):
         for wkind in ("geometric", "random", "exponential"):
             W = build_weight(wkind, field, n, rng)
             A = build_matrix(kind, W, rng)
+            built.clear()
+            got, count = outcome(_geometric_walk, A, W), len(built)
             want = outcome(geometric_beta_and_witness_reference, A, W)
-            assert outcome(beta_and_witness, A, W) == want
-            assert outcome(beta_and_witness, A, W, _unweighted_columns(A, W)) == want
+            assert got == outcome(walk_reference, A, W)
+            if isinstance(got[0], type):  # no beta: the error the listed walk raised
+                assert got == want
+            else:
+                assert got[1:] == want
+                assert count == (n if want[1] is None else want[1][0] + 1)
             if A.is_graded():
                 assert want[1] == riordan_witness_reference(_iter_unweighted_columns(A, W), p)
+
+
+@pytest.mark.parametrize("p", [None, 2, 7, 1000003])
+def test_walk_over_a_member_makes_n_minus_2_products(p, monkeypatch):
+    # u_0 beta = u_1 exactly, so the products start at u_1: one convolution
+    # for each of u_2..u_{N-1}, none for the column u_1 beta^0
+    calls, convolve = [], series._convolve
+
+    def counting(*args):
+        calls.append(1)
+        return convolve(*args)
+
+    rng, field = random.Random(19), Field(p)
+    for n in range(2, 17):
+        W = build_weight("random", field, n, rng)
+        A = build_matrix("riordan", W, rng)
+        monkeypatch.setattr(series, "_convolve", counting)
+        calls.clear()
+        assert _geometric_walk(A, W)[2] is None
+        monkeypatch.undo()
+        assert len(calls) == n - 2, n
 
 
 @settings(max_examples=300, deadline=None)

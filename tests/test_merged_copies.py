@@ -4,14 +4,14 @@ apply_matrix_to_poly and umbral_compose sum c_i v_i through one helper of
 triangular.py, and functional_after_operator (t -> U t) applies the rows of
 U through the one matrix-vector product of series.py that the power table
 uses.  _riordan_columns is the one membership walk: is_riordan is its
-verdict, and check_report takes riordan, sheffer and binomial from it.  TriMatrix.inverse
-and _lowering_witness share one check of the diagonal, and TriMatrix and
-HPolyMatrix one check of the triangle's shape.  binomial_associate is
-pair_to_matrix of (1, dw_multiplier).  The references below are the
-replaced code, kept verbatim; every result, and the type and message of
-every raised error, must agree over QQ, GF(2), GF(3) and GF(1000003) at
-N = 2..16, with mixed fields, zero coefficients, the zero polynomial and
-degrees too high among the inputs.
+verdict, and check_report reads every kind from its (alpha, beta).
+TriMatrix.inverse and _lowering_witness share one check of the diagonal,
+and TriMatrix and HPolyMatrix one check of the triangle's shape.
+binomial_associate is pair_to_matrix of (1, dw_multiplier).  The
+references below are the replaced code, kept verbatim; every result, and
+the type and message of every raised error, must agree over QQ, GF(2),
+GF(3) and GF(1000003) at N = 2..16, with mixed fields, zero coefficients,
+the zero polynomial and degrees too high among the inputs.
 """
 
 from hypothesis import given, settings
@@ -35,7 +35,6 @@ from riordanlab.functionals import (
 from riordanlab.operators import (
     CHECK_KINDS,
     _check_frame,
-    _is_toeplitz,
     _lowering_witness,
     _trivial_alpha,
     check_report,
@@ -56,6 +55,7 @@ from riordanlab.triangular import (
 )
 
 from test_exact_membership import riordan_witness_reference as _riordan_witness
+from test_report_readings import is_toeplitz_reference as _is_toeplitz
 from test_group_kernel import MATRICES, WEIGHTS, build_weight, cases, matrix, other, value
 
 # -- the replaced code --------------------------------------------------------
@@ -138,10 +138,11 @@ def riordan_columns_reference(A, W):
     return u if _riordan_witness(u, A.field.p) is None else None
 
 
-def riordan_columns_and_beta_reference(A, W):
-    """_riordan_columns' (u, beta): beta = u_1 / u_0 on the columns above."""
+def alpha_and_beta_reference(A, W):
+    """_riordan_columns' (alpha, beta): u_0 and beta = u_1 / u_0 on the
+    columns above."""
     u = riordan_columns_reference(A, W)
-    return None if u is None else (u, _beta_quotient(A, W, u))
+    return None if u is None else (u[0], _beta_quotient(A, W, u))
 
 
 def check_report_reference(A, W, kind):
@@ -323,7 +324,7 @@ def test_after_operator_matches_its_loop(case, wkind, akind, count, where):
 def test_column_identity_walk_matches_its_copies(case, wkind, akind, where):
     A, W = frame(case, wkind, akind, where)
     assert outcome(is_riordan, A, W) == outcome(is_riordan_reference, A, W)
-    assert outcome(_riordan_columns, A, W) == outcome(riordan_columns_and_beta_reference, A, W)
+    assert outcome(_riordan_columns, A, W) == outcome(alpha_and_beta_reference, A, W)
     for kind in CHECK_KINDS + ("unknown",):
         assert outcome(check_report, A, W, kind) == outcome(check_report_reference, A, W, kind)
 

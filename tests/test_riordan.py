@@ -126,6 +126,17 @@ def test_column_series_rejects_every_index_outside_the_matrix(QQ):
     assert column_series(A, W, 3) == Series.monomial(QQ, 4, 3, "10/6")
 
 
+def test_weight_ratio_rejects_every_index_outside_the_subdiagonal(QQ, F7):
+    # n <= 0 once wrapped around (ratio(0) was w_0 / w_{N-1}), n = N raised
+    # a bare "tuple index out of range"
+    for field in (QQ, F7):
+        W = Weight.exponential(field, 5, 1)
+        for n in (0, -1, -2, -5, 5, 6):
+            with pytest.raises(IndexError, match=f"^ratio {n} out of range$"):
+                W.ratio(n)
+        assert [W.ratio(n) for n in range(1, 5)] == [field.scalar(n) for n in range(1, 5)]
+
+
 def test_is_riordan(QQ):
     e1 = Weight.exponential(QQ, 6, 1)
     assert is_riordan(TriMatrix.identity(QQ, 6), e1)

@@ -48,7 +48,22 @@ def test_rows_past_the_last_are_out_of_range(QQ):
     with pytest.raises(IndexError, match=r"^entry \(0, -1\) out of range$"):
         A.entry(0, -1)
     assert A.entry(3, 3) == QQ.scalar(10)
-    assert A.entry(0, 3) == QQ.zero() and A.entry(3, 20) == QQ.zero()  # above the diagonal
+    assert A.entry(0, 3) == QQ.zero()  # above the diagonal
+
+
+def test_columns_past_the_last_are_out_of_range(QQ, F7):
+    # k >= N once read as zero above the diagonal, so column(9) was N zeros
+    for field in (QQ, F7):
+        A = TriMatrix(field, [[field.scalar(v) for v in row]
+                              for row in ([1], [2, 3], [4, 5, 6], [7, 8, 9, 10])])
+        for n, k in ((3, 4), (3, 20), (0, 4), (2, 4)):
+            with pytest.raises(IndexError, match=rf"^entry \({n}, {k}\) out of range$"):
+                A.entry(n, k)
+        for k in (4, 9):
+            with pytest.raises(IndexError, match=rf"^entry \(0, {k}\) out of range$"):
+                A.column(k)
+        assert [A.entry(n, k) for n in range(3) for k in range(n + 1, 4)] == [field.zero()] * 6
+        assert A.column(3) == [field.zero()] * 3 + [field.scalar(10)]
 
 
 def test_matrix_to_polys(QQ):
