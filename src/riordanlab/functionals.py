@@ -167,22 +167,21 @@ def binomial_associate(A: TriMatrix, W: Weight) -> TriMatrix:
     return pair_to_matrix(RiordanPair(Series.one(A.field, A.order), dw_multiplier(A, W)), W)
 
 
-def _binomial_candidate(A: TriMatrix, W: Weight) -> TriMatrix:
-    # defined for any graded A; coincides with binomial_associate on Sheffer input
-    return pair_to_matrix(RiordanPair(Series.one(A.field, A.order), _beta_quotient(A, W)), W)
-
-
 def product_rule_check(A: TriMatrix, W: Weight, phi: Functional, psi: Functional) -> bool:
     """Test (phi*psi)(p_n/w_n) = sum_k phi(p_k/w_k) psi(d_{n-k}/w_{n-k})
     for every n, with d the binomial candidate sharing A's beta quotient;
     the right side is the weighted product of phi o A and psi o d.
 
     Holds for all phi, psi exactly when A is Sheffer.  U of A is built once
-    for both phi*psi and phi.
+    for both phi*psi and phi.  d is never built: it is D R_beta D^{-1} for
+    the ordinary matrix R_beta of (1, beta), so psi o d has the values
+    R_beta t of psi, the coefficients of psi(beta(y)) (Series.compose).
+    beta = u_1 / u_0 comes first: NotInvertible when u_0 vanishes and
+    NotValuationOne unless v(beta) = 1, before the functionals are checked.
     """
-    d = _binomial_candidate(A, W)
+    beta = RiordanPair(Series.one(A.field, A.order), _beta_quotient(A, W)).beta  # v(beta) = 1
     lhs, phi_a = _after_operator(A, W, functional_mul(phi, psi), phi)
-    return lhs == functional_mul(phi_a, functional_after_operator(psi, d, W))
+    return lhs.series() == phi_a.series() * psi.series().compose(beta)
 
 
 def product_rule_spanning_witness(A: TriMatrix, W: Weight):

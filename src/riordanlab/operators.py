@@ -47,6 +47,10 @@ the production-matrix test of tests/test_production_matrix.py
 (P = R'^{-1} R-bar for R = A under the weight w_n = 1, with Toeplitz
 columns k >= 1, an A-sequence), which holds exactly when
 product_rule_spanning_witness is None.
+
+solve_conjugator needs no inverse either: A S = M A gives a_{k+1} = M a_k,
+so the columns of A are the Krylov vectors M^k e_0, each one
+series._apply_rows on the rows of M, put over one denominator once.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ from .riordan import (
 )
 from .scalars import Scalar, _Q
 from .series import (
-    Series, _forward_substitute, _ints_over_lcm, _over_common_denominator, _rows_over_lcm, _wrap,
+    Series, _apply_rows, _forward_substitute, _ints_over_lcm, _over_common_denominator,
+    _rows_over_lcm, _wrap,
 )
 from .triangular import Polynomial, TriMatrix, _triangle_rows
 
@@ -355,23 +360,20 @@ def solve_conjugator(M: TriMatrix) -> TriMatrix:
     """The unique graded A with first column (1, 0, ...) conjugating the
     plain shift (the derivative of the all-ones weight) onto M.
 
-    Columns are determined inductively: a_{n,k+1} is the (n,k) entry of
-    A S with S the shift, and of M A, so
-    a_{n,k+1} = sum_{l=k}^{n-1} m_{n,l} a_{l,k}.
+    Column k of A S is column k + 1 of A, and A S = M A, so
+    a_{k+1} = M a_k: the columns of A are the Krylov vectors M^k e_0.  The
+    rows of M are put over one denominator once (series._rows_over_lcm),
+    and each next column is one series._apply_rows, one integer dot
+    product per entry.
     """
     if not is_degree_decreasing(M):
         raise NotDegreeDecreasing("need a strictly lower matrix with nonzero subdiagonal")
-    n_ord = M.order
-    zero, one = M.field.zero(), M.field.one()
-    a = [[zero] * (i + 1) for i in range(n_ord)]
-    a[0][0] = one
-    for k in range(n_ord - 1):
-        for n in range(k + 1, n_ord):
-            acc = zero
-            for l in range(k, n):
-                acc = acc + M.entry(n, l) * a[l][k]
-            a[n][k + 1] = acc
-    return TriMatrix(M.field, a)
+    field, n = M.field, M.order
+    table = _rows_over_lcm([_over_common_denominator(M.column(k)) for k in range(n)])
+    cols = [[field.one()] + [field.zero()] * (n - 1)]
+    for _ in range(n - 1):
+        cols += _apply_rows(field, table, cols[-1])
+    return TriMatrix(field, [[cols[k][i] for k in range(i + 1)] for i in range(n)])
 
 
 def finite_difference_matrix(W: Weight, a) -> TriMatrix:

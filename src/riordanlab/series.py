@@ -20,7 +20,9 @@ _lowering_witness the rows of U).  Column j of R_g holds g^j, so R_g f is
 the coefficient vector of f o g, and R_g serves the whole group law:
 ``_apply_power_table`` applies it (Series.compose, riordan_mul) through
 ``_apply_rows``, the one product of rows over one denominator with a
-vector, which functionals._after_operator runs on the rows of U; and
+vector, which functionals._after_operator runs on the rows of U and
+operators.solve_conjugator on the rows of M, once per Krylov column M^k e_0
+(functionals.product_rule_check reaches it through Series.compose); and
 ``_solve_power_table`` solves with it, R_g x = e_1 giving g^{<-1>} and
 R_g h = f giving f o g^{<-1>} (Series.comp_inverse, riordan_inv).
 """
@@ -221,24 +223,25 @@ class Series:
     # -- constructors ----------------------------------------------------
     @classmethod
     def from_values(cls, field, order, values):
-        """Build from ints/strings/Scalars, zero-padding up to `order`."""
-        vals = [field.scalar(v) for v in values]
-        if len(vals) > order:
-            raise ValueError(f"{len(vals)} coefficients exceed order {order}")
-        vals += [field.zero()] * (order - len(vals))
-        return cls(field, vals)
+        """Build from ints/strings/Scalars, zero-padding up to `order`.  The
+        count of values, then the order, is checked before any is converted."""
+        values = list(values)
+        if len(values) > order:
+            raise ValueError(f"{len(values)} coefficients exceed order {order}")
+        check_order(order)
+        return cls(field, [field.scalar(v) for v in values] + [field.zero()] * (order - len(values)))
 
     @classmethod
     def zero(cls, field, order):
-        return cls(field, [field.zero()] * order)
+        return cls.from_values(field, order, [])
 
     @classmethod
     def one(cls, field, order):
-        return cls.constant(field, order, field.one())
+        return cls.constant(field, order, 1)
 
     @classmethod
     def constant(cls, field, order, c):
-        return cls(field, [field.scalar(c)] + [field.zero()] * (order - 1))
+        return cls.from_values(field, order, [c])
 
     @classmethod
     def exp(cls, field, order, h):
@@ -256,9 +259,8 @@ class Series:
     def monomial(cls, field, order, k, c=1):
         if not 0 <= k < order:
             raise ValueError(f"exponent {k} out of range for order {order}")
-        coeffs = [field.zero()] * order
-        coeffs[k] = field.scalar(c)
-        return cls(field, coeffs)
+        check_order(order)
+        return cls.from_values(field, order, [field.zero()] * k + [c])
 
     # -- basics ----------------------------------------------------------
     @property
@@ -311,11 +313,15 @@ class Series:
         return Series(self.field, _wrap(self.field, _convolve(a, b), da * db))
 
     def __pow__(self, k: int):
+        """self^k by repeated squaring: at most 2 k.bit_length() products."""
         if k < 0:
             raise ValueError("negative powers not supported; use invert()")
-        out = Series.one(self.field, self.order)
-        for _ in range(k):
-            out = out * self
+        out, base = Series.one(self.field, self.order), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
         return out
 
     def invert(self):

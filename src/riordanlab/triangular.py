@@ -115,21 +115,22 @@ class TriMatrix:
     # -- constructors ----------------------------------------------------
     @classmethod
     def identity(cls, field, order):
-        one, zero = field.one(), field.zero()
-        return cls(field, [[zero] * n + [one] for n in range(order)])
+        check_order(order)
+        return cls.diagonal(field, [field.one()] * order)
 
     @classmethod
     def zero(cls, field, order):
-        zero = field.zero()
-        return cls(field, [[zero] * (n + 1) for n in range(order)])
+        check_order(order)
+        return cls.diagonal(field, [field.zero()] * order)
 
     @classmethod
     def diagonal(cls, field, entries):
+        """The diagonal matrix of entries; their count is checked as the
+        order before any is converted."""
+        entries = list(entries)
+        check_order(len(entries))
         zero = field.zero()
-        return cls(
-            field,
-            [[zero] * n + [field.scalar(d)] for n, d in enumerate(entries)],
-        )
+        return cls(field, [[zero] * n + [field.scalar(d)] for n, d in enumerate(entries)])
 
     @classmethod
     def from_entries(cls, field, order, entry_fn):

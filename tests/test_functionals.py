@@ -29,7 +29,6 @@ from riordanlab import (
     translation_matrix,
 )
 from riordanlab.errors import BackendMismatch, NotCommuting, NotSheffer
-from riordanlab.functionals import _binomial_candidate
 from riordanlab.operators import appell_from_alpha
 from riordanlab.riordan import Weight, column_series
 from riordanlab.sampling import (
@@ -42,6 +41,8 @@ from riordanlab.sampling import (
     unit_series,
     weight,
 )
+
+from test_merged_copies import binomial_candidate_reference
 
 
 def S(field, order, *vals):
@@ -307,7 +308,7 @@ def test_commutation_with_m_rejects_mismatched_weight(QQ, F7):
 def triple_loop_witness(A, W):
     """The spanning-set search as an O(N^4) loop over Scalars: the reference."""
     n_ord = A.order
-    d = _binomial_candidate(A, W)
+    d = binomial_candidate_reference(A, W)
     zero = A.field.zero()
     p_val = [[A.entry(k, i) * W.w[i] * W.recip[k] for k in range(n_ord)] for i in range(n_ord)]
     d_val = [[d.entry(l, j) * W.w[j] * W.recip[l] for l in range(n_ord)] for j in range(n_ord)]

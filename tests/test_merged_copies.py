@@ -28,7 +28,6 @@ from riordanlab.errors import (
 from riordanlab.functionals import (
     Functional,
     _after_operator,
-    _binomial_candidate,
     binomial_associate,
     functional_after_operator,
 )
@@ -365,4 +364,3 @@ def test_diagonal_check_matches_its_copies(case, wkind, akind, where):
 def test_sheffer_beta_matches_its_copy(case, wkind, akind, where):
     A, W = frame(case, wkind, akind, where)
     assert outcome(binomial_associate, A, W) == outcome(binomial_associate_reference, A, W)
-    assert outcome(_binomial_candidate, A, W) == outcome(binomial_candidate_reference, A, W)

@@ -21,6 +21,16 @@ def test_script_runs_at_default_order(script):
     assert "Traceback" not in done.stdout + done.stderr
 
 
+def test_conjugate_operators_verifies_every_target():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "conjugate_operators.py")],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    verdicts = [line for line in done.stdout.splitlines() if "conjugation verified" in line]
+    targets = ["usual derivative", "finite difference", "q-derivative (q=2)", "random"]
+    assert verdicts == [f"== {name}: conjugation verified: True" for name in targets]
+
+
 def test_scripts_are_found():
     assert len(SCRIPTS) >= 3
 

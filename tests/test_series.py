@@ -1,14 +1,19 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlab import INFINITY, Field, Series
+from riordanlab import INFINITY, Field, Series, TriMatrix
+from riordanlab import series as series_module
 from riordanlab.errors import (
     BackendMismatch,
     InnerValuationZero,
     NotInvertible,
     NotValuationOne,
 )
+from riordanlab.functionals import Functional, functional_power
+from riordanlab.sampling import series as sampled_series
 
 
 def S(field, order, *vals):
@@ -144,6 +149,146 @@ def test_order_bounds(QQ):
         Series(QQ, [QQ.one()])
     with pytest.raises(ValueError):
         Series.zero(QQ, 65)
+
+
+# -- constructors check the order first, and powers square ---------------------
+
+
+def zero_reference(field, order):
+    return Series(field, [field.zero()] * order)
+
+
+def constant_reference(field, order, c):
+    return Series(field, [field.scalar(c)] + [field.zero()] * (order - 1))
+
+
+def monomial_reference(field, order, k, c=1):
+    if not 0 <= k < order:
+        raise ValueError(f"exponent {k} out of range for order {order}")
+    coeffs = [field.zero()] * order
+    coeffs[k] = field.scalar(c)
+    return Series(field, coeffs)
+
+
+def from_values_reference(field, order, values):
+    """Build from ints/strings/Scalars, zero-padding up to `order`."""
+    vals = [field.scalar(v) for v in values]
+    if len(vals) > order:
+        raise ValueError(f"{len(vals)} coefficients exceed order {order}")
+    vals += [field.zero()] * (order - len(vals))
+    return Series(field, vals)
+
+
+def identity_reference(field, order):
+    one, zero = field.one(), field.zero()
+    return TriMatrix(field, [[zero] * n + [one] for n in range(order)])
+
+
+def trimatrix_zero_reference(field, order):
+    zero = field.zero()
+    return TriMatrix(field, [[zero] * (n + 1) for n in range(order)])
+
+
+def diagonal_reference(field, entries):
+    zero = field.zero()
+    return TriMatrix(
+        field,
+        [[zero] * n + [field.scalar(d)] for n, d in enumerate(entries)],
+    )
+
+
+def pow_reference(s, k):
+    out = Series.one(s.field, s.order)
+    for _ in range(k):
+        out = out * s
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("p", [None, 2, 1000003])
+@pytest.mark.parametrize("order", [1, 2, 3, 16, 64, 65, 66])
+def test_constructors_match_their_references(p, order):
+    # the orders 1 and 65 up fail with the same message; the values are valid
+    field = Field(p)
+    pairs = [(Series.zero, zero_reference, (field, order)),
+             (Series.constant, constant_reference, (field, order, 3)),
+             (TriMatrix.identity, identity_reference, (field, order)),
+             (TriMatrix.zero, trimatrix_zero_reference, (field, order)),
+             (TriMatrix.diagonal, diagonal_reference, (field, [k + 1 for k in range(order)]))]
+    for k in (0, 1, order - 1, order, order + 3):
+        pairs.append((Series.monomial, monomial_reference, (field, order, k, 5)))
+    for count in (0, 1, order, order + 1):
+        pairs.append((Series.from_values, from_values_reference, (field, order, list(range(count)))))
+    for new, reference, args in pairs:
+        assert outcome(new, *args) == outcome(reference, *args), new.__name__
+
+
+@pytest.mark.parametrize("order", [65, 3000])
+def test_constructors_check_the_order_before_they_allocate(QQ, order, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("an entry was built before the order check")
+
+    for name in ("zero", "one", "scalar"):
+        monkeypatch.setattr(Field, name, unreachable)
+    builds = [lambda: Series.zero(QQ, order),
+              lambda: Series.one(QQ, order),
+              lambda: Series.constant(QQ, order, 3),
+              lambda: Series.identity(QQ, order),
+              lambda: Series.monomial(QQ, order, order - 1, 2),
+              lambda: Series.from_values(QQ, order, [1, 2, 3]),
+              lambda: TriMatrix.identity(QQ, order),
+              lambda: TriMatrix.zero(QQ, order),
+              lambda: TriMatrix.diagonal(QQ, [1] * order)]
+    for build in builds:
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"order must be in 2..64, got {order}"
+
+
+def test_the_count_and_the_exponent_still_win_over_the_order(QQ):
+    for build, message in [(lambda: Series.from_values(QQ, 1, [1, 2, 3]), "3 coefficients exceed order 1"),
+                           (lambda: Series.from_values(QQ, 65, [0] * 66), "66 coefficients exceed order 65"),
+                           (lambda: Series.monomial(QQ, 1, 1), "exponent 1 out of range for order 1"),
+                           (lambda: Series.monomial(QQ, 65, 70), "exponent 70 out of range for order 65")]:
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
+def test_pow_squares(QQ, monkeypatch):
+    products, convolve = [], series_module._convolve
+
+    def counting(*args):
+        products.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(series_module, "_convolve", counting)
+    k = 1000
+    got = S(QQ, 4, 1, 1) ** k
+    assert len(products) <= 2 * k.bit_length()
+    assert got == S(QQ, 4, *[comb(k, j) for j in range(4)])
+    assert S(QQ, 4, 1, 1) ** 10**9 == S(QQ, 4, *[comb(10**9, j) for j in range(4)])
+
+
+@pytest.mark.parametrize("p", [None, 2, 1000003])
+def test_pow_matches_the_k_fold_product(p, rng):
+    field = Field(p)
+    for order in (2, 3, 5, 8):
+        for valuation in (0, 0, 1, 2):
+            s = sampled_series(field, order, rng, min(valuation, order - 1))
+            phi = Functional.from_series(s)
+            for k in range(21):
+                assert s ** k == pow_reference(s, k), (order, valuation, k)
+                assert functional_power(phi, k) == Functional.from_series(pow_reference(s, k))
+    with pytest.raises(ValueError, match="negative powers"):
+        s ** -1
 
 
 # -- the integer product kernel and the O(N^3) reversion, against references --

@@ -26,7 +26,6 @@ from riordanlab.errors import (
 )
 from riordanlab.functionals import (
     Functional,
-    _binomial_candidate,
     functional_after_operator,
     functional_mul,
     product_rule_check,
@@ -39,6 +38,7 @@ from riordanlab.triangular import Polynomial
 from riordanlab.twoweight import is_exponential_alpha
 
 from test_generators import build_matrix, build_weight
+from test_merged_copies import binomial_candidate_reference
 
 # -- the replaced loops -------------------------------------------------------
 
@@ -97,7 +97,7 @@ def expansion_reference(pair, W):
 
 def product_rule_reference(A, W, phi, psi):
     """(phi*psi)(p_n/w_n) against sum_k phi(p_k/w_k) psi(d_{n-k}/w_{n-k}), a double loop."""
-    d = _binomial_candidate(A, W)
+    d = binomial_candidate_reference(A, W)
     lhs_vals = functional_after_operator(functional_mul(phi, psi), A, W).values
     pv = functional_after_operator(phi, A, W).values
     dv = functional_after_operator(psi, d, W).values
