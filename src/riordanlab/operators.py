@@ -218,7 +218,7 @@ def is_binomial(A: TriMatrix, W: Weight) -> bool:
 
 
 def _trivial_alpha(A: TriMatrix) -> bool:
-    return A.column(0) == [A.field.one()] + [A.field.zero()] * (A.order - 1)
+    return A._columns()[0] == ([1] + [0] * (A.order - 1), 1)
 
 
 def dw_multiplier(A: TriMatrix, W: Weight) -> Series:
@@ -322,13 +322,16 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     rows of U over their one denominator and each column of V over its own.
 
     The cost is about N^4/24 big-integer multiply-adds.  V is solved at
-    its reduced size, but the rows of U keep the content the weight puts
-    into them: over QQ at N = 64, on the matrix of one random pair, they
-    hold 2133-bit integers under q_factorial(-1, 2) and 398-bit ones under
-    the exponential weight, against at most 276 bits in the columns of V.
-    One call there took 1.0-1.1 s and 0.3-0.5 s (minimum of 1-2 calls,
-    Python 3.11, Fraction backend, 2 shared CPUs).  The CLI does not call
-    it.
+    its reduced size, and the columns of U are divided by their content
+    (riordan._iter_unweighted_columns), so U is the ordinary matrix of the
+    pair at its own size whatever the weight: over QQ at N = 64, on the
+    matrix of sampling.riordan_pair(QQ, 64, random.Random(1)), its rows
+    hold at most 133-bit integers over a 27-bit denominator under both
+    q_factorial(-1, 2) and the exponential weight, and the columns of V at
+    most 274 bits.  One call there took 0.27-0.28 s and 0.24-0.28 s
+    (minimum of 2 calls, Python 3.11, Fraction backend, 2 shared CPUs); on
+    undivided rows of U (2133 and 398 bits) it took 0.8-1.0 s and
+    0.27-0.36 s.  The CLI does not call it.
     """
     _check_frame(A, W)
     (u, den), v = _inverse_frame(A, W)
@@ -351,9 +354,8 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
 
 def is_degree_decreasing(M: TriMatrix) -> bool:
     """Strictly lower with nonvanishing subdiagonal: drops every degree by 1."""
-    if not M.is_strictly_lower():
-        return False
-    return all(M.rows[n][n - 1] for n in range(1, M.order))
+    cols = M._columns()
+    return M.is_strictly_lower() and all(col[k + 1] for k, (col, _) in enumerate(cols[:-1]))
 
 
 def solve_conjugator(M: TriMatrix) -> TriMatrix:
@@ -369,7 +371,7 @@ def solve_conjugator(M: TriMatrix) -> TriMatrix:
     if not is_degree_decreasing(M):
         raise NotDegreeDecreasing("need a strictly lower matrix with nonzero subdiagonal")
     field, n = M.field, M.order
-    table = _rows_over_lcm([_over_common_denominator(M.column(k)) for k in range(n)])
+    table = _rows_over_lcm(M._columns())
     cols = [[field.one()] + [field.zero()] * (n - 1)]
     for _ in range(n - 1):
         cols += _apply_rows(field, table, cols[-1])

@@ -18,11 +18,22 @@ u_k = w_k C_k = alpha beta^k; the weighted derivative is M_W = D S D^{-1}
 for the plain shift S; and the Appell matrices are D T D^{-1} for
 lower-triangular Toeplitz T.  Two kernels hold that fact, on raw columns
 (ints, den), integers over one denominator over QQ and residues over 1 over
-GF(p): _iter_unweighted_columns yields the columns of U one at a time
-(_unweighted_columns lists them), and _weighted_matrix builds D R D^{-1}
-from the columns of an ordinary R.  The weighted matrix
-routines here and in operators.py and functionals.py are the ordinary
-routines on U.
+GF(p), each in reduced form (triangular.py): _iter_unweighted_columns
+yields the columns of U one at a time from the raw columns of A
+(_unweighted_columns lists them), and _weighted_matrix returns the raw
+columns of D R D^{-1} from those of an ordinary R, building no Scalar
+(pair_to_matrix, appell_from_alpha, m_matrix, change_weight).  The weighted
+matrix routines here and in operators.py and functionals.py are the
+ordinary routines on U.
+
+Each column of U is divided by its content, the gcd of its integers and
+its denominator: multiplying a column of A by w_k and by 1/w_i over one
+denominator puts back a factor that reduction removes.  U is then the
+ordinary matrix of the pair at its own size, whatever the weight: over
+QQ at N = 64, on the matrix of sampling.riordan_pair(QQ, 64,
+random.Random(1)), its columns hold at most 110-bit integers under both
+q_factorial(-1, 2) and the exponential weight; undivided, they held 2035
+and 307 bits.
 
 The powers of beta come from the one kernel of series.py,
 _geometric_columns, the raw columns c beta^k of R_(c,beta):
@@ -60,7 +71,7 @@ from .errors import (
     RootOfUnity,
     ZeroLambda,
 )
-from .scalars import Field, Scalar, _Q
+from .scalars import Field, Scalar
 from .series import (
     Series,
     _apply_power_table,
@@ -68,6 +79,7 @@ from .series import (
     _geometric_columns,
     _ints_over_lcm,
     _over_common_denominator,
+    _reduce,
     _solve_power_table,
     _wrap,
     check_order,
@@ -270,20 +282,20 @@ def _iter_unweighted_columns(A: TriMatrix, W: Weight):
     _check_matrix_order(A, W)
     if A.field != W.field:
         raise _mixed_backends(A.rows[0][0], W.recip[0])
-    p, n, rows = A.field.p, A.order, A.rows
+    p, n, cols = A.field.p, A.order, A._columns()
     if p is None:
         r, dr = _ints_over_lcm(W._recip)
 
         def column(k):
-            a, da = _ints_over_lcm([rows[i][k].val for i in range(k, n)])
+            a, da = cols[k]
             t = W._w[k] / (da * dr)
             tn = t.numerator
-            return [0] * k + [x * y * tn for x, y in zip(a, r[k:])], t.denominator
+            return _reduce([a[i] * r[i] * tn for i in range(k, n)], t.denominator, k)
 
         return map(column, range(n))
     r, w = W._recip, W._w
-    return (([0] * k + [rows[i][k].val * r[i] * w[k] % p for i in range(k, n)], 1)
-            for k in range(n))
+    return (([0] * k + [a[i] * r[i] * w[k] % p for i in range(k, n)], 1)
+            for k, (a, _) in enumerate(cols))
 
 
 def _unweighted_columns(A: TriMatrix, W: Weight) -> list:
@@ -294,21 +306,19 @@ def _unweighted_columns(A: TriMatrix, W: Weight) -> list:
 def _weighted_matrix(W: Weight, cols) -> TriMatrix:
     """D R D^{-1}, entry (i, k) = w_i r_{i,k} / w_k, from the raw columns
     (ints, den) of an ordinary lower-triangular R (as _unweighted_columns
-    returns them)."""
-    field, p, n, w, recip = W.field, W.field.p, W.order, W._w, W._recip
-    rows = [[None] * (i + 1) for i in range(n)]
+    returns them), as raw columns in reduced form: no Scalar is built."""
+    field, p, n, recip = W.field, W.field.p, W.order, W._recip
     if p is None:
-        zero = field.zero()
+        w, dw = _ints_over_lcm(W._w)
+        out = []
         for k, (col, den) in enumerate(cols):
-            num, dk = recip[k].numerator, den * recip[k].denominator
-            for i in range(k, n):
-                x = col[i] * num
-                rows[i][k] = Scalar(_Q(w[i].numerator * x, w[i].denominator * dk)) if x else zero
+            rn, rd = recip[k].numerator, recip[k].denominator
+            out.append(_reduce([w[i] * col[i] * rn for i in range(k, n)], den * dw * rd, k))
     else:
-        for k, ((col, _), rk) in enumerate(zip(cols, recip)):
-            for i in range(k, n):
-                rows[i][k] = Scalar(w[i] * col[i] * rk % p, p)
-    return TriMatrix(field, rows)
+        w = W._w
+        out = [([0] * k + [w[i] * col[i] * rk % p for i in range(k, n)], 1)
+               for k, ((col, _), rk) in enumerate(zip(cols, recip))]
+    return TriMatrix._from_columns(field, out)
 
 
 def _toeplitz_columns(c, den) -> list:

@@ -193,7 +193,8 @@ class Field:
         """Parse 'a', 'a/b' (rational field) or 'a', 'a mod p' (GF(p)).
 
         a is an optionally signed run of ASCII digits, b and p are runs of
-        digits; nothing else is accepted, whatever the rational backend.
+        digits; nothing else is accepted, whatever the rational backend.  A
+        zero b raises ZeroDivisionError naming the text.
         """
         text = text.strip()
         residue = _RESIDUE.fullmatch(text)
@@ -205,6 +206,8 @@ class Field:
         rational = _RATIONAL.fullmatch(text)
         if rational and self.p is None:
             num, den = rational.groups()
+            if den is not None and not int(den):
+                raise ZeroDivisionError(f"'{text}' has a zero denominator")
             return Scalar(_Q(int(num), int(den or 1)))
         if rational and rational[2] is None:
             return Scalar(int(text) % self.p, self.p)

@@ -118,6 +118,16 @@ def _ints_over_lcm(vals):
     return [v.numerator * (den // v.denominator) for v in vals], den
 
 
+def _reduce(ints, den, k):
+    """The column [0] * k + ints over den > 0 in reduced form: ints and den
+    divided by the gcd of all of them, as _ints_over_lcm gives normalised
+    rationals; a zero column becomes (zeros, 1)."""
+    g = gcd(den, *ints)
+    if g > 1:
+        ints, den = [x // g for x in ints], den // g
+    return [0] * k + ints, den
+
+
 def _over_common_denominator(coeffs):
     """Rational coefficients as (integer numerators, their common denominator);
     residues mod p as (residues, 1)."""

@@ -5,9 +5,23 @@ sequence (constant term first); matrix multiplication then realizes
 umbral composition of sequences.  A matrix is *graded* when every
 diagonal entry is nonzero, i.e. when the sequence has deg p_n = n.
 
-Both kernels run on raw values: @ takes one integer dot product per entry,
-and TriMatrix.inverse is the forward substitution of the series module,
-one column per k.
+A TriMatrix holds its rows of Scalars, or the raw columns a kernel built,
+or both.  A raw column is (ints, den): all N rows, zero above the diagonal,
+as integers over one denominator over QQ and residues over 1 over GF(p),
+always in reduced form, den > 0 and gcd(ints..., den) = 1
+(series._reduce).  That form is unique, so two matrices holding raw
+columns are equal exactly when their columns are, and it is the form
+series._ints_over_lcm gives normalised rationals, so the columns read off
+the rows of a matrix built from Scalars (_columns, cached) are the same.
+The kernels of riordan.py return raw columns (TriMatrix._from_columns, no
+Field.check) and build no Scalar: the rows are built on the first read of
+rows or entry, and kept.
+
+Both kernels here read the raw columns: @ takes one integer dot product
+per entry, over QQ on the columns of the left factor put over one
+denominator as rows, and returns raw columns, one gcd per column;
+TriMatrix.inverse is the forward substitution of the series module on
+those rows, one column per k.
 """
 
 from __future__ import annotations
@@ -15,8 +29,10 @@ from __future__ import annotations
 from operator import mul
 
 from .errors import BackendMismatch, DegreeTooHigh, SingularDiagonal
-from .scalars import Field, Scalar, _Q
-from .series import _forward_substitute, _over_common_denominator, check_order
+from .scalars import Field, Scalar
+from .series import (
+    _forward_substitute, _over_common_denominator, _reduce, _rows_over_lcm, _wrap, check_order,
+)
 
 
 class Polynomial:
@@ -101,16 +117,49 @@ def _triangle_rows(rows):
 
 
 class TriMatrix:
-    """Lower-triangular square matrix; row n stores entries (n,0)..(n,n)."""
+    """Lower-triangular square matrix; row n stores entries (n,0)..(n,n).
 
-    __slots__ = ("field", "rows")
+    A matrix holds its rows of Scalars, or the raw columns a kernel built
+    (_from_columns), or both: either is built from the other on its first
+    read and kept.
+    """
+
+    __slots__ = ("field", "_rows", "_cols")
 
     def __init__(self, field: Field, rows):
         rows = tuple([tuple(r) for r in rows])  # a list: see series._ints_over_lcm
         for row in _triangle_rows(rows):
             field.check(row, "entry")
-        self.field = field
-        self.rows = rows
+        self.field, self._rows, self._cols = field, rows, None
+
+    @classmethod
+    def _from_columns(cls, field, cols):
+        """Wrap kernel output, unchecked: the N raw columns (ints, den) of a
+        matrix of field, each listing all N rows, zero above the diagonal,
+        in reduced form (series._reduce)."""
+        out = object.__new__(cls)
+        out.field, out._rows, out._cols = field, None, cols
+        return out
+
+    @property
+    def rows(self) -> tuple:
+        """The rows as tuples of Scalars, built from the raw columns once."""
+        if self._rows is None:
+            cols = [[None] * k + _wrap(self.field, ints[k:], den)
+                    for k, (ints, den) in enumerate(self._cols)]
+            self._rows = tuple([row[: i + 1] for i, row in enumerate(zip(*cols))])
+        return self._rows
+
+    def _columns(self) -> list:
+        """The raw columns (ints, den), each listing all N rows, zero above
+        the diagonal, in reduced form: integers over their least common
+        denominator over QQ, residues over 1 over GF(p).  Built from the
+        rows once."""
+        if self._cols is None:
+            rows, n = self._rows, len(self._rows)
+            cols = [_over_common_denominator([rows[i][k] for i in range(k, n)]) for k in range(n)]
+            self._cols = [([0] * k + ints, den) for k, (ints, den) in enumerate(cols)]
+        return self._cols
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -141,7 +190,7 @@ class TriMatrix:
     # -- basics ----------------------------------------------------------
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self._cols or self._rows)
 
     def entry(self, n: int, k: int) -> Scalar:
         """Entry (n, k) for 0 <= n, k < N: zero above the diagonal."""
@@ -156,15 +205,15 @@ class TriMatrix:
 
     def is_graded(self) -> bool:
         """True when every diagonal entry is nonzero (group membership)."""
-        return all(row[n] for n, row in enumerate(self.rows))
+        return all(col[k] for k, (col, _) in enumerate(self._columns()))
 
     def is_strictly_lower(self) -> bool:
-        return not any(row[n] for n, row in enumerate(self.rows))
+        return not any(col[k] for k, (col, _) in enumerate(self._columns()))
 
     def _check_diagonal(self):
         """Raise SingularDiagonal at the first vanishing diagonal entry."""
-        for i, row in enumerate(self.rows):
-            if not row[i]:
+        for i, (col, _) in enumerate(self._columns()):
+            if not col[i]:
                 raise SingularDiagonal(f"diagonal entry ({i},{i}) vanishes")
 
     def _check_same(self, other):
@@ -176,27 +225,24 @@ class TriMatrix:
     # -- arithmetic --------------------------------------------------------
     def __matmul__(self, other):
         # Each entry is one dot product of a row of self with a column of
-        # other, on Python ints: over GF(p) residues reduced once per entry;
-        # over QQ every row and column over its own common denominator, so
-        # only the output entry is normalised.
+        # other, on Python ints.  Over QQ: the raw columns of self put over
+        # one denominator as rows, and each raw column of other; the output
+        # is raw columns, one gcd each.  Over GF(p): the residues of the
+        # rows of self and the raw columns of other, reduced once per entry.
         self._check_same(other)
-        p, n = self.field.p, self.order
-        cols = [[other.rows[j][k] for j in range(k, n)] for k in range(n)]
+        p = self.field.p
         if p is None:
-            left = [_over_common_denominator(row) for row in self.rows]
-            right = [_over_common_denominator(col) for col in cols]
-            out = [
-                [Scalar(_Q(sum(map(mul, a[k:], b)), da * db))
-                 for k, (b, db) in enumerate(right[: i + 1])]
-                for i, (a, da) in enumerate(left)
-            ]
-        else:
-            left = [[c.val for c in row] for row in self.rows]
-            right = [[c.val for c in col] for col in cols]
-            out = [
-                [Scalar(sum(map(mul, a[k:], b)) % p, p) for k, b in enumerate(right[: i + 1])]
-                for i, a in enumerate(left)
-            ]
+            (rows, den), cols = _rows_over_lcm(self._columns()), []
+            for k, (b, db) in enumerate(other._columns()):
+                b = b[k:]
+                cols.append(_reduce([sum(map(mul, row[k:], b)) for row in rows[k:]], den * db, k))
+            return TriMatrix._from_columns(self.field, cols)
+        left = [[c.val for c in row] for row in self.rows]
+        right = [b[k:] for k, (b, _) in enumerate(other._columns())]
+        out = [
+            [Scalar(sum(map(mul, a[k:], b)) % p, p) for k, b in enumerate(right[: i + 1])]
+            for i, a in enumerate(left)
+        ]
         return TriMatrix(self.field, out)
 
     def __add__(self, other):
@@ -222,15 +268,16 @@ class TriMatrix:
     def inverse(self):
         """Inverse by forward substitution, column by column; exact.
 
-        Column k solves A x = e_k; the shared kernel runs on the raw
-        values: residues over GF(p), and over QQ integers over one running
+        Column k solves A x = e_k.  The shared kernel runs on the raw
+        columns put over one denominator D as rows, with right-hand sides
+        D e_k: residues over GF(p), and over QQ integers over one running
         denominator per column.
         """
         n, p = self.order, self.field.p
         self._check_diagonal()
-        vals = [[c.val for c in row] for row in self.rows]
-        e = [[1] + [0] * (n - 1 - k) for k in range(n)]
-        cols = [[Scalar(v, p) for v in x] for x in _forward_substitute(self.field, vals, e)]
+        rows, den = _rows_over_lcm(self._columns())
+        e = [[den] + [0] * (n - 1 - k) for k in range(n)]
+        cols = [[Scalar(v, p) for v in x] for x in _forward_substitute(self.field, rows, e)]
         return TriMatrix(self.field, [[cols[k][i - k] for k in range(i + 1)] for i in range(n)])
 
     def commutes_with(self, other) -> bool:
@@ -238,8 +285,11 @@ class TriMatrix:
 
     # -- plumbing ----------------------------------------------------------
     def __eq__(self, other):
+        # Raw columns in reduced form are equal exactly when the matrices are.
         if not isinstance(other, TriMatrix):
             return NotImplemented
+        if self._cols is not None and other._cols is not None:
+            return self.field == other.field and self._cols == other._cols
         return self.field == other.field and self.rows == other.rows
 
     def __hash__(self):

@@ -203,6 +203,7 @@ SPEC_ERRORS = [
     ("series s nosuch=1", "nosuch", 2),
     ("series s coeffs=1,x", "coeffs", 2),
     ("series s exp=x", "exp", 2),
+    ("series s exp=1/0", "bad series spec 'exp=1/0': '1/0' has a zero denominator", 2),
     ("matrix m identity:x", "identity", 2),
     ("matrix m translation:exp=1", "translation", 2),
     ("matrix m appell:exp=1", "appell", 2),

@@ -82,8 +82,12 @@ def test_parse_accepts_only_the_scalar_grammar(QQ, F7):
                 parse_scalar(text)
     with pytest.raises(ValueError):
         F7.parse("1/2")  # a/b belongs to QQ only
-    with pytest.raises(ZeroDivisionError):
-        QQ.parse("1/0")
+    for text in ("1/0", " -3/000 ", "0/0"):
+        with pytest.raises(ZeroDivisionError) as err:
+            QQ.parse(text)
+        assert str(err.value) == f"'{text.strip()}' has a zero denominator"
+    with pytest.raises(ZeroDivisionError, match="'1/0' has a zero denominator"):
+        parse_scalar("1/0")
 
 
 def test_factorial_inv(QQ, F7):
