@@ -14,10 +14,11 @@ Central objects:
   A^{-1} M_W A.
 
 Every weighted matrix here is an ordinary one conjugated by D = diag(w),
-through the two kernels of riordan.py: M_W = D S D^{-1} for the plain shift
-S, the Appell matrices are D T D^{-1} for lower-triangular Toeplitz T, and
-A commutes with M_W exactly when U = D^{-1} A D commutes with S, that is
-when U is Toeplitz.
+through the one conjugation kernel of riordan.py: M_W = D S D^{-1} for the
+plain shift S, the Appell matrices are D T D^{-1} for lower-triangular
+Toeplitz T, the finite difference T_a - I is D T D^{-1} for the Toeplitz T
+of W(ay) - 1, and A commutes with M_W exactly when U = D^{-1} A D commutes
+with S, that is when U is Toeplitz.
 
 Sheffer membership is the definition, exactly geometric columns of U
 through y^{N-1}: is_sheffer, dw_multiplier and check_report take the
@@ -323,7 +324,7 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
 
     The cost is about N^4/24 big-integer multiply-adds.  V is solved at
     its reduced size, and the columns of U are divided by their content
-    (riordan._iter_unweighted_columns), so U is the ordinary matrix of the
+    (riordan._conjugated_columns), so U is the ordinary matrix of the
     pair at its own size whatever the weight: over QQ at N = 64, on the
     matrix of sampling.riordan_pair(QQ, 64, random.Random(1)), its rows
     hold at most 133-bit integers over a 27-bit denominator under both
@@ -379,11 +380,17 @@ def solve_conjugator(M: TriMatrix) -> TriMatrix:
 
 
 def finite_difference_matrix(W: Weight, a) -> TriMatrix:
-    """Matrix of p -> T_a(p) - p; degree decreasing for any nonzero shift."""
+    """Matrix of p -> T_a(p) - p; degree decreasing for any nonzero shift.
+
+    T_a - I = D T(W(ay) - 1) D^{-1}, the Toeplitz matrix of W(ay) less its
+    constant term 1 conjugated by D = diag(w): raw columns, no Scalar.
+    """
     a = W.field.scalar(a)
     if not a:
         raise ZeroShift("shift must be nonzero")
-    return translation_matrix(W, a) - TriMatrix.identity(W.field, W.order)
+    c, d = _over_common_denominator(_translation_series(W, a).coeffs)
+    c[0] -= d
+    return _weighted_matrix(W, _toeplitz_columns(c, d))
 
 
 def is_normalizing(A: TriMatrix, W: Weight, samples: int = 6, rng=None) -> bool:

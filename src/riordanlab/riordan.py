@@ -16,15 +16,16 @@ The weighted calculus is the ordinary one conjugated by D = diag(w):
 A is Riordan for W exactly when U = D^{-1} A D has the ordinary columns
 u_k = w_k C_k = alpha beta^k; the weighted derivative is M_W = D S D^{-1}
 for the plain shift S; and the Appell matrices are D T D^{-1} for
-lower-triangular Toeplitz T.  Two kernels hold that fact, on raw columns
-(ints, den), integers over one denominator over QQ and residues over 1 over
-GF(p), each in reduced form (triangular.py): _iter_unweighted_columns
-yields the columns of U one at a time from the raw columns of A
-(_unweighted_columns lists them), and _weighted_matrix returns the raw
-columns of D R D^{-1} from those of an ordinary R, building no Scalar
-(pair_to_matrix, appell_from_alpha, m_matrix, change_weight).  The weighted
-matrix routines here and in operators.py and functionals.py are the
-ordinary routines on U.
+lower-triangular Toeplitz T.  One kernel holds that fact,
+_conjugated_columns: it yields the raw columns (ints, den) of
+diag(left) R diag(right), integers over one denominator over QQ and
+residues over 1 over GF(p), each in reduced form (triangular.py), one at a
+time from the raw columns of R.  With (1/w, w) they are the columns of U,
+read off A (_iter_unweighted_columns; _unweighted_columns lists them); with
+(w, 1/w) they are the raw columns of D R D^{-1}, built into a matrix with
+no Scalar (_weighted_matrix: pair_to_matrix, appell_from_alpha, m_matrix,
+change_weight, finite_difference_matrix).  The weighted matrix routines
+here and in operators.py and functionals.py are the ordinary routines on U.
 
 Each column of U is divided by its content, the gcd of its integers and
 its denominator: multiplying a column of A by w_k and by 1/w_i over one
@@ -270,32 +271,41 @@ def _mixed_backends(ours: Scalar, theirs: Scalar) -> BackendMismatch:
 # -- the conjugation by D = diag(w) ---------------------------------------------
 
 
-def _iter_unweighted_columns(A: TriMatrix, W: Weight):
-    """The columns of U = D^{-1} A D as raw (ints, den), yielded one at a
-    time so that a caller can stop at the first column it rejects:
-    u_{i,k} = a_{i,k} w_k / w_i.
+def _conjugated_columns(field, cols, left, right):
+    """The raw columns of diag(left) R diag(right), entry (i, k) =
+    left_i r_{i,k} right_k, from the raw columns (ints, den) of a
+    lower-triangular R and the raw values left, right: each in reduced form
+    (series._reduce over QQ), listing all N rows, zero above the diagonal,
+    and built only when it is asked for.
 
-    Column k of U is the scaled column series w_k C_k.  Each column lists
-    all N rows, zero above the diagonal: integers over one denominator over
-    QQ, residues over 1 over GF(p).  The arguments are checked on the call.
+    Over QQ left goes over its lcm L once, and column k is one product per
+    entry with right_k / (den L) in lowest terms, then reduced once; over
+    GF(p) it is residues over 1.  That one gcd keeps the products small: at
+    QQ, N = 64, change_weight read 1.16x the time without it.
+    """
+    p, n = field.p, len(left)
+    if p is None:
+        left, dl = _ints_over_lcm(left)
+        for k, (col, den) in enumerate(cols):
+            rn, rd = right[k].numerator, den * dl * right[k].denominator
+            g = gcd(rn, rd)
+            rn, rd = rn // g, rd // g
+            yield _reduce([left[i] * col[i] * rn for i in range(k, n)], rd, k)
+    else:
+        for k, ((col, _), rk) in enumerate(zip(cols, right)):
+            yield [0] * k + [left[i] * col[i] * rk % p for i in range(k, n)], 1
+
+
+def _iter_unweighted_columns(A: TriMatrix, W: Weight):
+    """The columns of U = D^{-1} A D, u_{i,k} = a_{i,k} w_k / w_i, as raw
+    (ints, den) (_conjugated_columns), yielded one at a time so that a
+    caller can stop at the first column it rejects.  Column k of U is the
+    scaled column series w_k C_k.  The arguments are checked on the call.
     """
     _check_matrix_order(A, W)
     if A.field != W.field:
         raise _mixed_backends(A.rows[0][0], W.recip[0])
-    p, n, cols = A.field.p, A.order, A._columns()
-    if p is None:
-        r, dr = _ints_over_lcm(W._recip)
-
-        def column(k):
-            a, da = cols[k]
-            t = W._w[k] / (da * dr)
-            tn = t.numerator
-            return _reduce([a[i] * r[i] * tn for i in range(k, n)], t.denominator, k)
-
-        return map(column, range(n))
-    r, w = W._recip, W._w
-    return (([0] * k + [a[i] * r[i] * w[k] % p for i in range(k, n)], 1)
-            for k, (a, _) in enumerate(cols))
+    return _conjugated_columns(A.field, A._columns(), W._recip, W._w)
 
 
 def _unweighted_columns(A: TriMatrix, W: Weight) -> list:
@@ -307,18 +317,8 @@ def _weighted_matrix(W: Weight, cols) -> TriMatrix:
     """D R D^{-1}, entry (i, k) = w_i r_{i,k} / w_k, from the raw columns
     (ints, den) of an ordinary lower-triangular R (as _unweighted_columns
     returns them), as raw columns in reduced form: no Scalar is built."""
-    field, p, n, recip = W.field, W.field.p, W.order, W._recip
-    if p is None:
-        w, dw = _ints_over_lcm(W._w)
-        out = []
-        for k, (col, den) in enumerate(cols):
-            rn, rd = recip[k].numerator, recip[k].denominator
-            out.append(_reduce([w[i] * col[i] * rn for i in range(k, n)], den * dw * rd, k))
-    else:
-        w = W._w
-        out = [([0] * k + [w[i] * col[i] * rk % p for i in range(k, n)], 1)
-               for k, ((col, _), rk) in enumerate(zip(cols, recip))]
-    return TriMatrix._from_columns(field, out)
+    field = W.field
+    return TriMatrix._from_columns(field, list(_conjugated_columns(field, cols, W._w, W._recip)))
 
 
 def _toeplitz_columns(c, den) -> list:
@@ -397,7 +397,7 @@ def _beta_quotient(A: TriMatrix, W: Weight, u=None) -> Series:
     """w_1 C_1 / C_0 = u_1 / u_0, the candidate beta of any graded matrix:
     one Toeplitz solve on the columns u of U, computed here unless given."""
     (u0, d0), (u1, d1) = islice(u or _iter_unweighted_columns(A, W), 2)
-    return _divide(A.field, [v * d0 for v in u1], [v * d1 for v in u0])
+    return _divide(A.field, [v * d0 for v in u1], ([v * d1 for v in u0], 1))
 
 
 def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:

@@ -8,7 +8,9 @@ The kernels here run on raw values (rationals, or residues mod p):
 ``_convolve`` multiplies, and ``_forward_substitute`` is the one triangular
 solver, behind Series.invert and Series.__truediv__ (the Toeplitz matrix of
 the divisor), Series.comp_inverse, riordan_inv and TriMatrix.inverse; over
-QQ it runs fraction-free, on integers over one running denominator.
+QQ it runs fraction-free on integer rows, each caller putting its matrix
+over one denominator once, and carries the solution as integers over one
+running denominator.
 
 ``_geometric_columns`` is the one loop over the powers of a series: it
 yields the raw columns c g^k of R_(c,g), the ordinary Riordan matrix of
@@ -63,21 +65,24 @@ def _convolve(a, b, p=None):
 def _forward_substitute(field, rows, rhss):
     """Solve L x = b by forward substitution on raw values, for each b in rhss.
 
-    rows[i] lists L_{i,0..i} as raw values (rationals or integers, or
-    residues mod p) with L_{i,i} nonzero.  Each b lists b_k..b_{n-1}, its
-    entries before k being zero, and its solution x_k..x_{n-1} is returned:
+    rows[i] lists L_{i,0..i} as raw values (integers, or residues mod p)
+    with L_{i,i} nonzero.  Each b lists b_k..b_{n-1}, its entries before k
+    being zero, and its solution x_k..x_{n-1} is returned:
     x_i = (b_i - sum_{k <= j < i} L_{i,j} x_j) / L_{i,i}.
 
     Over GF(p) each step is one dot product of residues, reduced once, and
     each distinct diagonal value is inverted once (a Toeplitz solve has one).
-    Over QQ the solve is fraction-free: row i is R_i / e_i and b is B / d_b
-    with integer R_i and B, and the solved x_k..x_{i-1} are integers X over
-    one running denominator D, so each step is one integer dot product,
+    Over QQ the solve is fraction-free: the rows R are integers, as every
+    caller passes them (integers over one denominator D_L solve D_L L x =
+    D_L b), b is B / d_b with integer B, and the solved x_k..x_{i-1} are
+    integers X over one running denominator D, so each step is one integer
+    dot product,
 
-        x_i = (B_i e_i D - d_b sum_j R_{i,j} X_j) / (d_b D R_{i,i}),
+        x_i = (B_i D - d_b sum_j R_{i,j} X_j) / (d_b D R_{i,i}),
 
     and one rational per output, normalised there.  When its denominator
     does not divide D, D grows to their lcm and X is rescaled to match.
+    The step holds for rational R too, so rational rows still solve exactly.
     """
     p, n = field.p, len(rows)
     out = []
@@ -90,13 +95,12 @@ def _forward_substitute(field, rows, rhss):
                 x.append((b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i] % p)
             out.append(x)
         return out
-    scaled = [_ints_over_lcm(row) for row in rows]
     for b in rhss:
         k, (num_b, db) = n - len(b), _ints_over_lcm(b)
         x, ints, den = [], [], 1
         for i in range(k, n):
-            r, e = scaled[i]
-            v = _Q(num_b[i - k] * e * den - db * sum(map(mul, r[k:i], ints)), db * den * r[i])
+            r = rows[i]
+            v = _Q(num_b[i - k] * den - db * sum(map(mul, r[k:i], ints)), db * den * r[i])
             dv = v.denominator
             if den % dv:
                 grow = dv // gcd(den, dv)
@@ -208,14 +212,19 @@ def _solve_power_table(g, *series):
             for x in _forward_substitute(field, rows, rhss)]
 
 
-def _divide(field, b, c):
-    """The series x with c x = b through the order, from raw values b and c.
+def _divide(field, b, divisor):
+    """The series x with c x = b through the order, from raw values b and
+    the divisor c as (integers, den) (_over_common_denominator).
 
-    One solve of T x = b for the Toeplitz matrix T of c, row m being
-    c_m, ..., c_0; c_0 must be nonzero.
+    One solve of T x = den b for the Toeplitz matrix T of the integers of
+    c, row m being c_m, ..., c_0; c_0 must be nonzero.  Over GF(p) den is
+    1 and b is passed as it is.
     """
+    c, den = divisor
     if not c[0]:
         raise NotInvertible("constant term vanishes")
+    if den != 1:
+        b = [v * den for v in b]
     (x,) = _forward_substitute(field, [c[m::-1] for m in range(len(c))], [b])
     return Series(field, [Scalar(v, field.p) for v in x])
 
@@ -336,12 +345,14 @@ class Series:
 
     def invert(self):
         """Multiplicative inverse; requires a unit constant term."""
-        return _divide(self.field, [1] + [0] * (self.order - 1), [a.val for a in self.coeffs])
+        one = [1] + [0] * (self.order - 1)
+        return _divide(self.field, one, _over_common_denominator(self.coeffs))
 
     def __truediv__(self, other):
         """self / other; other needs a unit constant term."""
         self._check_same(other)
-        return _divide(self.field, [a.val for a in self.coeffs], [a.val for a in other.coeffs])
+        b = [a.val for a in self.coeffs]
+        return _divide(self.field, b, _over_common_denominator(other.coeffs))
 
     # -- composition -----------------------------------------------------
     def compose(self, inner):

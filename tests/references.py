@@ -1,0 +1,181 @@
+"""Replaced library code, kept verbatim as references for the tests.
+
+This module imports no test module, so any test module can import it.
+
+- iter_unweighted_columns_reference and weighted_matrix_reference: the two
+  conjugation kernels by D = diag(w), each with its own QQ and GF(p)
+  branch, that riordan._conjugated_columns replaces.
+- finite_difference_matrix_reference: T_a - I through the Scalar rows of
+  T_a and of the identity.
+- forward_substitute_reference and divide_reference: the solver that put
+  every row over its own lcm, and the division that passed it raw
+  rational rows; invert_reference, truediv_reference and
+  riordan_inv_reference run on them.
+- binomial_candidate_reference: pair_to_matrix of (1, beta) for the
+  candidate beta of any graded matrix.
+"""
+
+from math import gcd
+from operator import mul
+from unittest import mock
+
+import riordanlab.series
+from riordanlab import Series, TriMatrix
+from riordanlab.errors import NotInvertible, ZeroShift
+from riordanlab.operators import translation_matrix
+from riordanlab.riordan import (
+    RiordanPair,
+    _beta_quotient,
+    _check_matrix_order,
+    _mixed_backends,
+    pair_to_matrix,
+)
+from riordanlab.scalars import Scalar, _Q
+from riordanlab.series import _ints_over_lcm, _reduce, _solve_power_table
+
+# -- the conjugation kernels ----------------------------------------------------
+
+
+def iter_unweighted_columns_reference(A, W):
+    """The columns of U = D^{-1} A D as raw (ints, den), yielded one at a
+    time so that a caller can stop at the first column it rejects:
+    u_{i,k} = a_{i,k} w_k / w_i.
+
+    Column k of U is the scaled column series w_k C_k.  Each column lists
+    all N rows, zero above the diagonal: integers over one denominator over
+    QQ, residues over 1 over GF(p).  The arguments are checked on the call.
+    """
+    _check_matrix_order(A, W)
+    if A.field != W.field:
+        raise _mixed_backends(A.rows[0][0], W.recip[0])
+    p, n, cols = A.field.p, A.order, A._columns()
+    if p is None:
+        r, dr = _ints_over_lcm(W._recip)
+
+        def column(k):
+            a, da = cols[k]
+            t = W._w[k] / (da * dr)
+            tn = t.numerator
+            return _reduce([a[i] * r[i] * tn for i in range(k, n)], t.denominator, k)
+
+        return map(column, range(n))
+    r, w = W._recip, W._w
+    return (([0] * k + [a[i] * r[i] * w[k] % p for i in range(k, n)], 1)
+            for k, (a, _) in enumerate(cols))
+
+
+def weighted_matrix_reference(W, cols):
+    """D R D^{-1}, entry (i, k) = w_i r_{i,k} / w_k, from the raw columns
+    (ints, den) of an ordinary lower-triangular R (as _unweighted_columns
+    returns them), as raw columns in reduced form: no Scalar is built."""
+    field, p, n, recip = W.field, W.field.p, W.order, W._recip
+    if p is None:
+        w, dw = _ints_over_lcm(W._w)
+        out = []
+        for k, (col, den) in enumerate(cols):
+            rn, rd = recip[k].numerator, recip[k].denominator
+            out.append(_reduce([w[i] * col[i] * rn for i in range(k, n)], den * dw * rd, k))
+    else:
+        w = W._w
+        out = [([0] * k + [w[i] * col[i] * rk % p for i in range(k, n)], 1)
+               for k, ((col, _), rk) in enumerate(zip(cols, recip))]
+    return TriMatrix._from_columns(field, out)
+
+
+def finite_difference_matrix_reference(W, a):
+    """Matrix of p -> T_a(p) - p; degree decreasing for any nonzero shift."""
+    a = W.field.scalar(a)
+    if not a:
+        raise ZeroShift("shift must be nonzero")
+    return translation_matrix(W, a) - TriMatrix.identity(W.field, W.order)
+
+
+# -- the solver and the divisions on it ----------------------------------------
+
+
+def forward_substitute_reference(field, rows, rhss):
+    """Solve L x = b by forward substitution on raw values, for each b in rhss.
+
+    rows[i] lists L_{i,0..i} as raw values (rationals or integers, or
+    residues mod p) with L_{i,i} nonzero.  Each b lists b_k..b_{n-1}, its
+    entries before k being zero, and its solution x_k..x_{n-1} is returned:
+    x_i = (b_i - sum_{k <= j < i} L_{i,j} x_j) / L_{i,i}.
+
+    Over GF(p) each step is one dot product of residues, reduced once, and
+    each distinct diagonal value is inverted once (a Toeplitz solve has one).
+    Over QQ the solve is fraction-free: row i is R_i / e_i and b is B / d_b
+    with integer R_i and B, and the solved x_k..x_{i-1} are integers X over
+    one running denominator D, so each step is one integer dot product,
+
+        x_i = (B_i e_i D - d_b sum_j R_{i,j} X_j) / (d_b D R_{i,i}),
+
+    and one rational per output, normalised there.  When its denominator
+    does not divide D, D grows to their lcm and X is rescaled to match.
+    """
+    p, n = field.p, len(rows)
+    out = []
+    if p is not None:
+        inv = {d: pow(d, -1, p) for d in {row[i] for i, row in enumerate(rows)}}
+        diag_inv = [inv[row[i]] for i, row in enumerate(rows)]
+        for b in rhss:
+            k, x = n - len(b), []
+            for i in range(k, n):
+                x.append((b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i] % p)
+            out.append(x)
+        return out
+    scaled = [_ints_over_lcm(row) for row in rows]
+    for b in rhss:
+        k, (num_b, db) = n - len(b), _ints_over_lcm(b)
+        x, ints, den = [], [], 1
+        for i in range(k, n):
+            r, e = scaled[i]
+            v = _Q(num_b[i - k] * e * den - db * sum(map(mul, r[k:i], ints)), db * den * r[i])
+            dv = v.denominator
+            if den % dv:
+                grow = dv // gcd(den, dv)
+                ints = [c * grow for c in ints]
+                den *= grow
+            ints.append(v.numerator * (den // dv))
+            x.append(v)
+        out.append(x)
+    return out
+
+
+def divide_reference(field, b, c):
+    """The series x with c x = b through the order, from raw values b and c.
+
+    One solve of T x = b for the Toeplitz matrix T of c, row m being
+    c_m, ..., c_0; c_0 must be nonzero.
+    """
+    if not c[0]:
+        raise NotInvertible("constant term vanishes")
+    (x,) = forward_substitute_reference(field, [c[m::-1] for m in range(len(c))], [b])
+    return Series(field, [Scalar(v, field.p) for v in x])
+
+
+def invert_reference(s):
+    """Multiplicative inverse; requires a unit constant term."""
+    return divide_reference(s.field, [1] + [0] * (s.order - 1), [a.val for a in s.coeffs])
+
+
+def truediv_reference(s, other):
+    """s / other; other needs a unit constant term."""
+    s._check_same(other)
+    return divide_reference(s.field, [a.val for a in s.coeffs], [a.val for a in other.coeffs])
+
+
+def riordan_inv_reference(a):
+    """riordan_inv with its power-table solve and its inverse on the
+    replaced solver."""
+    with mock.patch.object(riordanlab.series, "_forward_substitute", forward_substitute_reference):
+        beta_bar, h = _solve_power_table(a.beta, a.alpha)
+    return RiordanPair(invert_reference(h), beta_bar)
+
+
+# -- the binomial candidate -----------------------------------------------------
+
+
+def binomial_candidate_reference(A, W, u=None):
+    # defined for any graded A; coincides with binomial_associate on Sheffer input
+    beta = _beta_quotient(A, W, u)
+    return pair_to_matrix(RiordanPair(Series.one(A.field, A.order), beta), W)

@@ -42,7 +42,7 @@ from riordanlab.sampling import (
     weight,
 )
 
-from test_merged_copies import binomial_candidate_reference
+from references import binomial_candidate_reference
 
 
 def S(field, order, *vals):

@@ -36,6 +36,8 @@ from riordanlab.sampling import (
 )
 from riordanlab.series import Series, _convolve, _over_common_denominator
 
+from references import binomial_candidate_reference
+
 
 def commutation_reference(A, W, hs=None):
     """[A^{-1} M_W A, T_h] = 0 at N distinct translations: N commutators."""
@@ -75,9 +77,6 @@ def normalizing_reference(A, W, samples=6, rng=None):
 
 def witness_reference(A, W):
     """Every (i, j) pair of delta functionals, one integer convolution each."""
-    # imported here: test_merged_copies imports this module through test_exact_membership
-    from test_merged_copies import binomial_candidate_reference
-
     n_ord, p = A.order, A.field.p
     d = binomial_candidate_reference(A, W)
     p_val = [[A.entry(k, i) * W.w[i] * W.recip[k] for k in range(n_ord)] for i in range(n_ord)]

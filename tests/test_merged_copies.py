@@ -39,13 +39,11 @@ from riordanlab.operators import (
     check_report,
 )
 from riordanlab.riordan import (
-    RiordanPair,
     _beta_quotient,
     _iter_unweighted_columns,
     _riordan_columns,
     _unweighted_columns,
     is_riordan,
-    pair_to_matrix,
 )
 from riordanlab.scalars import Scalar
 from riordanlab.series import _forward_substitute, _wrap, check_order
@@ -53,6 +51,7 @@ from riordanlab.triangular import (
     Polynomial, _linear_combination, apply_matrix_to_poly, umbral_compose,
 )
 
+from references import binomial_candidate_reference
 from test_exact_membership import riordan_witness_reference as _riordan_witness
 from test_report_readings import is_toeplitz_reference as _is_toeplitz
 from test_group_kernel import MATRICES, WEIGHTS, build_weight, cases, matrix, other, value
@@ -200,12 +199,6 @@ def binomial_associate_reference(A, W):
     if u is None:
         raise NotSheffer("matrix is not Sheffer for this weight")
     return binomial_candidate_reference(A, W, u)
-
-
-def binomial_candidate_reference(A, W, u=None):
-    # defined for any graded A; coincides with binomial_associate on Sheffer input
-    beta = _beta_quotient(A, W, u)
-    return pair_to_matrix(RiordanPair(Series.one(A.field, A.order), beta), W)
 
 
 # -- inputs -------------------------------------------------------------------

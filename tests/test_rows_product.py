@@ -38,7 +38,7 @@ from riordanlab.riordan import Weight, pair_to_matrix
 from riordanlab.sampling import degree_decreasing_matrix, graded_matrix
 
 from test_group_kernel import MATRICES, WEIGHTS, build_weight, matrix, outcome, pair, series, value
-from test_merged_copies import binomial_candidate_reference
+from references import binomial_candidate_reference
 
 # -- the replaced code --------------------------------------------------------
 

@@ -50,3 +50,20 @@ def test_code_lines_against_a_revision():
     assert rows[-1][0] == "total"
     for side in (1, 3):
         assert int(rows[-1][side]) == sum(int(row[side]) for row in rows[:-1])
+
+
+def test_ab_layers_against_a_revision():
+    if subprocess.run(["git", "cat-file", "-e", "HEAD:./src/riordanlab"], cwd=ROOT,
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout of the package")
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_layers.py"),
+                           "--against", "HEAD", "--field", "GF", "--order", "6"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, columns, *rows = done.stdout.splitlines()
+    assert header.startswith("HEAD -> working tree, GF(1000003), N = 6")
+    assert columns.split() == ["layer", "before", "ms", "after", "ms", "ratio"]
+    assert len(rows) == 16
+    for row in rows:
+        *name, before, after, ratio = row.split()
+        assert name and float(before) > 0 and float(after) > 0 and float(ratio) > 0

@@ -38,7 +38,7 @@ from riordanlab.triangular import Polynomial
 from riordanlab.twoweight import is_exponential_alpha
 
 from test_generators import build_matrix, build_weight
-from test_merged_copies import binomial_candidate_reference
+from references import binomial_candidate_reference
 
 # -- the replaced loops -------------------------------------------------------
 
