@@ -21,7 +21,9 @@ The inputs are those of the Baseline layer table in ROADMAP.md: the
 matrix A of sampling.riordan_pair with random.Random(1) under
 q_factorial(-1, 2) over QQ and q_factorial(5, 3) over GF(1000003);
 "perturbed" is perturbed_non_riordan(W, Random(1)), and "appell" is
-check_report on translation_matrix(W, 3).
+check_report on translation_matrix(W, 3).  "entries read" also reads the
+Scalar entries of the result, which a kernel-built HPolyMatrix builds only
+then.
 """
 
 import argparse
@@ -50,6 +52,7 @@ LAYERS = {
     "sheffer_by_commutation": lambda m, x: m.sheffer_by_commutation(x.A, x.W),
     "product_rule_spanning_witness": lambda m, x: m.product_rule_spanning_witness(x.A, x.W),
     "d_polynomials": lambda m, x: m.d_polynomials(x.A, x.W),
+    "d_polynomials, entries read": lambda m, x: m.d_polynomials(x.A, x.W).entries,
     "Series.invert": lambda m, x: x.a.alpha.invert(),
     "finite_difference_matrix": lambda m, x: m.finite_difference_matrix(x.W, 3),
     "change_weight": lambda m, x: m.change_weight(x.A, x.W, x.W2),

@@ -37,17 +37,19 @@ columns of U over one denominator as rows, as series._power_table does
 the columns of R_beta, solves U t = S u_0 for t on them and checks the
 other entries as dot products, in O(N^3) with no inverse, no matrix
 product and an exit at the first failing entry; for a Sheffer A,
-t = beta^{<-1>}.  d_polynomials
-reads every power of A M_W A^{-1} = D U S U^{-1} D^{-1} off the same rows
-of U and the columns of V = U^{-1}, which one forward substitution on
-those rows solves (_inverse_frame, also behind functionals.dual_basis), as
-shifted dot products in about N^4/24 multiply-adds, with no weighted
-inverse and no matrix product.  The column and
-operator tests give the same verdict on every graded matrix, and so does
-the production-matrix test of tests/test_production_matrix.py
-(P = R'^{-1} R-bar for R = A under the weight w_n = 1, with Toeplitz
-columns k >= 1, an A-sequence), which holds exactly when
-product_rule_spanning_witness is None.
+t = beta^{<-1>}.  d_polynomials reads every power of
+A M_W A^{-1} = D U S U^{-1} D^{-1} off the same rows of U and the columns
+of V = U^{-1}, which one forward substitution on those rows solves
+(_inverse_frame, also behind functionals.dual_basis), as shifted dot
+products in about N^4/24 multiply-adds, with no weighted inverse and no
+matrix product; over GF(p), when N (p - 1)^2 < 2^64, the sums of each
+entry are one product of packed integers instead (series module note),
+and the result holds raw coefficients until its Scalar entries are read.
+The column and operator tests give the same verdict on every graded
+matrix, and so does the production-matrix test of
+tests/test_production_matrix.py (P = R'^{-1} R-bar for R = A under the
+weight w_n = 1, with Toeplitz columns k >= 1, an A-sequence), which holds
+exactly when product_rule_spanning_witness is None.
 
 solve_conjugator needs no inverse either: A S = M A gives a_{k+1} = M a_k,
 so the columns of A are the Krylov vectors M^k e_0, each one
@@ -72,8 +74,8 @@ from .riordan import (
 )
 from .scalars import Scalar, _Q
 from .series import (
-    Series, _apply_rows, _forward_substitute, _ints_over_lcm, _over_common_denominator,
-    _rows_over_lcm, _wrap,
+    Series, _apply_rows, _forward_substitute, _ints_over_lcm, _low_slots, _over_common_denominator,
+    _pack, _packs, _rows_over_lcm, _wrap,
 )
 from .triangular import Polynomial, TriMatrix, _triangle_rows
 
@@ -188,7 +190,8 @@ def _lowering_witness(A: TriMatrix, W: Weight):
     _check_frame(A, W)
     p, n = A.field.p, A.order
     rows, _ = _rows_over_lcm(_unweighted_columns(A, W))  # the rows of U
-    (t,) = _forward_substitute(A.field, rows, [[row[0] for row in rows[: n - 1]]])  # t_1..t_{N-1}
+    su0 = [row[0] for row in rows[: n - 1]]  # S u_0 on the scale of the rows: integers
+    (t,) = _forward_substitute(A.field, rows, [su0], 1)  # t_1..t_{N-1}
     t, td = _ints_over_lcm(t) if p is None else (t, 1)
     for k in range(1, n):
         for m in range(k + 1, n):
@@ -236,28 +239,53 @@ class HPolyMatrix:
 
     Entry (n, k) stores coefficients ascending in h, degree <= n - k.
     For a Sheffer sequence the entries depend only on n - k.
+
+    A matrix holds its entries as Scalars, or the raw coefficients that
+    d_polynomials built (rationals, or residues mod p), or both: either is
+    built from the other on its first read and kept, as TriMatrix rows and
+    columns are.  constant_on_diagonals and == compare raw values.
     """
 
-    __slots__ = ("field", "entries")
+    __slots__ = ("field", "_entries", "_raw")
 
     def __init__(self, field, entries):
         entries = tuple([tuple([tuple(e) for e in row]) for row in entries])
         for row in _triangle_rows(entries):
             for e in row:
                 field.check(e, "coefficient")
-        self.field = field
-        self.entries = entries
+        self.field, self.entries = field, entries
 
     @classmethod
-    def _from_kernel(cls, field, entries):
-        """Wrap kernel output, tuples of valid Scalars of field, unchecked."""
+    def _from_kernel(cls, field, raw):
+        """Wrap kernel output, unchecked: for each slot a tuple of raw values
+        of field."""
         out = object.__new__(cls)
-        out.field, out.entries = field, entries
+        out.field, out._entries, out._raw = field, None, raw
         return out
 
     @property
+    def entries(self):
+        """The coefficients as tuples of Scalars, built from the raw ones once."""
+        if self._entries is None:
+            p = self.field.p
+            self._entries = tuple([tuple([tuple([Scalar(c, p) for c in e]) for e in row])
+                                   for row in self._raw])
+        return self._entries
+
+    @entries.setter
+    def entries(self, entries):
+        self._entries, self._raw = entries, None
+
+    def _raw_entries(self):
+        """The raw coefficients, read off the Scalars once."""
+        if self._raw is None:
+            self._raw = tuple([tuple([tuple([c.val for c in e]) for e in row])
+                               for row in self._entries])
+        return self._raw
+
+    @property
     def order(self):
-        return len(self.entries)
+        return len(self._raw or self._entries)
 
     def entry(self, n, k):
         if not 0 <= k <= n < self.order:
@@ -273,8 +301,8 @@ class HPolyMatrix:
         return TriMatrix.from_entries(self.field, self.order, entry)
 
     def constant_on_diagonals(self) -> bool:
-        return all(e == self.entries[n - k][0]
-                   for n, row in enumerate(self.entries) for k, e in enumerate(row))
+        raw = self._raw_entries()
+        return all(e == raw[n - k][0] for n, row in enumerate(raw) for k, e in enumerate(row))
 
     def diagonal(self, l: int):
         """The common polynomial d_l on diagonal n - k = l (first slot)."""
@@ -283,7 +311,7 @@ class HPolyMatrix:
     def __eq__(self, other):
         if not isinstance(other, HPolyMatrix):
             return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+        return self.field == other.field and self._raw_entries() == other._raw_entries()
 
     def to_json(self):
         return [[[str(c) for c in e] for e in row] for row in self.entries]
@@ -303,7 +331,7 @@ def _inverse_frame(A: TriMatrix, W: Weight):
     A._check_diagonal()
     rows, den = _rows_over_lcm(_unweighted_columns(A, W))
     rhss = [[den] + [0] * (A.order - 1 - k) for k in range(A.order)]
-    return (rows, den), _forward_substitute(A.field, rows, rhss)
+    return (rows, den), _forward_substitute(A.field, rows, rhss, 1)
 
 
 def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
@@ -318,14 +346,26 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
         [h^l] d_{n,k} = (w_{n-k} / w_l) * sum_{j=k}^{n-l} U_{n,j+l} V_{j,k}
 
     The sum is empty for l > n - k, so entry (n, k) has h-degree at most
-    n - k.  The sums run on raw values as in TriMatrix.__matmul__, residues
-    reduced once per coefficient over GF(p), and over QQ on the integer
-    rows of U over their one denominator and each column of V over its own.
+    n - k.  The sums run on raw values (_shifted_dots), residues reduced
+    once per coefficient over GF(p), and over QQ on the integer rows of U
+    over their one denominator and each column of V over its own.  The
+    result keeps these raw coefficients and builds its Scalar entries on
+    their first read (HPolyMatrix).
 
-    The cost is about N^4/24 big-integer multiply-adds.  V is solved at
-    its reduced size, and the columns of U are divided by their content
-    (riordan._conjugated_columns), so U is the ordinary matrix of the
-    pair at its own size whatever the weight: over QQ at N = 64, on the
+    Over GF(p) with N (p - 1)^2 < 2^64 (series._packs) the n - k + 1 sums
+    of entry (n, k) are one product of two packed integers, row n of U
+    reversed and column k of V, each packed once: N(N+1)/2 big-integer
+    multiplies of at most N 64-bit slots.  At GF(1000003) under
+    q_factorial(5, 3), on the matrix of sampling.riordan_pair with
+    random.Random(1), a call took 0.31, 0.54, 0.85 and 17.5 ms at N = 12,
+    16, 20 and 64, where the dot products and their Scalars took 0.49,
+    0.99, 1.78 and 65 ms; reading the entries then adds 0.09, 0.18, 0.33
+    and 8.6 ms (scripts/ab_layers.py, Python 3.11, 2 shared CPUs).
+
+    Otherwise the cost is about N^4/24 big-integer multiply-adds.  V is
+    solved at its reduced size, and the columns of U are divided by their
+    content (riordan._conjugated_columns), so U is the ordinary matrix of
+    the pair at its own size whatever the weight: over QQ at N = 64, on the
     matrix of sampling.riordan_pair(QQ, 64, random.Random(1)), its rows
     hold at most 133-bit integers over a 27-bit denominator under both
     q_factorial(-1, 2) and the exponential weight, and the columns of V at
@@ -337,20 +377,44 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     _check_frame(A, W)
     (u, den), v = _inverse_frame(A, W)
     p, w, r = A.field.p, W._w, W._recip
-    v = [_ints_over_lcm(col) for col in v]  # residues over 1 over GF(p)
     ratio = [[w[d] * r[l] for l in range(d + 1)] for d in range(A.order)]  # w_d / w_l
+    if p is None:
+        v, dv = zip(*[_ints_over_lcm(col) for col in v])
     entries = []
-    for n, un in enumerate(u):
-        row = []
-        for k, (vk, dk) in enumerate(v[: n + 1]):
-            sums = [sum(map(mul, un[k + l :], vk)) for l in range(n - k + 1)]
-            if p is None:  # tuples of lists: see series._ints_over_lcm
-                row.append(tuple([Scalar(_Q(s * c.numerator, den * dk * c.denominator))
-                                  for s, c in zip(sums, ratio[n - k])]))
-            else:
-                row.append(tuple([Scalar(s * c % p, p) for s, c in zip(sums, ratio[n - k])]))
-        entries.append(tuple(row))
+    for n, row in enumerate(_shifted_dots(u, v, p)):
+        if p is None:  # tuples of lists: see series._ints_over_lcm
+            entries.append(tuple([tuple([_Q(s * c.numerator, den * dv[k] * c.denominator)
+                                         for s, c in zip(sums, ratio[n - k])])
+                                  for k, sums in enumerate(row)]))
+        else:
+            entries.append(tuple([tuple([s * c % p for s, c in zip(sums, ratio[n - k])])
+                                  for k, sums in enumerate(row)]))
     return HPolyMatrix._from_kernel(A.field, tuple(entries))
+
+
+def _shifted_dots(u, v, p):
+    """For each row n of U, the list over k <= n of the n - k + 1 sums
+    sum_j U_{n,k+l+j} V_{k+j,k}, l = 0..n-k, from u the rows of U and v the
+    columns of V from the diagonal down, as integers (residues mod p over
+    GF(p)).
+
+    When sums of N products of residues fit 64-bit slots (series._packs),
+    row n reversed and column k are packed integers, and the sums are the
+    low n - k + 1 slots of the product of their low n - k + 1 slots,
+    reversed: slot n - k - l collects exactly U_{n,k+l+j} V_{k+j,k}.
+    Otherwise each sum is one dot product.
+    """
+    if not _packs(len(u), p):
+        for n, un in enumerate(u):
+            yield [[sum(map(mul, un[k + l :], vk)) for l in range(n - k + 1)]
+                   for k, vk in enumerate(v[: n + 1])]
+        return
+    cols = [_pack(vk) for vk in v]
+    masks = [(1 << 64 * d) - 1 for d in range(1, len(u) + 1)]  # the low d slots
+    for n, un in enumerate(u):
+        un = _pack(un[::-1])
+        yield [_low_slots((un & masks[n - k]) * (vk & masks[n - k]), n - k + 1)[::-1]
+               for k, vk in enumerate(cols[: n + 1])]
 
 
 def is_degree_decreasing(M: TriMatrix) -> bool:

@@ -397,7 +397,7 @@ def _beta_quotient(A: TriMatrix, W: Weight, u=None) -> Series:
     """w_1 C_1 / C_0 = u_1 / u_0, the candidate beta of any graded matrix:
     one Toeplitz solve on the columns u of U, computed here unless given."""
     (u0, d0), (u1, d1) = islice(u or _iter_unweighted_columns(A, W), 2)
-    return _divide(A.field, [v * d0 for v in u1], ([v * d1 for v in u0], 1))
+    return _divide(A.field, (u1, d1), (u0, d0))
 
 
 def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:

@@ -277,7 +277,7 @@ class TriMatrix:
         self._check_diagonal()
         rows, den = _rows_over_lcm(self._columns())
         e = [[den] + [0] * (n - 1 - k) for k in range(n)]
-        cols = [[Scalar(v, p) for v in x] for x in _forward_substitute(self.field, rows, e)]
+        cols = [[Scalar(v, p) for v in x] for x in _forward_substitute(self.field, rows, e, 1)]
         return TriMatrix(self.field, [[cols[k][i - k] for k in range(i + 1)] for i in range(n)])
 
     def commutes_with(self, other) -> bool:

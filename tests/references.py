@@ -13,6 +13,9 @@ This module imports no test module, so any test module can import it.
   riordan_inv_reference run on them.
 - binomial_candidate_reference: pair_to_matrix of (1, beta) for the
   candidate beta of any graded matrix.
+- convolve_reference: the truncated product as one dot product per output
+  coefficient, which series._convolve keeps where sums do not fit 64-bit
+  slots.
 """
 
 from math import gcd
@@ -179,3 +182,15 @@ def binomial_candidate_reference(A, W, u=None):
     # defined for any graded A; coincides with binomial_associate on Sheffer input
     beta = _beta_quotient(A, W, u)
     return pair_to_matrix(RiordanPair(Series.one(A.field, A.order), beta), W)
+
+
+# -- the truncated product ------------------------------------------------------
+
+
+def convolve_reference(a, b, p=None):
+    """Truncated product of two equal-length int coefficient lists, reduced
+    mod p when p is given."""
+    n, rb = len(a), b[::-1]
+    if p is None:
+        return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) for m in range(n)]
+    return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) % p for m in range(n)]

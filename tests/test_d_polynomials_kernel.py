@@ -6,17 +6,26 @@ V = U^{-1}, which one forward substitution on the rows of U solves.  The referen
 kept verbatim: the N-1 powers of A M_W A^{-1} as full TriMatrix products.
 Every result, and the type and message of every raised error, must agree
 over QQ (signed, mixed denominators), GF(2), GF(3) and GF(1000003) at
-N = 2..16, N > p included, and at N = 64.
+N = 2..16, N > p included, and at N = 64; there also over GF(536870909),
+where the sums are packed into 64-bit slots, and over GF(536870923) and
+GF(2^61 - 1), where they are dot products.
+
+A kernel-built HPolyMatrix holds raw coefficients and builds its Scalar
+entries on their first read; every reading of it must agree with that of
+the same entries given to the constructor.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riordanlab.operators
 from riordanlab import Field, Series, TriMatrix
 from riordanlab.operators import HPolyMatrix, d_polynomials, m_matrix
 from riordanlab.riordan import RiordanPair, Weight, pair_to_matrix
+from riordanlab.scalars import Scalar
 
 from test_group_kernel import (
     MATRICES,
@@ -29,6 +38,7 @@ from test_group_kernel import (
     outcome,
     pair,
     pair_to_matrix_reference,
+    value,
 )
 
 # -- the replaced code --------------------------------------------------------
@@ -87,6 +97,65 @@ def test_d_polynomials_at_the_largest_order():
                          Series.from_values(field, 64, [0, 1, 1]))
         A = bumped(pair_to_matrix(ab, W), rng)
         assert d_polynomials(A, W) == d_polynomials_reference(A, W)
+
+
+@pytest.mark.parametrize("p", [536870909, 536870923, 2**61 - 1])
+def test_d_polynomials_at_the_largest_order_over_large_primes(p):
+    # 64 (p - 1)^2 < 2^64 holds for the first prime alone, so only it packs
+    field, rng = Field(p), random.Random(p)
+    W = Weight.exponential(field, 64, value(field, rng, nonzero=True))
+    for A, W in [(matrix("riordan", W, rng), W), (matrix("graded", W, rng), W),
+                 (matrix("not-graded", W, rng), W),
+                 (matrix("riordan", W, rng), Weight.geometric(other(field), 64, 2)),
+                 (matrix("riordan", W, rng), Weight.geometric(field, 63, 2))]:
+        assert outcome(d_polynomials, A, W) == outcome(d_polynomials_reference, A, W)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([None, 2, 3, 1000003, 2**61 - 1]), st.integers(2, 12),
+       WEIGHTS, st.sampled_from(["riordan", "bumped", "graded"]), st.integers(0, 2**32 - 1))
+def test_kernel_built_hpoly_reads_as_constructed(p, n, wkind, akind, seed):
+    field, rng = Field(p), random.Random(seed)
+    W = build_weight(wkind, field, n, rng)
+    A = matrix(akind, W, rng)
+
+    def kernel():  # a fresh kernel-built matrix for each reading
+        return d_polynomials(A, W)
+
+    built = HPolyMatrix(field, kernel().entries)
+    i, k, h = rng.randrange(n), rng.randrange(n), value(field, rng)
+    k = min(i, k)
+    assert kernel().entries == built.entries
+    assert kernel().entry(i, k) == built.entry(i, k)
+    assert kernel().diagonal(i) == built.diagonal(i)
+    assert kernel().evaluate(h) == built.evaluate(h)
+    assert kernel().to_json() == built.to_json()
+    assert kernel().constant_on_diagonals() == built.constant_on_diagonals()
+    assert kernel() == built and built == kernel() and kernel() == kernel()
+    changed = [list(row) for row in built.entries]
+    changed[i][k] = (changed[i][k][0] + field.one(),) + changed[i][k][1:]
+    changed = HPolyMatrix(field, changed)
+    assert kernel() != changed and changed != kernel()
+
+
+def test_constant_on_diagonals_builds_no_scalar(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(1)
+        return Scalar(*args)
+
+    monkeypatch.setattr(riordanlab.operators, "Scalar", counting)
+    rng = random.Random(5)
+    for field in (Field(), Field(1000003), Field(2**61 - 1)):
+        W = Weight.exponential(field, 12, 1)
+        A = pair_to_matrix(pair(field, 12, rng), W)
+        d = d_polynomials(A, W)
+        assert d.constant_on_diagonals() and d == d_polynomials(A, W)
+        assert not built
+        assert d.entries is d.entries
+        assert len(built) == 12 * 13 * 14 // 6  # one per coefficient, once
+        built.clear()
 
 
 def test_d_polynomials_builds_no_matrix_product(monkeypatch):

@@ -5,7 +5,8 @@ one running denominator and builds one rational per output.  The reference
 below is the former QQ solver, kept verbatim: one `Fraction` per
 multiply-add.  Solves must agree exactly for rows of integers and of
 rationals (signed, mixed and large denominators, big diagonal numerators)
-and right-hand sides with leading zeros, at N = 2..64, and so must every
+and right-hand sides with leading zeros, rational or integers over one
+given denominator, at N = 2..64, and so must every
 QQ layer the solver serves: TriMatrix.inverse, Series.invert,
 Series.comp_inverse and riordan_inv.
 
@@ -165,6 +166,18 @@ def test_solver_matches_fraction_loop(system):
     rows, rhss = system
     got = _forward_substitute(QQ, rows, rhss)
     assert got == forward_substitute_qq_reference(rows, rhss)
+    assert all(type(v) is _Q for x in got for v in x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(), st.sampled_from([1, 36, 2**61 - 1]))
+def test_integer_right_hand_sides_over_one_denominator(system, den):
+    # integers B over den, as every caller but the power table passes them,
+    # solve as the rationals B / den do
+    rows, rhss = system
+    ints = [[Fraction(v).numerator for v in b] for b in rhss]
+    got = _forward_substitute(QQ, rows, ints, den)
+    assert got == forward_substitute_qq_reference(rows, [[_Q(v, den) for v in b] for b in ints])
     assert all(type(v) is _Q for x in got for v in x)
 
 
