@@ -56,6 +56,8 @@ LAYERS = {
     "Series.invert": lambda m, x: x.a.alpha.invert(),
     "finite_difference_matrix": lambda m, x: m.finite_difference_matrix(x.W, 3),
     "change_weight": lambda m, x: m.change_weight(x.A, x.W, x.W2),
+    "dual_basis": lambda m, x: m.dual_basis(x.A, x.W),
+    "q_operator_matrix": lambda m, x: m.q_operator_matrix(x.A, x.W),
 }
 
 

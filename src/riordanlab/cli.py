@@ -321,7 +321,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="riordan",
         description="Weighted Riordan arrays, Sheffer classification, and two-weight analysis.",
     )
-    parser.add_argument("--order", type=int, default=16, help="truncation order N (2..64)")
+    parser.add_argument("--order", type=int, default=16,
+                        help=f"truncation order N ({MIN_ORDER}..{MAX_ORDER})")
     parser.add_argument(
         "--field", type=_parse_field, default=Field(), help="rat (default) or mod:P"
     )
@@ -336,8 +337,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
-    if not 2 <= ns.order <= 64:
-        _parser().error(f"--order must be in 2..64, got {ns.order}")
+    if not MIN_ORDER <= ns.order <= MAX_ORDER:
+        _parser().error(f"--order must be in {MIN_ORDER}..{MAX_ORDER}, got {ns.order}")
 
     session = Session(order=ns.order, field=ns.field, json_mode=ns.json)
     try:

@@ -134,8 +134,8 @@ def dual_basis(A: TriMatrix, W: Weight) -> list[Functional]:
     valuation of phi_r is exactly r.
     """
     _check_matrix_order(A, W)
-    return [Functional(A.field, _wrap(A.field, [0] * r + col))
-            for r, col in enumerate(_inverse_frame(A, W)[1])]
+    return [Functional(A.field, _wrap(A.field, [0] * r + col, den))
+            for r, (col, den) in enumerate(_inverse_frame(A, W)[1])]
 
 
 def check_geometric_dual(phis: list[Functional]):

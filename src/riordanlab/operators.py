@@ -38,13 +38,14 @@ the columns of R_beta, solves U t = S u_0 for t on them and checks the
 other entries as dot products, in O(N^3) with no inverse, no matrix
 product and an exit at the first failing entry; for a Sheffer A,
 t = beta^{<-1>}.  d_polynomials reads every power of
-A M_W A^{-1} = D U S U^{-1} D^{-1} off the same rows of U and the columns
-of V = U^{-1}, which one forward substitution on those rows solves
-(_inverse_frame, also behind functionals.dual_basis), as shifted dot
-products in about N^4/24 multiply-adds, with no weighted inverse and no
-matrix product; over GF(p), when N (p - 1)^2 < 2^64, the sums of each
-entry are one product of packed integers instead (series module note),
-and the result holds raw coefficients until its Scalar entries are read.
+A M_W A^{-1} = D U S U^{-1} D^{-1}, as shifted dot products in about
+N^4/24 multiply-adds, off the same rows of U and the columns of
+V = U^{-1}, which one forward substitution on those rows solves as raw
+columns: the solve of TriMatrix.inverse (_inverse_frame, also behind
+functionals.dual_basis), with no weighted inverse and no matrix product.
+Over GF(p), when N (p - 1)^2 < 2^64, the sums of each entry are one
+product of packed integers instead (series module note), and the result
+holds raw coefficients until its Scalar entries are read.
 The column and operator tests give the same verdict on every graded
 matrix, and so does the production-matrix test of
 tests/test_production_matrix.py (P = R'^{-1} R-bar for R = A under the
@@ -74,10 +75,10 @@ from .riordan import (
 )
 from .scalars import Scalar, _Q
 from .series import (
-    Series, _apply_rows, _forward_substitute, _ints_over_lcm, _low_slots, _over_common_denominator,
-    _pack, _packs, _rows_over_lcm, _wrap,
+    Series, _apply_rows, _forward_substitute, _low_slots, _over_common_denominator, _pack, _packs,
+    _rows_over_lcm, _wrap,
 )
-from .triangular import Polynomial, TriMatrix, _triangle_rows
+from .triangular import Polynomial, TriMatrix, _inverse_columns, _triangle_rows
 
 
 def m_matrix(W: Weight) -> TriMatrix:
@@ -191,8 +192,7 @@ def _lowering_witness(A: TriMatrix, W: Weight):
     p, n = A.field.p, A.order
     rows, _ = _rows_over_lcm(_unweighted_columns(A, W))  # the rows of U
     su0 = [row[0] for row in rows[: n - 1]]  # S u_0 on the scale of the rows: integers
-    (t,) = _forward_substitute(A.field, rows, [su0], 1)  # t_1..t_{N-1}
-    t, td = _ints_over_lcm(t) if p is None else (t, 1)
+    ((t, td),) = _forward_substitute(A.field, rows, [su0], 1)  # t_1..t_{N-1} over td
     for k in range(1, n):
         for m in range(k + 1, n):
             diff = sum(map(mul, t, rows[m][k + 1 :])) - td * rows[m - 1][k]
@@ -320,18 +320,15 @@ class HPolyMatrix:
 def _inverse_frame(A: TriMatrix, W: Weight):
     """The rows of U = D^{-1} A D over one denominator, (rows, den) as
     series._rows_over_lcm gives them, and the columns of V = U^{-1} =
-    D^{-1} A^{-1} D as raw values from the diagonal down, column k listing
-    V_{k..N-1,k}.
+    D^{-1} A^{-1} D as raw columns (ints, den) in reduced form from the
+    diagonal down, column k listing V_{k..N-1,k}.
 
-    The rows hold den U, so one forward substitution on them with
-    right-hand sides den e_k solves for V itself: no weight enters and no
-    inverse is weighted.  Raises SingularDiagonal for a non-graded A
-    before it checks the field.
+    The solve of TriMatrix.inverse (triangular._inverse_columns), run on
+    the raw columns of U: no weight enters and no inverse is weighted.
+    Raises SingularDiagonal for a non-graded A before it checks the field.
     """
     A._check_diagonal()
-    rows, den = _rows_over_lcm(_unweighted_columns(A, W))
-    rhss = [[den] + [0] * (A.order - 1 - k) for k in range(A.order)]
-    return (rows, den), _forward_substitute(A.field, rows, rhss, 1)
+    return _inverse_columns(A.field, _unweighted_columns(A, W))
 
 
 def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
@@ -348,7 +345,8 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     The sum is empty for l > n - k, so entry (n, k) has h-degree at most
     n - k.  The sums run on raw values (_shifted_dots), residues reduced
     once per coefficient over GF(p), and over QQ on the integer rows of U
-    over their one denominator and each column of V over its own.  The
+    over their one denominator and each column of V over its own, the
+    reduced raw columns the solver returns, used as they come.  The
     result keeps these raw coefficients and builds its Scalar entries on
     their first read (HPolyMatrix).
 
@@ -378,8 +376,7 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     (u, den), v = _inverse_frame(A, W)
     p, w, r = A.field.p, W._w, W._recip
     ratio = [[w[d] * r[l] for l in range(d + 1)] for d in range(A.order)]  # w_d / w_l
-    if p is None:
-        v, dv = zip(*[_ints_over_lcm(col) for col in v])
+    v, dv = zip(*v)
     entries = []
     for n, row in enumerate(_shifted_dots(u, v, p)):
         if p is None:  # tuples of lists: see series._ints_over_lcm

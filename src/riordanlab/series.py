@@ -4,13 +4,16 @@ A Series stores exactly ``order`` coefficients c_0..c_{order-1} over one
 field; every operation is exact through that order.  Orders are capped at
 2..64, the intended scale for exact triangular-group work.
 
-The kernels here run on raw values (rationals, or residues mod p):
-``_convolve`` multiplies, and ``_forward_substitute`` is the one triangular
-solver, behind Series.invert and Series.__truediv__ (the Toeplitz matrix of
-the divisor), Series.comp_inverse, riordan_inv and TriMatrix.inverse; over
-QQ it runs fraction-free on integer rows, each caller putting its matrix
-over one denominator once, and carries the solution as integers over one
-running denominator.
+The kernels here run on raw values (integers over one denominator, or
+residues mod p): ``_convolve`` multiplies, and ``_forward_substitute`` is
+the one triangular solver, behind Series.invert and Series.__truediv__ (the
+Toeplitz matrix of the divisor), Series.comp_inverse, riordan_inv,
+TriMatrix.inverse and V = U^{-1} of operators.py.  It takes integer rows,
+each caller putting its matrix over one denominator once, and integer
+right-hand sides over one denominator, and returns each solution as one raw
+column (ints, den) in reduced form, over QQ the integers over one running
+denominator: it builds no rational, and its callers build Scalars from it
+only through ``_wrap``.
 
 ``_geometric_columns`` is the one loop over the powers of a series: it
 yields the raw columns c g^k of R_(c,g), the ordinary Riordan matrix of
@@ -104,29 +107,31 @@ def _convolve(a, b, p=None):
     return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) % p for m in range(n)]
 
 
-def _forward_substitute(field, rows, rhss, den_b=None):
-    """Solve L x = b by forward substitution on raw values, for each b in rhss.
+def _forward_substitute(field, rows, rhss, den_b):
+    """Solve L x = b by forward substitution on raw values, for each b in
+    rhss, each solution as one raw column in reduced form.
 
-    rows[i] lists L_{i,0..i} as raw values (integers, or residues mod p)
-    with L_{i,i} nonzero.  Each b lists b_k..b_{n-1}, its entries before k
-    being zero, and its solution x_k..x_{n-1} is returned:
+    rows[i] lists L_{i,0..i} as integers (residues mod p over GF(p)) with
+    L_{i,i} nonzero.  Each b lists B_k..B_{n-1}, integers over den_b > 0,
+    its entries before k being zero, and its solution x_k..x_{n-1} is
+    returned as (X, D), x_i = X_i / D:
     x_i = (b_i - sum_{k <= j < i} L_{i,j} x_j) / L_{i,i}.
 
-    Over GF(p) each step is one dot product of residues, reduced once, and
-    each distinct diagonal value is inverted once (a Toeplitz solve has one).
-    Over QQ the solve is fraction-free: the rows R are integers, as every
-    caller passes them (integers over one denominator D_L solve D_L L x =
-    D_L b), b is B / d_b with integer B (each b integers over d_b = den_b
-    when den_b is given, as from every caller but _solve_power_table, else
-    b put over its least common denominator), and the solved x_k..x_{i-1}
-    are integers X over one running denominator D, so each step is one
-    integer dot product,
+    Over GF(p) (den_b is 1) each step is one dot product of residues,
+    reduced once, each distinct diagonal value is inverted once (a Toeplitz
+    solve has one), and the solution is (residues, 1).  Over QQ the solve
+    is fraction-free on integer rows R (a caller puts its matrix over one
+    denominator D_L and solves D_L L x = D_L b), and the solved
+    x_k..x_{i-1} are integers X over one running denominator D, so each
+    step is one integer dot product,
 
-        x_i = (B_i D - d_b sum_j R_{i,j} X_j) / (d_b D R_{i,i}),
+        x_i = (B_i D - den_b sum_j R_{i,j} X_j) / (den_b D R_{i,i}),
 
-    and one rational per output, normalised there.  When its denominator
-    does not divide D, D grows to their lcm and X is rescaled to match.
-    The step holds for rational R too, so rational rows still solve exactly.
+    put in lowest terms by one gcd and a sign.  When its denominator does
+    not divide D, D grows to their lcm and X is rescaled to match.  D is so
+    the lcm of the denominators of x_k..x_{n-1}, and (X, D) is in reduced
+    form, den > 0 and gcd(D, X...) = 1, as it stands; a zero b gives
+    (zeros, 1).
     """
     p, n = field.p, len(rows)
     out = []
@@ -137,22 +142,21 @@ def _forward_substitute(field, rows, rhss, den_b=None):
             k, x = n - len(b), []
             for i in range(k, n):
                 x.append((b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i] % p)
-            out.append(x)
+            out.append((x, 1))
         return out
     for b in rhss:
-        k, (num_b, db) = n - len(b), (_ints_over_lcm(b) if den_b is None else (b, den_b))
-        x, ints, den = [], [], 1
+        k, ints, den = n - len(b), [], 1
         for i in range(k, n):
             r = rows[i]
-            v = _Q(num_b[i - k] * den - db * sum(map(mul, r[k:i], ints)), db * den * r[i])
-            dv = v.denominator
+            num, dv = b[i - k] * den - den_b * sum(map(mul, r[k:i], ints)), den_b * den * r[i]
+            g = gcd(num, dv) if dv > 0 else -gcd(num, dv)
+            num, dv = num // g, dv // g
             if den % dv:
                 grow = dv // gcd(den, dv)
                 ints = [c * grow for c in ints]
                 den *= grow
-            ints.append(v.numerator * (den // dv))
-            x.append(v)
-        out.append(x)
+            ints.append(num * (den // dv))
+        out.append((ints, den))
     return out
 
 
@@ -251,9 +255,10 @@ def _solve_power_table(g, *series):
     on R_g for all; it divides only by the diagonal g_1^m, never by an
     integer."""
     field, (rows, den) = g.field, _power_table(g)
-    rhss = [[0, den] + [0] * (g.order - 2)] + [[den * c.val for c in f.coeffs] for f in series]
-    return [Series(field, [Scalar(v, field.p) for v in x])
-            for x in _forward_substitute(field, rows, rhss)]
+    fs = [_over_common_denominator(f.coeffs) for f in series]
+    db = lcm(*[d for _, d in fs])  # the right-hand sides over one denominator
+    rhss = [[0, den * db] + [0] * (g.order - 2)] + [[den * (db // d) * v for v in b] for b, d in fs]
+    return [Series(field, _wrap(field, *x)) for x in _forward_substitute(field, rows, rhss, db)]
 
 
 def _divide(field, b, divisor):
@@ -270,7 +275,7 @@ def _divide(field, b, divisor):
     if dc != 1:
         b = [v * dc for v in b]
     (x,) = _forward_substitute(field, [c[m::-1] for m in range(len(c))], [b], db)
-    return Series(field, [Scalar(v, field.p) for v in x])
+    return Series(field, _wrap(field, *x))
 
 
 class Series:

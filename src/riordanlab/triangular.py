@@ -21,7 +21,9 @@ Both kernels here read the raw columns: @ takes one integer dot product
 per entry, over QQ on the columns of the left factor put over one
 denominator as rows, and returns raw columns, one gcd per column;
 TriMatrix.inverse is the forward substitution of the series module on
-those rows, one column per k.
+those rows, one column per k, and returns the reduced raw columns it
+solves (_inverse_columns, which also solves V = U^{-1} for
+operators._inverse_frame).
 """
 
 from __future__ import annotations
@@ -268,17 +270,14 @@ class TriMatrix:
     def inverse(self):
         """Inverse by forward substitution, column by column; exact.
 
-        Column k solves A x = e_k.  The shared kernel runs on the raw
-        columns put over one denominator D as rows, with right-hand sides
-        D e_k: residues over GF(p), and over QQ integers over one running
-        denominator per column.
+        Column k solves A x = e_k (_inverse_columns).  The result holds
+        the raw columns the solver returns, and builds its rows on their
+        first read.
         """
-        n, p = self.order, self.field.p
         self._check_diagonal()
-        rows, den = _rows_over_lcm(self._columns())
-        e = [[den] + [0] * (n - 1 - k) for k in range(n)]
-        cols = [[Scalar(v, p) for v in x] for x in _forward_substitute(self.field, rows, e, 1)]
-        return TriMatrix(self.field, [[cols[k][i - k] for k in range(i + 1)] for i in range(n)])
+        _, cols = _inverse_columns(self.field, self._columns())
+        return TriMatrix._from_columns(
+            self.field, [([0] * k + x, den) for k, (x, den) in enumerate(cols)])
 
     def commutes_with(self, other) -> bool:
         return self @ other == other @ self
@@ -304,6 +303,18 @@ class TriMatrix:
     @classmethod
     def from_json(cls, field, data):
         return cls(field, [[field.parse(s) for s in row] for row in data])
+
+
+def _inverse_columns(field, cols):
+    """The inverse of a graded lower-triangular L from its raw columns:
+    (the rows of L over one denominator D, (rows, D) as
+    series._rows_over_lcm gives them, and the columns of L^{-1} as raw
+    columns in reduced form from the diagonal down, column k listing rows
+    k..N-1).  The rows hold D L, so one forward substitution on them with
+    right-hand sides D e_k solves for L^{-1} itself."""
+    rows, den = _rows_over_lcm(cols)
+    e = [[den] + [0] * (len(rows) - 1 - k) for k in range(len(rows))]
+    return (rows, den), _forward_substitute(field, rows, e, 1)
 
 
 # -- sequence <-> matrix correspondence -----------------------------------

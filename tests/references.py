@@ -11,6 +11,11 @@ This module imports no test module, so any test module can import it.
   every row over its own lcm, and the division that passed it raw
   rational rows; invert_reference, truediv_reference and
   riordan_inv_reference run on them.
+- forward_substitute_rational_reference: the solver that returned one
+  rational per solved entry and still solved rational rows and right-hand
+  sides, which series._forward_substitute replaces with reduced raw
+  columns; solve_power_table_reference (behind riordan_inv_reference) and
+  inverse_reference, TriMatrix.inverse on rational rows, run on it.
 - binomial_candidate_reference: pair_to_matrix of (1, beta) for the
   candidate beta of any graded matrix.
 - convolve_reference: the truncated product as one dot product per output
@@ -20,11 +25,9 @@ This module imports no test module, so any test module can import it.
 
 from math import gcd
 from operator import mul
-from unittest import mock
 
-import riordanlab.series
 from riordanlab import Series, TriMatrix
-from riordanlab.errors import NotInvertible, ZeroShift
+from riordanlab.errors import NotInvertible, SingularDiagonal, ZeroShift
 from riordanlab.operators import translation_matrix
 from riordanlab.riordan import (
     RiordanPair,
@@ -34,7 +37,7 @@ from riordanlab.riordan import (
     pair_to_matrix,
 )
 from riordanlab.scalars import Scalar, _Q
-from riordanlab.series import _ints_over_lcm, _reduce, _solve_power_table
+from riordanlab.series import _ints_over_lcm, _power_table, _reduce
 
 # -- the conjugation kernels ----------------------------------------------------
 
@@ -169,10 +172,89 @@ def truediv_reference(s, other):
 
 def riordan_inv_reference(a):
     """riordan_inv with its power-table solve and its inverse on the
-    replaced solver."""
-    with mock.patch.object(riordanlab.series, "_forward_substitute", forward_substitute_reference):
-        beta_bar, h = _solve_power_table(a.beta, a.alpha)
+    replaced solvers."""
+    beta_bar, h = solve_power_table_reference(a.beta, a.alpha)
     return RiordanPair(invert_reference(h), beta_bar)
+
+
+# -- the solver that returned rationals ------------------------------------------
+
+
+def forward_substitute_rational_reference(field, rows, rhss, den_b=None):
+    """Solve L x = b by forward substitution on raw values, for each b in rhss.
+
+    rows[i] lists L_{i,0..i} as raw values (integers, or residues mod p)
+    with L_{i,i} nonzero.  Each b lists b_k..b_{n-1}, its entries before k
+    being zero, and its solution x_k..x_{n-1} is returned:
+    x_i = (b_i - sum_{k <= j < i} L_{i,j} x_j) / L_{i,i}.
+
+    Over GF(p) each step is one dot product of residues, reduced once, and
+    each distinct diagonal value is inverted once (a Toeplitz solve has one).
+    Over QQ the solve is fraction-free: the rows R are integers, as every
+    caller passes them (integers over one denominator D_L solve D_L L x =
+    D_L b), b is B / d_b with integer B (each b integers over d_b = den_b
+    when den_b is given, as from every caller but _solve_power_table, else
+    b put over its least common denominator), and the solved x_k..x_{i-1}
+    are integers X over one running denominator D, so each step is one
+    integer dot product,
+
+        x_i = (B_i D - d_b sum_j R_{i,j} X_j) / (d_b D R_{i,i}),
+
+    and one rational per output, normalised there.  When its denominator
+    does not divide D, D grows to their lcm and X is rescaled to match.
+    The step holds for rational R too, so rational rows still solve exactly.
+    """
+    p, n = field.p, len(rows)
+    out = []
+    if p is not None:
+        inv = {d: pow(d, -1, p) for d in {row[i] for i, row in enumerate(rows)}}
+        diag_inv = [inv[row[i]] for i, row in enumerate(rows)]
+        for b in rhss:
+            k, x = n - len(b), []
+            for i in range(k, n):
+                x.append((b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i] % p)
+            out.append(x)
+        return out
+    for b in rhss:
+        k, (num_b, db) = n - len(b), (_ints_over_lcm(b) if den_b is None else (b, den_b))
+        x, ints, den = [], [], 1
+        for i in range(k, n):
+            r = rows[i]
+            v = _Q(num_b[i - k] * den - db * sum(map(mul, r[k:i], ints)), db * den * r[i])
+            dv = v.denominator
+            if den % dv:
+                grow = dv // gcd(den, dv)
+                ints = [c * grow for c in ints]
+                den *= grow
+            ints.append(v.numerator * (den // dv))
+            x.append(v)
+        out.append(x)
+    return out
+
+
+def solve_power_table_reference(g, *series):
+    """[g^{<-1>}] + [f o g^{<-1>} for f in series], g of valuation 1 and f of
+    its field and order: h = f o g^{<-1>} solves R_g h = f (as h o g = f),
+    and g^{<-1>} = y o g^{<-1>} solves R_g x = y.  One forward substitution
+    on R_g for all; it divides only by the diagonal g_1^m, never by an
+    integer."""
+    field, (rows, den) = g.field, _power_table(g)
+    rhss = [[0, den] + [0] * (g.order - 2)] + [[den * c.val for c in f.coeffs] for f in series]
+    return [Series(field, [Scalar(v, field.p) for v in x])
+            for x in forward_substitute_rational_reference(field, rows, rhss)]
+
+
+def inverse_reference(self):
+    """Inverse by forward substitution, column by column; exact."""
+    n, p = self.order, self.field.p
+    for i in range(n):
+        if not self.rows[i][i]:
+            raise SingularDiagonal(f"diagonal entry ({i},{i}) vanishes")
+    vals = [[c.val for c in row] for row in self.rows]
+    e = [[1] + [0] * (n - 1 - k) for k in range(n)]
+    solved = forward_substitute_rational_reference(self.field, vals, e)
+    cols = [[Scalar(v, p) for v in x] for x in solved]
+    return TriMatrix(self.field, [[cols[k][i - k] for k in range(i + 1)] for i in range(n)])
 
 
 # -- the binomial candidate -----------------------------------------------------

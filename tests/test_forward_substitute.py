@@ -1,14 +1,17 @@
 """The forward substitution over QQ and GF(p), against the loops it replaces.
 
-Over QQ `_forward_substitute` carries the solved values as integers over
-one running denominator and builds one rational per output.  The reference
-below is the former QQ solver, kept verbatim: one `Fraction` per
-multiply-add.  Solves must agree exactly for rows of integers and of
-rationals (signed, mixed and large denominators, big diagonal numerators)
-and right-hand sides with leading zeros, rational or integers over one
-given denominator, at N = 2..64, and so must every
-QQ layer the solver serves: TriMatrix.inverse, Series.invert,
-Series.comp_inverse and riordan_inv.
+Over QQ `_forward_substitute` takes integer rows and integer right-hand
+sides over one denominator, carries the solved values as integers over one
+running denominator and returns them as one raw column (ints, den) in
+reduced form, building no rational.  The reference below is the former QQ
+solver, kept verbatim: one `Fraction` per multiply-add.  The systems drawn
+have rows of integers and of rationals (signed, mixed and large
+denominators, big diagonal numerators) and right-hand sides with leading
+zeros, at N = 2..64; each is put in the solver's integer form inside the
+test (integer_form), and the wrapped solution must equal the reference's
+on the original system exactly, as must every QQ layer the solver
+serves: TriMatrix.inverse, Series.invert, Series.comp_inverse and
+riordan_inv.
 
 Over GF(p) it inverts each distinct diagonal value once, where the former
 solver, kept verbatim below, took one power per row.  Solves must agree
@@ -19,6 +22,7 @@ one inverse.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -30,7 +34,7 @@ from riordanlab import Field, Series, TriMatrix
 from riordanlab.errors import NotInvertible
 from riordanlab.riordan import RiordanPair, riordan_inv
 from riordanlab.scalars import Scalar, _Q
-from riordanlab.series import _forward_substitute
+from riordanlab.series import _forward_substitute, _wrap
 
 from test_group_kernel import comp_inverse_reference, invert_reference, riordan_inv_reference
 
@@ -157,6 +161,37 @@ def as_matrix(rows):
     return TriMatrix(QQ, [[Scalar(_Q(v)) for v in row] for row in rows])
 
 
+def integer_rows(rows):
+    """(row i times the lcm e_i of its denominators, as integers; the e_i)."""
+    e = [lcm(*[Fraction(v).denominator for v in row]) for row in rows]
+    return [[(v * ei).numerator for v in row] for row, ei in zip(rows, e)], e
+
+
+def integer_form(rows, rhss):
+    """(rows, rhss, den_b) of the same solutions as the rational system, in
+    the form the solver takes: row i and every b_i times the lcm e_i of the
+    denominators of row i, then the right-hand sides over one lcm den_b."""
+    n = len(rows)
+    rows, e = integer_rows(rows)
+    rhss = [[Fraction(v) * e[n - len(b) + j] for j, v in enumerate(b)] for b in rhss]
+    den_b = lcm(*[v.denominator for b in rhss for v in b])
+    return rows, [[(v * den_b).numerator for v in b] for b in rhss], den_b
+
+
+def solved_values(cols):
+    """The raw columns of the solver as lists of their rationals (_wrap)."""
+    return [[c.val for c in _wrap(QQ, ints, den)] for ints, den in cols]
+
+
+def assert_reduced(cols, rhss):
+    """Each column lists one integer per entry of its b over a positive
+    denominator sharing no factor with them."""
+    assert [len(ints) for ints, _ in cols] == [len(b) for b in rhss]
+    for ints, den in cols:
+        assert all(type(v) is int for v in ints) and type(den) is int
+        assert den > 0 and gcd(den, *ints) == 1
+
+
 # -- tests --------------------------------------------------------------------
 
 
@@ -164,28 +199,38 @@ def as_matrix(rows):
 @given(systems())
 def test_solver_matches_fraction_loop(system):
     rows, rhss = system
-    got = _forward_substitute(QQ, rows, rhss)
-    assert got == forward_substitute_qq_reference(rows, rhss)
-    assert all(type(v) is _Q for x in got for v in x)
+    zero = [0] * len(rows)  # a zero right-hand side solves to (zeros, 1)
+    int_rows, int_rhss, den_b = integer_form(rows, rhss + [zero])
+    got = _forward_substitute(QQ, int_rows, int_rhss, den_b)
+    assert solved_values(got[:-1]) == forward_substitute_qq_reference(rows, rhss)
+    assert got[-1] == (zero, 1)
+    assert_reduced(got, rhss + [zero])
+    # the rows negated, every diagonal value with them: the solution negates
+    negated = _forward_substitute(QQ, [[-v for v in row] for row in int_rows], int_rhss, den_b)
+    assert negated == [([-v for v in ints], den) for ints, den in got]
 
 
 @settings(max_examples=100, deadline=None)
 @given(systems(), st.sampled_from([1, 36, 2**61 - 1]))
 def test_integer_right_hand_sides_over_one_denominator(system, den):
-    # integers B over den, as every caller but the power table passes them,
+    # integers B over den, as every caller passes them,
     # solve as the rationals B / den do
     rows, rhss = system
     ints = [[Fraction(v).numerator for v in b] for b in rhss]
-    got = _forward_substitute(QQ, rows, ints, den)
-    assert got == forward_substitute_qq_reference(rows, [[_Q(v, den) for v in b] for b in ints])
-    assert all(type(v) is _Q for x in got for v in x)
+    int_rows, e = integer_rows(rows)
+    scaled = [[v * e[len(rows) - len(b) + j] for j, v in enumerate(b)] for b in ints]
+    got = _forward_substitute(QQ, int_rows, scaled, den)
+    assert solved_values(got) == forward_substitute_qq_reference(
+        rows, [[_Q(v, den) for v in b] for b in ints])
+    assert_reduced(got, ints)
 
 
 @settings(max_examples=200, deadline=None)
 @given(gfp_systems())
 def test_gfp_solver_matches_per_row_powers(system):
     p, rows, rhss = system
-    assert _forward_substitute(Field(p), rows, rhss) == forward_substitute_gfp_reference(p, rows, rhss)
+    got = _forward_substitute(Field(p), rows, rhss, 1)
+    assert got == [(x, 1) for x in forward_substitute_gfp_reference(p, rows, rhss)]
 
 
 def test_gfp_toeplitz_solve_inverts_once(monkeypatch):
@@ -223,8 +268,11 @@ def rationals_built(f, *args):
 @settings(max_examples=60, deadline=None)
 @given(systems())
 def test_one_rational_per_solved_entry(system):
-    got, built = rationals_built(_forward_substitute, QQ, *system)
-    assert built <= sum(map(len, got))
+    # the solver builds none: its callers build one per entry, in _wrap
+    rows, rhss = system
+    got, built = rationals_built(_forward_substitute, QQ, *integer_form(rows, rhss))
+    assert built == 0
+    assert_reduced(got, rhss)
 
 
 @settings(max_examples=100, deadline=None)

@@ -56,7 +56,7 @@ from riordanlab.scalars import Scalar, _Q
 # -- the replaced code --------------------------------------------------------
 
 
-def forward_substitute_reference(field, rows, ks):
+def forward_substitute_unit_reference(field, rows, ks):
     """Solve L x = e_k by forward substitution on raw values, for each k in ks."""
     p, n = field.p, len(rows)
     if p is None:
@@ -94,7 +94,7 @@ def comp_inverse_reference(self):
     for _ in range(n - 2):
         powers.append(powers[-1] * self)
     rows = [[powers[j].coeffs[m].val for j in range(m + 1)] for m in range(n)]
-    (g,) = forward_substitute_reference(field, rows, [1])
+    (g,) = forward_substitute_unit_reference(field, rows, [1])
     return Series(field, [field.zero()] + [Scalar(v, field.p) for v in g])
 
 
@@ -134,7 +134,7 @@ def invert_reference(s):
     c = [a.val for a in s.coeffs]
     if not c[0]:
         raise NotInvertible("constant term vanishes")
-    (x,) = forward_substitute_reference(s.field, [c[m::-1] for m in range(len(c))], [0])
+    (x,) = forward_substitute_unit_reference(s.field, [c[m::-1] for m in range(len(c))], [0])
     return Series(s.field, [Scalar(v, s.field.p) for v in x])
 
 

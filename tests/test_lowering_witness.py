@@ -28,6 +28,7 @@ from riordanlab.operators import (
 )
 from riordanlab.riordan import Weight, matrix_to_pair, pair_to_matrix, riordan_inv
 from riordanlab.sampling import unit_series
+from riordanlab.series import _wrap
 
 from test_generators import KINDS, build_matrix, build_weight, sample_points
 from test_group_kernel import other, outcome, pair
@@ -192,9 +193,9 @@ def test_t_is_the_compositional_inverse_of_beta(p, n, wkind, seed):
         assert _lowering_witness(A, W) is None
     finally:
         operators._forward_substitute = solve
-    [(t,)] = solved
+    [((t, td),)] = solved  # t_1..t_{N-1} over td, as the solver returns them
     beta_bar = riordan_inv(matrix_to_pair(A, W)).beta
-    assert [0] + t == [c.val for c in beta_bar.coeffs]
+    assert [field.zero()] + _wrap(field, t, td) == list(beta_bar.coeffs)
 
 
 def test_is_appell_stops_at_the_first_failing_column(QQ, rng, monkeypatch):

@@ -45,13 +45,12 @@ from riordanlab.riordan import (
     _unweighted_columns,
     is_riordan,
 )
-from riordanlab.scalars import Scalar
-from riordanlab.series import _forward_substitute, _wrap, check_order
+from riordanlab.series import _wrap, check_order
 from riordanlab.triangular import (
     Polynomial, _linear_combination, apply_matrix_to_poly, umbral_compose,
 )
 
-from references import binomial_candidate_reference
+from references import binomial_candidate_reference, inverse_reference
 from test_exact_membership import riordan_witness_reference as _riordan_witness
 from test_report_readings import is_toeplitz_reference as _is_toeplitz
 from test_group_kernel import MATRICES, WEIGHTS, build_weight, cases, matrix, other, value
@@ -169,18 +168,6 @@ def trimatrix_rows_reference(field, rows):
             raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
         field.check(row, "entry")
     return rows
-
-
-def inverse_reference(self):
-    """Inverse by forward substitution, column by column; exact."""
-    n, p = self.order, self.field.p
-    for i in range(n):
-        if not self.rows[i][i]:
-            raise SingularDiagonal(f"diagonal entry ({i},{i}) vanishes")
-    vals = [[c.val for c in row] for row in self.rows]
-    e = [[1] + [0] * (n - 1 - k) for k in range(n)]
-    cols = [[Scalar(v, p) for v in x] for x in _forward_substitute(self.field, vals, e)]
-    return TriMatrix(self.field, [[cols[k][i - k] for k in range(i + 1)] for i in range(n)])
 
 
 def lowering_witness_reference(A, W):

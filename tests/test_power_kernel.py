@@ -38,7 +38,6 @@ from riordanlab.scalars import Scalar
 from riordanlab.series import (
     _apply_power_table,
     _convolve,
-    _forward_substitute,
     _geometric_columns,
     _over_common_denominator,
     _power_table,
@@ -47,6 +46,7 @@ from riordanlab.series import (
     _wrap,
 )
 
+from references import forward_substitute_rational_reference
 from test_group_kernel import (
     MATRICES, WEIGHTS, build_weight, cases, matrix, other, outcome, pair, series,
 )
@@ -101,7 +101,7 @@ def comp_inverse_reference(self):
         raise NotValuationOne("compositional inverse needs valuation exactly 1")
     field, n = self.field, self.order
     rows, den = power_table_reference(self)
-    (g,) = _forward_substitute(field, rows, [[den] + [0] * (n - 2)])
+    (g,) = forward_substitute_rational_reference(field, rows, [[den] + [0] * (n - 2)])
     return Series(field, [field.zero()] + [Scalar(v, field.p) for v in g])
 
 
@@ -120,7 +120,8 @@ def riordan_inv_reference(a):
     field, n = a.field, a.order
     rows, den = power_table_reference(a.beta)
     alpha = [den * c.val for c in a.alpha.coeffs]
-    h, beta_bar = _forward_substitute(field, rows, [alpha, [den] + [0] * (n - 2)])
+    h, beta_bar = forward_substitute_rational_reference(
+        field, rows, [alpha, [den] + [0] * (n - 2)])
     return RiordanPair(
         Series(field, [Scalar(v, field.p) for v in h]).invert(),
         Series(field, [field.zero()] + [Scalar(v, field.p) for v in beta_bar]),

@@ -4,10 +4,12 @@ _weighted_matrix returns the columns of D R D^{-1} as raw (ints, den) in
 reduced form and builds no Scalar; a TriMatrix built that way
 (TriMatrix._from_columns) builds its Scalar rows only when they are first
 read.  TriMatrix.__matmul__ over QQ reads the raw columns of both operands
-and returns raw columns, and _iter_unweighted_columns divides each column
-of U by its content.  The references below are the replaced code, kept
-verbatim: the Scalar-building _weighted_matrix, the row-based
-_iter_unweighted_columns and the row-based __matmul__ of both fields.  Every
+and returns raw columns, TriMatrix.inverse returns the reduced raw columns
+the solver gives, of a kernel-built and of a row-built matrix alike, and
+_iter_unweighted_columns divides each column of U by its content.  The
+references below are the replaced code, kept verbatim: the Scalar-building
+_weighted_matrix, the row-based _iter_unweighted_columns and the row-based
+__matmul__ of both fields, and references.inverse_reference.  Every
 result must equal its reference in rows, in == both ways (on rows, and on
 raw columns where both sides hold them), in hash and in its JSON bytes,
 over QQ, GF(2), GF(7) and GF(1000003) at N = 2..16, and once per field at
@@ -41,6 +43,8 @@ from riordanlab.sampling import graded_matrix, riordan_pair, scalar, unit_series
 from riordanlab.scalars import Scalar, _Q
 from riordanlab.serialize import dumps
 from riordanlab.series import _ints_over_lcm, _over_common_denominator
+
+from references import inverse_reference
 
 # -- the replaced code --------------------------------------------------------
 
@@ -252,6 +256,8 @@ def test_the_largest_order_once_per_field():
             assert_reduced(got)
         for how in PRODUCTS:
             assert_same(*product(how, field, 64, rng))
+        for from_rows in (False, True):
+            assert_inverse(*inverted("pair", from_rows, field, 64, rng))
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,6 +274,31 @@ def test_every_kernel_column_is_reduced(case, kind):
     assert values(U._columns(), field.p) == values(want, field.p)
     if kind == "difference":  # its last column is zero: (zeros, 1)
         assert A._columns()[-1] == ([0] * n, 1)
+
+
+GRADED = ["pair", "appell", "change_weight"]
+
+
+def inverted(kind, from_rows, field, n, rng):
+    """(A.inverse() of a graded kernel-built A, or of its row-built copy,
+    and the inverse of the replaced code)."""
+    make, args = draw_inputs(kind, field, n, rng)
+    A = row_built(make(*args)) if from_rows else make(*args)
+    return A.inverse(), inverse_reference(row_built(A))
+
+
+def assert_inverse(got, want):
+    """got holds the raw columns the solver returned, in reduced form, and
+    no rows until they are read; then it equals want."""
+    assert got._rows is None
+    assert_reduced(got)
+    assert_same(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.sampled_from(GRADED), st.booleans())
+def test_the_inverse_keeps_raw_columns(case, kind, from_rows):
+    assert_inverse(*inverted(kind, from_rows, *case))
 
 
 def test_the_group_law_over_qq_builds_no_rows():
