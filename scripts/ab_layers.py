@@ -23,7 +23,9 @@ q_factorial(-1, 2) over QQ and q_factorial(5, 3) over GF(1000003);
 "perturbed" is perturbed_non_riordan(W, Random(1)), and "appell" is
 check_report on translation_matrix(W, 3).  "entries read" also reads the
 Scalar entries of the result, which a kernel-built HPolyMatrix builds only
-then.
+then.  solve_conjugator runs on finite_difference_matrix(W, 3); the
+constructor rows build a weight or series of order N, exp_case_weights over
+QQ only.
 """
 
 import argparse
@@ -58,7 +60,14 @@ LAYERS = {
     "change_weight": lambda m, x: m.change_weight(x.A, x.W, x.W2),
     "dual_basis": lambda m, x: m.dual_basis(x.A, x.W),
     "q_operator_matrix": lambda m, x: m.q_operator_matrix(x.A, x.W),
+    "solve_conjugator": lambda m, x: m.solve_conjugator(x.D),
+    "Weight.exponential": lambda m, x: m.Weight.exponential(x.F, x.n, 3),
+    "Weight.q_factorial": lambda m, x: m.Weight.q_factorial(x.F, x.n, 5, 3),
+    "Series.exp": lambda m, x: m.Series.exp(x.F, x.n, 3),
+    "translation_matrix": lambda m, x: m.translation_matrix(x.W, 3),
+    "exp_case_weights": lambda m, x: m.exp_case_weights(x.F, x.n, 3, 2),
 }
+QQ_ONLY = {"exp_case_weights"}  # defined in characteristic 0 only
 
 
 def copy_package(ref, target: Path):
@@ -86,9 +95,10 @@ def inputs(m, sampling, field, n):
     rng = random.Random(1)
     a, b = sampling.riordan_pair(F, n, rng), sampling.riordan_pair(F, n, rng)
     return SimpleNamespace(
-        W=W, a=a, b=b, A=m.pair_to_matrix(a, W),
+        F=F, n=n, W=W, a=a, b=b, A=m.pair_to_matrix(a, W),
         B=sampling.perturbed_non_riordan(W, random.Random(1)),
-        T=m.translation_matrix(W, 3), W2=m.Weight.exponential(F, n, 1))
+        T=m.translation_matrix(W, 3), W2=m.Weight.exponential(F, n, 1),
+        D=m.finite_difference_matrix(W, 3))
 
 
 def time_layer(m, sampling, field, n, layer, calls):
@@ -122,10 +132,10 @@ def main(argv=None) -> int:
                      for name in ("before", "after")]
         finally:
             sys.path.remove(tmp)
-    times = {layer: ([], []) for layer in LAYERS}
+    times = {layer: ([], []) for layer in LAYERS if args.field == "QQ" or layer not in QQ_ONLY}
     for r in range(args.rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
-        for layer in LAYERS:
+        for layer in times:
             for side in order:
                 times[layer][side].append(
                     time_layer(*sides[side], args.field, args.order, layer, args.calls))

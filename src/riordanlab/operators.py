@@ -53,8 +53,8 @@ weight w_n = 1, with Toeplitz columns k >= 1, an A-sequence), which holds
 exactly when product_rule_spanning_witness is None.
 
 solve_conjugator needs no inverse either: A S = M A gives a_{k+1} = M a_k,
-so the columns of A are the Krylov vectors M^k e_0, each one
-series._apply_rows on the rows of M, put over one denominator once.
+so the columns of A are the Krylov vectors M^k e_0, raw columns, each
+one integer product with the rows of M, put over one denominator once.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ from .riordan import (
     Weight, _first_difference, _iter_unweighted_columns, _mixed_backends, _riordan_columns,
     _toeplitz_columns, _unweighted_columns, _weighted_matrix, is_riordan,
 )
-from .scalars import Scalar, _Q
+from .scalars import Scalar, _Q, _powers
 from .series import (
-    Series, _apply_rows, _forward_substitute, _low_slots, _over_common_denominator, _pack, _packs,
+    Series, _forward_substitute, _low_slots, _over_common_denominator, _pack, _packs, _reduce,
     _rows_over_lcm, _wrap,
 )
 from .triangular import Polynomial, TriMatrix, _inverse_columns, _triangle_rows
@@ -90,9 +90,9 @@ def m_matrix(W: Weight) -> TriMatrix:
 
 
 def _translation_series(W: Weight, h) -> Series:
-    """W(hy) = sum h^l y^l / w_l, the series of T_h."""
+    """W(hy) = sum h^l y^l / w_l, the series of T_h, on the running powers of h."""
     h = W.field.scalar(h)
-    return Series(W.field, [h ** l * r for l, r in enumerate(W.recip)])
+    return Series(W.field, [x * r for x, r in zip(_powers(h, W.order), W.recip)])
 
 
 def translation_matrix(W: Weight, h) -> TriMatrix:
@@ -426,18 +426,21 @@ def solve_conjugator(M: TriMatrix) -> TriMatrix:
 
     Column k of A S is column k + 1 of A, and A S = M A, so
     a_{k+1} = M a_k: the columns of A are the Krylov vectors M^k e_0.  The
-    rows of M are put over one denominator once (series._rows_over_lcm),
-    and each next column is one series._apply_rows, one integer dot
-    product per entry.
+    rows of M are put over one denominator D once (series._rows_over_lcm),
+    and each next column stays raw: one integer dot product per entry over
+    D times the last denominator, reduced (series._reduce; mod p over
+    GF(p)).  No Scalar is built.
     """
     if not is_degree_decreasing(M):
         raise NotDegreeDecreasing("need a strictly lower matrix with nonzero subdiagonal")
-    field, n = M.field, M.order
-    table = _rows_over_lcm(M._columns())
-    cols = [[field.one()] + [field.zero()] * (n - 1)]
+    p, n = M.field.p, M.order
+    rows, den = _rows_over_lcm(M._columns())
+    cols = [([1] + [0] * (n - 1), 1)]
     for _ in range(n - 1):
-        cols += _apply_rows(field, table, cols[-1])
-    return TriMatrix(field, [[cols[k][i] for k in range(i + 1)] for i in range(n)])
+        a, da = cols[-1]
+        ints = [sum(map(mul, row, a)) for row in rows]
+        cols.append(_reduce(ints, den * da, 0) if p is None else ([x % p for x in ints], 1))
+    return TriMatrix._from_columns(M.field, cols)
 
 
 def finite_difference_matrix(W: Weight, a) -> TriMatrix:

@@ -72,7 +72,7 @@ from .errors import (
     RootOfUnity,
     ZeroLambda,
 )
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, _powers
 from .series import (
     Series,
     _apply_power_table,
@@ -91,7 +91,10 @@ from .triangular import TriMatrix
 class Weight:
     """Denominator sequence w_0..w_{N-1} with cached reciprocals 1/w_n.
 
-    The kernels read their raw values _w and _recip: rationals, or residues
+    The builtins and rescale build w as one running product, each w_n a
+    few Scalar products from w_{n-1} (scalars._powers for the powers of
+    one element), with no power or factorial recomputed per index.  The
+    kernels read their raw values _w and _recip: rationals, or residues
     mod p.
     """
 
@@ -123,11 +126,9 @@ class Weight:
             raise NotInvertible(
                 f"n! vanishes in GF({field.p}) before order {order}"
             )
-        w, fact = [], field.one()
-        for n in range(order):
-            if n:
-                fact = fact * field.scalar(n)
-            w.append(lam ** n * fact)
+        w = [field.one()]
+        for n in range(1, order):
+            w.append(w[-1] * lam * field.scalar(n))
         return cls(field, w)
 
     @classmethod
@@ -137,7 +138,7 @@ class Weight:
         lam = field.scalar(lam)
         if not lam:
             raise ZeroLambda("lambda must be nonzero")
-        return cls(field, [lam ** n for n in range(order)])
+        return cls(field, _powers(lam, order))
 
     @classmethod
     def q_factorial(cls, field, order, lam, q):
@@ -149,16 +150,14 @@ class Weight:
         lam, q = field.scalar(lam), field.scalar(q)
         if not lam:
             raise ZeroLambda("lambda must be nonzero")
-        one = field.one()
+        one, qs = field.one(), _powers(q, order)
         for j in range(1, order):
-            if q ** j == one:
+            if qs[j] == one:
                 raise RootOfUnity(f"q^{j} = 1")
         base = lam / (one - q)
-        w, prod = [], one
-        for n in range(order):
-            if n:
-                prod = prod * (one - q ** n)
-            w.append(base ** n * prod)
+        w = [one]
+        for n in range(1, order):
+            w.append(w[-1] * base * (one - qs[n]))
         return cls(field, w)
 
     # -- basics ----------------------------------------------------------
@@ -182,7 +181,7 @@ class Weight:
         lam = self.field.scalar(lam)
         if not lam:
             raise ZeroLambda("lambda must be nonzero")
-        return Weight(self.field, [lam ** n * x for n, x in enumerate(self.w)])
+        return Weight(self.field, [x * w for x, w in zip(_powers(lam, self.order), self.w)])
 
     def _check_same(self, other: "Weight"):
         if other.field != self.field or other.order != self.order:

@@ -258,19 +258,27 @@ def extended_binomial(xi: Scalar, n: int) -> Scalar:
     return out
 
 
+def _powers(x: Scalar, n: int) -> list[Scalar]:
+    """[1, x, ..., x^(n-1)]: each power is one product from the one before."""
+    out = [Scalar(_Q(1)) if x.p is None else Scalar(1, x.p)]
+    for _ in range(n - 1):
+        out.append(out[-1] * x)
+    return out
+
+
 def q_binomial(l: int, k: int, q: Scalar) -> Scalar:
-    """Gaussian binomial prod_{j=k+1}^{l}(1-q^j) / prod_{j=1}^{l-k}(1-q^j)."""
+    """Gaussian binomial prod_{j=k+1}^{l}(1-q^j) / prod_{j=1}^{l-k}(1-q^j),
+    on the running powers of q."""
     if not 0 <= k <= l:
         raise ValueError(f"need 0 <= k <= l, got k={k}, l={l}")
-    field = Field(q.p)
-    one = field.one()
-    den = one
+    qs = _powers(q, l + 1)
+    one = den = qs[0]
     for j in range(1, l - k + 1):
-        factor = one - q ** j
+        factor = one - qs[j]
         if not factor:
             raise RootOfUnity(f"1 - q^{j} = 0")
         den = den * factor
     num = one
     for j in range(k + 1, l + 1):
-        num = num * (one - q ** j)
+        num = num * (one - qs[j])
     return num / den

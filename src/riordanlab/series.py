@@ -25,8 +25,7 @@ _lowering_witness the rows of U).  Column j of R_g holds g^j, so R_g f is
 the coefficient vector of f o g, and R_g serves the whole group law:
 ``_apply_power_table`` applies it (Series.compose, riordan_mul) through
 ``_apply_rows``, the one product of rows over one denominator with a
-vector, which functionals._after_operator runs on the rows of U and
-operators.solve_conjugator on the rows of M, once per Krylov column M^k e_0
+vector, which functionals._after_operator runs on the rows of U
 (functionals.product_rule_check reaches it through Series.compose); and
 ``_solve_power_table`` solves with it, R_g x = e_1 giving g^{<-1>} and
 R_g h = f giving f o g^{<-1>} (Series.comp_inverse, riordan_inv).
@@ -60,7 +59,7 @@ from .errors import (
     NotInvertible,
     NotValuationOne,
 )
-from .scalars import Field, Scalar, _Q, factorial_inv
+from .scalars import Field, Scalar, _Q
 
 MIN_ORDER = 2
 MAX_ORDER = 64
@@ -313,10 +312,16 @@ class Series:
 
     @classmethod
     def exp(cls, field, order, h):
-        """exp(h y) = sum (h y)^l / l!; in GF(p) it needs order <= p."""
+        """exp(h y) = sum (h y)^l / l!, built as one running product
+        c_l = c_{l-1} h / l; in GF(p) it needs order <= p."""
         check_order(order)
         h = field.scalar(h)
-        return cls(field, [h ** l * factorial_inv(field, l) for l in range(order)])
+        if field.p is not None and order > field.p:
+            raise NotInvertible(f"{field.p}! is 0 in GF({field.p})")
+        c = [field.one()]
+        for l in range(1, order):
+            c.append(c[-1] * h / field.scalar(l))
+        return cls(field, c)
 
     @classmethod
     def identity(cls, field, order):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import BackendMismatch, CharP, ForbiddenLambda, NotValuationZero
 from .operators import appell_from_alpha
 from .riordan import Weight, is_riordan
-from .scalars import Field, Scalar, extended_binomial
+from .scalars import Field, Scalar
 from .series import Series, check_order
 
 
@@ -106,6 +106,7 @@ def exp_case_weights(field: Field, order: int, lam, sigma) -> Weight:
 
     Requires characteristic 0, sigma != 0, and lam outside
     {0, sigma, ..., (order-2)*sigma} so that no denominator vanishes.
+    Built as one running product, w2_k = w2_{k-1} k / (lam - (k-1) sigma).
     """
     check_order(order)
     if field.char != 0:
@@ -113,13 +114,12 @@ def exp_case_weights(field: Field, order: int, lam, sigma) -> Weight:
     lam, sigma = field.scalar(lam), field.scalar(sigma)
     if not sigma:
         raise ForbiddenLambda("sigma must be nonzero")
-    mu = lam / sigma
-    for k in range(order - 1):
-        if mu == field.scalar(k):
-            raise ForbiddenLambda(f"lambda = {k} * sigma makes w[{k + 1}] vanish")
     w = [field.one()]
     for k in range(1, order):
-        w.append((sigma ** k * extended_binomial(mu, k)).inverse())
+        factor = lam - sigma * field.scalar(k - 1)
+        if not factor:
+            raise ForbiddenLambda(f"lambda = {k - 1} * sigma makes w[{k}] vanish")
+        w.append(w[-1] * field.scalar(k) / factor)
     return Weight(field, w)
 
 

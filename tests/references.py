@@ -21,23 +21,47 @@ This module imports no test module, so any test module can import it.
 - convolve_reference: the truncated product as one dot product per output
   coefficient, which series._convolve keeps where sums do not fit 64-bit
   slots.
+- exponential_reference, geometric_reference, q_factorial_reference,
+  rescale_reference, exp_reference, translation_series_reference,
+  exp_case_weights_reference and q_binomial_reference: the constructors
+  that raised a power or a factorial afresh for every index, which one
+  running product per sequence replaces.
+- solve_conjugator_reference: the Krylov loop that wrapped every column
+  M^k e_0 into Scalars and built the matrix from Scalar rows.
 """
 
 from math import gcd
 from operator import mul
 
 from riordanlab import Series, TriMatrix
-from riordanlab.errors import NotInvertible, SingularDiagonal, ZeroShift
-from riordanlab.operators import translation_matrix
+from riordanlab.errors import (
+    CharP,
+    ForbiddenLambda,
+    NotDegreeDecreasing,
+    NotInvertible,
+    RootOfUnity,
+    SingularDiagonal,
+    ZeroLambda,
+    ZeroShift,
+)
+from riordanlab.operators import is_degree_decreasing, translation_matrix
 from riordanlab.riordan import (
     RiordanPair,
+    Weight,
     _beta_quotient,
     _check_matrix_order,
     _mixed_backends,
     pair_to_matrix,
 )
-from riordanlab.scalars import Scalar, _Q
-from riordanlab.series import _ints_over_lcm, _power_table, _reduce
+from riordanlab.scalars import Field, Scalar, _Q, extended_binomial, factorial_inv
+from riordanlab.series import (
+    _apply_rows,
+    _ints_over_lcm,
+    _power_table,
+    _reduce,
+    _rows_over_lcm,
+    check_order,
+)
 
 # -- the conjugation kernels ----------------------------------------------------
 
@@ -276,3 +300,133 @@ def convolve_reference(a, b, p=None):
     if p is None:
         return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) for m in range(n)]
     return [sum(map(mul, a[: m + 1], rb[n - 1 - m :])) % p for m in range(n)]
+
+
+# -- the constructors, one power or factorial per index ---------------------------
+
+
+def exponential_reference(field, order, lam):
+    """w_n = lam^n * n!; the classical umbral calculus."""
+    check_order(order)
+    lam = field.scalar(lam)
+    if not lam:
+        raise ZeroLambda("lambda must be nonzero")
+    if field.p is not None and order > field.p:
+        raise NotInvertible(
+            f"n! vanishes in GF({field.p}) before order {order}"
+        )
+    w, fact = [], field.one()
+    for n in range(order):
+        if n:
+            fact = fact * field.scalar(n)
+        w.append(lam ** n * fact)
+    return Weight(field, w)
+
+
+def geometric_reference(field, order, lam):
+    """w_n = lam^n; the power-reduction calculus."""
+    check_order(order)
+    lam = field.scalar(lam)
+    if not lam:
+        raise ZeroLambda("lambda must be nonzero")
+    return Weight(field, [lam ** n for n in range(order)])
+
+
+def q_factorial_reference(field, order, lam, q):
+    """w_n = (lam/(1-q))^n * prod_{j<=n} (1 - q^j); the q-umbral calculus.
+
+    Needs q^j != 1 for 1 <= j < order, so every w_n is a unit.
+    """
+    check_order(order)
+    lam, q = field.scalar(lam), field.scalar(q)
+    if not lam:
+        raise ZeroLambda("lambda must be nonzero")
+    one = field.one()
+    for j in range(1, order):
+        if q ** j == one:
+            raise RootOfUnity(f"q^{j} = 1")
+    base = lam / (one - q)
+    w, prod = [], one
+    for n in range(order):
+        if n:
+            prod = prod * (one - q ** n)
+        w.append(base ** n * prod)
+    return Weight(field, w)
+
+
+def rescale_reference(self, lam):
+    """w_n -> lam^n * w_n; membership in the Riordan group is unchanged."""
+    lam = self.field.scalar(lam)
+    if not lam:
+        raise ZeroLambda("lambda must be nonzero")
+    return Weight(self.field, [lam ** n * x for n, x in enumerate(self.w)])
+
+
+def exp_reference(field, order, h):
+    """exp(h y) = sum (h y)^l / l!; in GF(p) it needs order <= p."""
+    check_order(order)
+    h = field.scalar(h)
+    return Series(field, [h ** l * factorial_inv(field, l) for l in range(order)])
+
+
+def translation_series_reference(W, h):
+    """W(hy) = sum h^l y^l / w_l, the series of T_h."""
+    h = W.field.scalar(h)
+    return Series(W.field, [h ** l * r for l, r in enumerate(W.recip)])
+
+
+def exp_case_weights_reference(field, order, lam, sigma):
+    """Weight of (1 + sigma*t)^(lam/sigma): 1/w2_k = sigma^k binom(lam/sigma, k).
+
+    Requires characteristic 0, sigma != 0, and lam outside
+    {0, sigma, ..., (order-2)*sigma} so that no denominator vanishes.
+    """
+    check_order(order)
+    if field.char != 0:
+        raise CharP("defined in characteristic 0 only")
+    lam, sigma = field.scalar(lam), field.scalar(sigma)
+    if not sigma:
+        raise ForbiddenLambda("sigma must be nonzero")
+    mu = lam / sigma
+    for k in range(order - 1):
+        if mu == field.scalar(k):
+            raise ForbiddenLambda(f"lambda = {k} * sigma makes w[{k + 1}] vanish")
+    w = [field.one()]
+    for k in range(1, order):
+        w.append((sigma ** k * extended_binomial(mu, k)).inverse())
+    return Weight(field, w)
+
+
+def q_binomial_reference(l, k, q):
+    """Gaussian binomial prod_{j=k+1}^{l}(1-q^j) / prod_{j=1}^{l-k}(1-q^j)."""
+    if not 0 <= k <= l:
+        raise ValueError(f"need 0 <= k <= l, got k={k}, l={l}")
+    field = Field(q.p)
+    one = field.one()
+    den = one
+    for j in range(1, l - k + 1):
+        factor = one - q ** j
+        if not factor:
+            raise RootOfUnity(f"1 - q^{j} = 0")
+        den = den * factor
+    num = one
+    for j in range(k + 1, l + 1):
+        num = num * (one - q ** j)
+    return num / den
+
+
+# -- the Krylov columns of solve_conjugator ---------------------------------------
+
+
+def solve_conjugator_reference(M):
+    """The unique graded A with first column (1, 0, ...) conjugating the
+    plain shift onto M: the Krylov vectors M^k e_0, each one _apply_rows
+    (Scalars) on the rows of M over one denominator, built into Scalar rows."""
+    if not is_degree_decreasing(M):
+        raise NotDegreeDecreasing("need a strictly lower matrix with nonzero subdiagonal")
+    field, n = M.field, M.order
+    table = _rows_over_lcm(M._columns())
+    cols = [[field.one()] + [field.zero()] * (n - 1)]
+    for _ in range(n - 1):
+        cols += _apply_rows(field, table, cols[-1])
+    return TriMatrix(field, [[cols[k][i] for k in range(i + 1)] for i in range(n)])
