@@ -23,9 +23,10 @@ q_factorial(-1, 2) over QQ and q_factorial(5, 3) over GF(1000003);
 "perturbed" is perturbed_non_riordan(W, Random(1)), and "appell" is
 check_report on translation_matrix(W, 3).  "entries read" also reads the
 Scalar entries of the result, which a kernel-built HPolyMatrix builds only
-then.  solve_conjugator runs on finite_difference_matrix(W, 3); the
-constructor rows build a weight or series of order N, exp_case_weights over
-QQ only.
+then.  A is built from its own copy of the pair a, so no layer finds
+the series of a or b already read into raw form by an earlier call.
+solve_conjugator runs on finite_difference_matrix(W, 3); the constructor
+rows build a weight or series of order N, exp_case_weights over QQ only.
 """
 
 import argparse
@@ -56,6 +57,9 @@ LAYERS = {
     "d_polynomials": lambda m, x: m.d_polynomials(x.A, x.W),
     "d_polynomials, entries read": lambda m, x: m.d_polynomials(x.A, x.W).entries,
     "Series.invert": lambda m, x: x.a.alpha.invert(),
+    "Series.__mul__": lambda m, x: x.a.alpha * x.b.alpha,
+    "Series.compose": lambda m, x: x.b.alpha.compose(x.a.beta),
+    "Series.comp_inverse": lambda m, x: x.a.beta.comp_inverse(),
     "finite_difference_matrix": lambda m, x: m.finite_difference_matrix(x.W, 3),
     "change_weight": lambda m, x: m.change_weight(x.A, x.W, x.W2),
     "dual_basis": lambda m, x: m.dual_basis(x.A, x.W),
@@ -94,8 +98,9 @@ def inputs(m, sampling, field, n):
         W = m.Weight.q_factorial(F, n, 5, 3)
     rng = random.Random(1)
     a, b = sampling.riordan_pair(F, n, rng), sampling.riordan_pair(F, n, rng)
+    a_copy = sampling.riordan_pair(F, n, random.Random(1))  # equal to a
     return SimpleNamespace(
-        F=F, n=n, W=W, a=a, b=b, A=m.pair_to_matrix(a, W),
+        F=F, n=n, W=W, a=a, b=b, A=m.pair_to_matrix(a_copy, W),
         B=sampling.perturbed_non_riordan(W, random.Random(1)),
         T=m.translation_matrix(W, 3), W2=m.Weight.exponential(F, n, 1),
         D=m.finite_difference_matrix(W, 3))

@@ -17,7 +17,7 @@ from .riordan import (
     _iter_unweighted_columns, _unweighted_columns, pair_to_matrix,
 )
 from .scalars import Field, Scalar
-from .series import Series, _apply_rows, _rows_over_lcm, _wrap
+from .series import Series, _apply_rows, _over_common_denominator, _rows_over_lcm, _wrap
 from .triangular import Polynomial, TriMatrix
 
 
@@ -109,8 +109,9 @@ def _after_operator(S: TriMatrix, W: Weight, *fs) -> list[Functional]:
     built once over one denominator, applied to each (series._apply_rows)."""
     if any(not f.order == S.order == W.order or not f.field == S.field == W.field for f in fs):
         raise BackendMismatch("functional, operator and weight orders or fields differ")
-    table = _rows_over_lcm(_unweighted_columns(S, W))
-    return [Functional(S.field, t) for t in _apply_rows(S.field, table, *[f.values for f in fs])]
+    table, field = _rows_over_lcm(_unweighted_columns(S, W)), S.field
+    return [Functional(field, _wrap(field, *t))
+            for t in _apply_rows(field, table, *[_over_common_denominator(f.values) for f in fs])]
 
 
 def functional_of_operator(S: TriMatrix, W: Weight) -> Functional:

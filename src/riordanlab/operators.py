@@ -75,8 +75,8 @@ from .riordan import (
 )
 from .scalars import Scalar, _Q, _powers
 from .series import (
-    Series, _forward_substitute, _low_slots, _over_common_denominator, _pack, _packs, _reduce,
-    _rows_over_lcm, _wrap,
+    Series, _apply_rows, _forward_substitute, _low_slots, _over_common_denominator, _pack, _packs,
+    _rows_over_lcm,
 )
 from .triangular import Polynomial, TriMatrix, _inverse_columns, _triangle_rows
 
@@ -136,7 +136,7 @@ def appell_from_alpha(alpha: Series, W: Weight) -> TriMatrix:
         raise BackendMismatch("series and weight orders differ")
     if alpha.field != W.field:
         raise _mixed_backends(alpha.coeffs[0], W.w[0])
-    return _weighted_matrix(W, _toeplitz_columns(*_over_common_denominator(alpha.coeffs)))
+    return _weighted_matrix(W, _toeplitz_columns(*alpha._raw()))
 
 
 def is_sheffer(A: TriMatrix, W: Weight) -> bool:
@@ -426,20 +426,16 @@ def solve_conjugator(M: TriMatrix) -> TriMatrix:
 
     Column k of A S is column k + 1 of A, and A S = M A, so
     a_{k+1} = M a_k: the columns of A are the Krylov vectors M^k e_0.  The
-    rows of M are put over one denominator D once (series._rows_over_lcm),
-    and each next column stays raw: one integer dot product per entry over
-    D times the last denominator, reduced (series._reduce; mod p over
-    GF(p)).  No Scalar is built.
+    rows of M are put over one denominator once (series._rows_over_lcm),
+    and each next column stays raw: one series._apply_rows on those rows,
+    an integer dot product per entry, reduced once.  No Scalar is built.
     """
     if not is_degree_decreasing(M):
         raise NotDegreeDecreasing("need a strictly lower matrix with nonzero subdiagonal")
-    p, n = M.field.p, M.order
-    rows, den = _rows_over_lcm(M._columns())
-    cols = [([1] + [0] * (n - 1), 1)]
-    for _ in range(n - 1):
-        a, da = cols[-1]
-        ints = [sum(map(mul, row, a)) for row in rows]
-        cols.append(_reduce(ints, den * da, 0) if p is None else ([x % p for x in ints], 1))
+    table = _rows_over_lcm(M._columns())
+    cols = [([1] + [0] * (M.order - 1), 1)]
+    for _ in range(M.order - 1):
+        cols += _apply_rows(M.field, table, cols[-1])
     return TriMatrix._from_columns(M.field, cols)
 
 
@@ -511,5 +507,5 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
     else:
         verdict = beta is not None and (kind != "binomial" or _trivial_alpha(A))
     if alpha is not None:
-        alpha, beta = Series(A.field, _wrap(A.field, *alpha)).to_json(), beta.to_json()
+        alpha, beta = Series._from_raw(A.field, *alpha).to_json(), beta.to_json()
     return {"kind": kind, "verdict": verdict, "alpha": alpha, "beta": beta}

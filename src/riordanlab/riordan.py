@@ -42,7 +42,12 @@ pair_to_matrix weights alpha beta^k, and the membership walk compares u_k
 with u_0 beta^k.  riordan_mul and riordan_inv go through R_beta =
 R_(1,beta) once: the product applies it to gamma and delta, and the
 inverse solves R_beta x = e_1 and R_beta h = alpha on the same rows,
-h = alpha o beta^{<-1>} needing no composition.
+h = alpha o beta^{<-1>} needing no composition.  The group layer passes
+series along in their raw form (series module note): pair_to_matrix reads
+the raw alpha and beta, and riordan_mul, riordan_inv, matrix_to_pair and
+_beta_quotient return series built from raw kernel output, so the group
+law builds no Scalar unless a caller reads one.  The conjugation kernel
+takes the left factor over its lcm, which a Weight keeps (_over_lcm).
 
 Membership is the definition itself, exactly geometric columns through
 y^{N-1}, decided by one walk on the lazy columns of U, _geometric_walk: it
@@ -78,11 +83,9 @@ from .series import (
     _apply_power_table,
     _divide,
     _geometric_columns,
-    _ints_over_lcm,
     _over_common_denominator,
     _reduce,
     _solve_power_table,
-    _wrap,
     check_order,
 )
 from .triangular import TriMatrix
@@ -95,10 +98,10 @@ class Weight:
     few Scalar products from w_{n-1} (scalars._powers for the powers of
     one element), with no power or factorial recomputed per index.  The
     kernels read their raw values _w and _recip: rationals, or residues
-    mod p.
+    mod p; the conjugation kernel reads them over their lcm (_over_lcm).
     """
 
-    __slots__ = ("field", "w", "recip", "_w", "_recip")
+    __slots__ = ("field", "w", "recip", "_w", "_recip", "_lcm")
 
     def __init__(self, field: Field, denominators):
         w = tuple([field.scalar(x) for x in denominators])
@@ -113,6 +116,15 @@ class Weight:
         self.recip = tuple([x.inverse() for x in w])
         self._w = [x.val for x in w]
         self._recip = [x.val for x in self.recip]
+        self._lcm = None
+
+    def _over_lcm(self):
+        """(w, 1/w) each as (integers, their lcm) over QQ, (residues, 1) over
+        GF(p): the left factors of _conjugated_columns, built on the first
+        use and kept."""
+        if self._lcm is None:
+            self._lcm = _over_common_denominator(self.w), _over_common_denominator(self.recip)
+        return self._lcm
 
     # -- builtins ----------------------------------------------------------
     @classmethod
@@ -270,21 +282,21 @@ def _mixed_backends(ours: Scalar, theirs: Scalar) -> BackendMismatch:
 # -- the conjugation by D = diag(w) ---------------------------------------------
 
 
-def _conjugated_columns(field, cols, left, right):
-    """The raw columns of diag(left) R diag(right), entry (i, k) =
-    left_i r_{i,k} right_k, from the raw columns (ints, den) of a
-    lower-triangular R and the raw values left, right: each in reduced form
-    (series._reduce over QQ), listing all N rows, zero above the diagonal,
-    and built only when it is asked for.
+def _conjugated_columns(field, cols, left, dl, right):
+    """The raw columns of diag(left / dl) R diag(right), entry (i, k) =
+    left_i r_{i,k} right_k / dl, from the raw columns (ints, den) of a
+    lower-triangular R, left as integers over their lcm dl (residues over
+    1 over GF(p); Weight._over_lcm) and the raw values right: each in
+    reduced form (series._reduce over QQ), listing all N rows, zero above
+    the diagonal, and built only when it is asked for.
 
-    Over QQ left goes over its lcm L once, and column k is one product per
-    entry with right_k / (den L) in lowest terms, then reduced once; over
-    GF(p) it is residues over 1.  That one gcd keeps the products small: at
-    QQ, N = 64, change_weight read 1.16x the time without it.
+    Over QQ column k is one product per entry with right_k / (den dl) in
+    lowest terms, then reduced once; over GF(p) it is residues over 1.
+    That one gcd keeps the products small: at QQ, N = 64, change_weight
+    read 1.16x the time without it.
     """
     p, n = field.p, len(left)
     if p is None:
-        left, dl = _ints_over_lcm(left)
         for k, (col, den) in enumerate(cols):
             rn, rd = right[k].numerator, den * dl * right[k].denominator
             g = gcd(rn, rd)
@@ -304,7 +316,7 @@ def _iter_unweighted_columns(A: TriMatrix, W: Weight):
     _check_matrix_order(A, W)
     if A.field != W.field:
         raise _mixed_backends(A.rows[0][0], W.recip[0])
-    return _conjugated_columns(A.field, A._columns(), W._recip, W._w)
+    return _conjugated_columns(A.field, A._columns(), *W._over_lcm()[1], W._w)
 
 
 def _unweighted_columns(A: TriMatrix, W: Weight) -> list:
@@ -317,7 +329,8 @@ def _weighted_matrix(W: Weight, cols) -> TriMatrix:
     (ints, den) of an ordinary lower-triangular R (as _unweighted_columns
     returns them), as raw columns in reduced form: no Scalar is built."""
     field = W.field
-    return TriMatrix._from_columns(field, list(_conjugated_columns(field, cols, W._w, W._recip)))
+    return TriMatrix._from_columns(
+        field, list(_conjugated_columns(field, cols, *W._over_lcm()[0], W._recip)))
 
 
 def _toeplitz_columns(c, den) -> list:
@@ -388,8 +401,7 @@ def pair_to_matrix(pair: RiordanPair, W: Weight) -> TriMatrix:
         raise BackendMismatch("pair and weight orders differ")
     if pair.field != W.field:
         raise _mixed_backends(W.w[0], pair.alpha.coeffs[0])
-    alpha = _over_common_denominator(pair.alpha.coeffs)
-    return _weighted_matrix(W, _geometric_columns(*alpha, pair.beta))
+    return _weighted_matrix(W, _geometric_columns(*pair.alpha._raw(), pair.beta))
 
 
 def _beta_quotient(A: TriMatrix, W: Weight, u=None) -> Series:
@@ -411,7 +423,7 @@ def matrix_to_pair(A: TriMatrix, W: Weight) -> RiordanPair:
     if found is None:
         raise NotRiordan("matrix is not Riordan for this weight")
     alpha, beta = found
-    return RiordanPair(Series(A.field, _wrap(A.field, *alpha)), beta)
+    return RiordanPair(Series._from_raw(A.field, *alpha), beta)
 
 
 def riordan_mul(a: RiordanPair, b: RiordanPair) -> RiordanPair:

@@ -247,15 +247,17 @@ def extended_binomial(xi: Scalar, n: int) -> Scalar:
 
     Agrees with the integer binomial coefficient when xi is a nonnegative
     integer, and satisfies the Vandermonde convolution whenever n! is
-    invertible.
+    invertible.  One product of raw values over n!; it builds no Field,
+    whose construction re-runs the primality test.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    field = Field(xi.p)
-    out = factorial_inv(field, n)
+    p, num, den = xi.p, 1, 1
+    if p is not None and n >= p:
+        raise NotInvertible(f"{n}! is 0 in GF({p})")
     for j in range(n):
-        out = out * (xi - field.scalar(j))
-    return out
+        num, den = num * (xi.val - j), den * (j + 1)
+    return Scalar(_Q(num) / den) if p is None else Scalar(num * pow(den, -1, p) % p, p)
 
 
 def _powers(x: Scalar, n: int) -> list[Scalar]:

@@ -4,16 +4,23 @@ A Series stores exactly ``order`` coefficients c_0..c_{order-1} over one
 field; every operation is exact through that order.  Orders are capped at
 2..64, the intended scale for exact triangular-group work.
 
-The kernels here run on raw values (integers over one denominator, or
-residues mod p): ``_convolve`` multiplies, and ``_forward_substitute`` is
-the one triangular solver, behind Series.invert and Series.__truediv__ (the
-Toeplitz matrix of the divisor), Series.comp_inverse, riordan_inv,
-TriMatrix.inverse and V = U^{-1} of operators.py.  It takes integer rows,
-each caller putting its matrix over one denominator once, and integer
-right-hand sides over one denominator, and returns each solution as one raw
-column (ints, den) in reduced form, over QQ the integers over one running
-denominator: it builds no rational, and its callers build Scalars from it
-only through ``_wrap``.
+A Series holds its Scalars, or the raw form a kernel built, or both, each
+built from the other on its first read and kept, as a TriMatrix does.  The
+raw form (ints, den) lists the N coefficients as integers over one
+denominator over QQ and residues over 1 over GF(p), in reduced form
+(``_reduce``): den > 0 and gcd(den, ints...) = 1.  It is unique, so == and
+hash read it.  The kernels here take and return raw values and build no
+Scalar: ``_convolve`` multiplies (Series.__mul__), ``_apply_rows`` applies
+rows over one denominator, and ``_forward_substitute`` is the one
+triangular solver, behind Series.invert and Series.__truediv__ (the
+Toeplitz matrix of the divisor, ``_divide``), Series.comp_inverse,
+riordan_inv, TriMatrix.inverse and V = U^{-1} of operators.py.  It takes
+integer rows, each caller putting its matrix over one denominator once,
+and integer right-hand sides over one denominator, and returns each
+solution as one raw column (ints, den) in reduced form, over QQ the
+integers over one running denominator.  Scalars are built only where a
+caller reads them (``_wrap``): coeffs, to_json, repr and the ring
+operations +, -, negation and scale.
 
 ``_geometric_columns`` is the one loop over the powers of a series: it
 yields the raw columns c g^k of R_(c,g), the ordinary Riordan matrix of
@@ -24,9 +31,10 @@ over one denominator as rows (``_rows_over_lcm``, which also gives
 _lowering_witness the rows of U).  Column j of R_g holds g^j, so R_g f is
 the coefficient vector of f o g, and R_g serves the whole group law:
 ``_apply_power_table`` applies it (Series.compose, riordan_mul) through
-``_apply_rows``, the one product of rows over one denominator with a
+``_apply_rows``, the one product of rows over one denominator with a raw
 vector, which functionals._after_operator runs on the rows of U
-(functionals.product_rule_check reaches it through Series.compose); and
+(functionals.product_rule_check reaches it through Series.compose) and
+operators.solve_conjugator on the rows of M; and
 ``_solve_power_table`` solves with it, R_g x = e_1 giving g^{<-1>} and
 R_g h = f giving f o g^{<-1>} (Series.comp_inverse, riordan_inv).
 
@@ -207,7 +215,7 @@ def _geometric_columns(c, dc, g):
     beta, the inner series of compose and the argument of comp_inverse all
     have g_0 = 0.
     """
-    (b, db), n = _over_common_denominator(g.coeffs), g.order
+    (b, db), n = g._raw(), g.order
     yield c, dc
     for k in range(1, n):
         c, dc = [0] * k + _convolve(c[k - 1 : n - 1], b[1 : n - k + 1], g.field.p), dc * db
@@ -231,20 +239,23 @@ def _power_table(g):
 
 
 def _apply_rows(field, table, *vectors):
-    """[M v for v in vectors] as lists of Scalars of field, M given as
-    table = (rows, D) (_rows_over_lcm) and each v as N Scalars of field:
-    one integer dot product per output over D times the denominator of v."""
-    rows, den = table
-    return [_wrap(field, [sum(map(mul, row, a)) for row in rows], den * da)
-            for a, da in [_over_common_denominator(v) for v in vectors]]
+    """[M v for v in vectors] as raw (ints, den) in reduced form, M given as
+    table = (rows, D) (_rows_over_lcm) and each v as raw (ints, den): one
+    integer dot product per output over D times den, reduced once
+    (_reduce; mod p over GF(p))."""
+    (rows, den), p, out = table, field.p, []
+    for a, da in vectors:
+        ints = [sum(map(mul, row, a)) for row in rows]
+        out.append(_reduce(ints, den * da, 0) if p is None else ([x % p for x in ints], 1))
+    return out
 
 
 def _apply_power_table(g, *series):
     """[f o g for f in series], f of the field and order of g: R_g f
     (_apply_rows)."""
     field = g.field
-    return [Series(field, x)
-            for x in _apply_rows(field, _power_table(g), *[f.coeffs for f in series])]
+    return [Series._from_raw(field, *x)
+            for x in _apply_rows(field, _power_table(g), *[f._raw() for f in series])]
 
 
 def _solve_power_table(g, *series):
@@ -254,15 +265,15 @@ def _solve_power_table(g, *series):
     on R_g for all; it divides only by the diagonal g_1^m, never by an
     integer."""
     field, (rows, den) = g.field, _power_table(g)
-    fs = [_over_common_denominator(f.coeffs) for f in series]
+    fs = [f._raw() for f in series]
     db = lcm(*[d for _, d in fs])  # the right-hand sides over one denominator
     rhss = [[0, den * db] + [0] * (g.order - 2)] + [[den * (db // d) * v for v in b] for b, d in fs]
-    return [Series(field, _wrap(field, *x)) for x in _forward_substitute(field, rows, rhss, db)]
+    return [Series._from_raw(field, *x) for x in _forward_substitute(field, rows, rhss, db)]
 
 
 def _divide(field, b, divisor):
     """The series x with c x = b through the order, from b and the divisor
-    c each as (integers, den) (_over_common_denominator).
+    c each as raw (integers, den) (Series._raw).
 
     One solve of T x = dc b for the Toeplitz matrix T of the integers of
     c, row m being c_m, ..., c_0, with dc b = (dc B) / db; c_0 must be
@@ -274,18 +285,45 @@ def _divide(field, b, divisor):
     if dc != 1:
         b = [v * dc for v in b]
     (x,) = _forward_substitute(field, [c[m::-1] for m in range(len(c))], [b], db)
-    return Series(field, _wrap(field, *x))
+    return Series._from_raw(field, *x)
 
 
 class Series:
-    __slots__ = ("field", "coeffs")
+    """N coefficients over one field: a tuple of Scalars, or the raw form a
+    kernel built (_from_raw), or both, either built from the other on its
+    first read and kept.  The raw form (ints, den) is reduced (_reduce), so
+    it is unique: == and hash read it whichever way a series was built."""
+
+    __slots__ = ("field", "_coeffs", "_ints")
 
     def __init__(self, field: Field, coeffs):
         coeffs = tuple(coeffs)
         check_order(len(coeffs))
         field.check(coeffs, "coefficient")
-        self.field = field
-        self.coeffs = coeffs
+        self.field, self._coeffs, self._ints = field, coeffs, None
+
+    @classmethod
+    def _from_raw(cls, field, ints, den):
+        """Wrap kernel output, unchecked: N integers over den of field in
+        reduced form (_reduce), residues over 1 over GF(p)."""
+        out = object.__new__(cls)
+        out.field, out._coeffs, out._ints = field, None, (ints, den)
+        return out
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Scalars, built from the raw form once."""
+        if self._coeffs is None:
+            self._coeffs = tuple(_wrap(self.field, *self._ints))
+        return self._coeffs
+
+    def _raw(self):
+        """(ints, den) in reduced form: integers over their least common
+        denominator over QQ, residues over 1 over GF(p).  Built from the
+        Scalars once."""
+        if self._ints is None:
+            self._ints = _over_common_denominator(self._coeffs)
+        return self._ints
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -333,12 +371,14 @@ class Series:
         if not 0 <= k < order:
             raise ValueError(f"exponent {k} out of range for order {order}")
         check_order(order)
-        return cls.from_values(field, order, [field.zero()] * k + [c])
+        c = field.scalar(c).val
+        num, den = (c, 1) if field.p is not None else (c.numerator, c.denominator)
+        return cls._from_raw(field, [0] * k + [num] + [0] * (order - k - 1), den)
 
     # -- basics ----------------------------------------------------------
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self._coeffs if self._ints is None else self._ints[0])
 
     def coeff(self, n: int) -> Scalar:
         if not 0 <= n < self.order:
@@ -351,15 +391,12 @@ class Series:
         A result of INFINITY only means "zero through this order": nothing
         is known beyond the truncation.
         """
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return INFINITY
+        return next((n for n, c in enumerate(self._raw()[0]) if c), INFINITY)
 
     def _check_same(self, other):
         if not isinstance(other, Series):
             raise BackendMismatch(f"expected Series, got {type(other).__name__}")
-        if other.field != self.field or len(other.coeffs) != len(self.coeffs):
+        if other.field != self.field or other.order != self.order:
             raise BackendMismatch("series orders or fields differ")
 
     # -- ring operations -------------------------------------------------
@@ -378,12 +415,12 @@ class Series:
         return Series(self.field, [c * a for a in self.coeffs])
 
     def __mul__(self, other):
-        # The convolution runs on Python ints: over QQ each operand is put
-        # over one common denominator, so only the N output coefficients
-        # are normalised; over GF(p) each sum is reduced once.
+        # The convolution runs on the raw forms: over QQ the integers over
+        # da db, reduced once by one gcd; over GF(p) each sum is reduced once.
         self._check_same(other)
-        (a, da), (b, db) = map(_over_common_denominator, (self.coeffs, other.coeffs))
-        return Series(self.field, _wrap(self.field, _convolve(a, b, self.field.p), da * db))
+        (a, da), (b, db), p = self._raw(), other._raw(), self.field.p
+        c = _convolve(a, b, p)
+        return Series._from_raw(self.field, *(_reduce(c, da * db, 0) if p is None else (c, 1)))
 
     def __pow__(self, k: int):
         """self^k by repeated squaring: at most 2 k.bit_length() products."""
@@ -400,12 +437,12 @@ class Series:
     def invert(self):
         """Multiplicative inverse; requires a unit constant term."""
         one = [1] + [0] * (self.order - 1)
-        return _divide(self.field, (one, 1), _over_common_denominator(self.coeffs))
+        return _divide(self.field, (one, 1), self._raw())
 
     def __truediv__(self, other):
         """self / other; other needs a unit constant term."""
         self._check_same(other)
-        return _divide(self.field, *map(_over_common_denominator, (self.coeffs, other.coeffs)))
+        return _divide(self.field, self._raw(), other._raw())
 
     # -- composition -----------------------------------------------------
     def compose(self, inner):
@@ -414,7 +451,7 @@ class Series:
         One matrix-vector product R_inner self (_apply_power_table).
         """
         self._check_same(inner)
-        if inner.coeffs[0]:
+        if inner._raw()[0][0]:
             raise InnerValuationZero("inner series has nonzero constant term")
         return _apply_power_table(inner, self)[0]
 
@@ -435,10 +472,11 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self._raw() == other._raw()
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        ints, den = self._raw()
+        return hash((self.field, tuple(ints), den))
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)

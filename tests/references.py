@@ -28,9 +28,16 @@ This module imports no test module, so any test module can import it.
   running product per sequence replaces.
 - solve_conjugator_reference: the Krylov loop that wrapped every column
   M^k e_0 into Scalars and built the matrix from Scalar rows.
+- extended_binomial_field_reference: extended_binomial through a Field
+  built on every call and factorial_inv.
+- series_mul_scalar_reference, apply_rows_scalar_reference,
+  apply_power_table_scalar_reference, solve_power_table_scalar_reference
+  and divide_scalar_reference: the series kernels that read each series
+  from its Scalars (_over_common_denominator) and built Scalars from their
+  output (_wrap), which kernels on raw (ints, den) replace.
 """
 
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from riordanlab import Series, TriMatrix
@@ -55,11 +62,14 @@ from riordanlab.riordan import (
 )
 from riordanlab.scalars import Field, Scalar, _Q, extended_binomial, factorial_inv
 from riordanlab.series import (
-    _apply_rows,
+    _convolve,
+    _forward_substitute,
     _ints_over_lcm,
+    _over_common_denominator,
     _power_table,
     _reduce,
     _rows_over_lcm,
+    _wrap,
     check_order,
 )
 
@@ -428,5 +438,83 @@ def solve_conjugator_reference(M):
     table = _rows_over_lcm(M._columns())
     cols = [[field.one()] + [field.zero()] * (n - 1)]
     for _ in range(n - 1):
-        cols += _apply_rows(field, table, cols[-1])
+        cols += apply_rows_scalar_reference(field, table, cols[-1])
     return TriMatrix(field, [[cols[k][i] for k in range(i + 1)] for i in range(n)])
+
+
+# -- extended_binomial through a Field ---------------------------------------------
+
+
+def extended_binomial_field_reference(xi, n):
+    """binom(xi, n) = (1/n!) * prod_{j<n} (xi - j) for a field element xi.
+
+    Agrees with the integer binomial coefficient when xi is a nonnegative
+    integer, and satisfies the Vandermonde convolution whenever n! is
+    invertible.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    field = Field(xi.p)
+    out = factorial_inv(field, n)
+    for j in range(n):
+        out = out * (xi - field.scalar(j))
+    return out
+
+
+# -- the series kernels with Scalar edges ------------------------------------------
+
+
+def series_mul_scalar_reference(self, other):
+    # The convolution runs on Python ints: over QQ each operand is put
+    # over one common denominator, so only the N output coefficients
+    # are normalised; over GF(p) each sum is reduced once.
+    self._check_same(other)
+    (a, da), (b, db) = map(_over_common_denominator, (self.coeffs, other.coeffs))
+    return Series(self.field, _wrap(self.field, _convolve(a, b, self.field.p), da * db))
+
+
+def apply_rows_scalar_reference(field, table, *vectors):
+    """[M v for v in vectors] as lists of Scalars of field, M given as
+    table = (rows, D) (_rows_over_lcm) and each v as N Scalars of field:
+    one integer dot product per output over D times the denominator of v."""
+    rows, den = table
+    return [_wrap(field, [sum(map(mul, row, a)) for row in rows], den * da)
+            for a, da in [_over_common_denominator(v) for v in vectors]]
+
+
+def apply_power_table_scalar_reference(g, *series):
+    """[f o g for f in series], f of the field and order of g: R_g f
+    (_apply_rows)."""
+    field = g.field
+    return [Series(field, x)
+            for x in apply_rows_scalar_reference(field, _power_table(g), *[f.coeffs for f in series])]
+
+
+def solve_power_table_scalar_reference(g, *series):
+    """[g^{<-1>}] + [f o g^{<-1>} for f in series], g of valuation 1 and f of
+    its field and order: h = f o g^{<-1>} solves R_g h = f (as h o g = f),
+    and g^{<-1>} = y o g^{<-1>} solves R_g x = y.  One forward substitution
+    on R_g for all; it divides only by the diagonal g_1^m, never by an
+    integer."""
+    field, (rows, den) = g.field, _power_table(g)
+    fs = [_over_common_denominator(f.coeffs) for f in series]
+    db = lcm(*[d for _, d in fs])  # the right-hand sides over one denominator
+    rhss = [[0, den * db] + [0] * (g.order - 2)] + [[den * (db // d) * v for v in b] for b, d in fs]
+    return [Series(field, _wrap(field, *x)) for x in _forward_substitute(field, rows, rhss, db)]
+
+
+def divide_scalar_reference(field, b, divisor):
+    """The series x with c x = b through the order, from b and the divisor
+    c each as (integers, den) (_over_common_denominator).
+
+    One solve of T x = dc b for the Toeplitz matrix T of the integers of
+    c, row m being c_m, ..., c_0, with dc b = (dc B) / db; c_0 must be
+    nonzero.  Over GF(p) both den are 1 and b is passed as it is.
+    """
+    (b, db), (c, dc) = b, divisor
+    if not c[0]:
+        raise NotInvertible("constant term vanishes")
+    if dc != 1:
+        b = [v * dc for v in b]
+    (x,) = _forward_substitute(field, [c[m::-1] for m in range(len(c))], [b], db)
+    return Series(field, _wrap(field, *x))
