@@ -53,6 +53,7 @@ LAYERS = {
     "riordan_mul": lambda m, x: m.riordan_mul(x.a, x.b),
     "riordan_inv": lambda m, x: m.riordan_inv(x.a),
     "sheffer_by_commutation": lambda m, x: m.sheffer_by_commutation(x.A, x.W),
+    "sheffer_by_commutation, perturbed": lambda m, x: m.sheffer_by_commutation(x.B, x.W),
     "product_rule_spanning_witness": lambda m, x: m.product_rule_spanning_witness(x.A, x.W),
     "d_polynomials": lambda m, x: m.d_polynomials(x.A, x.W),
     "d_polynomials, entries read": lambda m, x: m.d_polynomials(x.A, x.W).entries,

@@ -45,7 +45,8 @@ columns: the solve of TriMatrix.inverse (_inverse_frame, also behind
 functionals.dual_basis), with no weighted inverse and no matrix product.
 Over GF(p), when N (p - 1)^2 < 2^64, the sums of each entry are one
 product of packed integers instead (series module note), and the result
-holds raw coefficients until its Scalar entries are read.
+holds raw coefficients until its Scalar entries are read; so are V,
+solved row by row, and the entries of _lowering_witness past column 1.
 The column and operator tests give the same verdict on every graded
 matrix, and so does the production-matrix test of
 tests/test_production_matrix.py (P = R'^{-1} R-bar for R = A under the
@@ -76,9 +77,9 @@ from .riordan import (
 from .scalars import Scalar, _Q, _powers
 from .series import (
     Series, _apply_rows, _forward_substitute, _low_slots, _over_common_denominator, _pack, _packs,
-    _rows_over_lcm,
+    _inverse_columns, _rows_over_lcm,
 )
-from .triangular import Polynomial, TriMatrix, _inverse_columns, _triangle_rows
+from .triangular import Polynomial, TriMatrix, _triangle_rows
 
 
 def m_matrix(W: Weight) -> TriMatrix:
@@ -179,12 +180,19 @@ def _lowering_witness(A: TriMatrix, W: Weight):
 
         U[n-1][k] = sum_{j=1}^{n-k} t_j U[n][k+j],
 
-    one dot product per entry; rows n <= k hold on both sides.  Entries are
-    checked column k = 1..N-1 ascending, each from row k+1 down, and the
-    first failing (k, n) is returned.  Over QQ the columns of U share one
-    denominator and t = T / td, so each entry compares td U[n-1][k] with an
-    integer dot product; over GF(p) the difference is reduced once.  For a
-    Sheffer A, t = beta^{<-1>} in the unweighted frame, as y u_k = t(beta) u_k.
+    one dot product per entry; rows n <= k hold on both sides.  The first
+    failing (k, n) in column order is returned: k = 1..N-1 ascending, each
+    from row k+1 down.  Over QQ the columns of U share one denominator and
+    t = T / td, so each entry compares td U[n-1][k] with an integer dot
+    product; over GF(p) the difference is reduced once.
+
+    Over GF(p) with N (p - 1)^2 < 2^64 (series._packs) only column 1 runs
+    so, row by row, which a perturbed matrix mostly fails.  Then row n
+    of every column k >= 2 is one packed product: U[n][n..3], reversed,
+    times t_1..t_{n-2}, whose slot c sums entry (n - 1 - c, n).  Its low
+    n - 2 slots, reduced mod p, are compared with U[n-1][n-1..2], and the
+    least (k, n) over the failing rows is the same witness.  For a Sheffer
+    A, t = beta^{<-1>} in the unweighted frame, as y u_k = t(beta) u_k.
     Raises SingularDiagonal for a non-graded A.
     """
     A._check_diagonal()
@@ -193,12 +201,20 @@ def _lowering_witness(A: TriMatrix, W: Weight):
     rows, _ = _rows_over_lcm(_unweighted_columns(A, W))  # the rows of U
     su0 = [row[0] for row in rows[: n - 1]]  # S u_0 on the scale of the rows: integers
     ((t, td),) = _forward_substitute(A.field, rows, [su0], 1)  # t_1..t_{N-1} over td
-    for k in range(1, n):
+    for k in range(1, 2 if _packs(n, p) else n):
         for m in range(k + 1, n):
             diff = sum(map(mul, t, rows[m][k + 1 :])) - td * rows[m - 1][k]
             if diff if p is None else diff % p:
                 return (k, m)
-    return None
+    if not _packs(n, p):
+        return None
+    tp, failing = _pack(t[: n - 3]), []
+    for m in range(3, n):  # slot c of row m's product sums entry (m - 1 - c, m)
+        got = _low_slots(_pack(rows[m][m:2:-1]) * (tp & ((1 << 64 * (m - 2)) - 1)), m - 2)
+        bad = [c for c, (a, b) in enumerate(zip(got, rows[m - 1][m - 1 : 1 : -1])) if a % p != b]
+        if bad:
+            failing.append((m - 1 - bad[-1], m))
+    return min(failing, default=None)
 
 
 def is_appell(A: TriMatrix, W: Weight) -> bool:
@@ -323,7 +339,7 @@ def _inverse_frame(A: TriMatrix, W: Weight):
     D^{-1} A^{-1} D as raw columns (ints, den) in reduced form from the
     diagonal down, column k listing V_{k..N-1,k}.
 
-    The solve of TriMatrix.inverse (triangular._inverse_columns), run on
+    The solve of TriMatrix.inverse (series._inverse_columns), run on
     the raw columns of U: no weight enters and no inverse is weighted.
     Raises SingularDiagonal for a non-graded A before it checks the field.
     """
@@ -353,12 +369,15 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     Over GF(p) with N (p - 1)^2 < 2^64 (series._packs) the n - k + 1 sums
     of entry (n, k) are one product of two packed integers, row n of U
     reversed and column k of V, each packed once: N(N+1)/2 big-integer
-    multiplies of at most N 64-bit slots.  At GF(1000003) under
-    q_factorial(5, 3), on the matrix of sampling.riordan_pair with
-    random.Random(1), a call took 0.31, 0.54, 0.85 and 17.5 ms at N = 12,
-    16, 20 and 64, where the dot products and their Scalars took 0.49,
-    0.99, 1.78 and 65 ms; reading the entries then adds 0.09, 0.18, 0.33
-    and 8.6 ms (scripts/ab_layers.py, Python 3.11, 2 shared CPUs).
+    multiplies of at most N 64-bit slots, and V is solved on packed rows
+    too (series._packed_inverse).  At GF(1000003) under q_factorial(5, 3),
+    on the matrix of sampling.riordan_pair with random.Random(1), a call
+    took 0.44, 0.58, 0.90 and 17.7 ms at N = 12, 16, 20 and 64, where V
+    solved by dot products gave 0.46, 0.62, 0.94 and 19.6 ms; reading the
+    entries then adds 0.15, 0.18, 0.32 and 8.3 ms (timeit minima, the two
+    interleaved in one process, Python 3.11, 2 shared CPUs).  Before the
+    sums were packed, the dot products and their Scalars took about 1.6
+    to 3.7 times as long.
 
     Otherwise the cost is about N^4/24 big-integer multiply-adds.  V is
     solved at its reduced size, and the columns of U are divided by their

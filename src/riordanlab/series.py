@@ -14,13 +14,14 @@ Scalar: ``_convolve`` multiplies (Series.__mul__), ``_apply_rows`` applies
 rows over one denominator, and ``_forward_substitute`` is the one
 triangular solver, behind Series.invert and Series.__truediv__ (the
 Toeplitz matrix of the divisor, ``_divide``), Series.comp_inverse,
-riordan_inv, TriMatrix.inverse and V = U^{-1} of operators.py.  It takes
-integer rows, each caller putting its matrix over one denominator once,
-and integer right-hand sides over one denominator, and returns each
-solution as one raw column (ints, den) in reduced form, over QQ the
-integers over one running denominator.  Scalars are built only where a
-caller reads them (``_wrap``): coeffs, to_json, repr and the ring
-operations +, -, negation and scale.
+riordan_inv and, through ``_inverse_columns``, TriMatrix.inverse and
+V = U^{-1} of operators.py.  It takes integer rows, each caller putting
+its matrix over one denominator once, and integer right-hand sides over
+one denominator, and returns each solution as one raw column (ints, den)
+in reduced form, over QQ the integers over one running denominator.  Over GF(p), where sums fit
+64-bit slots (below), a whole inverse is ``_packed_inverse`` instead.
+Scalars are built only where a caller reads them (``_wrap``): coeffs,
+to_json, repr and the ring operations +, -, negation and scale.
 
 ``_geometric_columns`` is the one loop over the powers of a series: it
 yields the raw columns c g^k of R_(c,g), the ordinary Riordan matrix of
@@ -46,8 +47,13 @@ product carries from no slot into the next, and its low slots are read
 back at once (``_low_slots``, one memoryview cast) and reduced mod p
 (Kronecker substitution).  ``_convolve`` multiplies so, and with it
 Series.__mul__ and the columns of ``_geometric_columns``;
-operators.d_polynomials takes its shifted dot products so.  At
-GF(1000003) that holds through N = 64; there a packed _convolve took
+operators.d_polynomials takes its shifted dot products so, and
+operators._lowering_witness its entries in columns k >= 2, one product
+per row of U.  ``_packed_inverse`` solves L^{-1} row by row, each row one
+sum of earlier packed rows times small residues (TriMatrix.inverse,
+V = U^{-1} of d_polynomials and dual_basis); where the lcm of the column
+denominators is 1, as over GF(p), ``_rows_over_lcm`` transposes with
+zip.  At GF(1000003) that holds through N = 64; there a packed _convolve took
 0.33-0.54 of the dot products' time at n = 8..20 and 1.8 times it at
 n = 1 (timeit minima, Python 3.11, 2 shared CPUs), and in the membership
 walk at N = 12..20 a least packed length of 2, 3 or 4 read the same as
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul
 
@@ -143,8 +150,7 @@ def _forward_substitute(field, rows, rhss, den_b):
     p, n = field.p, len(rows)
     out = []
     if p is not None:
-        inv = {d: pow(d, -1, p) for d in {row[i] for i, row in enumerate(rows)}}
-        diag_inv = [inv[row[i]] for i, row in enumerate(rows)]
+        diag_inv = _diagonal_inverses(rows, p)
         for b in rhss:
             k, x = n - len(b), []
             for i in range(k, n):
@@ -165,6 +171,47 @@ def _forward_substitute(field, rows, rhss, den_b):
             ints.append(num * (den // dv))
         out.append((ints, den))
     return out
+
+
+def _diagonal_inverses(rows, p):
+    """1 / L_{i,i} mod p for each row i of L, each distinct value inverted once."""
+    inv = {d: pow(d, -1, p) for d in {row[i] for i, row in enumerate(rows)}}
+    return [inv[row[i]] for i, row in enumerate(rows)]
+
+
+def _packed_inverse(rows, p):
+    """The columns of V = L^{-1} over GF(p) as raw columns (residues, 1)
+    from the diagonal down, column k listing V_{k..n-1,k}, from rows[i]
+    listing L_{i,0..i} as residues with L_{i,i} nonzero, when sums of n
+    products of residues fit 64-bit slots (_packs(n, p)).
+
+    V is solved row by row: V_{i,i} = 1 / L_{i,i} and, off the diagonal,
+    row i is -(sum_{j<i} L_{i,j} V_j) / L_{i,i}.  Each solved row V_j is
+    kept packed (_pack), so the sum is i big-int-by-small multiplies and
+    one unpack of its low i slots (_low_slots), each reduced mod p once.
+    """
+    packed, out = [], []
+    for i, (row, d) in enumerate(zip(rows, _diagonal_inverses(rows, p))):
+        out.append([-s * d % p for s in _low_slots(sum(map(mul, row, packed)), i)] + [d])
+        packed.append(_pack(out[-1]))
+    return [(list(col[k:]), 1) for k, col in enumerate(zip_longest(*out, fillvalue=0))]
+
+
+def _inverse_columns(field, cols):
+    """The inverse of a graded lower-triangular L from its raw columns:
+    (the rows of L over one denominator D, (rows, D) as _rows_over_lcm
+    gives them, and the columns of L^{-1} as raw columns in reduced form
+    from the diagonal down, column k listing rows k..N-1).  The rows hold
+    D L, so one forward substitution on them with right-hand sides D e_k
+    solves for L^{-1} itself, one dot product per entry.  Over GF(p) with
+    N (p - 1)^2 < 2^64 (_packs), D is 1 and L^{-1} is solved row by row
+    instead, each row one sum of the earlier rows packed into 64-bit slots
+    times the residues of row i of L, unpacked once (_packed_inverse)."""
+    rows, den = _rows_over_lcm(cols)
+    if _packs(len(rows), field.p):
+        return (rows, den), _packed_inverse(rows, field.p)
+    e = [[den] + [0] * (len(rows) - 1 - k) for k in range(len(rows))]
+    return (rows, den), _forward_substitute(field, rows, e, 1)
 
 
 def _ints_over_lcm(vals):
@@ -228,6 +275,8 @@ def _rows_over_lcm(cols):
     listing entries (m, 0..m) as integers over D (residues over 1 over GF(p))."""
     ints, dens = zip(*cols)
     den = lcm(*dens)
+    if den == 1:  # every GF(p) matrix: a transpose
+        return [list(r[: m + 1]) for m, r in enumerate(zip(*ints))], 1
     scale = [den // d for d in dens]
     return [[ints[j][m] * scale[j] for j in range(m + 1)] for m in range(len(ints))], den
 

@@ -20,10 +20,11 @@ rows or entry, and kept.
 Both kernels here read the raw columns: @ takes one integer dot product
 per entry, over QQ on the columns of the left factor put over one
 denominator as rows, and returns raw columns, one gcd per column;
-TriMatrix.inverse is the forward substitution of the series module on
-those rows, one column per k, and returns the reduced raw columns it
-solves (_inverse_columns, which also solves V = U^{-1} for
-operators._inverse_frame).
+TriMatrix.inverse is series._inverse_columns on the raw columns, the
+forward substitution on those rows, one column per k, or over GF(p),
+where sums of N products of residues fit 64-bit slots, a solve row by row
+on packed rows; it returns the reduced raw columns it solves, and also
+solves V = U^{-1} for operators._inverse_frame.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import mul
 from .errors import BackendMismatch, DegreeTooHigh, SingularDiagonal
 from .scalars import Field, Scalar
 from .series import (
-    _forward_substitute, _over_common_denominator, _reduce, _rows_over_lcm, _wrap, check_order,
+    _inverse_columns, _over_common_denominator, _reduce, _rows_over_lcm, _wrap, check_order,
 )
 
 
@@ -303,18 +304,6 @@ class TriMatrix:
     @classmethod
     def from_json(cls, field, data):
         return cls(field, [[field.parse(s) for s in row] for row in data])
-
-
-def _inverse_columns(field, cols):
-    """The inverse of a graded lower-triangular L from its raw columns:
-    (the rows of L over one denominator D, (rows, D) as
-    series._rows_over_lcm gives them, and the columns of L^{-1} as raw
-    columns in reduced form from the diagonal down, column k listing rows
-    k..N-1).  The rows hold D L, so one forward substitution on them with
-    right-hand sides D e_k solves for L^{-1} itself."""
-    rows, den = _rows_over_lcm(cols)
-    e = [[den] + [0] * (len(rows) - 1 - k) for k in range(len(rows))]
-    return (rows, den), _forward_substitute(field, rows, e, 1)
 
 
 # -- sequence <-> matrix correspondence -----------------------------------

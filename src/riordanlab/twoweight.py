@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import BackendMismatch, CharP, ForbiddenLambda, NotValuationZero
 from .operators import appell_from_alpha
 from .riordan import Weight, is_riordan
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, _Q
 from .series import Series, check_order
 
 
@@ -64,15 +64,14 @@ def classify_gamma(gamma: GammaSeq) -> GammaShape:
     first = vals[0]
     if all(v == first for v in vals):
         return GammaShape("constant", lam=first)
-    field = Field(first.p)
-    if field.char != 0:
+    if first.p is not None:  # characteristic p
         return GammaShape("neither")
     lam = first
     sigma = vals[0] - vals[1]
     if not sigma:
         return GammaShape("neither")
     for k, v in enumerate(vals):
-        if v != lam - sigma * field.scalar(k):
+        if v != lam - sigma * Scalar(_Q(k)):
             return GammaShape("neither")
     return GammaShape("linear", lam=lam, sigma=sigma)
 

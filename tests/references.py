@@ -35,6 +35,11 @@ This module imports no test module, so any test module can import it.
   and divide_scalar_reference: the series kernels that read each series
   from its Scalars (_over_common_denominator) and built Scalars from their
   output (_wrap), which kernels on raw (ints, den) replace.
+- rows_over_lcm_reference, inverse_columns_dots_reference and
+  lowering_witness_dots_reference: the frame that indexed each entry, and
+  the inverse and the lowering witness as one dot product per entry over
+  GF(p), which packed row products replace where the sums fit 64-bit
+  slots (series._packs).
 """
 
 from math import gcd, lcm
@@ -51,13 +56,14 @@ from riordanlab.errors import (
     ZeroLambda,
     ZeroShift,
 )
-from riordanlab.operators import is_degree_decreasing, translation_matrix
+from riordanlab.operators import _check_frame, is_degree_decreasing, translation_matrix
 from riordanlab.riordan import (
     RiordanPair,
     Weight,
     _beta_quotient,
     _check_matrix_order,
     _mixed_backends,
+    _unweighted_columns,
     pair_to_matrix,
 )
 from riordanlab.scalars import Field, Scalar, _Q, extended_binomial, factorial_inv
@@ -518,3 +524,59 @@ def divide_scalar_reference(field, b, divisor):
         b = [v * dc for v in b]
     (x,) = _forward_substitute(field, [c[m::-1] for m in range(len(c))], [b], db)
     return Series(field, _wrap(field, *x))
+
+
+# -- the GF(p) frame, inverse and lowering witness on dot products --------------
+
+
+def rows_over_lcm_reference(cols):
+    """A list of raw columns (ints, den) of a lower-triangular matrix as its
+    rows over one denominator: (rows, D), D the lcm of the den and rows[m]
+    listing entries (m, 0..m) as integers over D (residues over 1 over GF(p))."""
+    ints, dens = zip(*cols)
+    den = lcm(*dens)
+    scale = [den // d for d in dens]
+    return [[ints[j][m] * scale[j] for j in range(m + 1)] for m in range(len(ints))], den
+
+
+def inverse_columns_dots_reference(field, cols):
+    """The inverse of a graded lower-triangular L from its raw columns:
+    (the rows of L over one denominator D, (rows, D) as
+    series._rows_over_lcm gives them, and the columns of L^{-1} as raw
+    columns in reduced form from the diagonal down, column k listing rows
+    k..N-1).  The rows hold D L, so one forward substitution on them with
+    right-hand sides D e_k solves for L^{-1} itself.  Over GF(p) that is
+    the loop of series._forward_substitute, one dot product per entry."""
+    rows, den = rows_over_lcm_reference(cols)
+    e = [[den] + [0] * (len(rows) - 1 - k) for k in range(len(rows))]
+    p, n = field.p, len(rows)
+    if p is None:
+        return (rows, den), _forward_substitute(field, rows, e, 1)
+    out = []
+    inv = {d: pow(d, -1, p) for d in {row[i] for i, row in enumerate(rows)}}
+    diag_inv = [inv[row[i]] for i, row in enumerate(rows)]
+    for b in e:
+        k, x = n - len(b), []
+        for i in range(k, n):
+            x.append((b[i - k] - sum(map(mul, rows[i][k:i], x))) * diag_inv[i] % p)
+        out.append((x, 1))
+    return (rows, den), out
+
+
+def lowering_witness_dots_reference(A, W):
+    """The first entry (k, n) at which the lowering operator q = A^{-1} M_W A
+    fails to commute with M_W, or None when it commutes: column 0 of
+    S U = U T(t) fixes t, and each other entry (k, n) is one dot product,
+    checked column k = 1..N-1 ascending, each from row k+1 down."""
+    A._check_diagonal()
+    _check_frame(A, W)
+    p, n = A.field.p, A.order
+    rows, _ = rows_over_lcm_reference(_unweighted_columns(A, W))  # the rows of U
+    su0 = [row[0] for row in rows[: n - 1]]  # S u_0 on the scale of the rows: integers
+    ((t, td),) = _forward_substitute(A.field, rows, [su0], 1)  # t_1..t_{N-1} over td
+    for k in range(1, n):
+        for m in range(k + 1, n):
+            diff = sum(map(mul, t, rows[m][k + 1 :])) - td * rows[m - 1][k]
+            if diff if p is None else diff % p:
+                return (k, m)
+    return None

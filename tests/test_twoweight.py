@@ -14,6 +14,7 @@ from riordanlab import (
     is_riordan,
     tilde_weight_from_gamma,
 )
+from riordanlab import scalars
 from riordanlab.errors import CharP, ForbiddenLambda, NotValuationZero
 from riordanlab.sampling import unit_series, weight as random_weight
 from riordanlab.twoweight import GammaSeq
@@ -182,6 +183,20 @@ def test_classify_gamma_rejects_an_empty_sequence():
         classify_gamma(GammaSeq(()))
     assert type(raised.value) is ValueError
     assert str(raised.value) == "gamma sequence is empty"
+
+
+def test_classify_membership_builds_no_prime_field(monkeypatch):
+    # the characteristic is read off the gamma values: a Field(p) built
+    # for it would re-run the primality test on every member
+    F = Field(1000003)
+    alpha, W = Series.one(F, 16), Weight.exponential(F, 16, 1)
+    W2 = Weight.q_factorial(F, 16, 5, 3)
+    real, calls = scalars._is_prime, []
+    monkeypatch.setattr(scalars, "_is_prime", lambda n: calls.append(n) or real(n))
+    report = classify_membership(alpha, W, W2)
+    assert (report.member, report.case) == (True, "other")
+    assert classify_gamma(report.gamma).kind == "neither"
+    assert calls == []
 
 
 def test_report_json(QQ):
