@@ -27,6 +27,8 @@ then.  A is built from its own copy of the pair a, so no layer finds
 the series of a or b already read into raw form by an earlier call.
 solve_conjugator runs on finite_difference_matrix(W, 3); the constructor
 rows build a weight or series of order N, exp_case_weights over QQ only.
+functional_mul multiplies two functionals built from the Scalars of two
+unit series drawn after a and b.
 """
 
 import argparse
@@ -64,6 +66,8 @@ LAYERS = {
     "finite_difference_matrix": lambda m, x: m.finite_difference_matrix(x.W, 3),
     "change_weight": lambda m, x: m.change_weight(x.A, x.W, x.W2),
     "dual_basis": lambda m, x: m.dual_basis(x.A, x.W),
+    "dual_characterization_check": lambda m, x: m.dual_characterization_check(x.A, x.W),
+    "functional_mul": lambda m, x: m.functional_mul(x.phi, x.psi),
     "q_operator_matrix": lambda m, x: m.q_operator_matrix(x.A, x.W),
     "solve_conjugator": lambda m, x: m.solve_conjugator(x.D),
     "Weight.exponential": lambda m, x: m.Weight.exponential(x.F, x.n, 3),
@@ -100,8 +104,9 @@ def inputs(m, sampling, field, n):
     rng = random.Random(1)
     a, b = sampling.riordan_pair(F, n, rng), sampling.riordan_pair(F, n, rng)
     a_copy = sampling.riordan_pair(F, n, random.Random(1))  # equal to a
+    phi, psi = [m.Functional(F, sampling.unit_series(F, n, rng).coeffs) for _ in range(2)]
     return SimpleNamespace(
-        F=F, n=n, W=W, a=a, b=b, A=m.pair_to_matrix(a_copy, W),
+        F=F, n=n, W=W, a=a, b=b, phi=phi, psi=psi, A=m.pair_to_matrix(a_copy, W),
         B=sampling.perturbed_non_riordan(W, random.Random(1)),
         T=m.translation_matrix(W, 3), W2=m.Weight.exponential(F, n, 1),
         D=m.finite_difference_matrix(W, 3))

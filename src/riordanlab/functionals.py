@@ -6,6 +6,13 @@ convolution of the stored vectors, so the identification with truncated
 power series is an identity rather than a computation.  Operations that
 genuinely involve the weight (applying a functional to a polynomial,
 evaluation functionals, dual bases) take it explicitly.
+
+A Functional keeps its values as that series itself, Scalars or the raw
+form a kernel built (series.py), and reads both from it: the product and
+the power are the series' own, and the kernels here (_after_operator,
+functional_of_operator, dual_basis) wrap their raw output and build no
+Scalar until .values is read.  Like every other container it holds 2..64
+values, checked when it is built (ValueError "order must be in 2..64").
 """
 
 from __future__ import annotations
@@ -17,43 +24,50 @@ from .riordan import (
     _iter_unweighted_columns, _unweighted_columns, pair_to_matrix,
 )
 from .scalars import Field, Scalar
-from .series import Series, _apply_rows, _over_common_denominator, _rows_over_lcm, _wrap
+from .series import Series, _apply_rows, _rows_over_lcm
 from .triangular import Polynomial, TriMatrix
 
 
 class Functional:
-    """Values t_0..t_{N-1} with t_n = phi(x^n / w_n)."""
+    """Values t_0..t_{N-1} with t_n = phi(x^n / w_n), kept as the series
+    sum t_n y^n: its Scalars or the raw form a kernel built (Series)."""
 
-    __slots__ = ("field", "values")
+    __slots__ = ("field", "_s")
 
     def __init__(self, field: Field, values):
         values = tuple(values)
         field.check(values, "value")
-        self.field = field
-        self.values = values
+        self.field, self._s = field, Series(field, values)
 
     @classmethod
     def from_series(cls, s: Series):
-        return cls(s.field, s.coeffs)
+        """The functional of the series s, which it keeps as it is."""
+        out = object.__new__(cls)
+        out.field, out._s = s.field, s
+        return out
+
+    @property
+    def values(self) -> tuple:
+        return self._s.coeffs
 
     @property
     def order(self) -> int:
-        return len(self.values)
+        return self._s.order
 
     def series(self) -> Series:
         """The associated truncated power series sum t_n y^n."""
-        return Series(self.field, self.values)
+        return self._s
 
     def valuation(self):
-        return self.series().valuation()
+        return self._s.valuation()
 
     def __eq__(self, other):
         if not isinstance(other, Functional):
             return NotImplemented
-        return self.field == other.field and self.values == other.values
+        return self._s == other._s
 
     def __hash__(self):
-        return hash((self.field, self.values))
+        return hash(self._s)
 
     def __repr__(self):
         return f"Functional[{', '.join(str(v) for v in self.values)}]"
@@ -110,8 +124,8 @@ def _after_operator(S: TriMatrix, W: Weight, *fs) -> list[Functional]:
     if any(not f.order == S.order == W.order or not f.field == S.field == W.field for f in fs):
         raise BackendMismatch("functional, operator and weight orders or fields differ")
     table, field = _rows_over_lcm(_unweighted_columns(S, W)), S.field
-    return [Functional(field, _wrap(field, *t))
-            for t in _apply_rows(field, table, *[_over_common_denominator(f.values) for f in fs])]
+    return [Functional.from_series(Series._from_raw(field, *t))
+            for t in _apply_rows(field, table, *[f.series()._raw() for f in fs])]
 
 
 def functional_of_operator(S: TriMatrix, W: Weight) -> Functional:
@@ -123,7 +137,7 @@ def functional_of_operator(S: TriMatrix, W: Weight) -> Functional:
     """
     if not is_appell(S, W):
         raise NotCommuting("operator does not commute with the weighted derivative")
-    return Functional(S.field, _wrap(S.field, *next(_iter_unweighted_columns(S, W))))
+    return Functional.from_series(Series._from_raw(S.field, *next(_iter_unweighted_columns(S, W))))
 
 
 def dual_basis(A: TriMatrix, W: Weight) -> list[Functional]:
@@ -135,7 +149,7 @@ def dual_basis(A: TriMatrix, W: Weight) -> list[Functional]:
     valuation of phi_r is exactly r.
     """
     _check_matrix_order(A, W)
-    return [Functional(A.field, _wrap(A.field, [0] * r + col, den))
+    return [Functional.from_series(Series._from_raw(A.field, [0] * r + col, den))
             for r, (col, den) in enumerate(_inverse_frame(A, W)[1])]
 
 

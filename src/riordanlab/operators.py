@@ -76,8 +76,8 @@ from .riordan import (
 )
 from .scalars import Scalar, _Q, _powers
 from .series import (
-    Series, _apply_rows, _forward_substitute, _low_slots, _over_common_denominator, _pack, _packs,
-    _inverse_columns, _rows_over_lcm,
+    Series, _apply_rows, _forward_substitute, _inverse_columns, _low_slots, _pack, _packs,
+    _rows_over_lcm,
 )
 from .triangular import Polynomial, TriMatrix, _triangle_rows
 
@@ -393,7 +393,7 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     """
     _check_frame(A, W)
     (u, den), v = _inverse_frame(A, W)
-    p, w, r = A.field.p, W._w, W._recip
+    p, w, r = A.field.p, [x.val for x in W.w], [x.val for x in W.recip]
     ratio = [[w[d] * r[l] for l in range(d + 1)] for d in range(A.order)]  # w_d / w_l
     v, dv = zip(*v)
     entries = []
@@ -467,8 +467,8 @@ def finite_difference_matrix(W: Weight, a) -> TriMatrix:
     a = W.field.scalar(a)
     if not a:
         raise ZeroShift("shift must be nonzero")
-    c, d = _over_common_denominator(_translation_series(W, a).coeffs)
-    c[0] -= d
+    c, d = _translation_series(W, a)._raw()
+    c = [c[0] - d, *c[1:]]  # a new list: c is the series' cached raw form
     return _weighted_matrix(W, _toeplitz_columns(c, d))
 
 

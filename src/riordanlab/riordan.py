@@ -18,11 +18,11 @@ u_k = w_k C_k = alpha beta^k; the weighted derivative is M_W = D S D^{-1}
 for the plain shift S; and the Appell matrices are D T D^{-1} for
 lower-triangular Toeplitz T.  One kernel holds that fact,
 _conjugated_columns: it yields the raw columns (ints, den) of
-diag(left) R diag(right), integers over one denominator over QQ and
+diag(v) R diag(v)^{-1}, integers over one denominator over QQ and
 residues over 1 over GF(p), each in reduced form (triangular.py), one at a
-time from the raw columns of R.  With (1/w, w) they are the columns of U,
+time from the raw columns of R.  With v = 1/w they are the columns of U,
 read off A (_iter_unweighted_columns; _unweighted_columns lists them); with
-(w, 1/w) they are the raw columns of D R D^{-1}, built into a matrix with
+v = w they are the raw columns of D R D^{-1}, built into a matrix with
 no Scalar (_weighted_matrix: pair_to_matrix, appell_from_alpha, m_matrix,
 change_weight, finite_difference_matrix).  The weighted matrix routines
 here and in operators.py and functionals.py are the ordinary routines on U.
@@ -46,8 +46,10 @@ h = alpha o beta^{<-1>} needing no composition.  The group layer passes
 series along in their raw form (series module note): pair_to_matrix reads
 the raw alpha and beta, and riordan_mul, riordan_inv, matrix_to_pair and
 _beta_quotient return series built from raw kernel output, so the group
-law builds no Scalar unless a caller reads one.  The conjugation kernel
-takes the left factor over its lcm, which a Weight keeps (_over_lcm).
+law builds no Scalar unless a caller reads one.  A Weight keeps w and
+1/w as two Series, and the conjugation kernel reads v (w or 1/w) from
+the raw form of one, its denominator cancelling, and the inverses mod p
+from the other.
 
 Membership is the definition itself, exactly geometric columns through
 y^{N-1}, decided by one walk on the lazy columns of U, _geometric_walk: it
@@ -83,7 +85,6 @@ from .series import (
     _apply_power_table,
     _divide,
     _geometric_columns,
-    _over_common_denominator,
     _reduce,
     _solve_power_table,
     check_order,
@@ -92,16 +93,17 @@ from .triangular import TriMatrix
 
 
 class Weight:
-    """Denominator sequence w_0..w_{N-1} with cached reciprocals 1/w_n.
+    """Denominator sequence w_0..w_{N-1} and its reciprocals 1/w_n, each
+    kept as a Series: _ws holds w, and _rs holds 1/w, which is W(t).
 
     The builtins and rescale build w as one running product, each w_n a
     few Scalar products from w_{n-1} (scalars._powers for the powers of
     one element), with no power or factorial recomputed per index.  The
-    kernels read their raw values _w and _recip: rationals, or residues
-    mod p; the conjugation kernel reads them over their lcm (_over_lcm).
+    conjugation kernel reads both series in their raw form (Series._raw),
+    integers over their lcm over QQ and residues over 1 over GF(p).
     """
 
-    __slots__ = ("field", "w", "recip", "_w", "_recip", "_lcm")
+    __slots__ = ("field", "_ws", "_rs")
 
     def __init__(self, field: Field, denominators):
         w = tuple([field.scalar(x) for x in denominators])
@@ -112,19 +114,18 @@ class Weight:
             if not x:
                 raise InvalidWeight(f"w[{n}] = 0")
         self.field = field
-        self.w = w
-        self.recip = tuple([x.inverse() for x in w])
-        self._w = [x.val for x in w]
-        self._recip = [x.val for x in self.recip]
-        self._lcm = None
+        self._ws = Series(field, w)
+        self._rs = Series(field, [x.inverse() for x in w])
 
-    def _over_lcm(self):
-        """(w, 1/w) each as (integers, their lcm) over QQ, (residues, 1) over
-        GF(p): the left factors of _conjugated_columns, built on the first
-        use and kept."""
-        if self._lcm is None:
-            self._lcm = _over_common_denominator(self.w), _over_common_denominator(self.recip)
-        return self._lcm
+    @property
+    def w(self) -> tuple:
+        """w_0..w_{N-1} as Scalars."""
+        return self._ws.coeffs
+
+    @property
+    def recip(self) -> tuple:
+        """1/w_0..1/w_{N-1} as Scalars."""
+        return self._rs.coeffs
 
     # -- builtins ----------------------------------------------------------
     @classmethod
@@ -175,11 +176,11 @@ class Weight:
     # -- basics ----------------------------------------------------------
     @property
     def order(self) -> int:
-        return len(self.w)
+        return self._ws.order
 
     def series(self) -> Series:
         """W(t) = sum t^n / w_n as a truncated series."""
-        return Series(self.field, self.recip)
+        return self._rs
 
     def ratio(self, n: int) -> Scalar:
         """w_n / w_{n-1}, the subdiagonal of the weighted derivative, for
@@ -202,10 +203,10 @@ class Weight:
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
-        return self.field == other.field and self.w == other.w
+        return self._ws == other._ws
 
     def __hash__(self):
-        return hash((self.field, self.w))
+        return hash(self._ws)
 
     def __repr__(self):
         return f"Weight[{', '.join(str(x) for x in self.w)}]"
@@ -282,29 +283,30 @@ def _mixed_backends(ours: Scalar, theirs: Scalar) -> BackendMismatch:
 # -- the conjugation by D = diag(w) ---------------------------------------------
 
 
-def _conjugated_columns(field, cols, left, dl, right):
-    """The raw columns of diag(left / dl) R diag(right), entry (i, k) =
-    left_i r_{i,k} right_k / dl, from the raw columns (ints, den) of a
-    lower-triangular R, left as integers over their lcm dl (residues over
-    1 over GF(p); Weight._over_lcm) and the raw values right: each in
-    reduced form (series._reduce over QQ), listing all N rows, zero above
-    the diagonal, and built only when it is asked for.
+def _conjugated_columns(field, cols, v, inv):
+    """The raw columns of diag(v) R diag(v)^{-1}, entry (i, k) =
+    v_i r_{i,k} / v_k, from the raw columns (ints, den) of a
+    lower-triangular R, v the integers of a diagonal without zero in the
+    raw form of a Series (Series._raw; their denominator cancels) and,
+    over GF(p), inv the residues of 1/v: each in reduced form
+    (series._reduce over QQ), listing all N rows, zero above the
+    diagonal, and built only when it is asked for.
 
-    Over QQ column k is one product per entry with right_k / (den dl) in
-    lowest terms, then reduced once; over GF(p) it is residues over 1.
-    That one gcd keeps the products small: at QQ, N = 64, change_weight
-    read 1.16x the time without it.
+    Over QQ column k is one product per entry over den |v_k|, reduced
+    once: 1/v_k is already in lowest terms.  Taking 1/v from the raw form
+    of 1/w instead, over its own lcm, needs one gcd of that lcm per column
+    to reduce the factor: at QQ, N = 64 under q_factorial(-1, 2), 64 gcds
+    of 2015-bit integers, 0.30 ms of a 9 ms pair_to_matrix (timeit
+    minima, Python 3.11, 2 shared CPUs).  Over GF(p) it is residues over 1.
     """
-    p, n = field.p, len(left)
+    p, n = field.p, len(v)
     if p is None:
         for k, (col, den) in enumerate(cols):
-            rn, rd = right[k].numerator, den * dl * right[k].denominator
-            g = gcd(rn, rd)
-            rn, rd = rn // g, rd // g
-            yield _reduce([left[i] * col[i] * rn for i in range(k, n)], rd, k)
+            s = -1 if v[k] < 0 else 1  # a reduced den is positive
+            yield _reduce([v[i] * col[i] * s for i in range(k, n)], den * v[k] * s, k)
     else:
-        for k, ((col, _), rk) in enumerate(zip(cols, right)):
-            yield [0] * k + [left[i] * col[i] * rk % p for i in range(k, n)], 1
+        for k, ((col, _), ik) in enumerate(zip(cols, inv)):
+            yield [0] * k + [v[i] * col[i] * ik % p for i in range(k, n)], 1
 
 
 def _iter_unweighted_columns(A: TriMatrix, W: Weight):
@@ -316,7 +318,7 @@ def _iter_unweighted_columns(A: TriMatrix, W: Weight):
     _check_matrix_order(A, W)
     if A.field != W.field:
         raise _mixed_backends(A.rows[0][0], W.recip[0])
-    return _conjugated_columns(A.field, A._columns(), *W._over_lcm()[1], W._w)
+    return _conjugated_columns(A.field, A._columns(), W._rs._raw()[0], W._ws._raw()[0])
 
 
 def _unweighted_columns(A: TriMatrix, W: Weight) -> list:
@@ -330,7 +332,7 @@ def _weighted_matrix(W: Weight, cols) -> TriMatrix:
     returns them), as raw columns in reduced form: no Scalar is built."""
     field = W.field
     return TriMatrix._from_columns(
-        field, list(_conjugated_columns(field, cols, *W._over_lcm()[0], W._recip)))
+        field, list(_conjugated_columns(field, cols, W._ws._raw()[0], W._rs._raw()[0])))
 
 
 def _toeplitz_columns(c, den) -> list:

@@ -21,7 +21,11 @@ one denominator, and returns each solution as one raw column (ints, den)
 in reduced form, over QQ the integers over one running denominator.  Over GF(p), where sums fit
 64-bit slots (below), a whole inverse is ``_packed_inverse`` instead.
 Scalars are built only where a caller reads them (``_wrap``): coeffs,
-to_json, repr and the ring operations +, -, negation and scale.
+to_json, repr and the ring operations +, -, negation and scale.  The raw
+form and its two conversions (``_wrap``, ``_over_common_denominator``)
+belong to this module and triangular.py; every other module reads a
+coefficient vector through a Series, as Weight (w and 1/w) and
+Functional do.
 
 ``_geometric_columns`` is the one loop over the powers of a series: it
 yields the raw columns c g^k of R_(c,g), the ordinary Riordan matrix of

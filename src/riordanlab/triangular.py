@@ -9,10 +9,11 @@ A TriMatrix holds its rows of Scalars, or the raw columns a kernel built,
 or both.  A raw column is (ints, den): all N rows, zero above the diagonal,
 as integers over one denominator over QQ and residues over 1 over GF(p),
 always in reduced form, den > 0 and gcd(ints..., den) = 1
-(series._reduce).  That form is unique, so two matrices holding raw
-columns are equal exactly when their columns are, and it is the form
+(series._reduce).  That form is unique, and it is the form
 series._ints_over_lcm gives normalised rationals, so the columns read off
-the rows of a matrix built from Scalars (_columns, cached) are the same.
+the rows of a matrix built from Scalars (_columns, cached) are the same:
+== and hash read only the raw columns, as a Series reads its raw form,
+and hashing a kernel-built matrix builds no Scalar row.
 The kernels of riordan.py return raw columns (TriMatrix._from_columns, no
 Field.check) and build no Scalar: the rows are built on the first read of
 rows or entry, and kept.
@@ -288,12 +289,10 @@ class TriMatrix:
         # Raw columns in reduced form are equal exactly when the matrices are.
         if not isinstance(other, TriMatrix):
             return NotImplemented
-        if self._cols is not None and other._cols is not None:
-            return self.field == other.field and self._cols == other._cols
-        return self.field == other.field and self.rows == other.rows
+        return self.field == other.field and self._columns() == other._columns()
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, tuple([(tuple(ints), den) for ints, den in self._columns()])))
 
     def __repr__(self):
         return f"TriMatrix(order={self.order}, field={self.field})"

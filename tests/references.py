@@ -40,6 +40,16 @@ This module imports no test module, so any test module can import it.
   the inverse and the lowering witness as one dot product per entry over
   GF(p), which packed row products replace where the sums fit 64-bit
   slots (series._packs).
+- WeightReference and FunctionalReference: Weight, which kept w and 1/w
+  as Scalar tuples, as raw values and over their lcm, and Functional,
+  which kept a Scalar tuple and built a Series from it on every
+  operation, before both kept their values as Series; renamed, and
+  otherwise as they were.  functional_mul_reference,
+  functional_power_reference, after_operator_raw_reference,
+  functional_of_operator_reference, dual_basis_reference and
+  check_geometric_dual_reference are the functionals.py operations on
+  FunctionalReference, the kernels among them wrapping their raw output
+  into Scalars (_wrap).
 """
 
 from math import gcd, lcm
@@ -47,8 +57,11 @@ from operator import mul
 
 from riordanlab import Series, TriMatrix
 from riordanlab.errors import (
+    BackendMismatch,
     CharP,
     ForbiddenLambda,
+    InvalidWeight,
+    NotCommuting,
     NotDegreeDecreasing,
     NotInvertible,
     RootOfUnity,
@@ -56,18 +69,22 @@ from riordanlab.errors import (
     ZeroLambda,
     ZeroShift,
 )
-from riordanlab.operators import _check_frame, is_degree_decreasing, translation_matrix
+from riordanlab.operators import (
+    _check_frame, _inverse_frame, is_appell, is_degree_decreasing, translation_matrix,
+)
 from riordanlab.riordan import (
     RiordanPair,
     Weight,
     _beta_quotient,
     _check_matrix_order,
+    _iter_unweighted_columns,
     _mixed_backends,
     _unweighted_columns,
     pair_to_matrix,
 )
-from riordanlab.scalars import Field, Scalar, _Q, extended_binomial, factorial_inv
+from riordanlab.scalars import Field, Scalar, _Q, _powers, extended_binomial, factorial_inv
 from riordanlab.series import (
+    _apply_rows,
     _convolve,
     _forward_substitute,
     _ints_over_lcm,
@@ -96,16 +113,16 @@ def iter_unweighted_columns_reference(A, W):
         raise _mixed_backends(A.rows[0][0], W.recip[0])
     p, n, cols = A.field.p, A.order, A._columns()
     if p is None:
-        r, dr = _ints_over_lcm(W._recip)
+        r, dr = _ints_over_lcm([x.val for x in W.recip])
 
         def column(k):
             a, da = cols[k]
-            t = W._w[k] / (da * dr)
+            t = [x.val for x in W.w][k] / (da * dr)
             tn = t.numerator
             return _reduce([a[i] * r[i] * tn for i in range(k, n)], t.denominator, k)
 
         return map(column, range(n))
-    r, w = W._recip, W._w
+    r, w = [x.val for x in W.recip], [x.val for x in W.w]
     return (([0] * k + [a[i] * r[i] * w[k] % p for i in range(k, n)], 1)
             for k, (a, _) in enumerate(cols))
 
@@ -114,15 +131,15 @@ def weighted_matrix_reference(W, cols):
     """D R D^{-1}, entry (i, k) = w_i r_{i,k} / w_k, from the raw columns
     (ints, den) of an ordinary lower-triangular R (as _unweighted_columns
     returns them), as raw columns in reduced form: no Scalar is built."""
-    field, p, n, recip = W.field, W.field.p, W.order, W._recip
+    field, p, n, recip = W.field, W.field.p, W.order, [x.val for x in W.recip]
     if p is None:
-        w, dw = _ints_over_lcm(W._w)
+        w, dw = _ints_over_lcm([x.val for x in W.w])
         out = []
         for k, (col, den) in enumerate(cols):
             rn, rd = recip[k].numerator, recip[k].denominator
             out.append(_reduce([w[i] * col[i] * rn for i in range(k, n)], den * dw * rd, k))
     else:
-        w = W._w
+        w = [x.val for x in W.w]
         out = [([0] * k + [w[i] * col[i] * rk % p for i in range(k, n)], 1)
                for k, ((col, _), rk) in enumerate(zip(cols, recip))]
     return TriMatrix._from_columns(field, out)
@@ -580,3 +597,229 @@ def lowering_witness_dots_reference(A, W):
             if diff if p is None else diff % p:
                 return (k, m)
     return None
+
+
+# -- the containers that held Scalars -------------------------------------------
+
+
+class WeightReference:
+    """Denominator sequence w_0..w_{N-1} with cached reciprocals 1/w_n.
+
+    The builtins and rescale build w as one running product, each w_n a
+    few Scalar products from w_{n-1} (scalars._powers for the powers of
+    one element), with no power or factorial recomputed per index.  The
+    kernels read their raw values _w and _recip: rationals, or residues
+    mod p; the conjugation kernel reads them over their lcm (_over_lcm).
+    """
+
+    __slots__ = ("field", "w", "recip", "_w", "_recip", "_lcm")
+
+    def __init__(self, field: Field, denominators):
+        w = tuple([field.scalar(x) for x in denominators])
+        check_order(len(w))
+        if w[0] != field.one():
+            raise InvalidWeight(f"w[0] must be 1, got {w[0]}")
+        for n, x in enumerate(w):
+            if not x:
+                raise InvalidWeight(f"w[{n}] = 0")
+        self.field = field
+        self.w = w
+        self.recip = tuple([x.inverse() for x in w])
+        self._w = [x.val for x in w]
+        self._recip = [x.val for x in self.recip]
+        self._lcm = None
+
+    def _over_lcm(self):
+        """(w, 1/w) each as (integers, their lcm) over QQ, (residues, 1) over
+        GF(p): the left factors of _conjugated_columns, built on the first
+        use and kept."""
+        if self._lcm is None:
+            self._lcm = _over_common_denominator(self.w), _over_common_denominator(self.recip)
+        return self._lcm
+
+    # -- builtins ----------------------------------------------------------
+    @classmethod
+    def exponential(cls, field, order, lam):
+        """w_n = lam^n * n!; the classical umbral calculus."""
+        check_order(order)
+        lam = field.scalar(lam)
+        if not lam:
+            raise ZeroLambda("lambda must be nonzero")
+        if field.p is not None and order > field.p:
+            raise NotInvertible(
+                f"n! vanishes in GF({field.p}) before order {order}"
+            )
+        w = [field.one()]
+        for n in range(1, order):
+            w.append(w[-1] * lam * field.scalar(n))
+        return cls(field, w)
+
+    @classmethod
+    def geometric(cls, field, order, lam):
+        """w_n = lam^n; the power-reduction calculus."""
+        check_order(order)
+        lam = field.scalar(lam)
+        if not lam:
+            raise ZeroLambda("lambda must be nonzero")
+        return cls(field, _powers(lam, order))
+
+    @classmethod
+    def q_factorial(cls, field, order, lam, q):
+        """w_n = (lam/(1-q))^n * prod_{j<=n} (1 - q^j); the q-umbral calculus.
+
+        Needs q^j != 1 for 1 <= j < order, so every w_n is a unit.
+        """
+        check_order(order)
+        lam, q = field.scalar(lam), field.scalar(q)
+        if not lam:
+            raise ZeroLambda("lambda must be nonzero")
+        one, qs = field.one(), _powers(q, order)
+        for j in range(1, order):
+            if qs[j] == one:
+                raise RootOfUnity(f"q^{j} = 1")
+        base = lam / (one - q)
+        w = [one]
+        for n in range(1, order):
+            w.append(w[-1] * base * (one - qs[n]))
+        return cls(field, w)
+
+    # -- basics ----------------------------------------------------------
+    @property
+    def order(self) -> int:
+        return len(self.w)
+
+    def series(self) -> Series:
+        """W(t) = sum t^n / w_n as a truncated series."""
+        return Series(self.field, self.recip)
+
+    def ratio(self, n: int) -> Scalar:
+        """w_n / w_{n-1}, the subdiagonal of the weighted derivative, for
+        1 <= n < N."""
+        if not 0 < n < self.order:
+            raise IndexError(f"ratio {n} out of range")
+        return self.w[n] / self.w[n - 1]
+
+    def rescale(self, lam) -> "WeightReference":
+        """w_n -> lam^n * w_n; membership in the Riordan group is unchanged."""
+        lam = self.field.scalar(lam)
+        if not lam:
+            raise ZeroLambda("lambda must be nonzero")
+        return WeightReference(self.field, [x * w for x, w in zip(_powers(lam, self.order), self.w)])
+
+    def _check_same(self, other: "WeightReference"):
+        if other.field != self.field or other.order != self.order:
+            raise BackendMismatch("weight orders or fields differ")
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightReference):
+            return NotImplemented
+        return self.field == other.field and self.w == other.w
+
+    def __hash__(self):
+        return hash((self.field, self.w))
+
+    def __repr__(self):
+        return f"Weight[{', '.join(str(x) for x in self.w)}]"
+
+    def to_json(self):
+        return {"w": [str(x) for x in self.w]}
+
+    @classmethod
+    def from_json(cls, field, data):
+        return cls(field, [field.parse(s) for s in data["w"]])
+
+
+class FunctionalReference:
+    """Values t_0..t_{N-1} with t_n = phi(x^n / w_n)."""
+
+    __slots__ = ("field", "values")
+
+    def __init__(self, field: Field, values):
+        values = tuple(values)
+        field.check(values, "value")
+        self.field = field
+        self.values = values
+
+    @classmethod
+    def from_series(cls, s: Series):
+        return cls(s.field, s.coeffs)
+
+    @property
+    def order(self) -> int:
+        return len(self.values)
+
+    def series(self) -> Series:
+        """The associated truncated power series sum t_n y^n."""
+        return Series(self.field, self.values)
+
+    def valuation(self):
+        return self.series().valuation()
+
+    def __eq__(self, other):
+        if not isinstance(other, FunctionalReference):
+            return NotImplemented
+        return self.field == other.field and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.field, self.values))
+
+    def __repr__(self):
+        return f"Functional[{', '.join(str(v) for v in self.values)}]"
+
+    def to_json(self):
+        return {"t": [str(v) for v in self.values]}
+
+    @classmethod
+    def from_json(cls, field, data):
+        return cls(field, [field.parse(s) for s in data["t"]])
+
+
+def functional_mul_reference(phi, psi):
+    """Weighted product; convolution in the stored normalization."""
+    return FunctionalReference.from_series(phi.series() * psi.series())
+
+
+def functional_power_reference(phi, r):
+    return FunctionalReference.from_series(phi.series() ** r)
+
+
+def after_operator_raw_reference(S, W, *fs):
+    """[f o S for f in fs], f o S having the values U t of f: the rows of U,
+    built once over one denominator, applied to each (series._apply_rows)."""
+    if any(not f.order == S.order == W.order or not f.field == S.field == W.field for f in fs):
+        raise BackendMismatch("functional, operator and weight orders or fields differ")
+    table, field = _rows_over_lcm(_unweighted_columns(S, W)), S.field
+    return [FunctionalReference(field, _wrap(field, *t))
+            for t in _apply_rows(field, table, *[_over_common_denominator(f.values) for f in fs])]
+
+
+def functional_of_operator_reference(S, W):
+    """The unique psi with phi o S = phi * psi for all phi."""
+    if not is_appell(S, W):
+        raise NotCommuting("operator does not commute with the weighted derivative")
+    return FunctionalReference(S.field, _wrap(S.field, *next(_iter_unweighted_columns(S, W))))
+
+
+def dual_basis_reference(A, W):
+    """Functionals phi_r with phi_r(p_n / w_n) = delta_{n,r} for the rows p_n."""
+    _check_matrix_order(A, W)
+    return [FunctionalReference(A.field, _wrap(A.field, [0] * r + col, den))
+            for r, (col, den) in enumerate(_inverse_frame(A, W)[1])]
+
+
+def check_geometric_dual_reference(phis):
+    """Detect the geometric shape phi_r = xi * eta^r."""
+    if len(phis) < 2:
+        raise ValueError(f"need at least two functionals, got {len(phis)}")
+    if phis[0].valuation() != 0:
+        raise ValueError("phi_0 must have valuation 0")
+    xi = phis[0].series()
+    eta = phis[1].series() * xi.invert()
+    if eta.valuation() != 1:
+        return None
+    power = xi
+    for r in range(len(phis)):
+        if phis[r].series() != power:
+            return None
+        power = power * eta
+    return FunctionalReference.from_series(xi), FunctionalReference.from_series(eta)

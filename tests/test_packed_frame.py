@@ -75,7 +75,7 @@ def late_failure(W, rng, rate=0.1):
                 missed.append((k, m))
             row[k + 1] = x
         u.append(row)
-    w, r = W._w, W._recip
+    w, r = [x.val for x in W.w], [x.val for x in W.recip]
     rows = [[W.field.scalar(v * w[i] * r[k]) for k, v in enumerate(row)] for i, row in enumerate(u)]
     return TriMatrix(W.field, rows), min(missed, default=None)
 

@@ -63,16 +63,16 @@ def iter_unweighted_columns_reference(A, W):
         raise _mixed_backends(A.rows[0][0], W.recip[0])
     p, n, rows = A.field.p, A.order, A.rows
     if p is None:
-        r, dr = _ints_over_lcm(W._recip)
+        r, dr = _ints_over_lcm([x.val for x in W.recip])
 
         def column(k):
             a, da = _ints_over_lcm([rows[i][k].val for i in range(k, n)])
-            t = W._w[k] / (da * dr)
+            t = [x.val for x in W.w][k] / (da * dr)
             tn = t.numerator
             return [0] * k + [x * y * tn for x, y in zip(a, r[k:])], t.denominator
 
         return map(column, range(n))
-    r, w = W._recip, W._w
+    r, w = [x.val for x in W.recip], [x.val for x in W.w]
     return (([0] * k + [rows[i][k].val * r[i] * w[k] % p for i in range(k, n)], 1)
             for k in range(n))
 
@@ -81,7 +81,7 @@ def weighted_matrix_reference(W, cols):
     """D R D^{-1}, entry (i, k) = w_i r_{i,k} / w_k, from the raw columns
     (ints, den) of an ordinary lower-triangular R (as _unweighted_columns
     returns them)."""
-    field, p, n, w, recip = W.field, W.field.p, W.order, W._w, W._recip
+    field, p, n, w, recip = W.field, W.field.p, W.order, [x.val for x in W.w], [x.val for x in W.recip]
     rows = [[None] * (i + 1) for i in range(n)]
     if p is None:
         zero = field.zero()

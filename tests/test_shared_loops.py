@@ -237,6 +237,10 @@ def test_product_rule_check_matches_double_loop(case, wkind, akind, fkind):
     W = build_weight(wkind, field, n, rng)
     A = build_matrix(akind, W, rng)
     size = {"same": n, "short": n - 1, "long": n + 1, "foreign": n}[fkind]
+    if not 2 <= size <= 64:  # a functional holds 2..64 values, checked when built
+        with pytest.raises(ValueError, match=f"^order must be in 2..64, got {size}$"):
+            Functional(field, functional_values(field, size, rng))
+        return
     phi = Functional(field, functional_values(field, size, rng))
     psi = Functional(field, functional_values(field, size, rng))
     if fkind == "foreign":
