@@ -19,8 +19,9 @@ Field.check) and build no Scalar: the rows are built on the first read of
 rows or entry, and kept.
 
 Both kernels here read the raw columns: @ takes one integer dot product
-per entry, over QQ on the columns of the left factor put over one
-denominator as rows, and returns raw columns, one gcd per column;
+per entry, on the columns of the left factor put over one denominator as
+rows (a transpose over GF(p)), and returns raw columns, one gcd per column
+over QQ and residues over 1 over GF(p), so it builds no Scalar;
 TriMatrix.inverse is series._inverse_columns on the raw columns, the
 forward substitution on those rows, one column per k, or over GF(p),
 where sums of N products of residues fit 64-bit slots, a solve row by row
@@ -228,26 +229,19 @@ class TriMatrix:
 
     # -- arithmetic --------------------------------------------------------
     def __matmul__(self, other):
-        # Each entry is one dot product of a row of self with a column of
-        # other, on Python ints.  Over QQ: the raw columns of self put over
-        # one denominator as rows, and each raw column of other; the output
-        # is raw columns, one gcd each.  Over GF(p): the residues of the
-        # rows of self and the raw columns of other, reduced once per entry.
+        # Each entry is one dot product on Python ints of a row of self, the
+        # raw columns of self put over one denominator as rows (a transpose
+        # over GF(p)), with a raw column of other.  The output is raw
+        # columns: one gcd each over QQ, residues over 1 over GF(p).
         self._check_same(other)
         p = self.field.p
-        if p is None:
-            (rows, den), cols = _rows_over_lcm(self._columns()), []
-            for k, (b, db) in enumerate(other._columns()):
-                b = b[k:]
-                cols.append(_reduce([sum(map(mul, row[k:], b)) for row in rows[k:]], den * db, k))
-            return TriMatrix._from_columns(self.field, cols)
-        left = [[c.val for c in row] for row in self.rows]
-        right = [b[k:] for k, (b, _) in enumerate(other._columns())]
-        out = [
-            [Scalar(sum(map(mul, a[k:], b)) % p, p) for k, b in enumerate(right[: i + 1])]
-            for i, a in enumerate(left)
-        ]
-        return TriMatrix(self.field, out)
+        (rows, den), cols = _rows_over_lcm(self._columns()), []
+        for k, (b, db) in enumerate(other._columns()):
+            b = b[k:]
+            ints = [sum(map(mul, row[k:], b)) for row in rows[k:]]
+            cols.append(_reduce(ints, den * db, k) if p is None
+                        else ([0] * k + [x % p for x in ints], 1))
+        return TriMatrix._from_columns(self.field, cols)
 
     def __add__(self, other):
         self._check_same(other)

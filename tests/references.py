@@ -1,6 +1,8 @@
 """Replaced library code, kept verbatim as references for the tests.
 
-This module imports no test module, so any test module can import it.
+This module imports no test module, so any test module can import it.  A
+reference that more than one test module uses lives here, and each new one
+comes with a line in this index.
 
 - iter_unweighted_columns_reference and weighted_matrix_reference: the two
   conjugation kernels by D = diag(w), each with its own QQ and GF(p)
@@ -50,50 +52,49 @@ This module imports no test module, so any test module can import it.
   check_geometric_dual_reference are the functionals.py operations on
   FunctionalReference, the kernels among them wrapping their raw output
   into Scalars (_wrap).
+- matmul_reference: TriMatrix @ over GF(p) on the residues of the Scalar
+  rows of the left factor, one Scalar per entry of a row-built result.
+- forward_substitute_unit_reference, compose_reference,
+  comp_inverse_reference, riordan_inv_compose_reference,
+  invert_unit_reference, pair_to_matrix_reference,
+  beta_quotient_reference, scaled_columns_reference and
+  is_riordan_reference: the group law on Scalar series (Horner
+  composition, inline powers, L x = e_k solved on raw values), a matrix
+  from the series alpha beta^k, beta = w_1 C_1 / C_0 as a product with an
+  inverse, and the column identity u_k^2 = u_{k-1} u_{k+1} at order N.
+- riordan_witness_reference, geometric_walk_reference and
+  is_toeplitz_reference: the membership walks on the raw columns of U that
+  cross-multiplied u_0 u_k against u_1 u_{k-1}, or listed the columns they
+  built, and the Toeplitz test of U.
+- change_weight_reference, appell_from_alpha_reference,
+  translation_matrix_reference, dual_basis_scalar_reference and
+  eval_functional_reference: the weighted matrices and functionals with
+  one Scalar product per weight factor of every entry.
 """
 
+from itertools import islice
 from math import gcd, lcm
 from operator import mul
 
 from riordanlab import Series, TriMatrix
 from riordanlab.errors import (
-    BackendMismatch,
-    CharP,
-    ForbiddenLambda,
-    InvalidWeight,
-    NotCommuting,
-    NotDegreeDecreasing,
-    NotInvertible,
-    RootOfUnity,
-    SingularDiagonal,
-    ZeroLambda,
-    ZeroShift,
+    BackendMismatch, CharP, ForbiddenLambda, InnerValuationZero, InvalidWeight, NotCommuting,
+    NotDegreeDecreasing, NotInvertible, NotValuationOne, NotValuationZero, RootOfUnity,
+    SingularDiagonal, ZeroLambda, ZeroShift,
 )
+from riordanlab.functionals import Functional
 from riordanlab.operators import (
     _check_frame, _inverse_frame, is_appell, is_degree_decreasing, translation_matrix,
 )
 from riordanlab.riordan import (
-    RiordanPair,
-    Weight,
-    _beta_quotient,
-    _check_matrix_order,
-    _iter_unweighted_columns,
-    _mixed_backends,
-    _unweighted_columns,
-    pair_to_matrix,
+    RiordanPair, Weight, _beta_quotient, _check_matrix_order, _first_difference,
+    _geometric_columns, _iter_unweighted_columns, _mixed_backends, _unweighted_columns,
+    column_series, pair_to_matrix,
 )
 from riordanlab.scalars import Field, Scalar, _Q, _powers, extended_binomial, factorial_inv
 from riordanlab.series import (
-    _apply_rows,
-    _convolve,
-    _forward_substitute,
-    _ints_over_lcm,
-    _over_common_denominator,
-    _power_table,
-    _reduce,
-    _rows_over_lcm,
-    _wrap,
-    check_order,
+    _apply_rows, _convolve, _forward_substitute, _ints_over_lcm, _over_common_denominator,
+    _power_table, _reduce, _rows_over_lcm, _wrap, check_order,
 )
 
 # -- the conjugation kernels ----------------------------------------------------
@@ -599,6 +600,24 @@ def lowering_witness_dots_reference(A, W):
     return None
 
 
+# -- the GF(p) product on Scalar rows ----------------------------------------------
+
+
+def matmul_reference(self, other):
+    """TriMatrix.__matmul__ over GF(p): the residues of the Scalar rows of
+    self, one dot product per entry with a raw column of other, each
+    wrapped into a Scalar of a row-built result."""
+    self._check_same(other)
+    p = self.field.p
+    left = [[c.val for c in row] for row in self.rows]
+    right = [b[k:] for k, (b, _) in enumerate(other._columns())]
+    out = [
+        [Scalar(sum(map(mul, a[k:], b)) % p, p) for k, b in enumerate(right[: i + 1])]
+        for i, a in enumerate(left)
+    ]
+    return TriMatrix(self.field, out)
+
+
 # -- the containers that held Scalars -------------------------------------------
 
 
@@ -823,3 +842,227 @@ def check_geometric_dual_reference(phis):
             return None
         power = power * eta
     return FunctionalReference.from_series(xi), FunctionalReference.from_series(eta)
+
+
+# -- the group law and membership on Scalar series ---------------------------
+
+
+def forward_substitute_unit_reference(field, rows, ks):
+    """Solve L x = e_k by forward substitution on raw values, for each k in ks."""
+    p, n = field.p, len(rows)
+    if p is None:
+        diag_inv = [1 / row[i] for i, row in enumerate(rows)]
+    else:
+        diag_inv = [pow(row[i], p - 2, p) for i, row in enumerate(rows)]
+    out = []
+    for k in ks:
+        x = [diag_inv[k]]
+        for i in range(k + 1, n):
+            v = -sum(map(mul, rows[i][k:i], x)) * diag_inv[i]
+            x.append(v if p is None else v % p)
+        out.append(x)
+    return out
+
+
+def compose_reference(self, inner):
+    """self(inner(y)), exact through the order; inner must kill constants."""
+    self._check_same(inner)
+    if inner.coeffs[0]:
+        raise InnerValuationZero("inner series has nonzero constant term")
+    acc = Series.constant(self.field, self.order, self.coeffs[-1])
+    for c in reversed(self.coeffs[:-1]):
+        acc = acc * inner
+        acc = Series(self.field, (acc.coeffs[0] + c,) + acc.coeffs[1:])
+    return acc
+
+
+def comp_inverse_reference(self):
+    """Compositional inverse g of a valuation-1 series f, in O(N^3)."""
+    if self.valuation() != 1:
+        raise NotValuationOne("compositional inverse needs valuation exactly 1")
+    field, n = self.field, self.order
+    powers = [Series.one(field, n), self]  # powers[j] = f^j
+    for _ in range(n - 2):
+        powers.append(powers[-1] * self)
+    rows = [[powers[j].coeffs[m].val for j in range(m + 1)] for m in range(n)]
+    (g,) = forward_substitute_unit_reference(field, rows, [1])
+    return Series(field, [field.zero()] + [Scalar(v, field.p) for v in g])
+
+
+def riordan_inv_compose_reference(a):
+    """Group inverse (1/(alpha o beta_bar), beta_bar), beta_bar = beta^{<-1>}."""
+    beta_bar = comp_inverse_reference(a.beta)
+    return RiordanPair(compose_reference(a.alpha, beta_bar).invert(), beta_bar)
+
+
+def pair_to_matrix_reference(pair, W):
+    """Matrix with columns C_k = alpha * beta^k / w_k (exactly geometric)."""
+    if pair.order != W.order:
+        raise BackendMismatch("pair and weight orders differ")
+    n = W.order
+    zero = pair.field.zero()
+    rows = [[zero] * (i + 1) for i in range(n)]
+    col = pair.alpha
+    for k in range(n):
+        # a_{i,k} = w_i [y^i](alpha beta^k) / w_k
+        for i in range(k, n):
+            rows[i][k] = W.w[i] * col.coeffs[i] * W.recip[k]
+        if k + 1 < n:
+            col = col * pair.beta
+    return TriMatrix(pair.field, rows)
+
+
+def invert_unit_reference(s):
+    """Multiplicative inverse: T x = e_0 for the Toeplitz matrix T of s."""
+    c = [a.val for a in s.coeffs]
+    if not c[0]:
+        raise NotInvertible("constant term vanishes")
+    (x,) = forward_substitute_unit_reference(s.field, [c[m::-1] for m in range(len(c))], [0])
+    return Series(s.field, [Scalar(v, s.field.p) for v in x])
+
+
+def beta_quotient_reference(A, W):
+    """w_1 C_1 / C_0, the candidate beta of any graded matrix."""
+    c0 = column_series(A, W, 0)
+    c1 = column_series(A, W, 1)
+    return (c1 * invert_unit_reference(c0)).scale(W.w[1])
+
+
+def scaled_columns_reference(A, W):
+    # u_k = w_k * C_k; the membership identity is u_k^2 = u_{k-1} u_{k+1}
+    return [column_series(A, W, k).scale(W.w[k]) for k in range(A.order)]
+
+
+def is_riordan_reference(A, W):
+    """The column identity u_k^2 = u_{k-1} u_{k+1}, checked at order N: the
+    membership test before it was made exact, which misses a change that
+    moves both sides only beyond y^{N-1}."""
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
+    if not A.is_graded():
+        return False
+    u = scaled_columns_reference(A, W)
+    for k in range(1, A.order - 1):
+        if u[k] * u[k] != u[k - 1] * u[k + 1]:
+            return False
+    return True
+
+
+# -- the membership walks on raw columns -------------------------------------
+
+
+def riordan_witness_reference(u, p):
+    """The first (k, m), k >= 2, with [y^m] u_0 u_k != [y^m] u_1 u_{k-1},
+    or None.
+
+    u holds the raw columns (ints, den) of U, as a list or as the lazy
+    _iter_unweighted_columns; the walk ends at the first failing k, so no
+    column after u_k is built.  Both products have valuation k, so only
+    their window y^k..y^{N-1} is convolved.  For a graded A, u_0 is a unit
+    and None says u_k = u_{k-1} beta with beta = u_1 / u_0 for every k,
+    that is u_k = u_0 beta^k: exactly geometric columns, and the first
+    failure is the (j, n) of _geometric_witness.  Total: never divides.
+    """
+    u = iter(u)
+    (a, da), (b, db) = islice(u, 2)
+    n, x0, d0 = len(a), b, db  # x0 is u_{k-1}
+    for k, (x, d) in enumerate(u, 2):
+        m = _first_difference(_convolve(a[: n - k], x[k:], p), da * d,
+                              _convolve(b[1 : n - k + 1], x0[k - 1 : n - 1], p), db * d0)
+        if m is not None:
+            return (k, k + m)
+        x0, d0 = x, d
+    return None
+
+
+def geometric_walk_reference(A: TriMatrix, W: Weight, u=None):
+    """(u, beta, witness): the first (j, n) with [y^n] u_j != [y^n]
+    u_0 beta^j for beta = u_1 / u_0, or None, with beta and the columns of
+    U built up to u_j (all N of them for None).
+
+    u holds the raw columns (ints, den) of U, as a list or as the lazy
+    _iter_unweighted_columns, built here unless given.  beta is one
+    Toeplitz solve (_beta_quotient), which needs u_0 to be a unit; then
+    u_0 beta^0 and u_0 beta = u_1 hold exactly, and u_0 beta^j is one raw
+    convolution per further column (series._geometric_columns).  None
+    says the columns are exactly geometric: A is the matrix of the pair
+    (u_0, beta).
+    """
+    cols = iter(u or _iter_unweighted_columns(A, W))
+    u = list(islice(cols, 2))
+    beta = _beta_quotient(A, W, u)
+    for j, (col, rhs) in enumerate(zip(cols, islice(_geometric_columns(*u[0], beta), 2, None)), 2):
+        u.append(col)
+        n = _first_difference(*col, *rhs)
+        if n is not None:
+            return u, beta, (j, n)
+    return u, beta, None
+
+
+def is_toeplitz_reference(u) -> bool:
+    """Is each raw column u_k of U, from the iterator u, u_0 moved down by k?"""
+    c, d = next(u)
+    return all(_first_difference(col[k:], dk, c[: len(c) - k], d) is None
+               for k, (col, dk) in enumerate(u, 1))
+
+
+# -- the weighted matrices, one Scalar product per factor --------------------
+
+
+def change_weight_reference(A, W, W2):
+    """Conjugate by U = diag(w_n / w2_n): A -> U^{-1} A U."""
+    W._check_same(W2)
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
+    rows = []
+    for n in range(A.order):
+        left = W2.w[n] * W.recip[n]
+        rows.append(
+            [left * A.rows[n][k] * W.w[k] * W2.recip[k] for k in range(n + 1)]
+        )
+    return TriMatrix(A.field, rows)
+
+
+def appell_from_alpha_reference(alpha, W):
+    """Substitute M_W into a unit series: entry (n,k) = c_{n-k} w_n / w_k."""
+    if alpha.valuation() != 0:
+        raise NotValuationZero("alpha must have valuation 0")
+    if alpha.order != W.order:
+        raise BackendMismatch("series and weight orders differ")
+    c = alpha.coeffs
+
+    def entry(n, k):
+        return c[n - k] * W.w[n] * W.recip[k]
+
+    return TriMatrix.from_entries(W.field, W.order, entry)
+
+
+def translation_matrix_reference(W, h):
+    """Matrix of T_h = W(h M_W), the Appell matrix of W(hy)."""
+    h = W.field.scalar(h)
+    return appell_from_alpha_reference(
+        Series(W.field, [h ** l * r for l, r in enumerate(W.recip)]), W
+    )
+
+
+def dual_basis_scalar_reference(A, W):
+    """Functionals phi_r with phi_r(p_n / w_n) = delta_{n,r} for the rows p_n."""
+    if A.order != W.order:
+        raise BackendMismatch("matrix and weight orders differ")
+    inv = A.inverse()
+    duals = []
+    for r in range(A.order):
+        vals = [inv.entry(k, r) * W.w[r] * W.recip[k] for k in range(A.order)]
+        duals.append(Functional(A.field, vals))
+    return duals
+
+
+def eval_functional_reference(h, W):
+    """Evaluation at h: t_n = h^n / w_n; corresponds to the series W(hy)."""
+    h = W.field.scalar(h)
+    vals, power = [], W.field.one()
+    for n in range(W.order):
+        if n:
+            power = power * h
+        vals.append(power * W.recip[n])
+    return Functional(W.field, vals)

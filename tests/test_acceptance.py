@@ -55,7 +55,8 @@ from riordanlab.sampling import (
     unit_series,
     weight as random_weight,
 )
-from riordanlab.scalars import factorial_inv
+
+from support import exp_series
 
 QQ = Field()
 GF7 = Field(7)
@@ -77,11 +78,6 @@ def three_weights(field, order):
         Weight.geometric(field, order, 3),
         Weight.q_factorial(field, order, 5, 3),
     ]
-
-
-def exp_series(field, order, h, c0=1):
-    h, c0 = field.scalar(h), field.scalar(c0)
-    return Series(field, [c0 * h ** l * factorial_inv(field, l) for l in range(order)])
 
 
 # -- criterion bodies (shared with the characteristic-p smoke suite) ----------

@@ -19,7 +19,7 @@ from riordanlab.operators import CHECK_KINDS
 from riordanlab.serialize import dumps
 from riordanlab.twoweight import exp_case_weights
 
-from test_cli_fuzz import call
+from support import call
 
 
 def run_cli(*args, stdin=None):

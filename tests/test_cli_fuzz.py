@@ -6,15 +6,14 @@ Inputs are drawn from a vocabulary of the grammar's own words (commands,
 spec kinds, names, scalars) mixed with malformed ones (1/0, abc, stray
 quotes, a trailing backslash, a residue of the wrong field)."""
 
-import contextlib
-import io
 import json
-import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlab import cli
+
+from support import call
 
 TOKENS = [
     *cli.COMMANDS, "run", "bogus", "e", "s", "p", "m", "q",
@@ -43,21 +42,6 @@ SCRIPT = INLINE + [
     "twoweight s e expcase=1/2,1", "show e", "show p",
 ]
 FIELDS = ["rat", "mod:2", "mod:3", "mod:7", "mod:1000003"]
-
-
-def call(argv, stdin=""):
-    """cli.main in this process: (exit code, stdout, stderr)."""
-    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse's own usage errors
-                code = exc.code
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
 
 
 def options(order, field, json_mode):

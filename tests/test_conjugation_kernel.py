@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlab import Field, Series, TriMatrix
-from riordanlab.errors import MathDomainError
 from riordanlab.functionals import (
     Functional,
     _after_operator,
@@ -68,25 +67,7 @@ from references import (
     truediv_reference,
     weighted_matrix_reference,
 )
-
-FIELDS = [None, 2, 7, 1000003]
-
-
-@st.composite
-def cases(draw):
-    """(field, N, rng) over QQ, GF(2), GF(7), GF(1000003) at N = 2..16, half
-    the draws at N <= 4."""
-    p = draw(st.sampled_from(FIELDS))
-    n = draw(st.one_of(st.integers(2, 4), st.integers(2, 16)))
-    return Field(p), n, random.Random(draw(st.integers(0, 2**32 - 1)))
-
-
-def outcome(f, *args):
-    """The result of a call, or the type and message of the error it raised."""
-    try:
-        return f(*args)
-    except (MathDomainError, ValueError) as e:
-        return type(e), str(e)
+from support import FIELDS, gf7_cases, outcome
 
 
 def other(field):
@@ -299,7 +280,7 @@ CHECKS = [check_unweighted, check_weighted, check_finite_difference, check_divis
 
 
 @settings(max_examples=700, deadline=None)
-@given(cases(), st.sampled_from(CHECKS))
+@given(gf7_cases(), st.sampled_from(CHECKS))
 def test_one_kernel_matches_the_replaced_code(case, check):
     check(*case)
 

@@ -27,18 +27,9 @@ from riordanlab.operators import HPolyMatrix, d_polynomials, m_matrix
 from riordanlab.riordan import RiordanPair, Weight, pair_to_matrix
 from riordanlab.scalars import Scalar
 
-from test_group_kernel import (
-    MATRICES,
-    WEIGHTS,
-    build_weight,
-    bumped,
-    cases,
-    matrix,
-    other,
-    outcome,
-    pair,
-    pair_to_matrix_reference,
-    value,
+from references import pair_to_matrix_reference
+from support import (
+    MATRICES, WEIGHTS, bumped, drawn_cases, drawn_weight, matrix, other, outcome, pair, value,
 )
 
 # -- the replaced code --------------------------------------------------------
@@ -75,15 +66,15 @@ def d_polynomials_reference(A, W):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
+@given(drawn_cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
 def test_d_polynomials_matches_chain_of_powers(case, wkind, akind, where):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     if where == "other-field":
-        W = build_weight(wkind, other(field), n, rng)
+        W = drawn_weight(wkind, other(field), n, rng)
     elif where == "other-order":
-        W = build_weight(wkind, field, n + 1, rng)
+        W = drawn_weight(wkind, field, n + 1, rng)
     assert outcome(d_polynomials, A, W) == outcome(d_polynomials_reference, A, W)
 
 
@@ -116,7 +107,7 @@ def test_d_polynomials_at_the_largest_order_over_large_primes(p):
        WEIGHTS, st.sampled_from(["riordan", "bumped", "graded"]), st.integers(0, 2**32 - 1))
 def test_kernel_built_hpoly_reads_as_constructed(p, n, wkind, akind, seed):
     field, rng = Field(p), random.Random(seed)
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
 
     def kernel():  # a fresh kernel-built matrix for each reading

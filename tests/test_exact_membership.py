@@ -5,7 +5,7 @@ U = D^{-1} A D are exactly u_0 beta^k through y^{N-1}, beta = u_1 / u_0.
 One walk decides it, _geometric_walk: it forms beta once, compares each
 u_k with u_0 beta^k = u_1 beta^{k-1} on the lazy columns of U, and returns
 alpha = u_0, beta and the first (j, n) at which they differ.  Three walks
-did this before, and all are kept below verbatim:
+did this before, and all are kept verbatim (two in tests/references.py):
 riordan_witness_reference, which cross-multiplied u_0 u_k against
 u_1 u_{k-1} for k >= 2 without division, geometric_witness_reference,
 which compared u_k with u_0 beta^k on the listed columns, and
@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlab import Field, Series, TriMatrix
-from riordanlab.errors import MathDomainError, NotSheffer
+from riordanlab.errors import NotSheffer
 from riordanlab.functionals import binomial_associate, product_rule_spanning_witness
 from riordanlab.operators import (
     CHECK_KINDS,
@@ -60,8 +60,8 @@ from riordanlab.riordan import (
 )
 from riordanlab.series import _convolve
 
-from test_cli_fuzz import call
-from test_generators import KINDS, build_matrix, build_weight
+from references import geometric_walk_reference, riordan_witness_reference
+from support import KINDS, build_matrix, call, fixed_weight, outcome
 
 # -- the replaced code --------------------------------------------------------
 
@@ -91,30 +91,6 @@ def identity_verdict_reference(A, W):
         _iter_unweighted_columns(A, W), A.field.p) is None
 
 
-def riordan_witness_reference(u, p):
-    """The first (k, m), k >= 2, with [y^m] u_0 u_k != [y^m] u_1 u_{k-1},
-    or None.
-
-    u holds the raw columns (ints, den) of U, as a list or as the lazy
-    _iter_unweighted_columns; the walk ends at the first failing k, so no
-    column after u_k is built.  Both products have valuation k, so only
-    their window y^k..y^{N-1} is convolved.  For a graded A, u_0 is a unit
-    and None says u_k = u_{k-1} beta with beta = u_1 / u_0 for every k,
-    that is u_k = u_0 beta^k: exactly geometric columns, and the first
-    failure is the (j, n) of _geometric_witness.  Total: never divides.
-    """
-    u = iter(u)
-    (a, da), (b, db) = islice(u, 2)
-    n, x0, d0 = len(a), b, db  # x0 is u_{k-1}
-    for k, (x, d) in enumerate(u, 2):
-        m = _first_difference(_convolve(a[: n - k], x[k:], p), da * d,
-                              _convolve(b[1 : n - k + 1], x0[k - 1 : n - 1], p), db * d0)
-        if m is not None:
-            return (k, k + m)
-        x0, d0 = x, d
-    return None
-
-
 def geometric_witness_reference(u, beta):
     """The first (j, n) with [y^n] u_j != [y^n] u_0 beta^j, or None.
 
@@ -127,30 +103,6 @@ def geometric_witness_reference(u, beta):
         if n is not None:
             return (j, n)
     return None
-
-
-def geometric_walk_reference(A: TriMatrix, W: Weight, u=None):
-    """(u, beta, witness): the first (j, n) with [y^n] u_j != [y^n]
-    u_0 beta^j for beta = u_1 / u_0, or None, with beta and the columns of
-    U built up to u_j (all N of them for None).
-
-    u holds the raw columns (ints, den) of U, as a list or as the lazy
-    _iter_unweighted_columns, built here unless given.  beta is one
-    Toeplitz solve (_beta_quotient), which needs u_0 to be a unit; then
-    u_0 beta^0 and u_0 beta = u_1 hold exactly, and u_0 beta^j is one raw
-    convolution per further column (series._geometric_columns).  None
-    says the columns are exactly geometric: A is the matrix of the pair
-    (u_0, beta).
-    """
-    cols = iter(u or _iter_unweighted_columns(A, W))
-    u = list(islice(cols, 2))
-    beta = _beta_quotient(A, W, u)
-    for j, (col, rhs) in enumerate(zip(cols, islice(_geometric_columns(*u[0], beta), 2, None)), 2):
-        u.append(col)
-        n = _first_difference(*col, *rhs)
-        if n is not None:
-            return u, beta, (j, n)
-    return u, beta, None
 
 
 def geometric_beta_and_witness_reference(A, W):
@@ -180,14 +132,6 @@ def counted_columns(monkeypatch):
     return built
 
 
-def outcome(f, *args):
-    """The result of a call, or the type and message of the error it raised."""
-    try:
-        return f(*args)
-    except (MathDomainError, ValueError) as e:
-        return type(e), str(e)
-
-
 # -- inputs -------------------------------------------------------------------
 
 
@@ -197,7 +141,7 @@ def cases(draw):
     p = draw(st.sampled_from([None, 2, 7, 1000003]))
     n = draw(st.integers(2, 16))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    W = build_weight(draw(st.sampled_from(["geometric", "random", "exponential"])), Field(p), n, rng)
+    W = fixed_weight(draw(st.sampled_from(["geometric", "random", "exponential"])), Field(p), n, rng)
     return W, build_matrix(draw(st.sampled_from(KINDS)), W, rng)
 
 
@@ -240,7 +184,7 @@ def test_walk_returns_the_replaced_witnesses_for_every_kind(kind, p, monkeypatch
     built = counted_columns(monkeypatch)
     for n in range(2, 17 if p != 2 else 9):
         for wkind in ("geometric", "random", "exponential"):
-            W = build_weight(wkind, field, n, rng)
+            W = fixed_weight(wkind, field, n, rng)
             A = build_matrix(kind, W, rng)
             built.clear()
             got, count = outcome(_geometric_walk, A, W), len(built)
@@ -267,7 +211,7 @@ def test_walk_over_a_member_makes_n_minus_2_products(p, monkeypatch):
 
     rng, field = random.Random(19), Field(p)
     for n in range(2, 17):
-        W = build_weight("random", field, n, rng)
+        W = fixed_weight("random", field, n, rng)
         A = build_matrix("riordan", W, rng)
         monkeypatch.setattr(series, "_convolve", counting)
         calls.clear()
@@ -294,7 +238,7 @@ def test_corner_matrices_are_not_sheffer(p):
     rng = random.Random(4)
     field = Field(p)
     for n in range(4, 17 if p != 7 else 8):
-        W = build_weight("exponential", field, n, rng)
+        W = fixed_weight("exponential", field, n, rng)
         A = build_matrix("corner", W, rng)  # entry (N-1, N-2) bumped
         assert not is_riordan(A, W)
         assert identity_verdict_reference(A, W) == (n >= 5)

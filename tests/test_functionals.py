@@ -43,10 +43,7 @@ from riordanlab.sampling import (
 )
 
 from references import binomial_candidate_reference
-
-
-def S(field, order, *vals):
-    return Series.from_values(field, order, vals)
+from support import S
 
 
 def test_functional_apply(QQ):

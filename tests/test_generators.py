@@ -26,17 +26,11 @@ from riordanlab.operators import (
     translation_matrix,
 )
 from riordanlab.riordan import Weight, is_riordan
-from riordanlab.sampling import (
-    graded_matrix,
-    perturbed_non_riordan,
-    riordan_matrix,
-    scalar,
-    unit_series,
-    weight,
-)
+from riordanlab.sampling import perturbed_non_riordan, unit_series
 from riordanlab.series import Series, _convolve, _over_common_denominator
 
 from references import binomial_candidate_reference
+from support import matrix_cases, sample_points
 
 
 def commutation_reference(A, W, hs=None):
@@ -107,81 +101,8 @@ def outcome(f, *args, **kwargs):
         return type(e)
 
 
-def _bumped(A, rng, n, k):
-    rows = [list(r) for r in A.rows]
-    rows[n][k] = rows[n][k] + scalar(A.field, rng, nonzero=True)
-    return TriMatrix(A.field, rows)
-
-
-def build_matrix(kind, W, rng):
-    """One matrix of the named family over W's field and order."""
-    field, n = W.field, W.order
-    if kind == "perturbed" and n >= 4:
-        return perturbed_non_riordan(W, rng)
-    if kind in ("perturbed", "bumped"):  # one entry below the diagonal
-        i = rng.randint(1, n - 1)
-        return _bumped(riordan_matrix(W, rng), rng, i, rng.randrange(i))
-    if kind == "corner":  # hides from u_k^2 = u_{k-1} u_{k+1} at this order, from N = 5
-        return _bumped(riordan_matrix(W, rng), rng, n - 1, n - 2)
-    if kind == "graded":
-        return graded_matrix(field, n, rng)
-    if kind == "identity":
-        return TriMatrix.identity(field, n)
-    if kind == "singular":  # a zero on the diagonal
-        rows = [list(r) for r in graded_matrix(field, n, rng).rows]
-        i = rng.randrange(n)
-        rows[i][i] = field.zero()
-        return TriMatrix(field, rows)
-    return riordan_matrix(W, rng)
-
-
-def build_weight(kind, field, n, rng):
-    if kind == "exponential" and (field.p is None or n <= field.p):
-        return Weight.exponential(field, n, 1)
-    if kind == "random":
-        return weight(field, n, rng)
-    return Weight.geometric(field, n, 2 if field.p != 2 else 1)
-
-
-KINDS = ["riordan", "perturbed", "bumped", "corner", "graded", "identity", "singular"]
-
-
-@st.composite
-def cases(draw, points_needed=False):
-    """(W, A, rng) over QQ, GF(2), GF(3), GF(1000003) at N = 2..12; with
-    `points_needed`, only where the field has N distinct elements."""
-    p = draw(st.sampled_from([None, 2, 3, 1000003]))
-    n = draw(st.integers(2, 12 if p is None or not points_needed else min(12, p)))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    field = Field(p)
-    W = build_weight(draw(st.sampled_from(["geometric", "random", "exponential"])), field, n, rng)
-    return W, build_matrix(draw(st.sampled_from(KINDS)), W, rng), rng
-
-
-def sample_points(kind, W, rng):
-    """Custom translation points: N distinct, a repeat, too few, a foreign scalar."""
-    field, n = W.field, W.order
-    if field.p is None:
-        pts = set()
-        while len(pts) < n:
-            pts.add(scalar(field, rng))
-        pts = list(pts)
-    else:
-        pts = [field.scalar(v) for v in rng.sample(range(field.p), n)]
-    rng.shuffle(pts)
-    if kind == "repeat":
-        pts[-1] = pts[0]
-    elif kind == "short":
-        pts.pop()
-    elif kind == "foreign":
-        pts[0] = Field(7).one()
-    elif kind == "raw":  # ints over GF(p), Fractions over QQ
-        pts = [v.val for v in pts]
-    return pts
-
-
 @settings(max_examples=200, deadline=None)
-@given(cases(points_needed=True), st.sampled_from([None, "distinct", "raw", "repeat", "short", "foreign"]))
+@given(matrix_cases(points_needed=True), st.sampled_from([None, "distinct", "raw", "repeat", "short", "foreign"]))
 def test_commutation_by_generator_matches_translations(case, points):
     W, A, rng = case
     hs = None if points is None else sample_points(points, W, rng)
@@ -189,7 +110,7 @@ def test_commutation_by_generator_matches_translations(case, points):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), st.sampled_from([0, 3]), st.integers(0, 2**32 - 1))
+@given(matrix_cases(), st.sampled_from([0, 3]), st.integers(0, 2**32 - 1))
 def test_normalizing_by_generator_matches_spanning_family(case, samples, seed):
     W, A, _ = case
     mine, ref = random.Random(seed), random.Random(seed)
@@ -199,7 +120,7 @@ def test_normalizing_by_generator_matches_spanning_family(case, samples, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases())
+@given(matrix_cases())
 def test_spanning_witness_by_generator_matches_all_pairs(case):
     W, A, _ = case
     assert outcome(product_rule_spanning_witness, A, W) == outcome(witness_reference, A, W)

@@ -7,8 +7,9 @@ columns.  _geometric_walk walks the lazy raw columns of U for the first
 (j, n) at which u_j and u_0 beta^j differ, beta = u_1 / u_0, and stops
 there; is_riordan is its verdict, and
 check_report builds U once and walks it once.  _beta_quotient is one
-Toeplitz solve on raw column values.  The references below are the code
-the library used before, kept verbatim (the old solver included, so no
+Toeplitz solve on raw column values.  The references, here and in
+tests/references.py, are the code the library used before, kept verbatim
+(the old solver included, so no
 reference touches the new kernel): Horner composition, comp_inverse with
 its inline powers, the group law through them, pair_to_matrix and the
 column identity u_k^2 = u_{k-1} u_{k+1} on Scalar series, and the beta
@@ -22,20 +23,12 @@ denominators), GF(2), GF(3) and GF(1000003) at N = 2..16, N > p included.
 """
 
 import random
-from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlab import Field, Series, TriMatrix
-from riordanlab.errors import (
-    BackendMismatch,
-    InnerValuationZero,
-    MathDomainError,
-    NotInvertible,
-    NotValuationOne,
-    RootOfUnity,
-)
+from riordanlab.errors import BackendMismatch
 from riordanlab.functionals import binomial_associate, product_rule_spanning_witness
 from riordanlab import functionals, operators, riordan
 from riordanlab.operators import CHECK_KINDS, check_report, dw_multiplier, translation_matrix
@@ -50,52 +43,17 @@ from riordanlab.riordan import (
     riordan_inv,
     riordan_mul,
 )
-from riordanlab.sampling import graded_matrix, perturbed_non_riordan, weight
-from riordanlab.scalars import Scalar, _Q
+from riordanlab.sampling import graded_matrix
+
+from references import (
+    beta_quotient_reference, comp_inverse_reference, compose_reference, pair_to_matrix_reference,
+    riordan_inv_compose_reference, scaled_columns_reference,
+)
+from support import (
+    MATRICES, WEIGHTS, bumped, drawn_cases, drawn_weight, matrix, other, outcome, pair, series,
+)
 
 # -- the replaced code --------------------------------------------------------
-
-
-def forward_substitute_unit_reference(field, rows, ks):
-    """Solve L x = e_k by forward substitution on raw values, for each k in ks."""
-    p, n = field.p, len(rows)
-    if p is None:
-        diag_inv = [1 / row[i] for i, row in enumerate(rows)]
-    else:
-        diag_inv = [pow(row[i], p - 2, p) for i, row in enumerate(rows)]
-    out = []
-    for k in ks:
-        x = [diag_inv[k]]
-        for i in range(k + 1, n):
-            v = -sum(map(mul, rows[i][k:i], x)) * diag_inv[i]
-            x.append(v if p is None else v % p)
-        out.append(x)
-    return out
-
-
-def compose_reference(self, inner):
-    """self(inner(y)), exact through the order; inner must kill constants."""
-    self._check_same(inner)
-    if inner.coeffs[0]:
-        raise InnerValuationZero("inner series has nonzero constant term")
-    acc = Series.constant(self.field, self.order, self.coeffs[-1])
-    for c in reversed(self.coeffs[:-1]):
-        acc = acc * inner
-        acc = Series(self.field, (acc.coeffs[0] + c,) + acc.coeffs[1:])
-    return acc
-
-
-def comp_inverse_reference(self):
-    """Compositional inverse g of a valuation-1 series f, in O(N^3)."""
-    if self.valuation() != 1:
-        raise NotValuationOne("compositional inverse needs valuation exactly 1")
-    field, n = self.field, self.order
-    powers = [Series.one(field, n), self]  # powers[j] = f^j
-    for _ in range(n - 2):
-        powers.append(powers[-1] * self)
-    rows = [[powers[j].coeffs[m].val for j in range(m + 1)] for m in range(n)]
-    (g,) = forward_substitute_unit_reference(field, rows, [1])
-    return Series(field, [field.zero()] + [Scalar(v, field.p) for v in g])
 
 
 def riordan_mul_reference(a, b):
@@ -104,65 +62,6 @@ def riordan_mul_reference(a, b):
         a.alpha * compose_reference(b.alpha, a.beta),
         compose_reference(b.beta, a.beta),
     )
-
-
-def riordan_inv_reference(a):
-    """Group inverse (1/(alpha o beta_bar), beta_bar), beta_bar = beta^{<-1>}."""
-    beta_bar = comp_inverse_reference(a.beta)
-    return RiordanPair(compose_reference(a.alpha, beta_bar).invert(), beta_bar)
-
-
-def pair_to_matrix_reference(pair, W):
-    """Matrix with columns C_k = alpha * beta^k / w_k (exactly geometric)."""
-    if pair.order != W.order:
-        raise BackendMismatch("pair and weight orders differ")
-    n = W.order
-    zero = pair.field.zero()
-    rows = [[zero] * (i + 1) for i in range(n)]
-    col = pair.alpha
-    for k in range(n):
-        # a_{i,k} = w_i [y^i](alpha beta^k) / w_k
-        for i in range(k, n):
-            rows[i][k] = W.w[i] * col.coeffs[i] * W.recip[k]
-        if k + 1 < n:
-            col = col * pair.beta
-    return TriMatrix(pair.field, rows)
-
-
-def invert_reference(s):
-    """Multiplicative inverse: T x = e_0 for the Toeplitz matrix T of s."""
-    c = [a.val for a in s.coeffs]
-    if not c[0]:
-        raise NotInvertible("constant term vanishes")
-    (x,) = forward_substitute_unit_reference(s.field, [c[m::-1] for m in range(len(c))], [0])
-    return Series(s.field, [Scalar(v, s.field.p) for v in x])
-
-
-def beta_quotient_reference(A, W):
-    """w_1 C_1 / C_0, the candidate beta of any graded matrix."""
-    c0 = column_series(A, W, 0)
-    c1 = column_series(A, W, 1)
-    return (c1 * invert_reference(c0)).scale(W.w[1])
-
-
-def scaled_columns_reference(A, W):
-    # u_k = w_k * C_k; the membership identity is u_k^2 = u_{k-1} u_{k+1}
-    return [column_series(A, W, k).scale(W.w[k]) for k in range(A.order)]
-
-
-def is_riordan_reference(A, W):
-    """The column identity u_k^2 = u_{k-1} u_{k+1}, checked at order N: the
-    membership test before it was made exact, which misses a change that
-    moves both sides only beyond y^{N-1}."""
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
-    if not A.is_graded():
-        return False
-    u = scaled_columns_reference(A, W)
-    for k in range(1, A.order - 1):
-        if u[k] * u[k] != u[k - 1] * u[k + 1]:
-            return False
-    return True
 
 
 def riordan_witness_reference(A, W):
@@ -219,109 +118,11 @@ def check_report_reference(A, W, kind):
     return report
 
 
-# -- inputs -------------------------------------------------------------------
-
-
-def outcome(f, *args):
-    """The result of a call, or the type and message of the error it raised."""
-    try:
-        return f(*args)
-    except (MathDomainError, ValueError) as e:
-        return type(e), str(e)
-
-
-def value(field, rng, nonzero=False):
-    """A signed rational with a denominator up to 36, or any residue."""
-    while True:
-        if field.p is None:
-            v = Scalar(_Q(rng.randint(-40, 40), rng.randint(1, 36)))
-        else:
-            v = Scalar(rng.randrange(field.p), field.p)
-        if v or not nonzero:
-            return v
-
-
-def series(field, n, rng, valuation=None):
-    coeffs = [value(field, rng) for _ in range(n)]
-    if valuation is not None:
-        for i in range(min(valuation, n)):
-            coeffs[i] = field.zero()
-        if valuation < n:
-            coeffs[valuation] = value(field, rng, nonzero=True)
-    return Series(field, coeffs)
-
-
-def pair(field, n, rng):
-    return RiordanPair(series(field, n, rng, 0), series(field, n, rng, 1))
-
-
-def other(field):
-    """A field that is not `field`."""
-    return Field(7 if field.p != 7 else 5)
-
-
-def build_weight(kind, field, n, rng):
-    """Exponential (where n! is a unit), geometric, q-factorial or random."""
-    if kind == "exponential" and (field.p is None or n <= field.p):
-        return Weight.exponential(field, n, value(field, rng, nonzero=True))
-    if kind == "q-factorial":
-        for q in (value(field, rng), field.zero()):  # q = 0 never is a root of unity
-            try:
-                return Weight.q_factorial(field, n, value(field, rng, nonzero=True), q)
-            except RootOfUnity:
-                pass
-    if kind == "random":
-        return weight(field, n, rng)
-    return Weight.geometric(field, n, value(field, rng, nonzero=True))
-
-
-WEIGHTS = st.sampled_from(["exponential", "geometric", "q-factorial", "random"])
-
-
-@st.composite
-def cases(draw):
-    """(field, N, rng) over QQ, GF(2), GF(3), GF(1000003) at N = 2..16; half
-    the draws at N <= 4, where the first and last identities are the same few."""
-    p = draw(st.sampled_from([None, 2, 3, 1000003]))
-    n = draw(st.one_of(st.integers(2, 4), st.integers(2, 16)))
-    return Field(p), n, random.Random(draw(st.integers(0, 2**32 - 1)))
-
-
-def bumped(A, rng):
-    """A with one entry below the diagonal changed."""
-    rows = [list(r) for r in A.rows]
-    i = rng.randrange(1, A.order)
-    j = rng.randrange(i)
-    rows[i][j] = rows[i][j] + value(A.field, rng, nonzero=True)
-    return TriMatrix(A.field, rows)
-
-
-def matrix(kind, W, rng):
-    """Riordan, perturbed_non_riordan, one entry bumped, random graded, or
-    not graded (a zero on the diagonal)."""
-    field, n = W.field, W.order
-    if kind == "perturbed" and n >= 4:
-        return perturbed_non_riordan(W, rng)
-    if kind in ("perturbed", "bumped"):
-        return bumped(pair_to_matrix_reference(pair(field, n, rng), W), rng)
-    if kind == "graded":
-        return graded_matrix(field, n, rng)
-    if kind == "not-graded":
-        rows = [list(r) for r in graded_matrix(field, n, rng).rows]
-        i = rng.randrange(n)
-        rows[i][i] = field.zero()
-        return TriMatrix(field, rows)
-    return pair_to_matrix_reference(pair(field, n, rng), W)
-
-
-MATRICES = st.sampled_from(["riordan", "perturbed", "bumped", "graded", "not-graded"])
-
-
 # -- tests --------------------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), st.sampled_from([1, 1, 2, 16, 0, "short", "long", "foreign"]))
+@given(drawn_cases(), st.sampled_from([1, 1, 2, 16, 0, "short", "long", "foreign"]))
 def test_compose_matches_horner(case, inner):
     field, n, rng = case
     f = series(field, n, rng)
@@ -335,7 +136,7 @@ def test_compose_matches_horner(case, inner):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), st.sampled_from([1, 1, 1, 0, 2, 16]))
+@given(drawn_cases(), st.sampled_from([1, 1, 1, 0, 2, 16]))
 def test_comp_inverse_matches_inline_powers(case, valuation):
     field, n, rng = case
     f = series(field, n, rng, valuation)
@@ -343,7 +144,7 @@ def test_comp_inverse_matches_inline_powers(case, valuation):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), st.sampled_from(["same", "same", "other-order", "other-field"]))
+@given(drawn_cases(), st.sampled_from(["same", "same", "other-order", "other-field"]))
 def test_riordan_mul_and_inv_match_compositions(case, where):
     field, n, rng = case
     a = pair(field, n, rng)
@@ -355,31 +156,31 @@ def test_riordan_mul_and_inv_match_compositions(case, where):
         b = pair(field, n, rng)
     assert outcome(riordan_mul, a, b) == outcome(riordan_mul_reference, a, b)
     assert outcome(riordan_mul, b, a) == outcome(riordan_mul_reference, b, a)
-    assert riordan_inv(a) == riordan_inv_reference(a)
+    assert riordan_inv(a) == riordan_inv_compose_reference(a)
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, st.sampled_from(["same", "same", "other-order", "other-field"]))
+@given(drawn_cases(), WEIGHTS, st.sampled_from(["same", "same", "other-order", "other-field"]))
 def test_pair_to_matrix_matches_series_columns(case, wkind, where):
     field, n, rng = case
     if where == "other-field":
-        W = build_weight(wkind, other(field), n, rng)
+        W = drawn_weight(wkind, other(field), n, rng)
     else:
-        W = build_weight(wkind, field, n + (where == "other-order"), rng)
+        W = drawn_weight(wkind, field, n + (where == "other-order"), rng)
     p = pair(field, n, rng)
     assert outcome(pair_to_matrix, p, W) == outcome(pair_to_matrix_reference, p, W)
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
+@given(drawn_cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
 def test_is_riordan_matches_scaled_columns(case, wkind, akind, where):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     if where == "other-field":
-        W = build_weight(wkind, other(field), n, rng)
+        W = drawn_weight(wkind, other(field), n, rng)
     elif where == "other-order":
-        W = build_weight(wkind, field, n + 1, rng)
+        W = drawn_weight(wkind, field, n + 1, rng)
     assert outcome(is_riordan, A, W) == outcome(is_riordan_rebuild_reference, A, W)
     if where == "same":
         got = outcome(product_rule_spanning_witness, A, W)
@@ -387,10 +188,10 @@ def test_is_riordan_matches_scaled_columns(case, wkind, akind, where):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, st.sampled_from(["riordan", "perturbed", "bumped", "graded"]))
+@given(drawn_cases(), WEIGHTS, st.sampled_from(["riordan", "perturbed", "bumped", "graded"]))
 def test_riordan_witness_matches_series_products(case, wkind, akind):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     found = witness_reference(A, W)  # (0, j, n): u_j and u_0 beta^j first differ at y^n
     want = None if found is None else found[1:]
@@ -439,23 +240,23 @@ def test_check_report_stops_at_the_first_failing_column(QQ, rng, monkeypatch):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
+@given(drawn_cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
 def test_beta_quotient_matches_series_division(case, wkind, akind, where):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     if where == "other-field":
-        W = build_weight(wkind, other(field), n, rng)
+        W = drawn_weight(wkind, other(field), n, rng)
     elif where == "other-order":
-        W = build_weight(wkind, field, n + 1, rng)
+        W = drawn_weight(wkind, field, n + 1, rng)
     assert outcome(_beta_quotient, A, W) == outcome(beta_quotient_reference, A, W)
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, st.sampled_from(CHECK_KINDS))
+@given(drawn_cases(), WEIGHTS, MATRICES, st.sampled_from(CHECK_KINDS))
 def test_check_report_matches_two_calls(case, wkind, akind, kind):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     assert outcome(check_report, A, W, kind) == outcome(check_report_reference, A, W, kind)
 
@@ -516,7 +317,7 @@ def test_group_law_at_the_largest_order(QQ):
         W = Weight.exponential(field, 64, 1)
         a, b = pair(field, 64, rng), pair(field, 64, rng)
         assert riordan_mul(a, b) == riordan_mul_reference(a, b)
-        assert riordan_inv(a) == riordan_inv_reference(a)
+        assert riordan_inv(a) == riordan_inv_compose_reference(a)
         A = pair_to_matrix(a, W)
         assert A == pair_to_matrix_reference(a, W)
         B = bumped(A, rng)

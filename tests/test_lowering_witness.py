@@ -30,8 +30,7 @@ from riordanlab.riordan import Weight, matrix_to_pair, pair_to_matrix, riordan_i
 from riordanlab.sampling import unit_series
 from riordanlab.series import _wrap
 
-from test_generators import KINDS, build_matrix, build_weight, sample_points
-from test_group_kernel import other, outcome, pair
+from support import KINDS, build_matrix, fixed_weight, other, outcome, pair, sample_points
 
 # -- the replaced code --------------------------------------------------------
 
@@ -102,13 +101,13 @@ def cases(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     field = Field(p)
     wkind = draw(st.sampled_from(["geometric", "random", "exponential"]))
-    W = build_weight(wkind, field, n, rng)
+    W = fixed_weight(wkind, field, n, rng)
     A = build_matrix(draw(st.sampled_from(KINDS)), W, rng)
     where = draw(st.sampled_from(["same"] * 8 + ["other-order", "other-field"]))
     if where == "other-order":
-        W = build_weight(wkind, field, n + 1, rng)
+        W = fixed_weight(wkind, field, n + 1, rng)
     elif where == "other-field":
-        W = build_weight(wkind, other(field), n, rng)
+        W = fixed_weight(wkind, other(field), n, rng)
     return W, A, rng
 
 
@@ -180,7 +179,7 @@ def test_t_is_the_compositional_inverse_of_beta(p, n, wkind, seed):
     # a third derivation of beta-bar: t comes from U alone, not from the
     # power table R_beta that riordan_inv solves on
     field, rng = Field(p), random.Random(seed)
-    W = build_weight(wkind, field, n, rng)
+    W = fixed_weight(wkind, field, n, rng)
     A = pair_to_matrix(pair(field, n, rng), W)
     solve, solved = operators._forward_substitute, []
 

@@ -30,19 +30,9 @@ from riordanlab.riordan import (
     pair_to_matrix,
 )
 
-from test_group_kernel import (
-    MATRICES,
-    WEIGHTS,
-    beta_quotient_reference,
-    build_weight,
-    bumped,
-    cases,
-    is_riordan_reference,
-    matrix,
-    other,
-    outcome,
-    pair,
-    pair_to_matrix_reference,
+from references import beta_quotient_reference, is_riordan_reference, pair_to_matrix_reference
+from support import (
+    MATRICES, WEIGHTS, bumped, drawn_cases, drawn_weight, matrix, other, outcome, pair,
 )
 
 # -- the reference ------------------------------------------------------------
@@ -63,15 +53,15 @@ def matrix_to_pair_reference(A, W):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
+@given(drawn_cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "other-order", "other-field"]))
 def test_matrix_to_pair_matches_rebuild(case, wkind, akind, where):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     if where == "other-field":
-        W = build_weight(wkind, other(field), n, rng)
+        W = drawn_weight(wkind, other(field), n, rng)
     elif where == "other-order":
-        W = build_weight(wkind, field, n + 1, rng)
+        W = drawn_weight(wkind, field, n + 1, rng)
     assert outcome(matrix_to_pair, A, W) == outcome(matrix_to_pair_reference, A, W)
 
 

@@ -51,10 +51,11 @@ from riordanlab.triangular import (
     Polynomial, _linear_combination, apply_matrix_to_poly, umbral_compose,
 )
 
-from references import binomial_candidate_reference, inverse_reference
-from test_exact_membership import riordan_witness_reference as _riordan_witness
-from test_report_readings import is_toeplitz_reference as _is_toeplitz
-from test_group_kernel import MATRICES, WEIGHTS, build_weight, cases, matrix, other, value
+from references import (
+    binomial_candidate_reference, inverse_reference, is_toeplitz_reference as _is_toeplitz,
+    riordan_witness_reference as _riordan_witness,
+)
+from support import MATRICES, WEIGHTS, drawn_cases, drawn_weight, matrix, other, value
 
 # -- the replaced code --------------------------------------------------------
 
@@ -218,12 +219,12 @@ def vector(field, n, rng):
 def frame(case, wkind, akind, where):
     """(A, W) from the shared generators; W of another order or field on request."""
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     if where == "other-field":
-        W = build_weight(wkind, other(field), n, rng)
+        W = drawn_weight(wkind, other(field), n, rng)
     elif where == "other-order":
-        W = build_weight(wkind, field, n + 1, rng)
+        W = drawn_weight(wkind, field, n + 1, rng)
     return A, W
 
 
@@ -234,10 +235,10 @@ WHERE = st.sampled_from(["same", "same", "same", "other-order", "other-field"])
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, st.sampled_from(["zero", "low", "low", "top", "high", "foreign"]))
+@given(drawn_cases(), WEIGHTS, MATRICES, st.sampled_from(["zero", "low", "low", "top", "high", "foreign"]))
 def test_apply_matrix_to_poly_matches_its_loop(case, wkind, akind, pkind):
     field, n, rng = case
-    S = matrix(akind, build_weight(wkind, field, n, rng), rng)
+    S = matrix(akind, drawn_weight(wkind, field, n, rng), rng)
     degree = {"zero": -1, "low": rng.randrange(n), "top": n - 1, "high": n + rng.randrange(3),
               "foreign": rng.randrange(n)}[pkind]
     p = poly(other(field) if pkind == "foreign" else field, degree, rng)
@@ -245,7 +246,7 @@ def test_apply_matrix_to_poly_matches_its_loop(case, wkind, akind, pkind):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), st.sampled_from(["plain", "plain", "p-high", "q-high", "foreign-p", "foreign-q",
+@given(drawn_cases(), st.sampled_from(["plain", "plain", "p-high", "q-high", "foreign-p", "foreign-q",
                                  "foreign-all", "short"]))
 def test_umbral_compose_matches_its_loop(case, kind):
     field, n, rng = case
@@ -269,7 +270,7 @@ def test_umbral_compose_matches_its_loop(case, kind):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, st.sampled_from(
+@given(drawn_cases(), WEIGHTS, MATRICES, st.sampled_from(
     ["same", "same", "same", "zero", "other-order", "other-field", "foreign-phi"]))
 def test_functional_after_operator_matches_its_loop(case, wkind, akind, where):
     field, n, rng = case
@@ -283,7 +284,7 @@ def test_functional_after_operator_matches_its_loop(case, wkind, akind, where):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, st.integers(0, 4), st.sampled_from(
+@given(drawn_cases(), WEIGHTS, MATRICES, st.integers(0, 4), st.sampled_from(
     ["same", "same", "same", "zero", "other-order", "other-field", "foreign-phi", "short-phi"]))
 def test_after_operator_matches_its_loop(case, wkind, akind, count, where):
     # several functionals on one build of U, one of them off on request
@@ -304,7 +305,7 @@ def test_after_operator_matches_its_loop(case, wkind, akind, count, where):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, WHERE)
+@given(drawn_cases(), WEIGHTS, MATRICES, WHERE)
 def test_column_identity_walk_matches_its_copies(case, wkind, akind, where):
     A, W = frame(case, wkind, akind, where)
     assert outcome(is_riordan, A, W) == outcome(is_riordan_reference, A, W)
@@ -314,7 +315,7 @@ def test_column_identity_walk_matches_its_copies(case, wkind, akind, where):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), st.sampled_from([0, 1, 0, 1, 2, 3]), st.sampled_from([0, 1, 0, 1, 2]),
+@given(drawn_cases(), st.sampled_from([0, 1, 0, 1, 2, 3]), st.sampled_from([0, 1, 0, 1, 2]),
        st.sampled_from(["same", "same", "empty", "one", "long"]))
 def test_triangle_shape_check_matches_its_copy(case, bad_lengths, foreign, size):
     # rows of wrong length and foreign entries anywhere: the first fault, row
@@ -337,7 +338,7 @@ def test_triangle_shape_check_matches_its_copy(case, bad_lengths, foreign, size)
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, WHERE)
+@given(drawn_cases(), WEIGHTS, MATRICES, WHERE)
 def test_diagonal_check_matches_its_copies(case, wkind, akind, where):
     A, W = frame(case, wkind, akind, where)
     assert outcome(A.inverse) == outcome(inverse_reference, A)
@@ -345,7 +346,7 @@ def test_diagonal_check_matches_its_copies(case, wkind, akind, where):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, WHERE)
+@given(drawn_cases(), WEIGHTS, MATRICES, WHERE)
 def test_sheffer_beta_matches_its_copy(case, wkind, akind, where):
     A, W = frame(case, wkind, akind, where)
     assert outcome(binomial_associate, A, W) == outcome(binomial_associate_reference, A, W)

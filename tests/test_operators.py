@@ -49,9 +49,7 @@ from riordanlab.sampling import (
     weight,
 )
 
-
-def S(field, order, *vals):
-    return Series.from_values(field, order, vals)
+from support import S
 
 
 def binom_pair_matrix(field, w):

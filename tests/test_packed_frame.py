@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordanlab import Field, TriMatrix
-from riordanlab.errors import MathDomainError
 from riordanlab.operators import _inverse_frame, _lowering_witness
 from riordanlab.riordan import Weight, _unweighted_columns
 from riordanlab.sampling import graded_matrix, perturbed_non_riordan, riordan_matrix
@@ -33,17 +32,10 @@ from references import (
     lowering_witness_dots_reference,
     rows_over_lcm_reference,
 )
+from support import outcome
 
 PRIMES = [2, 3, 7, 1000003, 4294967311]  # the last never packs
 KINDS = ["riordan", "perturbed", "graded", "singular", "late"]
-
-
-def outcome(f, *args):
-    """The result of a call, or the type and message of the error it raised."""
-    try:
-        return f(*args)
-    except (MathDomainError, ValueError) as e:
-        return type(e), str(e)
 
 
 def weight(field, n, rng):

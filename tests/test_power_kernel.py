@@ -47,8 +47,8 @@ from riordanlab.series import (
 )
 
 from references import forward_substitute_rational_reference
-from test_group_kernel import (
-    MATRICES, WEIGHTS, build_weight, cases, matrix, other, outcome, pair, series,
+from support import (
+    MATRICES, WEIGHTS, drawn_cases, drawn_weight, matrix, other, outcome, pair, series,
 )
 
 # -- the replaced code --------------------------------------------------------
@@ -189,16 +189,16 @@ def check_kernels(field, n, rng, kind):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), INNER)
+@given(drawn_cases(), INNER)
 def test_power_kernels_match_the_old_loops(case, kind):
     check_kernels(*case, kind)
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES)
+@given(drawn_cases(), WEIGHTS, MATRICES)
 def test_rows_of_u_match_the_old_step(case, wkind, akind):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     rows, den = _rows_over_lcm(_unweighted_columns(A, W))
     ref_rows, ref_rhs, ref_den = lowering_rows_reference(A, W)
@@ -208,7 +208,7 @@ def test_rows_of_u_match_the_old_step(case, wkind, akind):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), st.sampled_from([1, 1, 2, 3, 0, "zero", "short", "long", "foreign"]))
+@given(drawn_cases(), st.sampled_from([1, 1, 2, 3, 0, "zero", "short", "long", "foreign"]))
 def test_compose_and_comp_inverse_match_the_old_bodies(case, kind):
     field, n, rng = case
     f = series(field, n, rng)
@@ -225,7 +225,7 @@ def test_compose_and_comp_inverse_match_the_old_bodies(case, kind):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), st.sampled_from(["same", "same", "same", "other-order", "other-field"]))
+@given(drawn_cases(), st.sampled_from(["same", "same", "same", "other-order", "other-field"]))
 def test_group_law_matches_the_old_bodies(case, where):
     field, n, rng = case
     a = pair(field, n, rng)
@@ -243,7 +243,7 @@ def test_kernels_at_the_largest_order(p):
     a, b = pair(field, 64, rng), pair(field, 64, rng)
     assert riordan_mul(a, b) == riordan_mul_reference(a, b)
     assert riordan_inv(a) == riordan_inv_reference(a)
-    W = build_weight("geometric", field, 64, rng)
+    W = drawn_weight("geometric", field, 64, rng)
     rows, den = _rows_over_lcm(_unweighted_columns(pair_to_matrix(a, W), W))
     ref_rows, _, ref_den = lowering_rows_reference(pair_to_matrix(a, W), W)
     assert (exactly(rows), den) == (exactly(ref_rows), ref_den)
@@ -254,7 +254,7 @@ def test_pair_to_matrix_starts_each_power_at_its_valuation(p, monkeypatch):
     # column k convolves N - k terms, sum_{L=1}^{15} L(L+1)/2 = 680 at N = 16,
     # where the old loop convolved all N terms of every column: 15 * 136
     field, rng = Field(p), random.Random(16)
-    a, W = pair(field, 16, rng), build_weight("geometric", field, 16, rng)
+    a, W = pair(field, 16, rng), drawn_weight("geometric", field, 16, rng)
     terms, convolve = [], _convolve
 
     def counting(x, y, p=None):

@@ -25,10 +25,10 @@ from riordanlab.riordan import (
     Weight, _geometric_walk, is_riordan, pair_to_matrix,
 )
 
-from test_group_kernel import (
-    WEIGHTS, build_weight, cases, compose_reference, is_riordan_reference, matrix, pair,
+from references import (
+    change_weight_reference as change_weight, compose_reference, is_riordan_reference,
 )
-from test_weight_conjugation import change_weight_reference as change_weight
+from support import WEIGHTS, drawn_cases, drawn_weight, matrix, pair
 
 
 def production_matrix(A, W):
@@ -54,10 +54,10 @@ def has_a_sequence(A, W):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), WEIGHTS, st.sampled_from(["riordan", "perturbed", "bumped", "graded"]))
+@given(drawn_cases(), WEIGHTS, st.sampled_from(["riordan", "perturbed", "bumped", "graded"]))
 def test_a_sequence_iff_exactly_geometric(case, wkind, akind):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     oracle = has_a_sequence(A, W)
     assert oracle == (product_rule_spanning_witness(A, W) is None)
@@ -65,14 +65,14 @@ def test_a_sequence_iff_exactly_geometric(case, wkind, akind):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), WEIGHTS)
+@given(drawn_cases(), WEIGHTS)
 def test_z_sequence_closed_form(case, wkind):
     # Column 0 of P is the Z-sequence z_j = P[j][0] of the plain pair (alpha,
     # beta): alpha = alpha_0 / (1 - y Z(beta)) (Merlini, Rogers, Sprugnoli &
     # Verri 1997, d(t) = d_0 / (1 - t Z(t h(t)))).  Coefficient m reads only
     # z_0..z_{m-1}, so z_{N-1}, beyond P, is not needed.
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     a = pair(field, n, rng)
     z = Series(field, [row[0] for row in production_matrix(pair_to_matrix(a, W), W)] + [field.zero()])
     y_z_beta = Series.identity(field, n) * compose_reference(z, a.beta)
@@ -93,11 +93,11 @@ def test_corner_change_fails_is_riordan_too(QQ, rng):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), WEIGHTS, st.sampled_from(["riordan", "perturbed", "bumped", "graded"]))
+@given(drawn_cases(), WEIGHTS, st.sampled_from(["riordan", "perturbed", "bumped", "graded"]))
 def test_a_sequence_iff_sheffer_by_commutation(case, wkind, akind):
     # the operator-level test needs N distinct sample points in the field
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     if field.p is None or field.p >= n:
         assert sheffer_by_commutation(A, W) == has_a_sequence(A, W)

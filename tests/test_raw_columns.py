@@ -45,6 +45,7 @@ from riordanlab.serialize import dumps
 from riordanlab.series import _ints_over_lcm, _over_common_denominator
 
 from references import inverse_reference
+from support import FIELDS, gf7_cases
 
 # -- the replaced code --------------------------------------------------------
 
@@ -136,17 +137,6 @@ def replaced():
 
 # -- inputs -------------------------------------------------------------------
 
-FIELDS = [None, 2, 7, 1000003]
-
-
-@st.composite
-def cases(draw):
-    """(field, N, rng) over QQ, GF(2), GF(7), GF(1000003) at N = 2..16, half
-    the draws at N <= 4."""
-    p = draw(st.sampled_from(FIELDS))
-    n = draw(st.one_of(st.integers(2, 4), st.integers(2, 16)))
-    return Field(p), n, random.Random(draw(st.integers(0, 2**32 - 1)))
-
 
 KINDS = ["pair", "appell", "m_matrix", "change_weight", "difference"]
 
@@ -216,7 +206,7 @@ def assert_reduced(A):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), st.sampled_from(KINDS))
+@given(gf7_cases(), st.sampled_from(KINDS))
 def test_kernel_built_matrices_match_the_scalar_kernel(case, kind):
     got, want = built(kind, *case)
     assert_same(got, want)
@@ -239,7 +229,7 @@ def product(how, field, n, rng):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), st.sampled_from(PRODUCTS))
+@given(gf7_cases(), st.sampled_from(PRODUCTS))
 def test_products_match_the_row_product(case, how):
     got, want = product(how, *case)
     assert_same(got, want)
@@ -261,7 +251,7 @@ def test_the_largest_order_once_per_field():
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), st.sampled_from(KINDS))
+@given(gf7_cases(), st.sampled_from(KINDS))
 def test_every_kernel_column_is_reduced(case, kind):
     field, n, rng = case
     A, _ = built(kind, field, n, rng)
@@ -296,7 +286,7 @@ def assert_inverse(got, want):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), st.sampled_from(GRADED), st.booleans())
+@given(gf7_cases(), st.sampled_from(GRADED), st.booleans())
 def test_the_inverse_keeps_raw_columns(case, kind, from_rows):
     assert_inverse(*inverted(kind, from_rows, *case))
 

@@ -47,7 +47,7 @@ from riordanlab.riordan import (
 from riordanlab.scalars import extended_binomial
 from riordanlab.series import MAX_ORDER, _apply_power_table, _divide, _solve_power_table
 
-from test_group_kernel import build_weight, series, value
+from support import drawn_weight, series, value
 
 PRIMES = [None, 2, 3, 1000003]
 
@@ -154,7 +154,7 @@ def check_kernels(field, n, rng):
 
 
 def check_group_builds_no_scalar(field, n, rng):
-    W = build_weight(rng.choice(["exponential", "geometric", "q-factorial"]), field, n, rng)
+    W = drawn_weight(rng.choice(["exponential", "geometric", "q-factorial"]), field, n, rng)
     a, b = [RiordanPair(raw_copy(series(field, n, rng, 0)), raw_copy(series(field, n, rng, 1)))
             for _ in range(2)]
     with mock.patch.object(Scalar, "__init__", autospec=True,

@@ -12,7 +12,7 @@ but for the names of the references they call, on the walk they used
 (geometric_walk_reference).  The properties: the
 whole report, or the type and message of the error, is the replaced one's
 for every kind over QQ, GF(2), GF(7) and GF(1000003) at N = 2..16, on
-every kind of matrix of test_generators plus Appell matrices, finite
+every kind of matrix of support.build_matrix plus Appell matrices, finite
 differences (non-graded, strictly lower Toeplitz U) and strictly lower
 non-Toeplitz matrices; the appell verdict is is_appell's, and on a graded
 A it is beta = y; and a non-graded A is never walked.
@@ -24,7 +24,6 @@ import pytest
 
 from riordanlab import Field, Series, TriMatrix
 from riordanlab import riordan
-from riordanlab.errors import MathDomainError
 from riordanlab.operators import (
     CHECK_KINDS,
     _check_frame,
@@ -34,26 +33,14 @@ from riordanlab.operators import (
     finite_difference_matrix,
     is_appell,
 )
-from riordanlab.riordan import (
-    Weight,
-    _check_matrix_order,
-    _first_difference,
-    _unweighted_columns,
-)
+from riordanlab.riordan import Weight, _check_matrix_order, _unweighted_columns
 from riordanlab.series import _wrap
 from riordanlab.sampling import graded_matrix, unit_series
 
-from test_exact_membership import geometric_walk_reference as _geometric_walk
-from test_generators import KINDS, build_matrix, build_weight
+from references import geometric_walk_reference as _geometric_walk, is_toeplitz_reference
+from support import KINDS, build_matrix, fixed_weight, outcome
 
 # -- the replaced code --------------------------------------------------------
-
-
-def is_toeplitz_reference(u) -> bool:
-    """Is each raw column u_k of U, from the iterator u, u_0 moved down by k?"""
-    c, d = next(u)
-    return all(_first_difference(col[k:], dk, c[: len(c) - k], d) is None
-               for k, (col, dk) in enumerate(u, 1))
 
 
 def riordan_columns_reference(A: TriMatrix, W: Weight):
@@ -105,14 +92,6 @@ def check_report_reference(A: TriMatrix, W: Weight, kind: str) -> dict:
 # -- inputs -------------------------------------------------------------------
 
 
-def outcome(f, *args):
-    """The result of a call, or the type and message of the error it raised."""
-    try:
-        return f(*args)
-    except (MathDomainError, ValueError) as e:
-        return type(e), str(e)
-
-
 def strictly_lower(field, n, rng):
     """A strictly lower matrix: graded_matrix with its diagonal zeroed."""
     rows = [list(r) for r in graded_matrix(field, n, rng).rows]
@@ -122,7 +101,7 @@ def strictly_lower(field, n, rng):
 
 
 def report_matrix(kind, W, rng):
-    """A matrix of test_generators' KINDS, or an Appell matrix, a finite
+    """A matrix of support.KINDS, or an Appell matrix, a finite
     difference, or a strictly lower matrix."""
     field, n = W.field, W.order
     if kind == "appell":
@@ -153,7 +132,7 @@ def test_report_matches_the_two_path_report(kind, p, monkeypatch):
     rng, field = random.Random(19), Field(p)
     for n in range(2, 17):
         for wkind in ("geometric", "random", "exponential"):
-            W = build_weight(wkind, field, n, rng)
+            W = fixed_weight(wkind, field, n, rng)
             A = report_matrix(kind, W, rng)
             for check in CHECK_KINDS + ("unknown",):
                 walks.clear()
@@ -166,8 +145,8 @@ def test_report_matches_the_two_path_report(kind, p, monkeypatch):
                 assert report["verdict"] == (report["beta"] == Series.identity(field, n).to_json())
             assert report == {**check_report(A, W, "riordan"), "kind": "appell",
                               "verdict": report["verdict"]}
-            for other in (build_weight(wkind, Field(3), n, rng),
-                          build_weight(wkind, field, n + 1, rng)):
+            for other in (fixed_weight(wkind, Field(3), n, rng),
+                          fixed_weight(wkind, field, n + 1, rng)):
                 for check in CHECK_KINDS:
                     assert (outcome(check_report, A, other, check)
                             == outcome(check_report_reference, A, other, check))

@@ -32,9 +32,7 @@ from riordanlab.errors import (
 )
 from riordanlab.sampling import riordan_matrix, riordan_pair, weight as random_weight
 
-
-def S(field, order, *vals):
-    return Series.from_values(field, order, vals)
+from support import S
 
 
 # -- weights -----------------------------------------------------------------

@@ -37,8 +37,8 @@ from riordanlab.operators import (
 from riordanlab.riordan import Weight, pair_to_matrix
 from riordanlab.sampling import degree_decreasing_matrix, graded_matrix
 
-from test_group_kernel import MATRICES, WEIGHTS, build_weight, matrix, outcome, pair, series, value
 from references import binomial_candidate_reference
+from support import MATRICES, WEIGHTS, drawn_weight, gf7_cases, matrix, outcome, pair, series, value
 
 # -- the replaced code --------------------------------------------------------
 
@@ -82,15 +82,6 @@ def product_rule_check_reference(A, W, phi, psi):
 # -- inputs -------------------------------------------------------------------
 
 
-@st.composite
-def cases(draw):
-    """(field, N, rng) over QQ, GF(2), GF(7), GF(1000003) at N = 2..16, half
-    the draws at N <= 4."""
-    p = draw(st.sampled_from([None, 2, 7, 1000003]))
-    n = draw(st.one_of(st.integers(2, 4), st.integers(2, 16)))
-    return Field(p), n, random.Random(draw(st.integers(0, 2**32 - 1)))
-
-
 def operator(kind, field, n, rng):
     """A degree-decreasing operator of this kind, or (the last four kinds)
     a matrix that is not one."""
@@ -98,9 +89,9 @@ def operator(kind, field, n, rng):
         return m_matrix(Weight.geometric(field, n, value(field, rng, nonzero=True)))
     if kind in ("derivative", "q-derivative", "weighted"):
         wkind = {"derivative": "exponential", "q-derivative": "q-factorial"}.get(kind, "random")
-        return m_matrix(build_weight(wkind, field, n, rng))
+        return m_matrix(drawn_weight(wkind, field, n, rng))
     if kind == "difference":
-        W = build_weight(rng.choice(["exponential", "geometric", "q-factorial"]), field, n, rng)
+        W = drawn_weight(rng.choice(["exponential", "geometric", "q-factorial"]), field, n, rng)
         return finite_difference_matrix(W, value(field, rng, nonzero=True))
     M = degree_decreasing_matrix(field, n, rng)
     rows = [list(r) for r in M.rows]
@@ -123,7 +114,7 @@ OPERATORS = st.sampled_from(["shift", "derivative", "q-derivative", "weighted", 
 
 
 def candidate(kind, W, rng):
-    """A matrix for the product rule: those of test_group_kernel.matrix, or a
+    """A matrix for the product rule: those of support.matrix, or a
     graded-looking one with u_0 vanishing (a_{0,0} = 0) or with beta of
     valuation >= 2 (a_{1,1} = 0)."""
     if kind not in ("u0-vanishes", "beta-valuation-2"):
@@ -149,24 +140,24 @@ def other_field(field):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), OPERATORS)
+@given(gf7_cases(), OPERATORS)
 def test_solve_conjugator_matches_the_triple_loop(case, kind):
     M = operator(kind, *case)
     assert outcome(solve_conjugator, M) == outcome(solve_conjugator_reference, M)
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, CANDIDATES,
+@given(gf7_cases(), WEIGHTS, CANDIDATES,
        st.sampled_from(["same", "same", "same", "weight-order", "weight-field",
                         "phi-field", "psi-order", "both-order"]))
 def test_product_rule_check_matches_the_matrix_d(case, wkind, akind, where):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = candidate(akind, W, rng)
     if where == "weight-order":
-        W = build_weight(wkind, field, n + 1, rng)
+        W = drawn_weight(wkind, field, n + 1, rng)
     elif where == "weight-field":
-        W = build_weight(wkind, other_field(field), n, rng)
+        W = drawn_weight(wkind, other_field(field), n, rng)
     phi_field = other_field(field) if where == "phi-field" else field
     phi = functional(phi_field, n + (where == "both-order"), rng)
     psi = functional(field, n + (where in ("psi-order", "both-order")), rng)
@@ -179,7 +170,7 @@ def test_both_match_at_the_largest_order():
     for field in (Field(), Field(2), Field(7), Field(1000003)):
         M = degree_decreasing_matrix(field, 64, rng)
         assert solve_conjugator(M) == solve_conjugator_reference(M)
-        W = build_weight("random", field, 64, rng)
+        W = drawn_weight("random", field, 64, rng)
         for A in (pair_to_matrix(pair(field, 64, rng), W), graded_matrix(field, 64, rng)):
             phi, psi = functional(field, 64, rng), functional(field, 64, rng)
             assert product_rule_check(A, W, phi, psi) == product_rule_check_reference(A, W, phi, psi)

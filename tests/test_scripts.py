@@ -1,5 +1,7 @@
-"""Each experiment script under scripts/ runs end to end at its default order."""
+"""Each experiment script under scripts/ runs end to end at its default order,
+and no module under tests/ imports a test module."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -33,6 +35,23 @@ def test_conjugate_operators_verifies_every_target():
 
 def test_scripts_are_found():
     assert len(SCRIPTS) >= 3
+
+
+def test_no_test_module_imports_a_test_module():
+    # shared helpers live in tests/support.py, replaced code in tests/references.py
+    paths = sorted((ROOT / "tests").glob("*.py"))
+    assert {"support.py", "references.py"} <= {path.name for path in paths}
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):  # function-level imports too
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.startswith("test_")]
+    assert found == []
 
 
 def test_code_lines_against_a_revision():

@@ -15,9 +15,7 @@ from riordanlab.errors import (
 from riordanlab.functionals import Functional, functional_power
 from riordanlab.sampling import series as sampled_series
 
-
-def S(field, order, *vals):
-    return Series.from_values(field, order, vals)
+from support import S
 
 
 def test_valuation(QQ):

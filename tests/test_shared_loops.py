@@ -37,8 +37,8 @@ from riordanlab.scalars import factorial_inv
 from riordanlab.triangular import Polynomial
 from riordanlab.twoweight import is_exponential_alpha
 
-from test_generators import build_matrix, build_weight
 from references import binomial_candidate_reference
+from support import build_matrix, fixed_weight, other
 
 # -- the replaced loops -------------------------------------------------------
 
@@ -149,11 +149,6 @@ def cases(draw):
     return Field(p), n, random.Random(draw(st.integers(0, 2**32 - 1)))
 
 
-def other(field):
-    """A field that is not `field`."""
-    return Field(7 if field.p != 7 else 5)
-
-
 WEIGHT_KINDS = st.sampled_from(["geometric", "random", "exponential"])
 MATRIX_KINDS = ["riordan", "perturbed", "bumped", "corner", "graded", "identity", "singular"]
 
@@ -173,7 +168,7 @@ def test_invert_matches_reference(case, kind):
 @given(cases(), WEIGHT_KINDS, st.sampled_from(["scalar", "raw", "zero", "foreign"]))
 def test_translation_matches_reference(case, wkind, hkind):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = fixed_weight(wkind, field, n, rng)
     h = scalar(field, rng)
     h = {"scalar": h, "raw": h.val, "zero": 0, "foreign": other(field).one()}[hkind]
     assert outcome(translation_matrix, W, h) == outcome(translation_reference, W, h)
@@ -218,7 +213,7 @@ def test_hpoly_evaluate_matches_horner(case, data):
 def test_generating_expansion_matches_reference(case, wkind, where):
     field, n, rng = case
     pair = riordan_pair(field, n, rng)
-    W = build_weight(wkind, field if where == "same" else other(field), n, rng)
+    W = fixed_weight(wkind, field if where == "same" else other(field), n, rng)
     assert outcome(generating_expansion, pair, W) == outcome(expansion_reference, pair, W)
 
 
@@ -234,7 +229,7 @@ def test_generating_expansion_of_mismatched_orders_raises(QQ, rng):
        st.sampled_from(["same", "short", "long", "foreign"]))
 def test_product_rule_check_matches_double_loop(case, wkind, akind, fkind):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = fixed_weight(wkind, field, n, rng)
     A = build_matrix(akind, W, rng)
     size = {"same": n, "short": n - 1, "long": n + 1, "foreign": n}[fkind]
     if not 2 <= size <= 64:  # a functional holds 2..64 values, checked when built

@@ -18,7 +18,9 @@ from riordanlab import (
 )
 from riordanlab.errors import DegreeTooHigh, SingularDiagonal
 from riordanlab.riordan import Weight
-from riordanlab.sampling import graded_matrix
+from riordanlab.sampling import graded_matrix, riordan_matrix
+
+from references import matmul_reference
 
 
 def pascal(field, order):
@@ -297,6 +299,16 @@ def _matrices(draw, count, graded=False):
 def test_matmul_matches_schoolbook(mats):
     a, b = mats
     assert a @ b == schoolbook_matmul(a, b)
+
+
+@pytest.mark.parametrize("p", [2, 7, 1000003])
+def test_gfp_product_of_kernel_built_factors_builds_no_row(p):
+    rng, W = random.Random(p), Weight.geometric(Field(p), 12, 1)
+    A, B = riordan_matrix(W, rng), riordan_matrix(W, rng)
+    AB = A @ B
+    assert (A._rows, B._rows, AB._rows) == (None, None, None)
+    want = matmul_reference(TriMatrix(W.field, A.rows), TriMatrix(W.field, B.rows))
+    assert AB == want and AB.rows == want.rows
 
 
 @settings(max_examples=80, deadline=None)

@@ -19,9 +19,7 @@ from riordanlab.errors import CharP, ForbiddenLambda, NotValuationZero
 from riordanlab.sampling import unit_series, weight as random_weight
 from riordanlab.twoweight import GammaSeq
 
-
-def S(field, order, *vals):
-    return Series.from_values(field, order, vals)
+from support import S, exp_series as acceptance_exp_series
 
 
 def exp_series(field, order, h):
@@ -209,8 +207,6 @@ def test_report_json(QQ):
 
 @pytest.mark.parametrize("p, order", [(None, 12), (7, 7), (1000003, 12)])
 def test_series_exp_matches_test_helpers(p, order):
-    from test_acceptance import exp_series as acceptance_exp_series
-
     f = Field(p)
     for h in (1, 2, -3, "1/2" if p is None else 5):
         expected = Series.exp(f, order, h)

@@ -8,7 +8,7 @@ phi_r o A (functionals._after_operator); shifted_power_matrix is the
 Appell matrix of 1/W(-hy) instead of the inverse of a translation.  The
 references below are the code the library used before, kept verbatim but
 for the library calls it made, which now go to the Scalar-level
-references of tests/test_weight_conjugation.py so that no reference
+references of tests/references.py so that no reference
 touches the new kernels.  Results, and the type and message of every
 raised error, must agree over QQ (signed, mixed denominators), GF(2),
 GF(7) and GF(1000003) at N = 2..16, with one stated exception: explicit
@@ -41,12 +41,11 @@ from riordanlab.operators import (
 from riordanlab.riordan import Weight, _check_matrix_order, pair_to_matrix
 from riordanlab.triangular import matrix_to_polys
 
-from test_group_kernel import MATRICES, WEIGHTS, build_weight, matrix, other, outcome, pair, value
-from test_weight_conjugation import (
-    dual_basis_reference,
-    eval_functional_reference,
-    functional,
-    translation_matrix_reference,
+from references import (
+    dual_basis_scalar_reference, eval_functional_reference, translation_matrix_reference,
+)
+from support import (
+    MATRICES, WEIGHTS, drawn_weight, functional, gf7_cases, matrix, other, outcome, pair, value,
     weight_for,
 )
 
@@ -60,7 +59,7 @@ def dual_characterization_check_reference(A, W, duals=None):
     basis taken from a different matrix fails it.
     """
     _check_matrix_order(A, W)
-    duals = dual_basis_reference(A, W) if duals is None else duals
+    duals = dual_basis_scalar_reference(A, W) if duals is None else duals
     polys = matrix_to_polys(A)
     for r, phi in enumerate(duals):
         coeffs = [
@@ -80,15 +79,6 @@ def shifted_power_matrix_reference(W, h):
 # -- inputs -------------------------------------------------------------------
 
 
-@st.composite
-def cases(draw):
-    """(field, N, rng) over QQ, GF(2), GF(7), GF(1000003) at N = 2..16, half
-    the draws at N <= 4."""
-    p = draw(st.sampled_from([None, 2, 7, 1000003]))
-    n = draw(st.one_of(st.integers(2, 4), st.integers(2, 16)))
-    return Field(p), n, random.Random(draw(st.integers(0, 2**32 - 1)))
-
-
 DUALS = st.sampled_from(["none", "own", "own", "other-matrix", "random", "short", "long",
                          "other-order", "other-field"])
 
@@ -104,7 +94,7 @@ def duals_for(kind, A, W, rng):
         return [functional(field, n, rng) for _ in range(n)]
     if kind == "other-matrix" or not A.is_graded():
         A = pair_to_matrix(pair(field, n, rng), W)
-    duals = dual_basis_reference(A, W)
+    duals = dual_basis_scalar_reference(A, W)
     if kind == "short":
         return duals[: rng.randrange(n)]
     if kind == "long":
@@ -120,11 +110,11 @@ def duals_for(kind, A, W, rng):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "same", "other-order",
+@given(gf7_cases(), WEIGHTS, MATRICES, st.sampled_from(["same", "same", "same", "other-order",
                                                     "other-field"]), DUALS)
 def test_dual_characterization_check_matches_functional_apply(case, wkind, akind, where, dkind):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     duals = duals_for(dkind, A, W, rng)
     W = weight_for(wkind, field, n, rng, where) if where != "same" else W
@@ -157,10 +147,10 @@ def test_dual_characterization_check_verdicts_are_reached():
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, st.sampled_from(["value", "value", "zero", "int", "foreign"]))
+@given(gf7_cases(), WEIGHTS, st.sampled_from(["value", "value", "zero", "int", "foreign"]))
 def test_shifted_power_matrix_matches_inverse_translation(case, wkind, hkind):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     h = {"value": value(field, rng), "zero": 0, "int": rng.randint(-9, 9),
          "foreign": value(other(field), rng, True)}[hkind]
     got = outcome(shifted_power_matrix, W, h)
@@ -191,7 +181,7 @@ def test_the_analyses_take_no_matrix_inverse(monkeypatch):
         assert dual_characterization_check(A, W)
         assert is_appell(shifted_power_matrix(W, 3), W)
         assert len(calls) == 0
-        dual_basis_reference(A, W)
+        dual_basis_scalar_reference(A, W)
         assert len(calls) == 1
 
 

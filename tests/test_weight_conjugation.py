@@ -5,13 +5,13 @@ _unweighted_columns returns the raw columns of U = D^{-1} A D and
 _weighted_matrix builds D R D^{-1} from the raw columns of an ordinary R;
 change_weight, m_matrix, appell_from_alpha (and so translation_matrix),
 is_appell, dual_basis, functional_after_operator, functional_of_operator and
-eval_functional run on them.  The references below are the code the
-library used before, kept verbatim: one Scalar product per weight factor
-of every entry, and is_appell's entrywise commutation with M_W.  None of
-them calls either kernel.  Every result, and the type and message of every
-raised error, must agree over QQ (signed, mixed denominators), GF(2), GF(3)
-and GF(1000003) at N = 2..16, N > p included, for weights of the matrix's
-order and field and of another order or field.
+eval_functional run on them.  The references (most in tests/references.py)
+are the code the library used before, kept verbatim: one Scalar product
+per weight factor of every entry, and is_appell's entrywise commutation
+with M_W.  None of them calls either kernel.  Every result, and the type
+and message of every raised error, must agree over QQ (signed, mixed
+denominators), GF(2), GF(3) and GF(1000003) at N = 2..16, N > p included,
+for weights of the matrix's order and field and of another order or field.
 """
 
 import random
@@ -19,8 +19,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordanlab import Series, TriMatrix
-from riordanlab.errors import BackendMismatch, NotCommuting, NotValuationZero
+from riordanlab import TriMatrix
+from riordanlab.errors import BackendMismatch, NotCommuting
 from riordanlab.functionals import (
     Functional,
     dual_basis,
@@ -44,34 +44,16 @@ from riordanlab.riordan import (
 )
 from riordanlab.series import _wrap
 
-from test_group_kernel import (
-    MATRICES,
-    WEIGHTS,
-    build_weight,
-    cases,
-    matrix,
-    other,
-    outcome,
-    pair,
-    series,
-    value,
+from references import (
+    appell_from_alpha_reference, change_weight_reference, dual_basis_scalar_reference,
+    eval_functional_reference, translation_matrix_reference,
+)
+from support import (
+    MATRICES, WEIGHTS, drawn_cases, drawn_weight, functional, matrix, other, outcome, pair,
+    series, value, weight_for,
 )
 
 # -- the replaced code --------------------------------------------------------
-
-
-def change_weight_reference(A, W, W2):
-    """Conjugate by U = diag(w_n / w2_n): A -> U^{-1} A U."""
-    W._check_same(W2)
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
-    rows = []
-    for n in range(A.order):
-        left = W2.w[n] * W.recip[n]
-        rows.append(
-            [left * A.rows[n][k] * W.w[k] * W2.recip[k] for k in range(n + 1)]
-        )
-    return TriMatrix(A.field, rows)
 
 
 def m_matrix_reference(W):
@@ -82,28 +64,6 @@ def m_matrix_reference(W):
         return W.ratio(n) if k == n - 1 else zero
 
     return TriMatrix.from_entries(W.field, W.order, entry)
-
-
-def appell_from_alpha_reference(alpha, W):
-    """Substitute M_W into a unit series: entry (n,k) = c_{n-k} w_n / w_k."""
-    if alpha.valuation() != 0:
-        raise NotValuationZero("alpha must have valuation 0")
-    if alpha.order != W.order:
-        raise BackendMismatch("series and weight orders differ")
-    c = alpha.coeffs
-
-    def entry(n, k):
-        return c[n - k] * W.w[n] * W.recip[k]
-
-    return TriMatrix.from_entries(W.field, W.order, entry)
-
-
-def translation_matrix_reference(W, h):
-    """Matrix of T_h = W(h M_W), the Appell matrix of W(hy)."""
-    h = W.field.scalar(h)
-    return appell_from_alpha_reference(
-        Series(W.field, [h ** l * r for l, r in enumerate(W.recip)]), W
-    )
 
 
 def is_appell_reference(A, W):
@@ -119,18 +79,6 @@ def is_appell_reference(A, W):
             if diff if p is None else diff % p:
                 return False
     return True
-
-
-def dual_basis_reference(A, W):
-    """Functionals phi_r with phi_r(p_n / w_n) = delta_{n,r} for the rows p_n."""
-    if A.order != W.order:
-        raise BackendMismatch("matrix and weight orders differ")
-    inv = A.inverse()
-    duals = []
-    for r in range(A.order):
-        vals = [inv.entry(k, r) * W.w[r] * W.recip[k] for k in range(A.order)]
-        duals.append(Functional(A.field, vals))
-    return duals
 
 
 def functional_after_operator_reference(phi, S, W):
@@ -153,31 +101,13 @@ def functional_of_operator_reference(S, W):
     return Functional(S.field, [S.entry(n, 0) * W.recip[n] for n in range(S.order)])
 
 
-def eval_functional_reference(h, W):
-    """Evaluation at h: t_n = h^n / w_n; corresponds to the series W(hy)."""
-    h = W.field.scalar(h)
-    vals, power = [], W.field.one()
-    for n in range(W.order):
-        if n:
-            power = power * h
-        vals.append(power * W.recip[n])
-    return Functional(W.field, vals)
-
-
 # -- inputs -------------------------------------------------------------------
 
 WHERE = st.sampled_from(["same", "same", "other-order", "other-field"])
 
 
-def weight_for(wkind, field, n, rng, where):
-    """A weight of the input's field and order, or of another one."""
-    if where == "other-field":
-        return build_weight(wkind, other(field), n, rng)
-    return build_weight(wkind, field, n + (where == "other-order"), rng)
-
-
 def operator(kind, W, rng):
-    """test_group_kernel's matrix kinds, plus Appell matrices and lowering
+    """support.matrix's kinds, plus Appell matrices and lowering
     operators, which commute with M_W whenever A is Riordan."""
     if kind == "appell":
         return appell_from_alpha_reference(series(W.field, W.order, rng, 0), W)
@@ -190,18 +120,14 @@ OPERATORS = st.sampled_from(["riordan", "perturbed", "bumped", "graded", "not-gr
                              "appell", "appell", "lowering"])
 
 
-def functional(field, n, rng):
-    return Functional(field, [value(field, rng) for _ in range(n)])
-
-
 # -- tests --------------------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, MATRICES)
+@given(drawn_cases(), WEIGHTS, MATRICES)
 def test_kernels_are_the_conjugation_by_diag_w(case, wkind, akind):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
     cols = _unweighted_columns(A, W)
     want = [[A.entry(i, k) * W.w[k] * W.recip[i] for i in range(n)] for k in range(n)]
@@ -210,25 +136,25 @@ def test_kernels_are_the_conjugation_by_diag_w(case, wkind, akind):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, WEIGHTS, MATRICES,
+@given(drawn_cases(), WEIGHTS, WEIGHTS, MATRICES,
        st.sampled_from(["same", "same", "other-order", "other-field", "w2-order", "w2-field"]))
 def test_change_weight_matches_scalar_products(case, wkind, w2kind, akind, where):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
-    W2 = build_weight(w2kind, field, n, rng)
+    W2 = drawn_weight(w2kind, field, n, rng)
     if where in ("other-order", "other-field"):
         W = weight_for(wkind, field, n, rng, where)
-        W2 = build_weight(w2kind, W.field, W.order, rng)
+        W2 = drawn_weight(w2kind, W.field, W.order, rng)
     elif where == "w2-order":
-        W2 = build_weight(w2kind, field, n + 1, rng)
+        W2 = drawn_weight(w2kind, field, n + 1, rng)
     elif where == "w2-field":
-        W2 = build_weight(w2kind, other(field), n, rng)
+        W2 = drawn_weight(w2kind, other(field), n, rng)
     assert outcome(change_weight, A, W, W2) == outcome(change_weight_reference, A, W, W2)
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, st.sampled_from([0, 0, 1, "short", "long", "foreign"]), WHERE)
+@given(drawn_cases(), WEIGHTS, st.sampled_from([0, 0, 1, "short", "long", "foreign"]), WHERE)
 def test_appell_matrices_match_scalar_products(case, wkind, alpha_kind, where):
     field, n, rng = case
     W = weight_for(wkind, field, n, rng, where)
@@ -247,10 +173,10 @@ def test_appell_matrices_match_scalar_products(case, wkind, alpha_kind, where):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, OPERATORS, WHERE)
+@given(drawn_cases(), WEIGHTS, OPERATORS, WHERE)
 def test_is_appell_matches_entrywise_commutation(case, wkind, akind, where):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = operator(akind, W, rng)
     W = weight_for(wkind, field, n, rng, where) if where != "same" else W
     assert outcome(is_appell, A, W) == outcome(is_appell_reference, A, W)
@@ -259,14 +185,14 @@ def test_is_appell_matches_entrywise_commutation(case, wkind, akind, where):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(), WEIGHTS, OPERATORS, WHERE)
+@given(drawn_cases(), WEIGHTS, OPERATORS, WHERE)
 def test_dual_basis_and_functionals_match_scalar_products(case, wkind, akind, where):
     field, n, rng = case
-    W = build_weight(wkind, field, n, rng)
+    W = drawn_weight(wkind, field, n, rng)
     A = operator(akind, W, rng)
     phi = functional(field, n, rng)
     W = weight_for(wkind, field, n, rng, where) if where != "same" else W
-    assert outcome(dual_basis, A, W) == outcome(dual_basis_reference, A, W)
+    assert outcome(dual_basis, A, W) == outcome(dual_basis_scalar_reference, A, W)
     got = outcome(functional_after_operator, phi, A, W)
     assert got == outcome(functional_after_operator_reference, phi, A, W)
 
