@@ -7,12 +7,13 @@ power series is an identity rather than a computation.  Operations that
 genuinely involve the weight (applying a functional to a polynomial,
 evaluation functionals, dual bases) take it explicitly.
 
-A Functional keeps its values as that series itself, Scalars or the raw
-form a kernel built (series.py), and reads both from it: the product and
-the power are the series' own, and the kernels here (_after_operator,
-functional_of_operator, dual_basis) wrap their raw output and build no
-Scalar until .values is read.  Like every other container it holds 2..64
-values, checked when it is built (ValueError "order must be in 2..64").
+A Functional keeps its values as that series itself, which holds their
+raw form from construction on (series.py), and reads both from it: the
+product and the power are the series' own, and the kernels here
+(_after_operator, functional_of_operator, dual_basis) wrap their raw
+output and build no Scalar until .values is read.  Like every other
+container it holds 2..64 values, checked when it is built (ValueError
+"order must be in 2..64").
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .triangular import Polynomial, TriMatrix
 
 class Functional:
     """Values t_0..t_{N-1} with t_n = phi(x^n / w_n), kept as the series
-    sum t_n y^n: its Scalars or the raw form a kernel built (Series)."""
+    sum t_n y^n, in its raw form and a Scalar view of it (Series)."""
 
     __slots__ = ("field", "_s")
 

@@ -256,10 +256,12 @@ class HPolyMatrix:
     Entry (n, k) stores coefficients ascending in h, degree <= n - k.
     For a Sheffer sequence the entries depend only on n - k.
 
-    A matrix holds its entries as Scalars, or the raw coefficients that
-    d_polynomials built (rationals, or residues mod p), or both: either is
-    built from the other on its first read and kept, as TriMatrix rows and
-    columns are.  constant_on_diagonals and == compare raw values.
+    A matrix holds the raw values of its coefficients (rationals, or
+    residues mod p) from construction on: read off the Scalars a caller
+    gives, or as d_polynomials built them.  The Scalar entries are a
+    read-only view, kept when given and otherwise built from the raw values
+    on their first read, as TriMatrix rows are.  constant_on_diagonals and
+    == compare raw values.
     """
 
     __slots__ = ("field", "_entries", "_raw")
@@ -269,7 +271,8 @@ class HPolyMatrix:
         for row in _triangle_rows(entries):
             for e in row:
                 field.check(e, "coefficient")
-        self.field, self.entries = field, entries
+        self.field, self._entries = field, entries
+        self._raw = tuple([tuple([tuple([c.val for c in e]) for e in row]) for row in entries])
 
     @classmethod
     def _from_kernel(cls, field, raw):
@@ -288,20 +291,9 @@ class HPolyMatrix:
                                    for row in self._raw])
         return self._entries
 
-    @entries.setter
-    def entries(self, entries):
-        self._entries, self._raw = entries, None
-
-    def _raw_entries(self):
-        """The raw coefficients, read off the Scalars once."""
-        if self._raw is None:
-            self._raw = tuple([tuple([tuple([c.val for c in e]) for e in row])
-                               for row in self._entries])
-        return self._raw
-
     @property
     def order(self):
-        return len(self._raw or self._entries)
+        return len(self._raw)
 
     def entry(self, n, k):
         if not 0 <= k <= n < self.order:
@@ -317,7 +309,7 @@ class HPolyMatrix:
         return TriMatrix.from_entries(self.field, self.order, entry)
 
     def constant_on_diagonals(self) -> bool:
-        raw = self._raw_entries()
+        raw = self._raw
         return all(e == raw[n - k][0] for n, row in enumerate(raw) for k, e in enumerate(row))
 
     def diagonal(self, l: int):
@@ -327,7 +319,7 @@ class HPolyMatrix:
     def __eq__(self, other):
         if not isinstance(other, HPolyMatrix):
             return NotImplemented
-        return self.field == other.field and self._raw_entries() == other._raw_entries()
+        return self.field == other.field and self._raw == other._raw
 
     def to_json(self):
         return [[[str(c) for c in e] for e in row] for row in self.entries]

@@ -4,28 +4,31 @@ A Series stores exactly ``order`` coefficients c_0..c_{order-1} over one
 field; every operation is exact through that order.  Orders are capped at
 2..64, the intended scale for exact triangular-group work.
 
-A Series holds its Scalars, or the raw form a kernel built, or both, each
-built from the other on its first read and kept, as a TriMatrix does.  The
-raw form (ints, den) lists the N coefficients as integers over one
-denominator over QQ and residues over 1 over GF(p), in reduced form
-(``_reduce``): den > 0 and gcd(den, ints...) = 1.  It is unique, so == and
-hash read it.  The kernels here take and return raw values and build no
-Scalar: ``_convolve`` multiplies (Series.__mul__), ``_apply_rows`` applies
-rows over one denominator, and ``_forward_substitute`` is the one
-triangular solver, behind Series.invert and Series.__truediv__ (the
-Toeplitz matrix of the divisor, ``_divide``), Series.comp_inverse,
-riordan_inv and, through ``_inverse_columns``, TriMatrix.inverse and
-V = U^{-1} of operators.py.  It takes integer rows, each caller putting
-its matrix over one denominator once, and integer right-hand sides over
-one denominator, and returns each solution as one raw column (ints, den)
-in reduced form, over QQ the integers over one running denominator.  Over GF(p), where sums fit
-64-bit slots (below), a whole inverse is ``_packed_inverse`` instead.
-Scalars are built only where a caller reads them (``_wrap``): coeffs,
-to_json, repr and the ring operations +, -, negation and scale.  The raw
-form and its two conversions (``_wrap``, ``_over_common_denominator``)
-belong to this module and triangular.py; every other module reads a
-coefficient vector through a Series, as Weight (w and 1/w) and
-Functional do.
+A Series holds one stored form from construction on, its raw form, as a
+TriMatrix holds its raw columns: read off the Scalars the constructor is
+given (``_over_common_denominator``), or as a kernel built it
+(``Series._from_raw``).  The raw form (ints, den) lists the N
+coefficients as integers over one denominator over QQ and residues over
+1 over GF(p), in reduced form (``_reduce``): den > 0 and
+gcd(den, ints...) = 1.  It is unique, so == and hash read it.  The kernels here
+take and return raw values and build no Scalar: ``_convolve`` multiplies
+(Series.__mul__), ``_apply_rows`` applies rows over one denominator, and
+``_forward_substitute`` is the one triangular solver, behind
+Series.invert and Series.__truediv__ (the Toeplitz matrix of the
+divisor, ``_divide``), Series.comp_inverse, riordan_inv and, through
+``_inverse_columns``, TriMatrix.inverse and V = U^{-1} of operators.py.
+It takes integer rows, each caller putting its matrix over one
+denominator once, and integer right-hand sides over one denominator, and
+returns each solution as one raw column (ints, den) in reduced form,
+over QQ the integers over one running denominator.  Over GF(p), where
+sums fit 64-bit slots (below), a whole inverse is ``_packed_inverse``
+instead.  Scalars are a read-only view, kept when the constructor was
+given them and otherwise built from the raw form (``_wrap``), never the
+other way round, where a caller reads them: coeffs, to_json, repr and
+the ring operations +, -, negation and scale.  The raw form and its two
+conversions (``_wrap``, ``_over_common_denominator``) belong to this
+module and triangular.py; every other module reads a coefficient vector
+through a Series, as Weight (w and 1/w) and Functional do.
 
 ``_geometric_columns`` is the one loop over the powers of a series: it
 yields the raw columns c g^k of R_(c,g), the ordinary Riordan matrix of
@@ -342,10 +345,11 @@ def _divide(field, b, divisor):
 
 
 class Series:
-    """N coefficients over one field: a tuple of Scalars, or the raw form a
-    kernel built (_from_raw), or both, either built from the other on its
-    first read and kept.  The raw form (ints, den) is reduced (_reduce), so
-    it is unique: == and hash read it whichever way a series was built."""
+    """N coefficients over one field, held in reduced raw form (ints, den)
+    (_reduce) from construction on: read off the Scalars a caller gives,
+    or as a kernel built it (_from_raw).  That form is unique, so == and
+    hash read it.  The Scalars are a read-only view, kept when given and
+    otherwise built from the raw form on their first read."""
 
     __slots__ = ("field", "_coeffs", "_ints")
 
@@ -353,7 +357,7 @@ class Series:
         coeffs = tuple(coeffs)
         check_order(len(coeffs))
         field.check(coeffs, "coefficient")
-        self.field, self._coeffs, self._ints = field, coeffs, None
+        self.field, self._coeffs, self._ints = field, coeffs, _over_common_denominator(coeffs)
 
     @classmethod
     def _from_raw(cls, field, ints, den):
@@ -372,10 +376,7 @@ class Series:
 
     def _raw(self):
         """(ints, den) in reduced form: integers over their least common
-        denominator over QQ, residues over 1 over GF(p).  Built from the
-        Scalars once."""
-        if self._ints is None:
-            self._ints = _over_common_denominator(self._coeffs)
+        denominator over QQ, residues over 1 over GF(p)."""
         return self._ints
 
     # -- constructors ----------------------------------------------------
@@ -431,7 +432,7 @@ class Series:
     # -- basics ----------------------------------------------------------
     @property
     def order(self) -> int:
-        return len(self._coeffs if self._ints is None else self._ints[0])
+        return len(self._ints[0])
 
     def coeff(self, n: int) -> Scalar:
         if not 0 <= n < self.order:

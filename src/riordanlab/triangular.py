@@ -5,18 +5,18 @@ sequence (constant term first); matrix multiplication then realizes
 umbral composition of sequences.  A matrix is *graded* when every
 diagonal entry is nonzero, i.e. when the sequence has deg p_n = n.
 
-A TriMatrix holds its rows of Scalars, or the raw columns a kernel built,
-or both.  A raw column is (ints, den): all N rows, zero above the diagonal,
-as integers over one denominator over QQ and residues over 1 over GF(p),
-always in reduced form, den > 0 and gcd(ints..., den) = 1
+A TriMatrix holds its raw columns from construction on, as a Series holds
+its raw form.  A raw column is (ints, den): all N rows, zero above the
+diagonal, as integers over one denominator over QQ and residues over 1
+over GF(p), always in reduced form, den > 0 and gcd(ints..., den) = 1
 (series._reduce).  That form is unique, and it is the form
-series._ints_over_lcm gives normalised rationals, so the columns read off
-the rows of a matrix built from Scalars (_columns, cached) are the same:
-== and hash read only the raw columns, as a Series reads its raw form,
-and hashing a kernel-built matrix builds no Scalar row.
-The kernels of riordan.py return raw columns (TriMatrix._from_columns, no
-Field.check) and build no Scalar: the rows are built on the first read of
-rows or entry, and kept.
+series._ints_over_lcm gives normalised rationals, so the constructor reads
+it off the Scalar rows it is given and a kernel's columns are the same:
+== and hash read only the raw columns, and hashing a kernel-built matrix
+builds no Scalar row.  The kernels of riordan.py return raw columns
+(TriMatrix._from_columns, no Field.check) and build no Scalar: the rows
+are a view, kept when the constructor was given them and otherwise built
+from the columns on the first read of rows or entry, and kept.
 
 Both kernels here read the raw columns: @ takes one integer dot product
 per entry, on the columns of the left factor put over one denominator as
@@ -124,9 +124,10 @@ def _triangle_rows(rows):
 class TriMatrix:
     """Lower-triangular square matrix; row n stores entries (n,0)..(n,n).
 
-    A matrix holds its rows of Scalars, or the raw columns a kernel built
-    (_from_columns), or both: either is built from the other on its first
-    read and kept.
+    A matrix holds its raw columns from construction on: read off the rows
+    of Scalars a caller gives, or as a kernel built them (_from_columns).
+    The rows are a read-only view, kept when given and otherwise built from
+    the raw columns on their first read.
     """
 
     __slots__ = ("field", "_rows", "_cols")
@@ -135,7 +136,10 @@ class TriMatrix:
         rows = tuple([tuple(r) for r in rows])  # a list: see series._ints_over_lcm
         for row in _triangle_rows(rows):
             field.check(row, "entry")
-        self.field, self._rows, self._cols = field, rows, None
+        n = len(rows)
+        cols = [_over_common_denominator([rows[i][k] for i in range(k, n)]) for k in range(n)]
+        self.field, self._rows = field, rows
+        self._cols = [([0] * k + ints, den) for k, (ints, den) in enumerate(cols)]
 
     @classmethod
     def _from_columns(cls, field, cols):
@@ -158,12 +162,7 @@ class TriMatrix:
     def _columns(self) -> list:
         """The raw columns (ints, den), each listing all N rows, zero above
         the diagonal, in reduced form: integers over their least common
-        denominator over QQ, residues over 1 over GF(p).  Built from the
-        rows once."""
-        if self._cols is None:
-            rows, n = self._rows, len(self._rows)
-            cols = [_over_common_denominator([rows[i][k] for i in range(k, n)]) for k in range(n)]
-            self._cols = [([0] * k + ints, den) for k, (ints, den) in enumerate(cols)]
+        denominator over QQ, residues over 1 over GF(p)."""
         return self._cols
 
     # -- constructors ----------------------------------------------------
@@ -195,7 +194,7 @@ class TriMatrix:
     # -- basics ----------------------------------------------------------
     @property
     def order(self) -> int:
-        return len(self._cols or self._rows)
+        return len(self._cols)
 
     def entry(self, n: int, k: int) -> Scalar:
         """Entry (n, k) for 0 <= n, k < N: zero above the diagonal."""

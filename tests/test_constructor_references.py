@@ -68,7 +68,7 @@ def weight_reference(p, w):
     return w, [inv(p, x) for x in w]
 
 
-def exponential_reference(p, n, lam):
+def exponential_closed_form_reference(p, n, lam):
     """w_k = lam^k k!."""
     if not lam:
         raise ZeroLambda("lambda must be nonzero")
@@ -77,14 +77,14 @@ def exponential_reference(p, n, lam):
     return weight_reference(p, [mul(p, power(p, lam, k), factorial(k)) for k in range(n)])
 
 
-def geometric_reference(p, n, lam):
+def geometric_closed_form_reference(p, n, lam):
     """w_k = lam^k."""
     if not lam:
         raise ZeroLambda("lambda must be nonzero")
     return weight_reference(p, [power(p, lam, k) for k in range(n)])
 
 
-def q_factorial_reference(p, n, lam, q):
+def q_factorial_closed_form_reference(p, n, lam, q):
     """w_k = (lam / (1 - q))^k prod_{j=1}^{k} (1 - q^j); q^j = 1 for no j < n."""
     if not lam:
         raise ZeroLambda("lambda must be nonzero")
@@ -98,7 +98,7 @@ def q_factorial_reference(p, n, lam, q):
     ])
 
 
-def rescale_reference(p, w, lam):
+def rescale_closed_form_reference(p, w, lam):
     """w_k -> lam^k w_k."""
     if not lam:
         raise ZeroLambda("lambda must be nonzero")
@@ -144,14 +144,14 @@ def extended_binomial_reference(p, xi, n):
     return mul(p, factorial_inv_reference(p, n), *[xi - j for j in range(n)])
 
 
-def exp_reference(p, n, h):
+def exp_closed_form_reference(p, n, h):
     """[y^l] exp(h y) = h^l / l!."""
     if p is not None and n > p:
         raise NotInvertible(f"{p}! is 0 in GF({p})")
     return [mul(p, power(p, h, l), inv(p, red(p, factorial(l)))) for l in range(n)]
 
 
-def translation_reference(p, w, h):
+def translation_closed_form_reference(p, w, h):
     """Entry (n, k) = w_n h^{n-k} / (w_{n-k} w_k)."""
     return [[mul(p, w[n], power(p, h, n - k), inv(p, mul(p, w[n - k], w[k])))
              for k in range(n + 1)] for n in range(len(w))]
@@ -233,9 +233,9 @@ def test_builtin_weights_match_their_closed_forms(case, lam_kind, q_kind):
     p, n, rng = case
     field, lam, q = Field(p), pick(p, rng, lam_kind), pick(p, rng, q_kind)
     for build, reference, args in [
-        (Weight.exponential, exponential_reference, (lam,)),
-        (Weight.geometric, geometric_reference, (lam,)),
-        (Weight.q_factorial, q_factorial_reference, (lam, q)),
+        (Weight.exponential, exponential_closed_form_reference, (lam,)),
+        (Weight.geometric, geometric_closed_form_reference, (lam,)),
+        (Weight.q_factorial, q_factorial_closed_form_reference, (lam, q)),
     ]:
         got = outcome(lambda: values(build(field, n, *args)))
         assert got == outcome(reference, p, n, *args), build.__name__
@@ -247,7 +247,7 @@ def test_rescale_matches_its_closed_form(case, lam_kind):
     p, n, rng = case
     w, lam = plain_weight(p, n, rng), pick(p, rng, lam_kind)
     got = outcome(lambda: values(Weight(Field(p), w).rescale(lam)))
-    assert got == outcome(rescale_reference, p, w, lam)
+    assert got == outcome(rescale_closed_form_reference, p, w, lam)
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,7 +292,7 @@ def test_tilde_weight_matches_its_closed_form(case, kind):
 def test_series_exp_and_factorials_match_their_closed_forms(case, h_kind, m):
     p, n, rng = case
     field, h, xi = Field(p), pick(p, rng, h_kind), element(p, rng)
-    assert outcome(lambda: values(Series.exp(field, n, h))) == outcome(exp_reference, p, n, h)
+    assert outcome(lambda: values(Series.exp(field, n, h))) == outcome(exp_closed_form_reference, p, n, h)
     assert outcome(lambda: factorial_inv(field, m).val) == outcome(factorial_inv_reference, p, m)
     got = outcome(lambda: extended_binomial(field.scalar(xi), m).val)
     assert got == outcome(extended_binomial_reference, p, xi, m)
@@ -320,5 +320,5 @@ def test_translation_and_evaluation_match_their_closed_forms(case, wkind, h_kind
         assert outcome(lambda: values(eval_functional(h, W))) == error
         return
     h = pick(p, rng, h_kind)
-    assert values(translation_matrix(W, h)) == translation_reference(p, w, h)
+    assert values(translation_matrix(W, h)) == translation_closed_form_reference(p, w, h)
     assert values(eval_functional(h, W)) == eval_reference(p, w, h)

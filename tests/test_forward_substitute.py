@@ -70,7 +70,7 @@ def forward_substitute_gfp_reference(p, rows, rhss):
     return out
 
 
-def inverse_reference(A):
+def inverse_fraction_loop_reference(A):
     """Inverse by forward substitution, column by column; exact."""
     n = A.order
     vals = [[c.val for c in row] for row in A.rows]
@@ -280,7 +280,7 @@ def test_one_rational_per_solved_entry(system):
 def test_inverse_and_invert_match_fraction_loop(system):
     rows, rhss = system
     A = as_matrix(rows)
-    assert A.inverse() == inverse_reference(A)
+    assert A.inverse() == inverse_fraction_loop_reference(A)
     for b in rhss:  # each right-hand side as a series, leading zeros kept
         s = Series(QQ, [Scalar(_Q(v)) for v in [0] * (len(rows) - len(b)) + b])
         try:

@@ -69,7 +69,7 @@ def normalizing_reference(A, W, samples=6, rng=None):
     return True
 
 
-def witness_reference(A, W):
+def delta_pairs_witness_reference(A, W):
     """Every (i, j) pair of delta functionals, one integer convolution each."""
     n_ord, p = A.order, A.field.p
     d = binomial_candidate_reference(A, W)
@@ -123,7 +123,7 @@ def test_normalizing_by_generator_matches_spanning_family(case, samples, seed):
 @given(matrix_cases())
 def test_spanning_witness_by_generator_matches_all_pairs(case):
     W, A, _ = case
-    assert outcome(product_rule_spanning_witness, A, W) == outcome(witness_reference, A, W)
+    assert outcome(product_rule_spanning_witness, A, W) == outcome(delta_pairs_witness_reference, A, W)
 
 
 def test_generator_tests_keep_their_errors(QQ):

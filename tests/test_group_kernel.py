@@ -56,7 +56,7 @@ from support import (
 # -- the replaced code --------------------------------------------------------
 
 
-def riordan_mul_reference(a, b):
+def riordan_mul_horner_reference(a, b):
     """Group law: (alpha, beta) * (gamma, delta) = (alpha*(gamma o beta), delta o beta)."""
     return RiordanPair(
         a.alpha * compose_reference(b.alpha, a.beta),
@@ -64,7 +64,7 @@ def riordan_mul_reference(a, b):
     )
 
 
-def riordan_witness_reference(A, W):
+def riordan_witness_scalar_reference(A, W):
     """The first (k, m) with [y^m] u_k^2 != [y^m] u_{k-1} u_{k+1}, on Scalar series."""
     u = scaled_columns_reference(A, W)
     for k in range(1, A.order - 1):
@@ -85,7 +85,7 @@ def is_riordan_rebuild_reference(A, W):
     return pair_to_matrix_reference(pair, W) == A
 
 
-def witness_reference(A, W):
+def geometric_witness_scalar_reference(A, W):
     """The first (0, j, n) with u_j != u_0 beta^j, on Scalar series."""
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
@@ -104,7 +104,7 @@ _VERDICTS = {"riordan": operators.is_riordan, "sheffer": operators.is_sheffer,
              "appell": operators.is_appell, "binomial": operators.is_binomial}
 
 
-def check_report_reference(A, W, kind):
+def check_report_verdict_table_reference(A, W, kind):
     """Classification verdict plus extracted parameters, JSON-ready."""
     if kind not in _VERDICTS:
         raise ValueError(f"unknown check kind {kind!r}")
@@ -154,8 +154,8 @@ def test_riordan_mul_and_inv_match_compositions(case, where):
         b = pair(other(field), n, rng)
     else:
         b = pair(field, n, rng)
-    assert outcome(riordan_mul, a, b) == outcome(riordan_mul_reference, a, b)
-    assert outcome(riordan_mul, b, a) == outcome(riordan_mul_reference, b, a)
+    assert outcome(riordan_mul, a, b) == outcome(riordan_mul_horner_reference, a, b)
+    assert outcome(riordan_mul, b, a) == outcome(riordan_mul_horner_reference, b, a)
     assert riordan_inv(a) == riordan_inv_compose_reference(a)
 
 
@@ -184,7 +184,7 @@ def test_is_riordan_matches_scaled_columns(case, wkind, akind, where):
     assert outcome(is_riordan, A, W) == outcome(is_riordan_rebuild_reference, A, W)
     if where == "same":
         got = outcome(product_rule_spanning_witness, A, W)
-        assert got == outcome(witness_reference, A, W)
+        assert got == outcome(geometric_witness_scalar_reference, A, W)
 
 
 @settings(max_examples=300, deadline=None)
@@ -193,7 +193,7 @@ def test_riordan_witness_matches_series_products(case, wkind, akind):
     field, n, rng = case
     W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
-    found = witness_reference(A, W)  # (0, j, n): u_j and u_0 beta^j first differ at y^n
+    found = geometric_witness_scalar_reference(A, W)  # (0, j, n): u_j and u_0 beta^j first differ at y^n
     want = None if found is None else found[1:]
     assert _geometric_walk(A, W)[2] == want
     assert is_riordan(A, W) == (want is None)
@@ -204,7 +204,7 @@ def test_is_riordan_stops_at_the_first_failing_column(QQ, rng, monkeypatch):
     rows = [list(r) for r in pair_to_matrix(pair(QQ, 12, rng), W).rows]
     rows[2][1] = rows[2][1] + QQ.one()  # u_1 changes at y^2, so u_1^2 = u_0 u_2 fails at y^3
     A = TriMatrix(QQ, rows)
-    assert riordan_witness_reference(A, W) == (1, 3)
+    assert riordan_witness_scalar_reference(A, W) == (1, 3)
     built, columns = [], riordan._iter_unweighted_columns
 
     def counting(*args):
@@ -223,7 +223,7 @@ def test_check_report_stops_at_the_first_failing_column(QQ, rng, monkeypatch):
     rows = [list(r) for r in pair_to_matrix(pair(QQ, 12, rng), W).rows]
     rows[2][1] = rows[2][1] + QQ.one()
     A = TriMatrix(QQ, rows)
-    assert riordan_witness_reference(A, W) == (1, 3)
+    assert riordan_witness_scalar_reference(A, W) == (1, 3)
     built, columns = [], riordan._iter_unweighted_columns
 
     def counting(*args):
@@ -258,7 +258,7 @@ def test_check_report_matches_two_calls(case, wkind, akind, kind):
     field, n, rng = case
     W = drawn_weight(wkind, field, n, rng)
     A = matrix(akind, W, rng)
-    assert outcome(check_report, A, W, kind) == outcome(check_report_reference, A, W, kind)
+    assert outcome(check_report, A, W, kind) == outcome(check_report_verdict_table_reference, A, W, kind)
 
 
 def counted_u(monkeypatch):
@@ -316,7 +316,7 @@ def test_group_law_at_the_largest_order(QQ):
     for field in (QQ, Field(1000003)):
         W = Weight.exponential(field, 64, 1)
         a, b = pair(field, 64, rng), pair(field, 64, rng)
-        assert riordan_mul(a, b) == riordan_mul_reference(a, b)
+        assert riordan_mul(a, b) == riordan_mul_horner_reference(a, b)
         assert riordan_inv(a) == riordan_inv_compose_reference(a)
         A = pair_to_matrix(a, W)
         assert A == pair_to_matrix_reference(a, W)

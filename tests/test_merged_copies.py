@@ -101,7 +101,7 @@ def umbral_compose_reference(ps, qs):
     return out
 
 
-def functional_after_operator_reference(phi, S, W):
+def functional_after_operator_columns_reference(phi, S, W):
     """The functional phi o S: t_n = (1/w_n) sum_k S_{n,k} w_k t_k, that is
     t -> U t for U = D^{-1} S D."""
     if not phi.order == S.order == W.order or not phi.field == S.field == W.field:
@@ -120,14 +120,14 @@ def after_operator_reference(S, W, *fs):
     return [Functional(f.field, _linear_combination(S.field, S.order, f.values, cols)) for f in fs]
 
 
-def is_riordan_reference(A, W):
+def is_riordan_witness_reference(A, W):
     """Definitional membership test, checked at order N."""
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
     return A.is_graded() and _riordan_witness(_iter_unweighted_columns(A, W), A.field.p) is None
 
 
-def riordan_columns_reference(A, W):
+def riordan_columns_witness_reference(A, W):
     """The columns of U when A is Riordan for W, else None."""
     if A.order != W.order:
         raise BackendMismatch("matrix and weight orders differ")
@@ -140,11 +140,11 @@ def riordan_columns_reference(A, W):
 def alpha_and_beta_reference(A, W):
     """_riordan_columns' (alpha, beta): u_0 and beta = u_1 / u_0 on the
     columns above."""
-    u = riordan_columns_reference(A, W)
+    u = riordan_columns_witness_reference(A, W)
     return None if u is None else (u[0], _beta_quotient(A, W, u))
 
 
-def check_report_reference(A, W, kind):
+def check_report_witness_reference(A, W, kind):
     """Classification verdict plus extracted parameters, JSON-ready."""
     if kind not in CHECK_KINDS:
         raise ValueError(f"unknown check kind {kind!r}")
@@ -184,7 +184,7 @@ def lowering_witness_reference(A, W):
 
 def binomial_associate_reference(A, W):
     """The binomial-type matrix with the same beta parameter as Sheffer A."""
-    u = riordan_columns_reference(A, W)
+    u = riordan_columns_witness_reference(A, W)
     if u is None:
         raise NotSheffer("matrix is not Sheffer for this weight")
     return binomial_candidate_reference(A, W, u)
@@ -280,7 +280,7 @@ def test_functional_after_operator_matches_its_loop(case, wkind, akind, where):
     else:
         phi = Functional(field, [field.zero()] * n if where == "zero" else vector(field, n, rng))
     got = outcome(functional_after_operator, phi, A, W)
-    assert got == outcome(functional_after_operator_reference, phi, A, W)
+    assert got == outcome(functional_after_operator_columns_reference, phi, A, W)
 
 
 @settings(max_examples=300, deadline=None)
@@ -308,10 +308,10 @@ def test_after_operator_matches_its_loop(case, wkind, akind, count, where):
 @given(drawn_cases(), WEIGHTS, MATRICES, WHERE)
 def test_column_identity_walk_matches_its_copies(case, wkind, akind, where):
     A, W = frame(case, wkind, akind, where)
-    assert outcome(is_riordan, A, W) == outcome(is_riordan_reference, A, W)
+    assert outcome(is_riordan, A, W) == outcome(is_riordan_witness_reference, A, W)
     assert outcome(_riordan_columns, A, W) == outcome(alpha_and_beta_reference, A, W)
     for kind in CHECK_KINDS + ("unknown",):
-        assert outcome(check_report, A, W, kind) == outcome(check_report_reference, A, W, kind)
+        assert outcome(check_report, A, W, kind) == outcome(check_report_witness_reference, A, W, kind)
 
 
 @settings(max_examples=300, deadline=None)

@@ -50,7 +50,7 @@ from support import FIELDS, gf7_cases
 # -- the replaced code --------------------------------------------------------
 
 
-def iter_unweighted_columns_reference(A, W):
+def iter_unweighted_columns_rows_reference(A, W):
     """The columns of U = D^{-1} A D as raw (ints, den), yielded one at a
     time so that a caller can stop at the first column it rejects:
     u_{i,k} = a_{i,k} w_k / w_i.
@@ -78,7 +78,7 @@ def iter_unweighted_columns_reference(A, W):
             for k in range(n))
 
 
-def weighted_matrix_reference(W, cols):
+def weighted_matrix_scalar_reference(W, cols):
     """D R D^{-1}, entry (i, k) = w_i r_{i,k} / w_k, from the raw columns
     (ints, den) of an ordinary lower-triangular R (as _unweighted_columns
     returns them)."""
@@ -98,7 +98,7 @@ def weighted_matrix_reference(W, cols):
     return TriMatrix(field, rows)
 
 
-def matmul_reference(self, other):
+def matmul_rows_reference(self, other):
     # Each entry is one dot product of a row of self with a column of
     # other, on Python ints: over GF(p) residues reduced once per entry;
     # over QQ every row and column over its own common denominator, so
@@ -129,9 +129,9 @@ def replaced():
     stack = ExitStack()
     for module in (riordanlab.riordan, riordanlab.operators):
         stack.enter_context(
-            mock.patch.object(module, "_weighted_matrix", weighted_matrix_reference))
+            mock.patch.object(module, "_weighted_matrix", weighted_matrix_scalar_reference))
     stack.enter_context(mock.patch.object(
-        riordanlab.riordan, "_iter_unweighted_columns", iter_unweighted_columns_reference))
+        riordanlab.riordan, "_iter_unweighted_columns", iter_unweighted_columns_rows_reference))
     return stack
 
 
@@ -224,7 +224,7 @@ def product(how, field, n, rng):
     left, right = how.split(" @ ")
     A = row_built(A) if left == "row-built" else A
     B = row_built(B) if right == "row-built" else B
-    want = matmul_reference(row_built(A), row_built(B))
+    want = matmul_rows_reference(row_built(A), row_built(B))
     return A @ B, want
 
 
@@ -260,7 +260,7 @@ def test_every_kernel_column_is_reduced(case, kind):
     W = weight(field, n, rng)
     U = TriMatrix._from_columns(field, _unweighted_columns(A, W))
     assert_reduced(U)
-    want = iter_unweighted_columns_reference(row_built(A), W)
+    want = iter_unweighted_columns_rows_reference(row_built(A), W)
     assert values(U._columns(), field.p) == values(want, field.p)
     if kind == "difference":  # its last column is zero: (zeros, 1)
         assert A._columns()[-1] == ([0] * n, 1)
@@ -303,7 +303,7 @@ def test_the_group_law_over_qq_builds_no_rows():
         assert P == C
         assert matrix_to_pair(A, W) == a
         assert all(M._rows is None for M in (A, B, C, P))
-        assert C.rows == matmul_reference(row_built(A), row_built(B)).rows
+        assert C.rows == matmul_rows_reference(row_built(A), row_built(B)).rows
 
 
 def test_a_chain_of_ten_products_keeps_the_integers_of_the_row_chain():
@@ -315,7 +315,7 @@ def test_a_chain_of_ten_products_keeps_the_integers_of_the_row_chain():
         raw = want = None
         for M in factors:
             raw = M if raw is None else raw @ M
-            want = row_built(M) if want is None else matmul_reference(want, row_built(M))
+            want = row_built(M) if want is None else matmul_rows_reference(want, row_built(M))
         assert raw._rows is None or p is not None
         assert raw._columns() == row_built(want)._columns()
         assert_reduced(raw)

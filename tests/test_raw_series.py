@@ -1,13 +1,18 @@
 """Series on raw coefficients against Series on Scalars.
 
-A Series holds its Scalars, or the raw form (ints, den) a kernel built
-(Series._from_raw), or both, each built from the other on its first read.
-Over QQ, GF(2), GF(3) and GF(1000003) at N = 2..16, and once per field at
-N = 64:
+A Series holds the raw form (ints, den) from construction on, read off
+the Scalars it is given or as a kernel built it (Series._from_raw); its
+Scalars are built from the raw form on their first read.  Over QQ, GF(2),
+GF(3) and GF(1000003) at N = 2..16, and once per field at N = 64:
 
-- a raw-built series and the Scalar-built series of the same values agree
-  in ==, hash, to_json, repr, valuation and coeffs, Series.monomial (built
-  raw) included;
+- a series from every public constructor and ring operation holds the
+  reduced raw form as soon as it is built, equal to raw_form below, and it
+  agrees with the raw-built series of the same values in ==, hash,
+  to_json, repr, valuation and coeffs, Series.monomial (built raw)
+  included;
+- so does a TriMatrix from every public constructor and ring operation,
+  column by column, and an HPolyMatrix built from Scalars holds the raw
+  values of its coefficients, equal to its kernel-built twin;
 - every kernel returns its series in reduced form, building no Scalar;
 - pair_to_matrix -> riordan_mul -> riordan_inv -> matrix_to_pair on raw
   pairs constructs no Scalar;
@@ -35,8 +40,9 @@ from references import (
     series_mul_scalar_reference,
     solve_power_table_scalar_reference,
 )
-from riordanlab import Field, Scalar, Series
+from riordanlab import Field, Scalar, Series, TriMatrix
 from riordanlab.errors import MathDomainError
+from riordanlab.operators import HPolyMatrix
 from riordanlab.riordan import (
     RiordanPair,
     matrix_to_pair,
@@ -106,10 +112,26 @@ def inputs(field, n, rng):
     }
 
 
+def constructed(field, n, rng):
+    """A series from each public constructor and ring operation."""
+    a, b, c = series(field, n, rng), series(field, n, rng), value(field, rng)
+    out = {
+        "Series": Series(field, a.coeffs),
+        "from_values": Series.from_values(field, n, [c, 1, "-2"][: rng.randint(0, min(n, 3))]),
+        "one": Series.one(field, n),
+        "constant": Series.constant(field, n, c),
+        "from_json": Series.from_json(field, a.to_json()),
+        "+": a + b, "-": a - b, "negation": -a, "scale": a.scale(c),
+    }
+    if field.p is None or n <= field.p:
+        out["exp"] = Series.exp(field, n, c)
+    return out
+
+
 def check_both_forms_agree(field, n, rng):
-    for s in inputs(field, n, rng).values():
+    for s in [*inputs(field, n, rng).values(), *constructed(field, n, rng).values()]:
         r = raw_copy(s)
-        assert s._ints is None and r._coeffs is None
+        assert s._ints == raw_form(s) and r._coeffs is None
         assert r == s and s == r and hash(r) == hash(s)
         assert r.valuation() == s.valuation() and r.order == s.order == n
         assert s._raw() == raw_form(s)  # the library's reading of the Scalars
@@ -153,6 +175,35 @@ def check_kernels(field, n, rng):
         assert_reduced(got, field, n)
 
 
+def matrices(field, n, rng):
+    """A TriMatrix from each public constructor and ring operation."""
+    rows = [[value(field, rng) for _ in range(i + 1)] for i in range(n)]
+    A, c = TriMatrix(field, rows), value(field, rng)
+    B = TriMatrix.from_entries(field, n, lambda i, k: value(field, rng))
+    return {
+        "TriMatrix": A, "from_entries": B,
+        "identity": TriMatrix.identity(field, n), "zero": TriMatrix.zero(field, n),
+        "diagonal": TriMatrix.diagonal(field, [value(field, rng) for _ in range(n)]),
+        "from_json": TriMatrix.from_json(field, A.to_json()),
+        "+": A + B, "-": A - B, "negation": -A, "scale": A.scale(c),
+    }
+
+
+def check_constructors_hold_the_raw_form(field, n, rng):
+    for M in matrices(field, n, rng).values():
+        want = [raw_form(Series(field, M.column(k))) for k in range(n)]
+        assert M._cols == want
+        twin = TriMatrix._from_columns(field, want)
+        assert M == twin and twin == M and hash(M) == hash(twin)
+    entries = [[[value(field, rng) for _ in range(rng.randint(0, n - k + 1))] for k in range(i + 1)]
+               for i in range(n)]
+    hp = HPolyMatrix(field, entries)
+    want = tuple(tuple(tuple(c.val for c in e) for e in row) for row in entries)
+    assert hp._raw == want
+    twin = HPolyMatrix._from_kernel(field, want)
+    assert hp == twin and twin == hp and twin.entries == hp.entries
+
+
 def check_group_builds_no_scalar(field, n, rng):
     W = drawn_weight(rng.choice(["exponential", "geometric", "q-factorial"]), field, n, rng)
     a, b = [RiordanPair(raw_copy(series(field, n, rng, 0)), raw_copy(series(field, n, rng, 1)))
@@ -172,7 +223,8 @@ def check_group_builds_no_scalar(field, n, rng):
     assert one.alpha == Series.one(field, n) and one.beta == Series.identity(field, n)
 
 
-CHECKS = [check_both_forms_agree, check_kernels, check_group_builds_no_scalar]
+CHECKS = [check_both_forms_agree, check_kernels, check_group_builds_no_scalar,
+          check_constructors_hold_the_raw_form]
 
 
 @st.composite

@@ -43,7 +43,7 @@ from support import KINDS, build_matrix, fixed_weight, outcome
 # -- the replaced code --------------------------------------------------------
 
 
-def riordan_columns_reference(A: TriMatrix, W: Weight):
+def riordan_columns_walk_reference(A: TriMatrix, W: Weight):
     """(u, beta) when A is Riordan for W, u the N columns of U
     (_unweighted_columns) and beta = u_1 / u_0, else None: the membership
     walk with its guards (the order check, then None for a non-graded A).
@@ -56,7 +56,7 @@ def riordan_columns_reference(A: TriMatrix, W: Weight):
     return None
 
 
-def check_report_reference(A: TriMatrix, W: Weight, kind: str) -> dict:
+def check_report_appell_path_reference(A: TriMatrix, W: Weight, kind: str) -> dict:
     """Classification verdict plus extracted parameters, JSON-ready.
 
     `kind` is one of CHECK_KINDS.  alpha/beta are included whenever the
@@ -82,7 +82,7 @@ def check_report_reference(A: TriMatrix, W: Weight, kind: str) -> dict:
             u, beta, witness = (u, y, None) if verdict else _geometric_walk(A, W, u)
             found = None if witness else (u, beta)
     else:
-        found = riordan_columns_reference(A, W)
+        found = riordan_columns_walk_reference(A, W)
         verdict = found is not None and (kind != "binomial" or _trivial_alpha(A))
     alpha, beta = (None, None) if found is None else (
         Series(A.field, _wrap(A.field, *found[0][0])).to_json(), found[1].to_json())
@@ -138,7 +138,7 @@ def test_report_matches_the_two_path_report(kind, p, monkeypatch):
                 walks.clear()
                 got = outcome(check_report, A, W, check)
                 assert len(walks) <= (1 if A.is_graded() else 0), check
-                assert got == outcome(check_report_reference, A, W, check), (n, check)
+                assert got == outcome(check_report_appell_path_reference, A, W, check), (n, check)
             report = check_report(A, W, "appell")
             assert report["verdict"] == is_appell(A, W)
             if A.is_graded():  # u_k = y^k u_0 exactly when A commutes with M_W
@@ -149,5 +149,5 @@ def test_report_matches_the_two_path_report(kind, p, monkeypatch):
                           fixed_weight(wkind, field, n + 1, rng)):
                 for check in CHECK_KINDS:
                     assert (outcome(check_report, A, other, check)
-                            == outcome(check_report_reference, A, other, check))
+                            == outcome(check_report_appell_path_reference, A, other, check))
 

@@ -43,7 +43,7 @@ from support import MATRICES, WEIGHTS, drawn_weight, gf7_cases, matrix, outcome,
 # -- the replaced code --------------------------------------------------------
 
 
-def solve_conjugator_reference(M):
+def solve_conjugator_triple_loop_reference(M):
     """The unique graded A with first column (1, 0, ...) conjugating the
     plain shift (the derivative of the all-ones weight) onto M.
 
@@ -143,7 +143,7 @@ def other_field(field):
 @given(gf7_cases(), OPERATORS)
 def test_solve_conjugator_matches_the_triple_loop(case, kind):
     M = operator(kind, *case)
-    assert outcome(solve_conjugator, M) == outcome(solve_conjugator_reference, M)
+    assert outcome(solve_conjugator, M) == outcome(solve_conjugator_triple_loop_reference, M)
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,7 +169,7 @@ def test_both_match_at_the_largest_order():
     rng = random.Random(64)
     for field in (Field(), Field(2), Field(7), Field(1000003)):
         M = degree_decreasing_matrix(field, 64, rng)
-        assert solve_conjugator(M) == solve_conjugator_reference(M)
+        assert solve_conjugator(M) == solve_conjugator_triple_loop_reference(M)
         W = drawn_weight("random", field, 64, rng)
         for A in (pair_to_matrix(pair(field, 64, rng), W), graded_matrix(field, 64, rng)):
             phi, psi = functional(field, 64, rng), functional(field, 64, rng)

@@ -1,5 +1,6 @@
 """Each experiment script under scripts/ runs end to end at its default order,
-and no module under tests/ imports a test module."""
+no module under tests/ imports a test module, and no two of them define a
+top-level *_reference of one name."""
 
 import ast
 import os
@@ -52,6 +53,17 @@ def test_no_test_module_imports_a_test_module():
                 continue
             found += [(path.name, name) for name in names if name.startswith("test_")]
     assert found == []
+
+
+def test_each_reference_name_is_defined_in_one_test_module():
+    # one name, one generation of replaced code: a second copy takes a name of its own
+    modules = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.endswith("_reference"):
+                modules.setdefault(node.name, set()).add(path.name)
+    assert modules
+    assert {name: sorted(m) for name, m in modules.items() if len(m) > 1} == {}
 
 
 def test_code_lines_against_a_revision():

@@ -81,7 +81,7 @@ def is_appell_reference(A, W):
     return True
 
 
-def functional_after_operator_reference(phi, S, W):
+def functional_after_operator_entries_reference(phi, S, W):
     """The functional phi o S: t_n = (1/w_n) sum_k S_{n,k} w_k t_k."""
     if not phi.order == S.order == W.order or not phi.field == S.field == W.field:
         raise BackendMismatch("functional, operator and weight orders or fields differ")
@@ -94,7 +94,7 @@ def functional_after_operator_reference(phi, S, W):
     return Functional(phi.field, vals)
 
 
-def functional_of_operator_reference(S, W):
+def functional_of_operator_scalar_reference(S, W):
     """The unique psi with phi o S = phi * psi for all phi."""
     if not is_appell_reference(S, W):
         raise NotCommuting("operator does not commute with the weighted derivative")
@@ -181,7 +181,7 @@ def test_is_appell_matches_entrywise_commutation(case, wkind, akind, where):
     W = weight_for(wkind, field, n, rng, where) if where != "same" else W
     assert outcome(is_appell, A, W) == outcome(is_appell_reference, A, W)
     got = outcome(functional_of_operator, A, W)
-    assert got == outcome(functional_of_operator_reference, A, W)
+    assert got == outcome(functional_of_operator_scalar_reference, A, W)
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,7 +194,7 @@ def test_dual_basis_and_functionals_match_scalar_products(case, wkind, akind, wh
     W = weight_for(wkind, field, n, rng, where) if where != "same" else W
     assert outcome(dual_basis, A, W) == outcome(dual_basis_scalar_reference, A, W)
     got = outcome(functional_after_operator, phi, A, W)
-    assert got == outcome(functional_after_operator_reference, phi, A, W)
+    assert got == outcome(functional_after_operator_entries_reference, phi, A, W)
 
 
 def test_appell_verdicts_are_reached(QQ):
