@@ -44,9 +44,11 @@ V = U^{-1}, which one forward substitution on those rows solves as raw
 columns: the solve of TriMatrix.inverse (_inverse_frame, also behind
 functionals.dual_basis), with no weighted inverse and no matrix product.
 Over GF(p), when N (p - 1)^2 < 2^64, the sums of each entry are one
-product of packed integers instead (series module note), and the result
-holds raw coefficients until its Scalar entries are read; so are V,
+product of packed integers instead (series module note); so are V,
 solved row by row, and the entries of _lowering_witness past column 1.
+Over either field the result holds each entry as one reduced raw form
+(ints, den), over QQ one integer slot scaled and reduced once, and
+builds its Scalar entries only when they are read (HPolyMatrix).
 The column and operator tests give the same verdict on every graded
 matrix, and so does the production-matrix test of
 tests/test_production_matrix.py (P = R'^{-1} R-bar for R = A under the
@@ -74,10 +76,10 @@ from .riordan import (
     Weight, _first_difference, _iter_unweighted_columns, _mixed_backends, _riordan_columns,
     _toeplitz_columns, _unweighted_columns, _weighted_matrix, is_riordan,
 )
-from .scalars import Scalar, _Q, _powers
+from .scalars import _Q, _powers
 from .series import (
-    Series, _apply_rows, _forward_substitute, _inverse_columns, _low_slots, _pack, _packs,
-    _rows_over_lcm,
+    Series, _apply_rows, _forward_substitute, _ints_over_lcm, _inverse_columns, _low_slots, _pack,
+    _packs, _over_common_denominator, _reduce, _rows_over_lcm, _wrap,
 )
 from .triangular import Polynomial, TriMatrix, _triangle_rows
 
@@ -256,12 +258,14 @@ class HPolyMatrix:
     Entry (n, k) stores coefficients ascending in h, degree <= n - k.
     For a Sheffer sequence the entries depend only on n - k.
 
-    A matrix holds the raw values of its coefficients (rationals, or
-    residues mod p) from construction on: read off the Scalars a caller
-    gives, or as d_polynomials built them.  The Scalar entries are a
-    read-only view, kept when given and otherwise built from the raw values
-    on their first read, as TriMatrix rows are.  constant_on_diagonals and
-    == compare raw values.
+    A matrix holds each slot in reduced raw form (ints, den) (series._reduce)
+    from construction on: integers over their least common denominator over
+    QQ, residues over 1 over GF(p), read off the Scalars a caller gives
+    (series._over_common_denominator) or as d_polynomials built them.  A slot
+    keeps its length, trailing zeros and empty slots included.  The form is
+    unique, so constant_on_diagonals, == and hash read it.  The Scalar
+    entries are a read-only view, kept when given and otherwise built from
+    the raw form (series._wrap) on their first read, as TriMatrix rows are.
     """
 
     __slots__ = ("field", "_entries", "_raw")
@@ -272,22 +276,23 @@ class HPolyMatrix:
             for e in row:
                 field.check(e, "coefficient")
         self.field, self._entries = field, entries
-        self._raw = tuple([tuple([tuple([c.val for c in e]) for e in row]) for row in entries])
+        self._raw = tuple([tuple([_over_common_denominator(field, e) for e in row])
+                           for row in entries])
 
     @classmethod
     def _from_kernel(cls, field, raw):
-        """Wrap kernel output, unchecked: for each slot a tuple of raw values
-        of field."""
+        """Wrap kernel output, unchecked: for each slot the reduced raw form
+        (ints, den) of its coefficients over field."""
         out = object.__new__(cls)
         out.field, out._entries, out._raw = field, None, raw
         return out
 
     @property
     def entries(self):
-        """The coefficients as tuples of Scalars, built from the raw ones once."""
+        """The coefficients as tuples of Scalars, built from the raw form once."""
         if self._entries is None:
-            p = self.field.p
-            self._entries = tuple([tuple([tuple([Scalar(c, p) for c in e]) for e in row])
+            field = self.field
+            self._entries = tuple([tuple([tuple(_wrap(field, ints, den)) for ints, den in row])
                                    for row in self._raw])
         return self._entries
 
@@ -321,6 +326,10 @@ class HPolyMatrix:
             return NotImplemented
         return self.field == other.field and self._raw == other._raw
 
+    def __hash__(self):
+        return hash((self.field, tuple([tuple([(tuple(ints), den) for ints, den in row])
+                                        for row in self._raw])))
+
     def to_json(self):
         return [[[str(c) for c in e] for e in row] for row in self.entries]
 
@@ -351,12 +360,17 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
         [h^l] d_{n,k} = (w_{n-k} / w_l) * sum_{j=k}^{n-l} U_{n,j+l} V_{j,k}
 
     The sum is empty for l > n - k, so entry (n, k) has h-degree at most
-    n - k.  The sums run on raw values (_shifted_dots), residues reduced
-    once per coefficient over GF(p), and over QQ on the integer rows of U
-    over their one denominator and each column of V over its own, the
-    reduced raw columns the solver returns, used as they come.  The
-    result keeps these raw coefficients and builds its Scalar entries on
-    their first read (HPolyMatrix).
+    n - k.  The sums run on raw values (_shifted_dots), over QQ on the
+    integer rows of U over their one denominator and each column of V over
+    its own, the reduced raw columns the solver returns, used as they come.
+    Each entry is then one reduced raw form (ints, den) (HPolyMatrix).
+    Over GF(p) it lists the sums times w_{n-k} / w_l, each reduced once,
+    over 1.  Over QQ the ratios w_d / w_l are read off the raw form of w,
+    each in lowest terms, diagonal d over its own lcm L_d, so entry (n, k)
+    is one integer slot, each sum times its ratio's integer, over
+    den * dv_k * L_{n-k} (V's column k over dv_k), reduced once
+    (series._reduce): no rational is built per coefficient.  The Scalar
+    entries are built from the raw form on their first read.
 
     Over GF(p) with N (p - 1)^2 < 2^64 (series._packs) the n - k + 1 sums
     of entry (n, k) are one product of two packed integers, row n of U
@@ -364,12 +378,11 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     multiplies of at most N 64-bit slots, and V is solved on packed rows
     too (series._packed_inverse).  At GF(1000003) under q_factorial(5, 3),
     on the matrix of sampling.riordan_pair with random.Random(1), a call
-    took 0.44, 0.58, 0.90 and 17.7 ms at N = 12, 16, 20 and 64, where V
-    solved by dot products gave 0.46, 0.62, 0.94 and 19.6 ms; reading the
-    entries then adds 0.15, 0.18, 0.32 and 8.3 ms (timeit minima, the two
-    interleaved in one process, Python 3.11, 2 shared CPUs).  Before the
-    sums were packed, the dot products and their Scalars took about 1.6
-    to 3.7 times as long.
+    took 0.34, 0.54, 0.85 and 15.8 ms at N = 12, 16, 20 and 64; reading the
+    entries then adds 0.12, 0.24, 0.44 and 10.8 ms (minimum of 3 calls on
+    fresh inputs over 7-15 rounds, Python 3.11, 2 shared CPUs).  Before
+    the sums were packed, the dot products and their Scalars took about
+    1.6 to 3.7 times as long.
 
     Otherwise the cost is about N^4/24 big-integer multiply-adds.  V is
     solved at its reduced size, and the columns of U are divided by their
@@ -378,24 +391,28 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     matrix of sampling.riordan_pair(QQ, 64, random.Random(1)), its rows
     hold at most 133-bit integers over a 27-bit denominator under both
     q_factorial(-1, 2) and the exponential weight, and the columns of V at
-    most 274 bits.  One call there took 0.27-0.28 s and 0.24-0.28 s
-    (minimum of 2 calls, Python 3.11, Fraction backend, 2 shared CPUs); on
-    undivided rows of U (2133 and 398 bits) it took 0.8-1.0 s and
-    0.27-0.36 s.  The CLI does not call it.
+    most 274 bits.  One call there took 0.18 s and 0.16 s, and 0.22 s and
+    0.20 s with the entries read; scaling each coefficient into a rational
+    of its own took 0.23 s and 0.20 s, and 0.24 s and 0.21 s (minimum of 3
+    calls on fresh inputs over 4 alternating rounds, Python 3.11, Fraction
+    backend, 2 shared CPUs).  On undivided rows of U (2133 and 398 bits)
+    a call once took 0.8-1.0 s and 0.27-0.36 s.  The CLI does not call it.
     """
     _check_frame(A, W)
     (u, den), v = _inverse_frame(A, W)
-    p, w, r = A.field.p, [x.val for x in W.w], [x.val for x in W.recip]
-    ratio = [[w[d] * r[l] for l in range(d + 1)] for d in range(A.order)]  # w_d / w_l
+    # w_d / w_l for l <= d, off the raw w and 1/w: over QQ in lowest terms,
+    # diagonal d over its own lcm
+    p, (w, _), (r, _) = A.field.p, W._ws._raw(), W._rs._raw()
+    ratio = [_ints_over_lcm([_Q(w[d], x) for x in w[: d + 1]]) if p is None
+             else [w[d] * x for x in r[: d + 1]] for d in range(A.order)]
     v, dv = zip(*v)
     entries = []
-    for n, row in enumerate(_shifted_dots(u, v, p)):
-        if p is None:  # tuples of lists: see series._ints_over_lcm
-            entries.append(tuple([tuple([_Q(s * c.numerator, den * dv[k] * c.denominator)
-                                         for s, c in zip(sums, ratio[n - k])])
-                                  for k, sums in enumerate(row)]))
+    for n, row in enumerate(_shifted_dots(u, v, p)):  # tuple([...]): see series._ints_over_lcm
+        if p is None:  # one integer slot over den * dv[k] * dc, reduced once
+            entries.append(tuple([_reduce([s * c for s, c in zip(sums, cs)], den * dv[k] * dc, 0)
+                                  for k, (sums, (cs, dc)) in enumerate(zip(row, ratio[n::-1]))]))
         else:
-            entries.append(tuple([tuple([s * c % p for s, c in zip(sums, ratio[n - k])])
+            entries.append(tuple([([s * c % p for s, c in zip(sums, ratio[n - k])], 1)
                                   for k, sums in enumerate(row)]))
     return HPolyMatrix._from_kernel(A.field, tuple(entries))
 

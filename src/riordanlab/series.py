@@ -27,8 +27,10 @@ given them and otherwise built from the raw form (``_wrap``), never the
 other way round, where a caller reads them: coeffs, to_json, repr and
 the ring operations +, -, negation and scale.  The raw form and its two
 conversions (``_wrap``, ``_over_common_denominator``) belong to this
-module and triangular.py; every other module reads a coefficient vector
-through a Series, as Weight (w and 1/w) and Functional do.
+module, triangular.py (a raw form per column) and operators.HPolyMatrix
+(a raw form per slot, of any length); every other module reads a
+coefficient vector through a Series, as Weight (w and 1/w) and
+Functional do.
 
 ``_geometric_columns`` is the one loop over the powers of a series: it
 yields the raw columns c g^k of R_(c,g), the ordinary Riordan matrix of
@@ -241,11 +243,12 @@ def _reduce(ints, den, k):
     return [0] * k + ints, den
 
 
-def _over_common_denominator(coeffs):
-    """Rational coefficients as (integer numerators, their common denominator);
-    residues mod p as (residues, 1)."""
+def _over_common_denominator(field, coeffs):
+    """Rational coefficients of field as (integer numerators, their common
+    denominator); residues mod p as (residues, 1).  No coefficient is read
+    for the field, so coeffs may be empty."""
     vals = [c.val for c in coeffs]
-    if coeffs[0].p is not None:
+    if field.p is not None:
         return vals, 1
     return _ints_over_lcm(vals)
 
@@ -357,7 +360,7 @@ class Series:
         coeffs = tuple(coeffs)
         check_order(len(coeffs))
         field.check(coeffs, "coefficient")
-        self.field, self._coeffs, self._ints = field, coeffs, _over_common_denominator(coeffs)
+        self.field, self._coeffs, self._ints = field, coeffs, _over_common_denominator(field, coeffs)
 
     @classmethod
     def _from_raw(cls, field, ints, den):

@@ -137,7 +137,7 @@ class TriMatrix:
         for row in _triangle_rows(rows):
             field.check(row, "entry")
         n = len(rows)
-        cols = [_over_common_denominator([rows[i][k] for i in range(k, n)]) for k in range(n)]
+        cols = [_over_common_denominator(field, [row[k] for row in rows[k:]]) for k in range(n)]
         self.field, self._rows = field, rows
         self._cols = [([0] * k + ints, den) for k, (ints, den) in enumerate(cols)]
 

@@ -70,6 +70,10 @@ comes with a line in this index.
   translation_matrix_reference, dual_basis_scalar_reference and
   eval_functional_reference: the weighted matrices and functionals with
   one Scalar product per weight factor of every entry.
+- d_polynomials_fraction_reference: d_polynomials that scaled every
+  coefficient into one rational of its own, from the Scalar views of w and
+  1/w, before each slot became one reduced raw form (ints, den); its last
+  line builds the matrix from Scalars.
 """
 
 from itertools import islice
@@ -84,7 +88,8 @@ from riordanlab.errors import (
 )
 from riordanlab.functionals import Functional
 from riordanlab.operators import (
-    _check_frame, _inverse_frame, is_appell, is_degree_decreasing, translation_matrix,
+    HPolyMatrix, _check_frame, _inverse_frame, _shifted_dots, is_appell, is_degree_decreasing,
+    translation_matrix,
 )
 from riordanlab.riordan import (
     RiordanPair, Weight, _beta_quotient, _check_matrix_order, _first_difference,
@@ -493,7 +498,7 @@ def series_mul_scalar_reference(self, other):
     # over one common denominator, so only the N output coefficients
     # are normalised; over GF(p) each sum is reduced once.
     self._check_same(other)
-    (a, da), (b, db) = map(_over_common_denominator, (self.coeffs, other.coeffs))
+    (a, da), (b, db) = [_over_common_denominator(self.field, s.coeffs) for s in (self, other)]
     return Series(self.field, _wrap(self.field, _convolve(a, b, self.field.p), da * db))
 
 
@@ -503,7 +508,7 @@ def apply_rows_scalar_reference(field, table, *vectors):
     one integer dot product per output over D times the denominator of v."""
     rows, den = table
     return [_wrap(field, [sum(map(mul, row, a)) for row in rows], den * da)
-            for a, da in [_over_common_denominator(v) for v in vectors]]
+            for a, da in [_over_common_denominator(field, v) for v in vectors]]
 
 
 def apply_power_table_scalar_reference(g, *series):
@@ -521,7 +526,7 @@ def solve_power_table_scalar_reference(g, *series):
     on R_g for all; it divides only by the diagonal g_1^m, never by an
     integer."""
     field, (rows, den) = g.field, _power_table(g)
-    fs = [_over_common_denominator(f.coeffs) for f in series]
+    fs = [_over_common_denominator(field, f.coeffs) for f in series]
     db = lcm(*[d for _, d in fs])  # the right-hand sides over one denominator
     rhss = [[0, den * db] + [0] * (g.order - 2)] + [[den * (db // d) * v for v in b] for b, d in fs]
     return [Series(field, _wrap(field, *x)) for x in _forward_substitute(field, rows, rhss, db)]
@@ -653,7 +658,8 @@ class WeightReference:
         GF(p): the left factors of _conjugated_columns, built on the first
         use and kept."""
         if self._lcm is None:
-            self._lcm = _over_common_denominator(self.w), _over_common_denominator(self.recip)
+            self._lcm = (_over_common_denominator(self.field, self.w),
+                         _over_common_denominator(self.field, self.recip))
         return self._lcm
 
     # -- builtins ----------------------------------------------------------
@@ -809,7 +815,8 @@ def after_operator_raw_reference(S, W, *fs):
         raise BackendMismatch("functional, operator and weight orders or fields differ")
     table, field = _rows_over_lcm(_unweighted_columns(S, W)), S.field
     return [FunctionalReference(field, _wrap(field, *t))
-            for t in _apply_rows(field, table, *[_over_common_denominator(f.values) for f in fs])]
+            for t in _apply_rows(field, table,
+                                 *[_over_common_denominator(field, f.values) for f in fs])]
 
 
 def functional_of_operator_reference(S, W):
@@ -1066,3 +1073,70 @@ def eval_functional_reference(h, W):
             power = power * h
         vals.append(power * W.recip[n])
     return Functional(W.field, vals)
+
+
+# -- d_polynomials with one rational per coefficient -------------------------
+
+
+def d_polynomials_fraction_reference(A: TriMatrix, W: Weight) -> HPolyMatrix:
+    """Expansion coefficients of translations in the basis of the sequence.
+
+    Writing T_h(p_n / w_n) = sum_k d_{n,k}(h) / w_{n-k} * p_k / w_k, the
+    entry (n, k) is the polynomial d_{n,k}: its coefficient of h^l is entry
+    (n, k) of (A M_W A^{-1})^l = D U S^l U^{-1} D^{-1} (module note),
+    scaled by w_{n-k} w_k / (w_n w_l).  So each coefficient is one dot
+    product of row n of U with column k of V = U^{-1} (_inverse_frame):
+
+        [h^l] d_{n,k} = (w_{n-k} / w_l) * sum_{j=k}^{n-l} U_{n,j+l} V_{j,k}
+
+    The sum is empty for l > n - k, so entry (n, k) has h-degree at most
+    n - k.  The sums run on raw values (_shifted_dots), residues reduced
+    once per coefficient over GF(p), and over QQ on the integer rows of U
+    over their one denominator and each column of V over its own, the
+    reduced raw columns the solver returns, used as they come.  The
+    result keeps these raw coefficients and builds its Scalar entries on
+    their first read (HPolyMatrix).
+
+    Over GF(p) with N (p - 1)^2 < 2^64 (series._packs) the n - k + 1 sums
+    of entry (n, k) are one product of two packed integers, row n of U
+    reversed and column k of V, each packed once: N(N+1)/2 big-integer
+    multiplies of at most N 64-bit slots, and V is solved on packed rows
+    too (series._packed_inverse).  At GF(1000003) under q_factorial(5, 3),
+    on the matrix of sampling.riordan_pair with random.Random(1), a call
+    took 0.44, 0.58, 0.90 and 17.7 ms at N = 12, 16, 20 and 64, where V
+    solved by dot products gave 0.46, 0.62, 0.94 and 19.6 ms; reading the
+    entries then adds 0.15, 0.18, 0.32 and 8.3 ms (timeit minima, the two
+    interleaved in one process, Python 3.11, 2 shared CPUs).  Before the
+    sums were packed, the dot products and their Scalars took about 1.6
+    to 3.7 times as long.
+
+    Otherwise the cost is about N^4/24 big-integer multiply-adds.  V is
+    solved at its reduced size, and the columns of U are divided by their
+    content (riordan._conjugated_columns), so U is the ordinary matrix of
+    the pair at its own size whatever the weight: over QQ at N = 64, on the
+    matrix of sampling.riordan_pair(QQ, 64, random.Random(1)), its rows
+    hold at most 133-bit integers over a 27-bit denominator under both
+    q_factorial(-1, 2) and the exponential weight, and the columns of V at
+    most 274 bits.  One call there took 0.27-0.28 s and 0.24-0.28 s
+    (minimum of 2 calls, Python 3.11, Fraction backend, 2 shared CPUs); on
+    undivided rows of U (2133 and 398 bits) it took 0.8-1.0 s and
+    0.27-0.36 s.  The CLI does not call it.
+    """
+    _check_frame(A, W)
+    (u, den), v = _inverse_frame(A, W)
+    p, w, r = A.field.p, [x.val for x in W.w], [x.val for x in W.recip]
+    ratio = [[w[d] * r[l] for l in range(d + 1)] for d in range(A.order)]  # w_d / w_l
+    v, dv = zip(*v)
+    entries = []
+    for n, row in enumerate(_shifted_dots(u, v, p)):
+        if p is None:  # tuples of lists: see series._ints_over_lcm
+            entries.append(tuple([tuple([_Q(s * c.numerator, den * dv[k] * c.denominator)
+                                         for s, c in zip(sums, ratio[n - k])])
+                                  for k, sums in enumerate(row)]))
+        else:
+            entries.append(tuple([tuple([s * c % p for s, c in zip(sums, ratio[n - k])])
+                                  for k, sums in enumerate(row)]))
+    # The one line changed: the matrix is built from the Scalars that the
+    # old entries view built from these values, as HPolyMatrix now holds
+    # reduced raw slots.
+    return HPolyMatrix(A.field, [[[Scalar(c, p) for c in e] for e in row] for row in entries])

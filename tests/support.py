@@ -16,14 +16,17 @@ either.  Two generator families draw weights and matrices:
 
 gf7_cases draws as drawn_cases with GF(7) for GF(3) (FIELDS).  outcome is
 a result or the type and message of its error; other a field that is not
-the given one; S a series from values; exp_series c0 W(hy) under
-exponential(1); call runs the CLI in this process.
+the given one; reduced_form the reduced raw form (ints, den) of plain
+values; S a series from values; exp_series c0 W(hy) under exponential(1);
+call runs the CLI in this process.
 """
 
 import contextlib
 import io
 import random
 import sys
+from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
@@ -60,6 +63,19 @@ def outcome(f, *args):
 def other(field):
     """A field that is not `field`."""
     return Field(7 if field.p != 7 else 5)
+
+
+def reduced_form(vals, p):
+    """The reduced raw form (ints, den) of values of GF(p), or of QQ when p
+    is None, computed apart from the library: residues over 1, or the
+    rationals over their lcm divided by the gcd of all; any length, 0
+    included."""
+    if p is not None:
+        return list(vals), 1
+    den = lcm(*[Fraction(v).denominator for v in vals])
+    ints = [int(v * den) for v in vals]
+    g = gcd(den, *ints)
+    return [x // g for x in ints], den // g
 
 
 def S(field, order, *vals):

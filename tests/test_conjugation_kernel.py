@@ -93,7 +93,7 @@ def ordinary_columns(field, n, rng):
     """Raw columns of an ordinary R as the callers of _weighted_matrix pass
     them: geometric (unreduced denominators), Toeplitz, or the columns of U."""
     kind = rng.choice(["geometric", "toeplitz", "unweighted"])
-    c, d = _over_common_denominator(series(field, n, rng).coeffs)
+    c, d = _over_common_denominator(field, series(field, n, rng).coeffs)
     if kind == "geometric":
         return list(_geometric_columns(c, d, riordan_pair(field, n, rng).beta))
     if kind == "toeplitz":

@@ -4,15 +4,19 @@ d_polynomials reads the coefficient of h^l in d_{n,k} as a shifted dot
 product of row n of U = D^{-1} A D (D = diag(w)) with column k of
 V = U^{-1}, which one forward substitution on the rows of U solves.  The reference below is the code the library used before,
 kept verbatim: the N-1 powers of A M_W A^{-1} as full TriMatrix products.
+The second, d_polynomials_fraction_reference (tests/references.py), is the
+banded pass as it scaled every coefficient into a rational of its own; the
+drawn cases at N = 2..16 are compared with both.
 Every result, and the type and message of every raised error, must agree
 over QQ (signed, mixed denominators), GF(2), GF(3) and GF(1000003) at
 N = 2..16, N > p included, and at N = 64; there also over GF(536870909),
 where the sums are packed into 64-bit slots, and over GF(536870923) and
 GF(2^61 - 1), where they are dot products.
 
-A kernel-built HPolyMatrix holds raw coefficients and builds its Scalar
-entries on their first read; every reading of it must agree with that of
-the same entries given to the constructor.
+A kernel-built HPolyMatrix holds each slot in reduced raw form (ints, den)
+and builds its Scalar entries on their first read; every reading of it,
+hash included, must agree with that of the same entries given to the
+constructor.
 """
 
 import random
@@ -21,13 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import riordanlab.operators
+import riordanlab.series
 from riordanlab import Field, Series, TriMatrix
 from riordanlab.operators import HPolyMatrix, d_polynomials, m_matrix
 from riordanlab.riordan import RiordanPair, Weight, pair_to_matrix
 from riordanlab.scalars import Scalar
 
-from references import pair_to_matrix_reference
+from references import d_polynomials_fraction_reference, pair_to_matrix_reference
 from support import (
     MATRICES, WEIGHTS, bumped, drawn_cases, drawn_weight, matrix, other, outcome, pair, value,
 )
@@ -75,7 +79,9 @@ def test_d_polynomials_matches_chain_of_powers(case, wkind, akind, where):
         W = drawn_weight(wkind, other(field), n, rng)
     elif where == "other-order":
         W = drawn_weight(wkind, field, n + 1, rng)
-    assert outcome(d_polynomials, A, W) == outcome(d_polynomials_reference, A, W)
+    got = outcome(d_polynomials, A, W)
+    assert got == outcome(d_polynomials_reference, A, W)
+    assert got == outcome(d_polynomials_fraction_reference, A, W)
 
 
 def test_d_polynomials_at_the_largest_order():
@@ -123,6 +129,7 @@ def test_kernel_built_hpoly_reads_as_constructed(p, n, wkind, akind, seed):
     assert kernel().to_json() == built.to_json()
     assert kernel().constant_on_diagonals() == built.constant_on_diagonals()
     assert kernel() == built and built == kernel() and kernel() == kernel()
+    assert hash(kernel()) == hash(built)
     changed = [list(row) for row in built.entries]
     changed[i][k] = (changed[i][k][0] + field.one(),) + changed[i][k][1:]
     changed = HPolyMatrix(field, changed)
@@ -136,7 +143,7 @@ def test_constant_on_diagonals_builds_no_scalar(monkeypatch):
         built.append(1)
         return Scalar(*args)
 
-    monkeypatch.setattr(riordanlab.operators, "Scalar", counting)
+    monkeypatch.setattr(riordanlab.series, "Scalar", counting)  # series._wrap builds them
     rng = random.Random(5)
     for field in (Field(), Field(1000003), Field(2**61 - 1)):
         W = Weight.exponential(field, 12, 1)

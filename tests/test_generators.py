@@ -76,8 +76,8 @@ def delta_pairs_witness_reference(A, W):
     p_val = [[A.entry(k, i) * W.w[i] * W.recip[k] for k in range(n_ord)] for i in range(n_ord)]
     d_val = [[d.entry(l, j) * W.w[j] * W.recip[l] for l in range(n_ord)] for j in range(n_ord)]
     if p is None:
-        p_int = [_over_common_denominator(v) for v in p_val]
-        d_int = [_over_common_denominator(v) for v in d_val]
+        p_int = [_over_common_denominator(A.field, v) for v in p_val]
+        d_int = [_over_common_denominator(A.field, v) for v in d_val]
     else:
         p_int = [([c.val for c in v], 1) for v in p_val]
         d_int = [([c.val for c in v], 1) for v in d_val]

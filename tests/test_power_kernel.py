@@ -63,7 +63,7 @@ def power_table_reference(g):
     (d g)^j scaled by d^(N-1-j).
     """
     p, n = g.field.p, g.order
-    c, d = _over_common_denominator(g.coeffs)
+    c, d = _over_common_denominator(g.field, g.coeffs)
     cols = [[1] + [0] * (n - 1), c]
     for j in range(2, n):  # g^j has valuation j: convolve from index j on
         cols.append([0] * j + _convolve(cols[-1][j - 1 : n - 1], c[1 : n - j + 1], p))
@@ -74,14 +74,14 @@ def power_table_reference(g):
 def apply_power_table_reference(table, f):
     """R_g f, the series f o g, for table = _power_table(g): one dot product per row."""
     rows, den = table
-    a, da = _over_common_denominator(f.coeffs)
+    a, da = _over_common_denominator(f.field, f.coeffs)
     return Series(f.field, _wrap(f.field, [sum(map(mul, row, a)) for row in rows], den * da))
 
 
 def geometric_columns_reference(c, dc, beta: Series):
     """The raw columns (c / dc) beta^k for k = 0, 1, ..., one convolution
     per column after the first.  Endless: the caller stops it."""
-    b, db = _over_common_denominator(beta.coeffs)
+    b, db = _over_common_denominator(beta.field, beta.coeffs)
     while True:
         yield c, dc
         c, dc = _convolve(c, b, beta.field.p), dc * db
@@ -166,7 +166,8 @@ def inner(field, n, rng, kind):
 
 def column_zero(field, n, rng):
     """Raw (c, dc) of a series of any valuation, the zero series included."""
-    return _over_common_denominator(series(field, n, rng, rng.choice([None, 0, 1, n])).coeffs)
+    s = series(field, n, rng, rng.choice([None, 0, 1, n]))
+    return _over_common_denominator(field, s.coeffs)
 
 
 # -- tests --------------------------------------------------------------------
@@ -266,6 +267,6 @@ def test_pair_to_matrix_starts_each_power_at_its_valuation(p, monkeypatch):
     pair_to_matrix(a, W)
     assert sum(terms) == 680
     terms.clear()
-    alpha = _over_common_denominator(a.alpha.coeffs)
+    alpha = _over_common_denominator(a.alpha.field, a.alpha.coeffs)
     list(islice(geometric_columns_reference(*alpha, a.beta), 16))
     assert sum(terms) == 2040

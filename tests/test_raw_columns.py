@@ -107,8 +107,8 @@ def matmul_rows_reference(self, other):
     p, n = self.field.p, self.order
     cols = [[other.rows[j][k] for j in range(k, n)] for k in range(n)]
     if p is None:
-        left = [_over_common_denominator(row) for row in self.rows]
-        right = [_over_common_denominator(col) for col in cols]
+        left = [_over_common_denominator(self.field, row) for row in self.rows]
+        right = [_over_common_denominator(self.field, col) for col in cols]
         out = [
             [Scalar(_Q(sum(map(mul, a[k:], b)), da * db))
              for k, (b, db) in enumerate(right[: i + 1])]
@@ -174,10 +174,8 @@ def assert_same(got, want):
     raw columns against a fresh copy of got, in rows, hash and JSON bytes."""
     assert got == want and want == got
     again = row_built(want)
-    again._columns()  # both sides hold raw columns: == compares them
-    if got._cols is not None:
-        assert got == again and again == got
-        assert got._cols == again._cols
+    assert got == again and again == got
+    assert got._cols == again._cols
     assert got.rows == want.rows
     assert hash(got) == hash(want)
     assert dumps(got.to_json()) == dumps(want.to_json())

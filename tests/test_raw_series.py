@@ -11,8 +11,9 @@ GF(3) and GF(1000003) at N = 2..16, and once per field at N = 64:
   to_json, repr, valuation and coeffs, Series.monomial (built raw)
   included;
 - so does a TriMatrix from every public constructor and ring operation,
-  column by column, and an HPolyMatrix built from Scalars holds the raw
-  values of its coefficients, equal to its kernel-built twin;
+  column by column, and an HPolyMatrix built from Scalars holds each slot
+  in reduced raw form (reduced_form of tests/support.py, empty slots
+  included), equal to its kernel-built twin in == and hash;
 - every kernel returns its series in reduced form, building no Scalar;
 - pair_to_matrix -> riordan_mul -> riordan_inv -> matrix_to_pair on raw
   pairs constructs no Scalar;
@@ -26,7 +27,7 @@ built one on every call, errors included.
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -53,7 +54,7 @@ from riordanlab.riordan import (
 from riordanlab.scalars import extended_binomial
 from riordanlab.series import MAX_ORDER, _apply_power_table, _divide, _solve_power_table
 
-from support import drawn_weight, series, value
+from support import drawn_weight, reduced_form, series, value
 
 PRIMES = [None, 2, 3, 1000003]
 
@@ -61,13 +62,7 @@ PRIMES = [None, 2, 3, 1000003]
 def raw_form(s):
     """The reduced raw form of a Scalar-built series, computed apart from
     the library: the rationals over their lcm, divided by the gcd of all."""
-    vals = [c.val for c in s.coeffs]
-    if s.field.p is not None:
-        return vals, 1
-    den = lcm(*[Fraction(v).denominator for v in vals])
-    ints = [int(v * den) for v in vals]
-    g = gcd(den, *ints)
-    return [x // g for x in ints], den // g
+    return reduced_form([c.val for c in s.coeffs], s.field.p)
 
 
 def assert_reduced(s, field, n):
@@ -198,10 +193,11 @@ def check_constructors_hold_the_raw_form(field, n, rng):
     entries = [[[value(field, rng) for _ in range(rng.randint(0, n - k + 1))] for k in range(i + 1)]
                for i in range(n)]
     hp = HPolyMatrix(field, entries)
-    want = tuple(tuple(tuple(c.val for c in e) for e in row) for row in entries)
+    want = tuple(tuple(reduced_form([c.val for c in e], field.p) for e in row) for row in entries)
     assert hp._raw == want
     twin = HPolyMatrix._from_kernel(field, want)
     assert hp == twin and twin == hp and twin.entries == hp.entries
+    assert hash(hp) == hash(twin)
 
 
 def check_group_builds_no_scalar(field, n, rng):

@@ -38,7 +38,7 @@ from riordanlab.triangular import Polynomial
 from riordanlab.twoweight import is_exponential_alpha
 
 from references import binomial_candidate_reference
-from support import build_matrix, fixed_weight, other
+from support import build_matrix, fixed_weight, other, reduced_form
 
 # -- the replaced loops -------------------------------------------------------
 
@@ -195,7 +195,8 @@ def hpoly_matrices(draw, field, n, rng):
         entry.insert(rng.randint(0, len(entry)), stray)
         hp = object.__new__(HPolyMatrix)
         hp.field, hp._entries = field, tuple(tuple(tuple(e) for e in row) for row in entries)
-        hp._raw = tuple(tuple(tuple(c.val for c in e) for e in row) for row in hp._entries)
+        hp._raw = tuple(tuple(reduced_form([c.val for c in e], field.p) for e in row)
+                        for row in hp._entries)
         return hp
     return HPolyMatrix(field, entries)
 
