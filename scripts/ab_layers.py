@@ -28,7 +28,9 @@ instead, the call the classify-gfp benchmark workload makes per matrix.
 A is built from its own copy of the pair a, so no layer finds the series
 of a or b already read into raw form by an earlier call.
 solve_conjugator runs on finite_difference_matrix(W, 3); the constructor
-rows build a weight or series of order N, exp_case_weights over QQ only.
+rows build a weight or series of order N, exp_case_weights over QQ only,
+Weight.rescale rescales W, and Weight(F, values) builds a weight from the
+text of the values of W, as the CLI's custom= weight does.
 functional_mul multiplies two functionals built from the Scalars of two
 unit series drawn after a and b.
 """
@@ -75,7 +77,10 @@ LAYERS = {
     "q_operator_matrix": lambda m, x: m.q_operator_matrix(x.A, x.W),
     "solve_conjugator": lambda m, x: m.solve_conjugator(x.D),
     "Weight.exponential": lambda m, x: m.Weight.exponential(x.F, x.n, 3),
+    "Weight.geometric": lambda m, x: m.Weight.geometric(x.F, x.n, 3),
     "Weight.q_factorial": lambda m, x: m.Weight.q_factorial(x.F, x.n, 5, 3),
+    "Weight.rescale": lambda m, x: x.W.rescale(3),
+    "Weight(F, values)": lambda m, x: m.Weight(x.F, x.values),
     "Series.exp": lambda m, x: m.Series.exp(x.F, x.n, 3),
     "translation_matrix": lambda m, x: m.translation_matrix(x.W, 3),
     "exp_case_weights": lambda m, x: m.exp_case_weights(x.F, x.n, 3, 2),
@@ -113,6 +118,7 @@ def inputs(m, sampling, field, n):
         F=F, n=n, W=W, a=a, b=b, phi=phi, psi=psi, A=m.pair_to_matrix(a_copy, W),
         B=sampling.perturbed_non_riordan(W, random.Random(1)),
         T=m.translation_matrix(W, 3), W2=m.Weight.exponential(F, n, 1),
+        values=[str(v) for v in W.w],
         D=m.finite_difference_matrix(W, 3))
 
 

@@ -76,10 +76,11 @@ from .riordan import (
     Weight, _first_difference, _iter_unweighted_columns, _mixed_backends, _riordan_columns,
     _toeplitz_columns, _unweighted_columns, _weighted_matrix, is_riordan,
 )
-from .scalars import _Q, _powers
+from .scalars import _Q
 from .series import (
-    Series, _apply_rows, _forward_substitute, _ints_over_lcm, _inverse_columns, _low_slots, _pack,
-    _packs, _over_common_denominator, _reduce, _rows_over_lcm, _wrap,
+    Series, _apply_rows, _entrywise, _forward_substitute, _ints_over_lcm, _inverse_columns,
+    _low_slots, _pack, _packs, _over_common_denominator, _reduce, _rows_over_lcm,
+    _running_product, _scalar_raw, _wrap,
 )
 from .triangular import Polynomial, TriMatrix, _triangle_rows
 
@@ -93,9 +94,11 @@ def m_matrix(W: Weight) -> TriMatrix:
 
 
 def _translation_series(W: Weight, h) -> Series:
-    """W(hy) = sum h^l y^l / w_l, the series of T_h, on the running powers of h."""
-    h = W.field.scalar(h)
-    return Series(W.field, [x * r for x, r in zip(_powers(h, W.order), W.recip)])
+    """W(hy) = sum h^l y^l / w_l, the series of T_h: the running powers of h
+    (_running_product) times 1/w entrywise, on the raw forms."""
+    field = W.field
+    powers = _running_product(field.p, [_scalar_raw(field.scalar(h))] * (W.order - 1))
+    return Series._from_raw(field, *_entrywise(field.p, powers, W._rs._raw()))
 
 
 def translation_matrix(W: Weight, h) -> TriMatrix:
@@ -159,7 +162,7 @@ def sheffer_by_commutation(A: TriMatrix, W: Weight, hs=None) -> bool:
     operator.
     """
     if hs is None:
-        W.field.range_elements(W.order)  # raises when GF(p) has fewer than N points
+        W.field._check_count(W.order)  # the points 0..N-1 must be distinct
     elif len({W.field.scalar(h) for h in hs}) != W.order:
         raise ValueError(f"need {W.order} distinct sample points")
     return _lowering_witness(A, W) is None

@@ -79,26 +79,26 @@ from .errors import (
     RootOfUnity,
     ZeroLambda,
 )
-from .scalars import Field, Scalar, _powers
+from .scalars import Field, Scalar
 from .series import (
-    Series,
-    _apply_power_table,
-    _divide,
-    _geometric_columns,
-    _reduce,
-    _solve_power_table,
-    check_order,
+    Series, _apply_power_table, _divide, _entrywise, _geometric_columns, _over_common_denominator,
+    _reciprocal, _reduce, _running_product, _scalar_raw, _solve_power_table, check_order,
 )
 from .triangular import TriMatrix
 
 
 class Weight:
     """Denominator sequence w_0..w_{N-1} and its reciprocals 1/w_n, each
-    kept as a Series: _ws holds w, and _rs holds 1/w, which is W(t).
+    kept as a Series in its raw form: _ws holds w, and _rs holds 1/w,
+    which is W(t).
 
-    The builtins and rescale build w as one running product, each w_n a
-    few Scalar products from w_{n-1} (scalars._powers for the powers of
-    one element), with no power or factorial recomputed per index.  The
+    The builtins list the N - 1 integer steps (a_n, b_n) of w_n =
+    w_{n-1} a_n / b_n, and series._running_product multiplies them out on
+    integers into w, and the swapped steps into 1/w (_from_steps): no
+    Scalar is built per index and no power or factorial recomputed.
+    rescale and tilde_weight_from_gamma multiply a weight entrywise by
+    one such product (_times).  Weight(field, values) keeps its checks of
+    user values and takes 1/w from the raw w (series._reciprocal).  The
     conjugation kernel reads both series in their raw form (Series._raw),
     integers over their lcm over QQ and residues over 1 over GF(p).
     """
@@ -106,16 +106,39 @@ class Weight:
     __slots__ = ("field", "_ws", "_rs")
 
     def __init__(self, field: Field, denominators):
-        w = tuple([field.scalar(x) for x in denominators])
+        w = [field.scalar(x) for x in denominators]
         check_order(len(w))
         if w[0] != field.one():
             raise InvalidWeight(f"w[0] must be 1, got {w[0]}")
         for n, x in enumerate(w):
             if not x:
                 raise InvalidWeight(f"w[{n}] = 0")
-        self.field = field
-        self._ws = Series(field, w)
-        self._rs = Series(field, [x.inverse() for x in w])
+        raw = _over_common_denominator(field, w)
+        self.field, self._ws = field, Series._from_raw(field, *raw)
+        self._rs = Series._from_raw(field, *_reciprocal(field.p, *raw))
+
+    @classmethod
+    def _from_raw(cls, field, w, r):
+        """Wrap the reduced raw forms (ints, den) of w and 1/w, unchecked
+        (Series._from_raw): w_0 = 1 and no w_n zero."""
+        out = object.__new__(cls)
+        out.field, out._ws, out._rs = field, Series._from_raw(field, *w), Series._from_raw(field, *r)
+        return out
+
+    @classmethod
+    def _from_steps(cls, field, steps):
+        """The weight w_n = w_{n-1} a_n / b_n from its N - 1 integer steps
+        (a_n, b_n), none zero (mod p over GF(p)): w and 1/w are the running
+        products of the steps and of the swapped steps (_running_product)."""
+        p = field.p
+        return cls._from_raw(field, _running_product(p, steps),
+                             _running_product(p, [(b, a) for a, b in steps]))
+
+    def _times(self, other: "Weight") -> "Weight":
+        """The weight w_n v_n of the entrywise product with the weight v."""
+        p = self.field.p
+        return Weight._from_raw(self.field, _entrywise(p, self._ws._raw(), other._ws._raw()),
+                                _entrywise(p, self._rs._raw(), other._rs._raw()))
 
     @property
     def w(self) -> tuple:
@@ -139,10 +162,8 @@ class Weight:
             raise NotInvertible(
                 f"n! vanishes in GF({field.p}) before order {order}"
             )
-        w = [field.one()]
-        for n in range(1, order):
-            w.append(w[-1] * lam * field.scalar(n))
-        return cls(field, w)
+        a, b = _scalar_raw(lam)
+        return cls._from_steps(field, [(a * n, b) for n in range(1, order)])
 
     @classmethod
     def geometric(cls, field, order, lam):
@@ -151,28 +172,28 @@ class Weight:
         lam = field.scalar(lam)
         if not lam:
             raise ZeroLambda("lambda must be nonzero")
-        return cls(field, _powers(lam, order))
+        return cls._from_steps(field, [_scalar_raw(lam)] * (order - 1))
 
     @classmethod
     def q_factorial(cls, field, order, lam, q):
         """w_n = (lam/(1-q))^n * prod_{j<=n} (1 - q^j); the q-umbral calculus.
 
-        Needs q^j != 1 for 1 <= j < order, so every w_n is a unit.
+        Needs q^j != 1 for 1 <= j < order, so every w_n is a unit.  With
+        lam = a/b and q = c/d (b = d = 1 over GF(p)) the step n is
+        a d (d^n - c^n) / (b (d - c) d^n), on the running powers c^n, d^n.
         """
         check_order(order)
         lam, q = field.scalar(lam), field.scalar(q)
         if not lam:
             raise ZeroLambda("lambda must be nonzero")
-        one, qs = field.one(), _powers(q, order)
+        (a, b), (c, d), p = _scalar_raw(lam), _scalar_raw(q), field.p
+        steps, cn, dn = [], 1, 1
         for j in range(1, order):
-            if qs[j] == one:
+            cn, dn = cn * c if p is None else cn * c % p, dn * d
+            if cn == dn:
                 raise RootOfUnity(f"q^{j} = 1")
-        base = lam / (one - q)
-        w = [one]
-        for n in range(1, order):
-            w.append(w[-1] * base * (one - qs[n]))
-        return cls(field, w)
-
+            steps.append((a * d * (dn - cn), b * (d - c) * dn))
+        return cls._from_steps(field, steps)
     # -- basics ----------------------------------------------------------
     @property
     def order(self) -> int:
@@ -191,10 +212,7 @@ class Weight:
 
     def rescale(self, lam) -> "Weight":
         """w_n -> lam^n * w_n; membership in the Riordan group is unchanged."""
-        lam = self.field.scalar(lam)
-        if not lam:
-            raise ZeroLambda("lambda must be nonzero")
-        return Weight(self.field, [x * w for x, w in zip(_powers(lam, self.order), self.w)])
+        return self._times(Weight.geometric(self.field, self.order, lam))
 
     def _check_same(self, other: "Weight"):
         if other.field != self.field or other.order != self.order:

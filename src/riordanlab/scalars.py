@@ -214,10 +214,14 @@ class Field:
         shapes = "a or a/b" if self.p is None else "a or a mod p"
         raise ValueError(f"'{text}' is not a scalar of {self!s}: expected {shapes}")
 
-    def range_elements(self, count: int) -> list[Scalar]:
-        """The field elements 0, 1, ..., count-1; they must be distinct."""
+    def _check_count(self, count: int) -> None:
+        """Raise ValueError unless the field has at least count elements."""
         if self.p is not None and count > self.p:
             raise ValueError(f"GF({self.p}) has fewer than {count} elements")
+
+    def range_elements(self, count: int) -> list[Scalar]:
+        """The field elements 0, 1, ..., count-1; they must be distinct."""
+        self._check_count(count)
         return [self.scalar(i) for i in range(count)]
 
     def __str__(self):

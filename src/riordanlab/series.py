@@ -30,7 +30,13 @@ conversions (``_wrap``, ``_over_common_denominator``) belong to this
 module, triangular.py (a raw form per column) and operators.HPolyMatrix
 (a raw form per slot, of any length); every other module reads a
 coefficient vector through a Series, as Weight (w and 1/w) and
-Functional do.
+Functional do.  The builtin weights and series start on raw values as
+well: ``_running_product`` multiplies the N - 1 integer steps (a_n, b_n)
+of w_n = w_{n-1} a_n / b_n out into a reduced raw form, one pow for all
+N over GF(p), and builds no Scalar (Series.exp, the Weight builtins and
+operators._translation_series); ``_entrywise`` multiplies two raw forms
+(W(hy), Weight.rescale) and ``_reciprocal`` takes 1/v from a raw v, the
+1/w of a weight of user values.
 
 ``_geometric_columns`` is the one loop over the powers of a series: it
 yields the raw columns c g^k of R_(c,g), the ordinary Riordan matrix of
@@ -255,11 +261,61 @@ def _over_common_denominator(field, coeffs):
 
 def _wrap(field, ints, den=1):
     """The inverse of _over_common_denominator: integers over den as Scalars
-    of QQ, or integers reduced to residues of GF(p) (den is then 1)."""
+    of QQ (one normalising Fraction each only when den is not 1), or
+    residues 0 <= v < p of GF(p) as they are (den is then 1)."""
     p = field.p
-    if p is None:
-        return [Scalar(_Q(v, den)) for v in ints]
-    return [Scalar(v % p, p) for v in ints]
+    if p is not None:
+        return [Scalar(v, p) for v in ints]
+    return [Scalar(_Q(v)) for v in ints] if den == 1 else [Scalar(_Q(v, den)) for v in ints]
+
+
+def _scalar_raw(x):
+    """One Scalar as (integer, den): its numerator and denominator over QQ,
+    (residue, 1) over GF(p)."""
+    return (x.val, 1) if x.p is not None else (x.val.numerator, x.val.denominator)
+
+
+def _running_product(p, steps):
+    """The reduced raw form of w_0..w_{N-1}, w_0 = 1 and w_n = w_{n-1} a_n / b_n,
+    from the N - 1 integer steps (a_n, b_n), each b_n nonzero (mod p over
+    GF(p)); the steps (b_n, a_n) give 1/w when no a_n is zero.
+
+    With the prefix products A_n = a_1 ... a_n and B = b_1 ... b_{N-1},
+    w_n = A_n s_n for s_n = b_{n+1} ... b_{N-1} / B = 1 / (b_1 ... b_n), taken
+    in one walk back from s_{N-1} = 1 / B: over QQ the integers
+    A_n b_{n+1} ... b_{N-1} over B, reduced once (_reduce); over GF(p)
+    residues, with 1 / B the one pow for all N (Montgomery's batch
+    inversion).  No power or factorial is taken per index.
+    """
+    tops, den = [1], 1
+    for a, b in steps:
+        tops.append(tops[-1] * a if p is None else tops[-1] * a % p)
+        den = den * b if p is None else den * b % p
+    s = 1 if p is None else pow(den, -1, p)
+    for n in range(len(steps), 0, -1):
+        tops[n] *= s
+        s = s * steps[n - 1][1] if p is None else s * steps[n - 1][1] % p
+    tops[0] = s
+    if p is not None:
+        return [x % p for x in tops], 1
+    return _reduce(tops, den, 0) if den > 0 else _reduce([-x for x in tops], -den, 0)
+
+
+def _reciprocal(p, ints, den):
+    """The reduced raw form of 1/v from the reduced raw form (ints, den) of
+    v, no v_n zero and v_0 = 1: over QQ den (L / ints_n) over L, the lcm of
+    the ints, reduced once; over GF(p) the running product of the steps
+    (v_{n-1}, v_n), whose prefix products telescope to 1 / v_n."""
+    if p is not None:
+        return _running_product(p, list(zip(ints, ints[1:])))
+    top = lcm(*ints)
+    return _reduce([den * (top // x) for x in ints], top, 0)
+
+
+def _entrywise(p, x, y):
+    """The reduced raw form of the entrywise product of the raw forms x and y."""
+    ints = list(map(mul, x[0], y[0]))
+    return _reduce(ints, x[1] * y[1], 0) if p is None else ([v % p for v in ints], 1)
 
 
 def _geometric_columns(c, dc, g):
@@ -407,16 +463,13 @@ class Series:
 
     @classmethod
     def exp(cls, field, order, h):
-        """exp(h y) = sum (h y)^l / l!, built as one running product
-        c_l = c_{l-1} h / l; in GF(p) it needs order <= p."""
+        """exp(h y) = sum (h y)^l / l!, the running product c_l = c_{l-1} h / l
+        on integers (_running_product); in GF(p) it needs order <= p."""
         check_order(order)
-        h = field.scalar(h)
-        if field.p is not None and order > field.p:
-            raise NotInvertible(f"{field.p}! is 0 in GF({field.p})")
-        c = [field.one()]
-        for l in range(1, order):
-            c.append(c[-1] * h / field.scalar(l))
-        return cls(field, c)
+        (a, b), p = _scalar_raw(field.scalar(h)), field.p
+        if p is not None and order > p:
+            raise NotInvertible(f"{p}! is 0 in GF({p})")
+        return cls._from_raw(field, *_running_product(p, [(a, b * l) for l in range(1, order)]))
 
     @classmethod
     def identity(cls, field, order):
@@ -428,8 +481,7 @@ class Series:
         if not 0 <= k < order:
             raise ValueError(f"exponent {k} out of range for order {order}")
         check_order(order)
-        c = field.scalar(c).val
-        num, den = (c, 1) if field.p is not None else (c.numerator, c.denominator)
+        num, den = _scalar_raw(field.scalar(c))
         return cls._from_raw(field, [0] * k + [num] + [0] * (order - k - 1), den)
 
     # -- basics ----------------------------------------------------------

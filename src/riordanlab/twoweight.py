@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BackendMismatch, CharP, ForbiddenLambda, NotValuationZero
+from .errors import BackendMismatch, CharP, DivisionByZero, ForbiddenLambda, NotValuationZero
 from .operators import appell_from_alpha
 from .riordan import Weight, is_riordan
 from .scalars import Field, Scalar, _Q
-from .series import Series, check_order
+from .series import Series, _scalar_raw, check_order
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,18 @@ def is_exponential_alpha(alpha: Series):
 
 
 def tilde_weight_from_gamma(W: Weight, gamma: GammaSeq) -> Weight:
-    """The unique second weight realizing a prescribed gamma sequence."""
+    """The unique second weight realizing a prescribed gamma sequence:
+    w2_k = w_k / (gamma_0 ... gamma_{k-1}), w times the running product of
+    the steps 1 / gamma_k entrywise (Weight._times)."""
     if len(gamma) != W.order - 1:
         raise BackendMismatch("gamma length must be order - 1")
-    w2 = [W.field.one()]
-    for k, g in enumerate(gamma.values):
-        w2.append(w2[k] * W.w[k + 1] * W.recip[k] * g.inverse())
-    return Weight(W.field, w2)
+    one, steps = W.field.one(), []
+    for g in gamma.values:
+        if not g:
+            raise DivisionByZero("division by zero")
+        one._join(g)  # a gamma_k of another field raises as a Scalar product would
+        steps.append(_scalar_raw(g)[::-1])
+    return W._times(Weight._from_steps(W.field, steps))
 
 
 def exp_case_weights(field: Field, order: int, lam, sigma) -> Weight:
@@ -105,7 +110,8 @@ def exp_case_weights(field: Field, order: int, lam, sigma) -> Weight:
 
     Requires characteristic 0, sigma != 0, and lam outside
     {0, sigma, ..., (order-2)*sigma} so that no denominator vanishes.
-    Built as one running product, w2_k = w2_{k-1} k / (lam - (k-1) sigma).
+    Built as one running product on integers, w2_k = w2_{k-1} k / (lam - (k-1) sigma)
+    (Weight._from_steps).
     """
     check_order(order)
     if field.char != 0:
@@ -113,13 +119,13 @@ def exp_case_weights(field: Field, order: int, lam, sigma) -> Weight:
     lam, sigma = field.scalar(lam), field.scalar(sigma)
     if not sigma:
         raise ForbiddenLambda("sigma must be nonzero")
-    w = [field.one()]
+    (a, b), (c, d), steps = _scalar_raw(lam), _scalar_raw(sigma), []
     for k in range(1, order):
-        factor = lam - sigma * field.scalar(k - 1)
+        factor = a * d - (k - 1) * c * b  # (lam - (k - 1) sigma) b d
         if not factor:
             raise ForbiddenLambda(f"lambda = {k - 1} * sigma makes w[{k}] vanish")
-        w.append(w[-1] * field.scalar(k) / factor)
-    return Weight(field, w)
+        steps.append((k * b * d, factor))
+    return Weight._from_steps(field, steps)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ comes with a line in this index.
   exp_case_weights_reference and q_binomial_reference: the constructors
   that raised a power or a factorial afresh for every index, which one
   running product per sequence replaces.
+- tilde_weight_from_gamma_reference: the second weight as a running
+  product of Scalars, one Scalar.inverse per gamma_k, which one running
+  product on integers replaces.
 - solve_conjugator_reference: the Krylov loop that wrapped every column
   M^k e_0 into Scalars and built the matrix from Scalar rows.
 - extended_binomial_field_reference: extended_binomial through a Field
@@ -436,6 +439,16 @@ def exp_case_weights_reference(field, order, lam, sigma):
     return Weight(field, w)
 
 
+def tilde_weight_from_gamma_reference(W, gamma):
+    """The unique second weight realizing a prescribed gamma sequence."""
+    if len(gamma) != W.order - 1:
+        raise BackendMismatch("gamma length must be order - 1")
+    w2 = [W.field.one()]
+    for k, g in enumerate(gamma.values):
+        w2.append(w2[k] * W.w[k + 1] * W.recip[k] * g.inverse())
+    return Weight(W.field, w2)
+
+
 def q_binomial_reference(l, k, q):
     """Gaussian binomial prod_{j=k+1}^{l}(1-q^j) / prod_{j=1}^{l-k}(1-q^j)."""
     if not 0 <= k <= l:
@@ -505,10 +518,13 @@ def series_mul_scalar_reference(self, other):
 def apply_rows_scalar_reference(field, table, *vectors):
     """[M v for v in vectors] as lists of Scalars of field, M given as
     table = (rows, D) (_rows_over_lcm) and each v as N Scalars of field:
-    one integer dot product per output over D times the denominator of v."""
-    rows, den = table
-    return [_wrap(field, [sum(map(mul, row, a)) for row in rows], den * da)
-            for a, da in [_over_common_denominator(field, v) for v in vectors]]
+    one integer dot product per output over D times the denominator of v,
+    reduced mod p over GF(p), as _wrap takes residues."""
+    (rows, den), p, out = table, field.p, []
+    for a, da in [_over_common_denominator(field, v) for v in vectors]:
+        sums = [sum(map(mul, row, a)) for row in rows]
+        out.append(_wrap(field, sums if p is None else [x % p for x in sums], den * da))
+    return out
 
 
 def apply_power_table_scalar_reference(g, *series):

@@ -17,8 +17,9 @@ either.  Two generator families draw weights and matrices:
 gf7_cases draws as drawn_cases with GF(7) for GF(3) (FIELDS).  outcome is
 a result or the type and message of its error; other a field that is not
 the given one; reduced_form the reduced raw form (ints, den) of plain
-values; S a series from values; exp_series c0 W(hy) under exponential(1);
-call runs the CLI in this process.
+values; raw_built checks that a Series or Weight holds one and has built
+no Scalar view; S a series from values; exp_series c0 W(hy) under
+exponential(1); call runs the CLI in this process.
 """
 
 import contextlib
@@ -76,6 +77,18 @@ def reduced_form(vals, p):
     ints = [int(v * den) for v in vals]
     g = gcd(den, *ints)
     return [x // g for x in ints], den // g
+
+
+def raw_built(thing):
+    """thing, a Series or a Weight (both its series), after asserting that it
+    holds a reduced raw form (ints, den), den > 0 and gcd(den, ints...) = 1,
+    residues 0 <= v < p over 1 over GF(p), and has built no Scalar view."""
+    for s in (thing._ws, thing._rs) if isinstance(thing, Weight) else (thing,):
+        (ints, den), p = s._raw(), s.field.p
+        assert s._coeffs is None
+        assert den > 0 and gcd(den, *ints) == 1
+        assert p is None or (den == 1 and all(0 <= x < p for x in ints))
+    return thing
 
 
 def S(field, order, *vals):

@@ -8,11 +8,14 @@ over QQ and on Python ints mod p over GF(p), never through Scalar, so that
 a faster constructor can be checked against them.  Every value, and the
 type and message of every raised error, must agree over QQ, GF(2), GF(3)
 and GF(1000003) at N = 2..16, with lam = 0, q a root of unity and N > p
-among the inputs.
+among the inputs.  Weight(field, values) is checked on every tuple of
+values of GF(2) and GF(3) at N <= 4, and must hold a reduced raw form
+with no Scalar view built (support.raw_built).
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from riordanlab.errors import (
     CharP,
     DivisionByZero,
     ForbiddenLambda,
+    InvalidWeight,
     MathDomainError,
     NotInvertible,
     RootOfUnity,
@@ -34,6 +38,7 @@ from riordanlab.operators import translation_matrix
 from riordanlab.riordan import Weight
 from riordanlab.scalars import extended_binomial, factorial_inv
 from riordanlab.twoweight import GammaSeq, exp_case_weights, gamma_sequence, tilde_weight_from_gamma
+from support import raw_built
 
 # -- plain arithmetic: a Fraction over QQ (p is None), an int in [0, p) over GF(p)
 
@@ -66,6 +71,20 @@ def field_name(p):
 def weight_reference(p, w):
     """What a Weight of the nonzero values w holds: (w, 1/w)."""
     return w, [inv(p, x) for x in w]
+
+
+def user_weight_reference(p, w):
+    """What Weight(field, w) holds for plain values w, or the error it
+    raises: the order, then w_0 = 1, then the first zero."""
+    if not 2 <= len(w) <= 64:
+        raise ValueError(f"order must be in 2..64, got {len(w)}")
+    w = [red(p, x) for x in w]
+    if w[0] != 1:
+        raise InvalidWeight(f"w[0] must be 1, got {w[0] if p is None else f'{w[0]} mod {p}'}")
+    zero = next((n for n, x in enumerate(w) if not x), None)
+    if zero is not None:
+        raise InvalidWeight(f"w[{zero}] = 0")
+    return weight_reference(p, w)
 
 
 def exponential_closed_form_reference(p, n, lam):
@@ -322,3 +341,13 @@ def test_translation_and_evaluation_match_their_closed_forms(case, wkind, h_kind
     h = pick(p, rng, h_kind)
     assert values(translation_matrix(W, h)) == translation_closed_form_reference(p, w, h)
     assert values(eval_functional(h, W)) == eval_reference(p, w, h)
+
+
+def test_every_small_weight_over_gf2_and_gf3():
+    # every tuple of values at N = 1..4: 2 + 4 + 8 + 16 over GF(2), 120 over GF(3)
+    for p in (2, 3):
+        field = Field(p)
+        for n in range(1, 5):
+            for w in product(range(p), repeat=n):
+                got = outcome(lambda: values(raw_built(Weight(field, list(w)))))
+                assert got == outcome(user_weight_reference, p, list(w)), w

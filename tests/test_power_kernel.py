@@ -72,10 +72,12 @@ def power_table_reference(g):
 
 
 def apply_power_table_reference(table, f):
-    """R_g f, the series f o g, for table = _power_table(g): one dot product per row."""
-    rows, den = table
+    """R_g f, the series f o g, for table = _power_table(g): one dot product per
+    row, reduced mod p over GF(p), as _wrap takes residues."""
+    (rows, den), p = table, f.field.p
     a, da = _over_common_denominator(f.field, f.coeffs)
-    return Series(f.field, _wrap(f.field, [sum(map(mul, row, a)) for row in rows], den * da))
+    sums = [sum(map(mul, row, a)) for row in rows]
+    return Series(f.field, _wrap(f.field, sums if p is None else [x % p for x in sums], den * da))
 
 
 def geometric_columns_reference(c, dc, beta: Series):
