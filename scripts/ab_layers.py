@@ -27,6 +27,9 @@ then; "diagonals compared" calls constant_on_diagonals on the result
 instead, the call the classify-gfp benchmark workload makes per matrix.
 A is built from its own copy of the pair a, so no layer finds the series
 of a or b already read into raw form by an earlier call.
+change_weight takes A from W to W2 = Weight.exponential(F, N, 1), and
+classify_membership asks whether the Appell matrix of a's alpha under W
+is Riordan under W2, the two-weight path of the CLI's twoweight command.
 solve_conjugator runs on finite_difference_matrix(W, 3); the constructor
 rows build a weight or series of order N, exp_case_weights over QQ only,
 Weight.rescale rescales W, and Weight(F, values) builds a weight from the
@@ -71,6 +74,7 @@ LAYERS = {
     "Series.comp_inverse": lambda m, x: x.a.beta.comp_inverse(),
     "finite_difference_matrix": lambda m, x: m.finite_difference_matrix(x.W, 3),
     "change_weight": lambda m, x: m.change_weight(x.A, x.W, x.W2),
+    "classify_membership": lambda m, x: m.classify_membership(x.a.alpha, x.W, x.W2),
     "dual_basis": lambda m, x: m.dual_basis(x.A, x.W),
     "dual_characterization_check": lambda m, x: m.dual_characterization_check(x.A, x.W),
     "functional_mul": lambda m, x: m.functional_mul(x.phi, x.psi),

@@ -141,7 +141,7 @@ def appell_from_alpha(alpha: Series, W: Weight) -> TriMatrix:
     if alpha.order != W.order:
         raise BackendMismatch("series and weight orders differ")
     if alpha.field != W.field:
-        raise _mixed_backends(alpha.coeffs[0], W.w[0])
+        raise _mixed_backends(alpha.field.one(), W.field.one())
     return _weighted_matrix(W, _toeplitz_columns(*alpha._raw()))
 
 
@@ -459,14 +459,16 @@ def solve_conjugator(M: TriMatrix) -> TriMatrix:
     a_{k+1} = M a_k: the columns of A are the Krylov vectors M^k e_0.  The
     rows of M are put over one denominator once (series._rows_over_lcm),
     and each next column stays raw: one series._apply_rows on those rows,
-    an integer dot product per entry, reduced once.  No Scalar is built.
+    applied to the last column from its diagonal down, an integer dot
+    product per entry, reduced once.  No Scalar is built.
     """
     if not is_degree_decreasing(M):
         raise NotDegreeDecreasing("need a strictly lower matrix with nonzero subdiagonal")
     table = _rows_over_lcm(M._columns())
     cols = [([1] + [0] * (M.order - 1), 1)]
-    for _ in range(M.order - 1):
-        cols += _apply_rows(M.field, table, cols[-1])
+    for k in range(M.order - 1):
+        a, da = cols[-1]
+        cols += _apply_rows(M.field, table, (a[k:], da))
     return TriMatrix._from_columns(M.field, cols)
 
 

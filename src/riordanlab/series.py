@@ -9,10 +9,13 @@ TriMatrix holds its raw columns: read off the Scalars the constructor is
 given (``_over_common_denominator``), or as a kernel built it
 (``Series._from_raw``).  The raw form (ints, den) lists the N
 coefficients as integers over one denominator over QQ and residues over
-1 over GF(p), in reduced form (``_reduce``): den > 0 and
-gcd(den, ints...) = 1.  It is unique, so == and hash read it.  The kernels here
+1 over GF(p), in reduced form: den > 0 and gcd(den, ints...) = 1.  It is
+unique, so == and hash read it.  ``_reduce`` is the one normaliser that
+puts kernel integers into it over both fields, and the kernels that end
+in integers over a denominator return through it.  The kernels here
 take and return raw values and build no Scalar: ``_convolve`` multiplies
-(Series.__mul__), ``_apply_rows`` applies rows over one denominator, and
+(Series.__mul__), ``_apply_rows`` applies lower-triangular rows over one
+denominator to vectors given from a row k on, and
 ``_forward_substitute`` is the one triangular solver, behind
 Series.invert and Series.__truediv__ (the Toeplitz matrix of the
 divisor, ``_divide``), Series.comp_inverse, riordan_inv and, through
@@ -49,8 +52,10 @@ the coefficient vector of f o g, and R_g serves the whole group law:
 ``_apply_power_table`` applies it (Series.compose, riordan_mul) through
 ``_apply_rows``, the one product of rows over one denominator with a raw
 vector, which functionals._after_operator runs on the rows of U
-(functionals.product_rule_check reaches it through Series.compose) and
-operators.solve_conjugator on the rows of M; and
+(functionals.product_rule_check reaches it through Series.compose),
+TriMatrix.__matmul__ on the rows of its left factor and
+operators.solve_conjugator on the rows of M, the last two on columns cut
+at their diagonal; and
 ``_solve_power_table`` solves with it, R_g x = e_1 giving g^{<-1>} and
 R_g h = f giving f o g^{<-1>} (Series.comp_inverse, riordan_inv).
 
@@ -239,12 +244,16 @@ def _ints_over_lcm(vals):
     return [v.numerator * (den // v.denominator) for v in vals], den
 
 
-def _reduce(ints, den, k):
-    """The column [0] * k + ints over den > 0 in reduced form: ints and den
-    divided by the gcd of all of them, as _ints_over_lcm gives normalised
-    rationals; a zero column becomes (zeros, 1)."""
-    g = gcd(den, *ints)
-    if g > 1:
+def _reduce(ints, den, k=0, p=None):
+    """The column [0] * k + ints over den in reduced form, the one
+    normaliser of kernel output.  Over QQ (p None) ints and den, den
+    nonzero, are divided by the gcd of all of them, taken with the sign of
+    den, so den > 0, as _ints_over_lcm gives normalised rationals; a zero
+    column becomes (zeros, 1).  Over GF(p) the residues of ints over 1."""
+    if p is not None:
+        return [0] * k + [x % p for x in ints], 1
+    g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
+    if g != 1:
         ints, den = [x // g for x in ints], den // g
     return [0] * k + ints, den
 
@@ -296,9 +305,7 @@ def _running_product(p, steps):
         tops[n] *= s
         s = s * steps[n - 1][1] if p is None else s * steps[n - 1][1] % p
     tops[0] = s
-    if p is not None:
-        return [x % p for x in tops], 1
-    return _reduce(tops, den, 0) if den > 0 else _reduce([-x for x in tops], -den, 0)
+    return _reduce(tops, den, p=p)
 
 
 def _reciprocal(p, ints, den):
@@ -309,13 +316,12 @@ def _reciprocal(p, ints, den):
     if p is not None:
         return _running_product(p, list(zip(ints, ints[1:])))
     top = lcm(*ints)
-    return _reduce([den * (top // x) for x in ints], top, 0)
+    return _reduce([den * (top // x) for x in ints], top)
 
 
 def _entrywise(p, x, y):
     """The reduced raw form of the entrywise product of the raw forms x and y."""
-    ints = list(map(mul, x[0], y[0]))
-    return _reduce(ints, x[1] * y[1], 0) if p is None else ([v % p for v in ints], 1)
+    return _reduce(list(map(mul, x[0], y[0])), x[1] * y[1], p=p)
 
 
 def _geometric_columns(c, dc, g):
@@ -354,14 +360,20 @@ def _power_table(g):
 
 
 def _apply_rows(field, table, *vectors):
-    """[M v for v in vectors] as raw (ints, den) in reduced form, M given as
-    table = (rows, D) (_rows_over_lcm) and each v as raw (ints, den): one
-    integer dot product per output over D times den, reduced once
-    (_reduce; mod p over GF(p))."""
+    """[M v for v in vectors] as raw columns (ints, den) in reduced form,
+    listing all N rows, M lower-triangular given as table = (rows, D)
+    (_rows_over_lcm) and each v as raw (ints, den) of length N - k, its
+    entries k..N-1, those before k being zero, as the right-hand sides of
+    _forward_substitute are given: for each row m >= k one integer dot
+    product of entries (m, k..m) with v, over D times den, reduced once
+    (_reduce).  A full-length v (k = 0) takes the rows as they are,
+    copying none."""
     (rows, den), p, out = table, field.p, []
     for a, da in vectors:
-        ints = [sum(map(mul, row, a)) for row in rows]
-        out.append(_reduce(ints, den * da, 0) if p is None else ([x % p for x in ints], 1))
+        k = len(rows) - len(a)
+        ints = ([sum(map(mul, row[k:], a)) for row in rows[k:]] if k
+                else [sum(map(mul, row, a)) for row in rows])
+        out.append(_reduce(ints, den * da, k, p))
     return out
 
 
@@ -529,7 +541,7 @@ class Series:
         self._check_same(other)
         (a, da), (b, db), p = self._raw(), other._raw(), self.field.p
         c = _convolve(a, b, p)
-        return Series._from_raw(self.field, *(_reduce(c, da * db, 0) if p is None else (c, 1)))
+        return Series._from_raw(self.field, *(_reduce(c, da * db) if p is None else (c, 1)))
 
     def __pow__(self, k: int):
         """self^k by repeated squaring: at most 2 k.bit_length() products."""

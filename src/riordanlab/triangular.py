@@ -18,25 +18,24 @@ builds no Scalar row.  The kernels of riordan.py return raw columns
 are a view, kept when the constructor was given them and otherwise built
 from the columns on the first read of rows or entry, and kept.
 
-Both kernels here read the raw columns: @ takes one integer dot product
-per entry, on the columns of the left factor put over one denominator as
-rows (a transpose over GF(p)), and returns raw columns, one gcd per column
-over QQ and residues over 1 over GF(p), so it builds no Scalar;
-TriMatrix.inverse is series._inverse_columns on the raw columns, the
-forward substitution on those rows, one column per k, or over GF(p),
-where sums of N products of residues fit 64-bit slots, a solve row by row
-on packed rows; it returns the reduced raw columns it solves, and also
-solves V = U^{-1} for operators._inverse_frame.
+Both kernels here read the raw columns: @ is series._apply_rows, the
+columns of the left factor put over one denominator as rows (a transpose
+over GF(p)) and applied to each column of the right factor from its
+diagonal down, one integer dot product per entry and one series._reduce
+per column, so it builds no Scalar; TriMatrix.inverse is
+series._inverse_columns on the raw columns, the forward substitution on
+those rows, one column per k, or over GF(p), where sums of N products of
+residues fit 64-bit slots, a solve row by row on packed rows; it returns
+the reduced raw columns it solves, and also solves V = U^{-1} for
+operators._inverse_frame.
 """
 
 from __future__ import annotations
 
-from operator import mul
-
 from .errors import BackendMismatch, DegreeTooHigh, SingularDiagonal
 from .scalars import Field, Scalar
 from .series import (
-    _inverse_columns, _over_common_denominator, _reduce, _rows_over_lcm, _wrap, check_order,
+    _apply_rows, _inverse_columns, _over_common_denominator, _rows_over_lcm, _wrap, check_order,
 )
 
 
@@ -228,19 +227,12 @@ class TriMatrix:
 
     # -- arithmetic --------------------------------------------------------
     def __matmul__(self, other):
-        # Each entry is one dot product on Python ints of a row of self, the
-        # raw columns of self put over one denominator as rows (a transpose
-        # over GF(p)), with a raw column of other.  The output is raw
-        # columns: one gcd each over QQ, residues over 1 over GF(p).
+        # The rows of self over one denominator applied to each column of
+        # other from its diagonal down (series._apply_rows).
         self._check_same(other)
-        p = self.field.p
-        (rows, den), cols = _rows_over_lcm(self._columns()), []
-        for k, (b, db) in enumerate(other._columns()):
-            b = b[k:]
-            ints = [sum(map(mul, row[k:], b)) for row in rows[k:]]
-            cols.append(_reduce(ints, den * db, k) if p is None
-                        else ([0] * k + [x % p for x in ints], 1))
-        return TriMatrix._from_columns(self.field, cols)
+        table = _rows_over_lcm(self._columns())
+        return TriMatrix._from_columns(self.field, _apply_rows(
+            self.field, table, *[(b[k:], db) for k, (b, db) in enumerate(other._columns())]))
 
     def __add__(self, other):
         self._check_same(other)

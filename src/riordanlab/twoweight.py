@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .errors import BackendMismatch, CharP, DivisionByZero, ForbiddenLambda, NotValuationZero
 from .operators import appell_from_alpha
 from .riordan import Weight, is_riordan
-from .scalars import Field, Scalar, _Q
-from .series import Series, _scalar_raw, check_order
+from .scalars import Field, Scalar
+from .series import Series, _reduce, _scalar_raw, _wrap, check_order
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,14 @@ class GammaSeq:
 
 
 def gamma_sequence(W: Weight, W2: Weight) -> GammaSeq:
+    """gamma_k = w2_k w_{k+1} / (w2_{k+1} w_k): one product of the raw forms
+    of w, 1/w, w2 and 1/w2 per entry over the product of their
+    denominators, reduced once (series._reduce), one Scalar per entry."""
     W._check_same(W2)
-    vals = tuple([
-        W2.w[k] * W.w[k + 1] * W2.recip[k + 1] * W.recip[k]
-        for k in range(W.order - 1)
-    ])
-    return GammaSeq(vals)
+    p, (w, dw), (r, dr) = W.field.p, W._ws._raw(), W._rs._raw()
+    (w2, dw2), (r2, dr2) = W2._ws._raw(), W2._rs._raw()
+    ints = [a * b * c * d for a, b, c, d in zip(w2, w[1:], r2[1:], r)]
+    return GammaSeq(tuple(_wrap(W.field, *_reduce(ints, dw * dr * dw2 * dr2, p=p))))
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,10 @@ class GammaShape:
 def classify_gamma(gamma: GammaSeq) -> GammaShape:
     """Fit gamma_k = lam (constant) or lam - sigma*k with sigma != 0.
 
-    The linear case is recognized only in characteristic 0; the fit uses
-    the first two entries and verifies the rest exactly.
+    The linear case is recognized only in characteristic 0.  A sequence
+    that is not constant is lam - sigma*k with sigma != 0 exactly when
+    every second difference vanishes, that is when every step
+    gamma_k - gamma_{k+1} equals the first, sigma.
     """
     vals = gamma.values
     if not vals:
@@ -66,14 +70,10 @@ def classify_gamma(gamma: GammaSeq) -> GammaShape:
         return GammaShape("constant", lam=first)
     if first.p is not None:  # characteristic p
         return GammaShape("neither")
-    lam = first
     sigma = vals[0] - vals[1]
-    if not sigma:
-        return GammaShape("neither")
-    for k, v in enumerate(vals):
-        if v != lam - sigma * Scalar(_Q(k)):
-            return GammaShape("neither")
-    return GammaShape("linear", lam=lam, sigma=sigma)
+    if all(a - b == sigma for a, b in zip(vals[1:], vals[2:])):
+        return GammaShape("linear", lam=first, sigma=sigma)
+    return GammaShape("neither")
 
 
 def is_exponential_alpha(alpha: Series):

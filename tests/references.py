@@ -77,6 +77,12 @@ comes with a line in this index.
   coefficient into one rational of its own, from the Scalar views of w and
   1/w, before each slot became one reduced raw form (ints, den); its last
   line builds the matrix from Scalars.
+- matmul_raw_reference: TriMatrix @ with its own rows-times-column loop on
+  the raw columns, which one series._apply_rows call replaces.
+- gamma_sequence_reference and classify_gamma_reference: gamma with three
+  Scalar products per entry of the Scalar views of both weights, which one
+  product of the raw forms replaces, and the linear fit that checked
+  lam - sigma*k at every k, which vanishing second differences replace.
 """
 
 from itertools import islice
@@ -104,6 +110,7 @@ from riordanlab.series import (
     _apply_rows, _convolve, _forward_substitute, _ints_over_lcm, _over_common_denominator,
     _power_table, _reduce, _rows_over_lcm, _wrap, check_order,
 )
+from riordanlab.twoweight import GammaSeq, GammaShape
 
 # -- the conjugation kernels ----------------------------------------------------
 
@@ -637,6 +644,59 @@ def matmul_reference(self, other):
         for i, a in enumerate(left)
     ]
     return TriMatrix(self.field, out)
+
+
+def matmul_raw_reference(self, other):
+    """TriMatrix.__matmul__ on raw columns, before it was one _apply_rows."""
+    # Each entry is one dot product on Python ints of a row of self, the
+    # raw columns of self put over one denominator as rows (a transpose
+    # over GF(p)), with a raw column of other.  The output is raw
+    # columns: one gcd each over QQ, residues over 1 over GF(p).
+    self._check_same(other)
+    p = self.field.p
+    (rows, den), cols = _rows_over_lcm(self._columns()), []
+    for k, (b, db) in enumerate(other._columns()):
+        b = b[k:]
+        ints = [sum(map(mul, row[k:], b)) for row in rows[k:]]
+        cols.append(_reduce(ints, den * db, k) if p is None
+                    else ([0] * k + [x % p for x in ints], 1))
+    return TriMatrix._from_columns(self.field, cols)
+
+
+# -- the gamma sequence of two weights ------------------------------------------
+
+
+def gamma_sequence_reference(W, W2):
+    W._check_same(W2)
+    vals = tuple([
+        W2.w[k] * W.w[k + 1] * W2.recip[k + 1] * W.recip[k]
+        for k in range(W.order - 1)
+    ])
+    return GammaSeq(vals)
+
+
+def classify_gamma_reference(gamma):
+    """Fit gamma_k = lam (constant) or lam - sigma*k with sigma != 0.
+
+    The linear case is recognized only in characteristic 0; the fit uses
+    the first two entries and verifies the rest exactly.
+    """
+    vals = gamma.values
+    if not vals:
+        raise ValueError("gamma sequence is empty")
+    first = vals[0]
+    if all(v == first for v in vals):
+        return GammaShape("constant", lam=first)
+    if first.p is not None:  # characteristic p
+        return GammaShape("neither")
+    lam = first
+    sigma = vals[0] - vals[1]
+    if not sigma:
+        return GammaShape("neither")
+    for k, v in enumerate(vals):
+        if v != lam - sigma * Scalar(_Q(k)):
+            return GammaShape("neither")
+    return GammaShape("linear", lam=lam, sigma=sigma)
 
 
 # -- the containers that held Scalars -------------------------------------------
