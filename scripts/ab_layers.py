@@ -24,7 +24,11 @@ q_factorial(-1, 2) over QQ and q_factorial(5, 3) over GF(1000003);
 check_report on translation_matrix(W, 3).  "entries read" also reads the
 Scalar entries of the result, which a kernel-built HPolyMatrix builds only
 then; "diagonals compared" calls constant_on_diagonals on the result
-instead, the call the classify-gfp benchmark workload makes per matrix.
+instead, the call the classify-gfp benchmark workload makes per matrix,
+and "to_json" its JSON form.  The output rows time the JSON form of
+kernel-built results, which the CLI prints: TriMatrix.to_json of A (built
+by pair_to_matrix, its rows not yet read) and Series.to_json of the
+product a.alpha * b.alpha.
 A is built from its own copy of the pair a, so no layer finds the series
 of a or b already read into raw form by an earlier call.
 change_weight takes A from W to W2 = Weight.exponential(F, N, 1), and
@@ -68,6 +72,9 @@ LAYERS = {
     "d_polynomials, entries read": lambda m, x: m.d_polynomials(x.A, x.W).entries,
     "d_polynomials, diagonals compared":
         lambda m, x: m.d_polynomials(x.A, x.W).constant_on_diagonals(),
+    "d_polynomials, to_json": lambda m, x: m.d_polynomials(x.A, x.W).to_json(),
+    "TriMatrix.to_json": lambda m, x: x.A.to_json(),
+    "Series.to_json": lambda m, x: x.s.to_json(),
     "Series.invert": lambda m, x: x.a.alpha.invert(),
     "Series.__mul__": lambda m, x: x.a.alpha * x.b.alpha,
     "Series.compose": lambda m, x: x.b.alpha.compose(x.a.beta),
@@ -119,7 +126,8 @@ def inputs(m, sampling, field, n):
     a_copy = sampling.riordan_pair(F, n, random.Random(1))  # equal to a
     phi, psi = [m.Functional(F, sampling.unit_series(F, n, rng).coeffs) for _ in range(2)]
     return SimpleNamespace(
-        F=F, n=n, W=W, a=a, b=b, phi=phi, psi=psi, A=m.pair_to_matrix(a_copy, W),
+        F=F, n=n, W=W, a=a, b=b, s=a.alpha * b.alpha, phi=phi, psi=psi,
+        A=m.pair_to_matrix(a_copy, W),
         B=sampling.perturbed_non_riordan(W, random.Random(1)),
         T=m.translation_matrix(W, 3), W2=m.Weight.exponential(F, n, 1),
         values=[str(v) for v in W.w],

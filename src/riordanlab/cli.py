@@ -24,6 +24,14 @@ the wrong number of arguments reads "<kind> takes <n> argument(s)".
 Exit codes: 0 success / verdict true, 1 some verdict false, 2 usage
 error, 3 mathematical domain error.
 
+A command builds only the output it prints: _emit takes its text lines
+and its JSON object as zero-argument callables and calls only the one for
+the session's mode, so text mode builds no to_json and --json mode
+formats no text line.  Both are read off the raw forms (series._texts):
+printing builds no Scalar, and polys formats each row from the raw
+columns of its matrix (triangular._poly_rows, _poly_text) rather than
+through matrix_to_polys.
+
 The argument parser is built once per process, on the first call to main.
 """
 
@@ -47,8 +55,8 @@ from .operators import (
 from .riordan import RiordanPair, Weight, pair_to_matrix
 from .scalars import Field
 from .serialize import dumps
-from .series import MAX_ORDER, MIN_ORDER, Series
-from .triangular import TriMatrix, matrix_to_polys
+from .series import MAX_ORDER, MIN_ORDER, Series, _texts
+from .triangular import TriMatrix, _poly_rows, _poly_text
 from .twoweight import classify_membership, exp_case_weights
 
 
@@ -162,10 +170,12 @@ def resolve(session: Session, kind: str, ref: str):
 
 
 def _emit(session, text_lines, json_obj):
+    """Print the output of the session's mode: text_lines and json_obj are
+    zero-argument callables, and only the one for that mode is called."""
     if session.json_mode:
-        print(dumps(json_obj))
+        print(dumps(json_obj()))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -177,24 +187,26 @@ def _spec_from_args(args: list[str]) -> str:
 
 
 def _define(session, kind, name, obj, text):
+    # text: a zero-argument callable, the text after "<kind> <name>: "
     session.registry[kind][name] = obj
-    _emit(session, [f"{kind} {name}: {text}"], obj.to_json())
+    _emit(session, lambda: [f"{kind} {name}: {text()}"], obj.to_json)
 
 
 def cmd_weight(session, args):
     w = build(session, "weight", _spec_from_args(args[1:]))
-    _define(session, "weight", args[0], w, f"w = [{', '.join(str(x) for x in w.w)}]")
+    _define(session, "weight", args[0], w,
+            lambda: f"w = [{', '.join(_texts(w.field.p, *w._ws._raw()))}]")
 
 
 def cmd_series(session, args):
     s = build(session, "series", _spec_from_args(args[1:]))
-    _define(session, "series", args[0], s, f"[{', '.join(str(c) for c in s.coeffs)}]")
+    _define(session, "series", args[0], s, lambda: f"[{', '.join(_texts(s.field.p, *s._raw()))}]")
 
 
 def cmd_pair(session, args):
     name, aref, bref = args
     p = RiordanPair(resolve(session, "series", aref), resolve(session, "series", bref))
-    _define(session, "pair", name, p, f"alpha = {p.alpha!r}, beta = {p.beta!r}")
+    _define(session, "pair", name, p, lambda: f"alpha = {p.alpha!r}, beta = {p.beta!r}")
 
 
 def cmd_matrix(session, args):
@@ -204,7 +216,7 @@ def cmd_matrix(session, args):
         m = matrices[rest[0]]
     else:
         m = build_matrix(session, rest[0].split(":") if len(rest) == 1 else rest)
-    _define(session, "matrix", name, m, f"order {m.order}")
+    _define(session, "matrix", name, m, lambda: f"order {m.order}")
 
 
 def cmd_polys(session, args):
@@ -214,11 +226,11 @@ def cmd_polys(session, args):
         mat = pair_to_matrix(session.registry["pair"][ref], w)
     else:
         mat = resolve(session, "matrix", ref)
-    polys = matrix_to_polys(mat)
+    rows = _poly_rows(mat)  # the rows of matrix_to_polys(mat), as text
     _emit(
         session,
-        [f"p_{n} = {p}" for n, p in enumerate(polys)],
-        [[str(c) for c in p.coeffs] for p in polys],
+        lambda: [f"p_{n} = {_poly_text(terms)}" for n, (_, terms) in enumerate(rows)],
+        lambda: [coeffs for coeffs, _ in rows],
     )
 
 
@@ -229,11 +241,14 @@ def cmd_check(session, args):
     report = check_report(resolve(session, "matrix", mref), resolve(session, "weight", wref), kind)
     if not report["verdict"]:
         session.any_false = True
-    lines = [f"{kind}: {'true' if report['verdict'] else 'false'}"]
-    if report["alpha"] is not None:
-        lines.append(f"alpha = [{', '.join(report['alpha'])}]")
-        lines.append(f"beta  = [{', '.join(report['beta'])}]")
-    _emit(session, lines, report)
+
+    def lines():
+        yield f"{kind}: {'true' if report['verdict'] else 'false'}"
+        if report["alpha"] is not None:
+            yield f"alpha = [{', '.join(report['alpha'])}]"
+            yield f"beta  = [{', '.join(report['beta'])}]"
+
+    _emit(session, lines, lambda: report)
 
 
 def cmd_twoweight(session, args):
@@ -247,12 +262,12 @@ def cmd_twoweight(session, args):
         session.any_false = True
     _emit(
         session,
-        [
+        lambda: [
             f"member: {'true' if report.member else 'false'}"
             + (f" (case {report.case})" if report.case else ""),
-            f"gamma = [{', '.join(report.gamma.to_json())}]",
+            f"gamma = [{', '.join(map(str, report.gamma.values))}]",
         ],
-        report.to_json(),
+        report.to_json,
     )
 
 
@@ -261,7 +276,7 @@ def cmd_show(session, args):
     for registry in session.registry.values():
         if name in registry:
             obj = registry[name]
-            _emit(session, [repr(obj)], obj.to_json())
+            _emit(session, lambda: [repr(obj)], obj.to_json)
             return
     raise UnknownName(f"nothing registered under {name!r}")
 

@@ -25,7 +25,9 @@ from .riordan import (
     _iter_unweighted_columns, _unweighted_columns, pair_to_matrix,
 )
 from .scalars import Field, Scalar
-from .series import Series, _apply_rows, _rows_over_lcm
+from .series import (
+    Series, _apply_rows, _over_common_denominator, _rows_over_lcm, _texts, check_order,
+)
 from .triangular import Polynomial, TriMatrix
 
 
@@ -38,7 +40,9 @@ class Functional:
     def __init__(self, field: Field, values):
         values = tuple(values)
         field.check(values, "value")
-        self.field, self._s = field, Series(field, values)
+        check_order(len(values))
+        self.field, self._s = field, Series._from_raw(
+            field, *_over_common_denominator(field, values), values)
 
     @classmethod
     def from_series(cls, s: Series):
@@ -71,10 +75,10 @@ class Functional:
         return hash(self._s)
 
     def __repr__(self):
-        return f"Functional[{', '.join(str(v) for v in self.values)}]"
+        return f"Functional[{', '.join(_texts(self.field.p, *self._s._raw()))}]"
 
     def to_json(self):
-        return {"t": [str(v) for v in self.values]}
+        return {"t": _texts(self.field.p, *self._s._raw())}
 
     @classmethod
     def from_json(cls, field, data):

@@ -80,7 +80,7 @@ from .scalars import _Q
 from .series import (
     Series, _apply_rows, _entrywise, _forward_substitute, _ints_over_lcm, _inverse_columns,
     _low_slots, _pack, _packs, _over_common_denominator, _reduce, _rows_over_lcm,
-    _running_product, _scalar_raw, _wrap,
+    _running_product, _scalar_raw, _texts, _wrap,
 )
 from .triangular import Polynomial, TriMatrix, _triangle_rows
 
@@ -266,9 +266,10 @@ class HPolyMatrix:
     QQ, residues over 1 over GF(p), read off the Scalars a caller gives
     (series._over_common_denominator) or as d_polynomials built them.  A slot
     keeps its length, trailing zeros and empty slots included.  The form is
-    unique, so constant_on_diagonals, == and hash read it.  The Scalar
-    entries are a read-only view, kept when given and otherwise built from
-    the raw form (series._wrap) on their first read, as TriMatrix rows are.
+    unique, so constant_on_diagonals, ==, hash and to_json (series._texts)
+    read it.  The Scalar entries are a read-only view, kept when given and
+    otherwise built from the raw form (series._wrap) on their first read, as
+    TriMatrix rows are.
     """
 
     __slots__ = ("field", "_entries", "_raw")
@@ -334,7 +335,7 @@ class HPolyMatrix:
                                         for row in self._raw])))
 
     def to_json(self):
-        return [[[str(c) for c in e] for e in row] for row in self.entries]
+        return [[_texts(self.field.p, *e) for e in row] for row in self._raw]
 
 
 def _inverse_frame(A: TriMatrix, W: Weight):
@@ -540,5 +541,5 @@ def check_report(A: TriMatrix, W: Weight, kind: str) -> dict:
     else:
         verdict = beta is not None and (kind != "binomial" or _trivial_alpha(A))
     if alpha is not None:
-        alpha, beta = Series._from_raw(A.field, *alpha).to_json(), beta.to_json()
+        alpha, beta = _texts(A.field.p, *alpha), _texts(A.field.p, *beta._raw())
     return {"kind": kind, "verdict": verdict, "alpha": alpha, "beta": beta}

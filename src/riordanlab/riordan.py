@@ -82,7 +82,7 @@ from .errors import (
 from .scalars import Field, Scalar
 from .series import (
     Series, _apply_power_table, _divide, _entrywise, _geometric_columns, _over_common_denominator,
-    _reciprocal, _reduce, _running_product, _scalar_raw, _solve_power_table, check_order,
+    _reciprocal, _reduce, _running_product, _scalar_raw, _solve_power_table, _texts, check_order,
 )
 from .triangular import TriMatrix
 
@@ -227,10 +227,10 @@ class Weight:
         return hash(self._ws)
 
     def __repr__(self):
-        return f"Weight[{', '.join(str(x) for x in self.w)}]"
+        return f"Weight[{', '.join(_texts(self.field.p, *self._ws._raw()))}]"
 
     def to_json(self):
-        return {"w": [str(x) for x in self.w]}
+        return {"w": _texts(self.field.p, *self._ws._raw())}
 
     @classmethod
     def from_json(cls, field, data):

@@ -27,8 +27,13 @@ over QQ the integers over one running denominator.  Over GF(p), where
 sums fit 64-bit slots (below), a whole inverse is ``_packed_inverse``
 instead.  Scalars are a read-only view, kept when the constructor was
 given them and otherwise built from the raw form (``_wrap``), never the
-other way round, where a caller reads them: coeffs, to_json, repr and
-the ring operations +, -, negation and scale.  The raw form and its two
+other way round, where a caller reads them: coeffs and the ring
+operations +, -, negation and scale.  The output reads no Scalar:
+``_texts`` is the one formatter, the text of each entry of a raw form,
+byte-equal to str(Scalar) ("a" or "a/b" in lowest terms, one gcd per
+entry, over QQ; "v mod p" over GF(p)), and to_json and repr of every
+container (Series, Weight, Functional, TriMatrix, HPolyMatrix) and
+check_report's alpha and beta go through it.  The raw form and its two
 conversions (``_wrap``, ``_over_common_denominator``) belong to this
 module, triangular.py (a raw form per column) and operators.HPolyMatrix
 (a raw form per slot, of any length); every other module reads a
@@ -278,6 +283,18 @@ def _wrap(field, ints, den=1):
     return [Scalar(_Q(v)) for v in ints] if den == 1 else [Scalar(_Q(v, den)) for v in ints]
 
 
+def _texts(p, ints, den):
+    """The text of each entry of a raw form (ints, den), byte-equal to
+    str(Scalar) of its value: over QQ "a" or "a/b" in lowest terms, one gcd
+    per entry, or str(v) of each when den is 1; over GF(p) "v mod p"."""
+    if p is not None:
+        return [f"{v} mod {p}" for v in ints]
+    if den == 1:
+        return list(map(str, ints))
+    gs = [gcd(v, den) for v in ints]
+    return [str(v // g) if g == den else f"{v // g}/{den // g}" for v, g in zip(ints, gs)]
+
+
 def _scalar_raw(x):
     """One Scalar as (integer, den): its numerator and denominator over QQ,
     (residue, 1) over GF(p)."""
@@ -431,11 +448,12 @@ class Series:
         self.field, self._coeffs, self._ints = field, coeffs, _over_common_denominator(field, coeffs)
 
     @classmethod
-    def _from_raw(cls, field, ints, den):
+    def _from_raw(cls, field, ints, den, coeffs=None):
         """Wrap kernel output, unchecked: N integers over den of field in
-        reduced form (_reduce), residues over 1 over GF(p)."""
+        reduced form (_reduce), residues over 1 over GF(p).  coeffs, the
+        checked Scalars that form was read off, if any, are kept as its view."""
         out = object.__new__(cls)
-        out.field, out._coeffs, out._ints = field, None, (ints, den)
+        out.field, out._coeffs, out._ints = field, coeffs, (ints, den)
         return out
 
     @property
@@ -600,11 +618,10 @@ class Series:
         return hash((self.field, tuple(ints), den))
 
     def __repr__(self):
-        body = ", ".join(str(c) for c in self.coeffs)
-        return f"Series[{body}; O(y^{self.order})]"
+        return f"Series[{', '.join(_texts(self.field.p, *self._ints))}; O(y^{self.order})]"
 
     def to_json(self):
-        return [str(c) for c in self.coeffs]
+        return _texts(self.field.p, *self._ints)
 
     @classmethod
     def from_json(cls, field, data):

@@ -16,7 +16,10 @@ it off the Scalar rows it is given and a kernel's columns are the same:
 builds no Scalar row.  The kernels of riordan.py return raw columns
 (TriMatrix._from_columns, no Field.check) and build no Scalar: the rows
 are a view, kept when the constructor was given them and otherwise built
-from the columns on the first read of rows or entry, and kept.
+from the columns on the first read of rows or entry, and kept.  to_json
+reads the texts of the raw columns (series._texts) and builds no row, and
+_poly_rows gives the rows of matrix_to_polys as text the same way;
+Polynomial.__str__ and the CLI's polys both format through _poly_text.
 
 Both kernels here read the raw columns: @ is series._apply_rows, the
 columns of the left factor put over one denominator as rows (a transpose
@@ -35,7 +38,8 @@ from __future__ import annotations
 from .errors import BackendMismatch, DegreeTooHigh, SingularDiagonal
 from .scalars import Field, Scalar
 from .series import (
-    _apply_rows, _inverse_columns, _over_common_denominator, _rows_over_lcm, _wrap, check_order,
+    _apply_rows, _inverse_columns, _over_common_denominator, _rows_over_lcm, _texts, _wrap,
+    check_order,
 )
 
 
@@ -83,31 +87,33 @@ class Polynomial:
         return hash((self.field, self.coeffs))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            cs = str(c)
-            if " " in cs:  # modular residues read better parenthesized
-                cs = f"({cs})"
-            if k == 0:
-                parts.append(cs)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                parts.append(xs if cs == "1" else f"{cs}*{xs}")
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return _poly_text([(k, str(c)) for k, c in enumerate(self.coeffs) if c])
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _poly_text(terms):
+    """The text of a polynomial from the (k, text) pairs of its nonzero
+    coefficients, k ascending: highest degree first, "0" for none."""
+    if not terms:
+        return "0"
+    parts = []
+    for k, cs in reversed(terms):
+        if " " in cs:  # modular residues read better parenthesized
+            cs = f"({cs})"
+        if k == 0:
+            parts.append(cs)
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            parts.append(xs if cs == "1" else f"{cs}*{xs}")
+    out = parts[0]
+    for term in parts[1:]:
+        if term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out
 
 
 def _triangle_rows(rows):
@@ -283,7 +289,10 @@ class TriMatrix:
         return f"TriMatrix(order={self.order}, field={self.field})"
 
     def to_json(self):
-        return [[str(c) for c in row] for row in self.rows]
+        # the texts of each raw column from its diagonal down, then a transpose
+        p = self.field.p
+        cols = [[None] * k + _texts(p, ints[k:], den) for k, (ints, den) in enumerate(self._cols)]
+        return [list(row[: i + 1]) for i, row in enumerate(zip(*cols))]
 
     @classmethod
     def from_json(cls, field, data):
@@ -296,6 +305,19 @@ class TriMatrix:
 def matrix_to_polys(A: TriMatrix) -> list[Polynomial]:
     """Rows of A as polynomials; graded iff A.is_graded()."""
     return [Polynomial(A.field, row) for row in A.rows]
+
+
+def _poly_rows(A: TriMatrix) -> list:
+    """The rows of matrix_to_polys(A) as text, read off the raw columns: for
+    each row n, the texts of entries (n, 0..d), d its last nonzero entry,
+    as Polynomial keeps them, and the (k, text) pairs of its nonzero
+    entries, as _poly_text takes them."""
+    cols, out = A._columns(), []
+    texts = [_texts(A.field.p, ints[k:], den) for k, (ints, den) in enumerate(cols)]
+    for n in range(A.order):
+        terms = [(k, texts[k][n - k]) for k in range(n + 1) if cols[k][0][n]]
+        out.append(([texts[k][n - k] for k in range(terms[-1][0] + 1 if terms else 0)], terms))
+    return out
 
 
 def polys_to_matrix(polys: list[Polynomial]) -> TriMatrix:

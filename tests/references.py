@@ -83,6 +83,15 @@ comes with a line in this index.
   Scalar products per entry of the Scalar views of both weights, which one
   product of the raw forms replaces, and the linear fit that checked
   lam - sigma*k at every k, which vanishing second differences replace.
+- series_to_json_reference, series_repr_reference, weight_to_json_reference,
+  weight_repr_reference, functional_to_json_reference,
+  functional_repr_reference, pair_to_json_reference, pair_repr_reference,
+  trimatrix_to_json_reference, hpoly_to_json_reference,
+  polynomial_str_reference and polys_output_reference: the output read off
+  the Scalar views, str(Scalar) per entry, which the texts of the raw form
+  (series._texts, triangular._poly_text) replace; polys_output_reference
+  gives the text lines and the JSON rows of the CLI's polys command
+  through matrix_to_polys.
 """
 
 from itertools import islice
@@ -110,6 +119,7 @@ from riordanlab.series import (
     _apply_rows, _convolve, _forward_substitute, _ints_over_lcm, _over_common_denominator,
     _power_table, _reduce, _rows_over_lcm, _wrap, check_order,
 )
+from riordanlab.triangular import matrix_to_polys
 from riordanlab.twoweight import GammaSeq, GammaShape
 
 # -- the conjugation kernels ----------------------------------------------------
@@ -1216,3 +1226,82 @@ def d_polynomials_fraction_reference(A: TriMatrix, W: Weight) -> HPolyMatrix:
     # old entries view built from these values, as HPolyMatrix now holds
     # reduced raw slots.
     return HPolyMatrix(A.field, [[[Scalar(c, p) for c in e] for e in row] for row in entries])
+
+
+# -- the output read off the Scalar views ---------------------------------------
+
+
+def series_to_json_reference(self):
+    return [str(c) for c in self.coeffs]
+
+
+def series_repr_reference(self):
+    body = ", ".join(str(c) for c in self.coeffs)
+    return f"Series[{body}; O(y^{self.order})]"
+
+
+def weight_to_json_reference(self):
+    return {"w": [str(x) for x in self.w]}
+
+
+def weight_repr_reference(self):
+    return f"Weight[{', '.join(str(x) for x in self.w)}]"
+
+
+def functional_to_json_reference(self):
+    return {"t": [str(v) for v in self.values]}
+
+
+def functional_repr_reference(self):
+    return f"Functional[{', '.join(str(v) for v in self.values)}]"
+
+
+def pair_to_json_reference(self):
+    return {"alpha": series_to_json_reference(self.alpha),
+            "beta": series_to_json_reference(self.beta)}
+
+
+def pair_repr_reference(self):
+    # the dataclass repr, on the repr of each series
+    return (f"RiordanPair(alpha={series_repr_reference(self.alpha)}, "
+            f"beta={series_repr_reference(self.beta)})")
+
+
+def trimatrix_to_json_reference(self):
+    return [[str(c) for c in row] for row in self.rows]
+
+
+def hpoly_to_json_reference(self):
+    return [[[str(c) for c in e] for e in row] for row in self.entries]
+
+
+def polynomial_str_reference(self):
+    if not self.coeffs:
+        return "0"
+    parts = []
+    for k in range(self.degree, -1, -1):
+        c = self.coeffs[k]
+        if not c:
+            continue
+        cs = str(c)
+        if " " in cs:  # modular residues read better parenthesized
+            cs = f"({cs})"
+        if k == 0:
+            parts.append(cs)
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            parts.append(xs if cs == "1" else f"{cs}*{xs}")
+    out = parts[0]
+    for term in parts[1:]:
+        if term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out
+
+
+def polys_output_reference(A):
+    """The text lines and the JSON rows of the CLI's polys command on A."""
+    polys = matrix_to_polys(A)
+    return ([f"p_{n} = {polynomial_str_reference(p)}" for n, p in enumerate(polys)],
+            [[str(c) for c in p.coeffs] for p in polys])

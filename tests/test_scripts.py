@@ -94,7 +94,7 @@ def test_ab_layers_against_a_revision():
     header, columns, *rows = done.stdout.splitlines()
     assert header.startswith("HEAD -> working tree, GF(1000003), N = 6")
     assert columns.split() == ["layer", "before", "ms", "after", "ms", "ratio"]
-    assert len(rows) == 35
+    assert len(rows) == 38
     for row in rows:
         *name, before, after, ratio = row.split()
         assert name and float(before) > 0 and float(after) > 0 and float(ratio) > 0
