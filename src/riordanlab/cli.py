@@ -21,6 +21,12 @@ registry or builds it from its inline spec.  _build is the one place that
 checks a count and turns a bad argument into a usage error, so a spec with
 the wrong number of arguments reads "<kind> takes <n> argument(s)".
 
+Outputs print in full: main lifts Python's limit on the digits of an int
+converted to or from text for the call and restores it on every exit,
+and _build, where arguments become numbers, puts the default limit (4300
+digits) back while it runs, so an input number longer than that is a
+usage error.
+
 Exit codes: 0 success / verdict true, 1 some verdict false, 2 usage
 error, 3 mathematical domain error.
 
@@ -128,6 +134,8 @@ def _build(session: Session, family: str, kind: str, args: list[str], label: str
     count = len(arity) if family == "matrix" else arity
     if count is not None and len(args) != count:
         raise UsageError(f"{label}: {kind} takes {count} argument(s)")
+    saved = sys.get_int_max_str_digits()  # main lifts the limit for the output
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
         if family == "matrix":
             args = [
@@ -137,6 +145,8 @@ def _build(session: Session, family: str, kind: str, args: list[str], label: str
         return make(session.field, session.order, *args)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{label}: {exc}") from exc
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def build(session: Session, family: str, spec: str):
@@ -356,6 +366,8 @@ def main(argv=None) -> int:
         _parser().error(f"--order must be in {MIN_ORDER}..{MAX_ORDER}, got {ns.order}")
 
     session = Session(order=ns.order, field=ns.field, json_mode=ns.json)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # outputs print in full; _build limits the inputs
     try:
         if ns.command == "run":
             run_script(session, sys.stdin)
@@ -367,6 +379,8 @@ def main(argv=None) -> int:
     except MathDomainError as exc:
         print(f"math error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(saved)
     return 1 if session.any_false else 0
 
 

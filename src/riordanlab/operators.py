@@ -384,9 +384,7 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     on the matrix of sampling.riordan_pair with random.Random(1), a call
     took 0.34, 0.54, 0.85 and 15.8 ms at N = 12, 16, 20 and 64; reading the
     entries then adds 0.12, 0.24, 0.44 and 10.8 ms (minimum of 3 calls on
-    fresh inputs over 7-15 rounds, Python 3.11, 2 shared CPUs).  Before
-    the sums were packed, the dot products and their Scalars took about
-    1.6 to 3.7 times as long.
+    fresh inputs over 7-15 rounds, Python 3.11, 2 shared CPUs).
 
     Otherwise the cost is about N^4/24 big-integer multiply-adds.  V is
     solved at its reduced size, and the columns of U are divided by their
@@ -399,8 +397,7 @@ def d_polynomials(A: TriMatrix, W: Weight) -> HPolyMatrix:
     0.20 s with the entries read; scaling each coefficient into a rational
     of its own took 0.23 s and 0.20 s, and 0.24 s and 0.21 s (minimum of 3
     calls on fresh inputs over 4 alternating rounds, Python 3.11, Fraction
-    backend, 2 shared CPUs).  On undivided rows of U (2133 and 398 bits)
-    a call once took 0.8-1.0 s and 0.27-0.36 s.  The CLI does not call it.
+    backend, 2 shared CPUs).  The CLI does not call it.
     """
     _check_frame(A, W)
     (u, den), v = _inverse_frame(A, W)

@@ -2,7 +2,9 @@
 
 Every Scalar carries its own backend tag (the prime modulus, or None for
 rationals), so values from different fields never mix silently: arithmetic
-between mismatched backends raises instead of coercing.
+between mismatched backends raises instead of coercing.  Each operation is
+Python's own on the raw values (``pow`` included), put back into the field
+by Scalar._in_field: as is over QQ, reduced mod p over GF(p).
 
 Text round-trip: rationals format as ``a/b`` or ``a``; residues as
 ``a mod p``.  Parsing accepts exactly these shapes.
@@ -10,6 +12,8 @@ Text round-trip: rationals format as ``a/b`` or ``a``; residues as
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -43,35 +47,30 @@ class Scalar:
     def backend_name(self) -> str:
         return "rational" if self.p is None else f"GF({self.p})"
 
+    def _in_field(self, v) -> "Scalar":
+        """The element of this Scalar's field with value v: v itself over QQ,
+        v reduced mod p over GF(p)."""
+        return Scalar(v) if self.p is None else Scalar(v % self.p, self.p)
+
     def __add__(self, other):
-        p = self._join(other)
-        if p is None:
-            return Scalar(self.val + other.val)
-        return Scalar((self.val + other.val) % p, p)
+        self._join(other)
+        return self._in_field(self.val + other.val)
 
     def __sub__(self, other):
-        p = self._join(other)
-        if p is None:
-            return Scalar(self.val - other.val)
-        return Scalar((self.val - other.val) % p, p)
+        self._join(other)
+        return self._in_field(self.val - other.val)
 
     def __mul__(self, other):
-        p = self._join(other)
-        if p is None:
-            return Scalar(self.val * other.val)
-        return Scalar((self.val * other.val) % p, p)
+        self._join(other)
+        return self._in_field(self.val * other.val)
 
     def __neg__(self):
-        if self.p is None:
-            return Scalar(-self.val)
-        return Scalar((-self.val) % self.p, self.p)
+        return self._in_field(-self.val)
 
     def inverse(self) -> "Scalar":
         if not self:
             raise DivisionByZero("division by zero")
-        if self.p is None:
-            return Scalar(1 / self.val)
-        return Scalar(pow(self.val, self.p - 2, self.p), self.p)
+        return self._in_field(1 / self.val if self.p is None else pow(self.val, -1, self.p))
 
     def __truediv__(self, other):
         self._join(other)
@@ -80,14 +79,8 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = Scalar(_Q(1)) if self.p is None else Scalar(1, self.p)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        n = operator.index(n)  # a TypeError for any exponent that is not an integer
+        return self._in_field(self.val ** n if self.p is None else pow(self.val, n, self.p))
 
     def __bool__(self):
         return bool(self.val)
@@ -240,10 +233,7 @@ def factorial_inv(field: Field, n: int) -> Scalar:
         raise ValueError("n must be nonnegative")
     if field.p is not None and n >= field.p:
         raise NotInvertible(f"{n}! is 0 in GF({field.p})")
-    out = field.one()
-    for i in range(2, n + 1):
-        out = out * field.scalar(i)
-    return out.inverse()
+    return field.scalar(math.factorial(n)).inverse()
 
 
 def extended_binomial(xi: Scalar, n: int) -> Scalar:
@@ -251,17 +241,15 @@ def extended_binomial(xi: Scalar, n: int) -> Scalar:
 
     Agrees with the integer binomial coefficient when xi is a nonnegative
     integer, and satisfies the Vandermonde convolution whenever n! is
-    invertible.  One product of raw values over n!; it builds no Field,
-    whose construction re-runs the primality test.
+    invertible.  math.prod of the raw values xi - j over math.factorial(n);
+    it builds no Field, whose construction re-runs the primality test.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p, num, den = xi.p, 1, 1
-    if p is not None and n >= p:
-        raise NotInvertible(f"{n}! is 0 in GF({p})")
-    for j in range(n):
-        num, den = num * (xi.val - j), den * (j + 1)
-    return Scalar(_Q(num) / den) if p is None else Scalar(num * pow(den, -1, p) % p, p)
+    if xi.p is not None and n >= xi.p:
+        raise NotInvertible(f"{n}! is 0 in GF({xi.p})")
+    num, den = math.prod([xi.val - j for j in range(n)]), math.factorial(n)
+    return xi._in_field(_Q(num) / den if xi.p is None else num * pow(den, -1, xi.p))
 
 
 def _powers(x: Scalar, n: int) -> list[Scalar]:

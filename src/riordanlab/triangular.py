@@ -35,6 +35,8 @@ operators._inverse_frame.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import BackendMismatch, DegreeTooHigh, SingularDiagonal
 from .scalars import Field, Scalar
 from .series import (
@@ -240,19 +242,16 @@ class TriMatrix:
         return TriMatrix._from_columns(self.field, _apply_rows(
             self.field, table, *[(b[k:], db) for k, (b, db) in enumerate(other._columns())]))
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        # op(a, b) for each pair of entries, into a new row-built matrix
         self._check_same(other)
-        return TriMatrix(
-            self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return TriMatrix(self.field, [list(map(op, r1, r2)) for r1, r2 in zip(self.rows, other.rows)])
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        self._check_same(other)
-        return TriMatrix(
-            self.field,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
         return TriMatrix(self.field, [[-a for a in row] for row in self.rows])

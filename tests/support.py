@@ -19,7 +19,13 @@ a result or the type and message of its error; other a field that is not
 the given one; reduced_form the reduced raw form (ints, den) of plain
 values; raw_built checks that a Series or Weight holds one and has built
 no Scalar view; S a series from values; exp_series c0 W(hy) under
-exponential(1); call runs the CLI in this process.
+exponential(1); call runs the CLI in this process; unlimited_digits lifts
+the digit limit of int <-> str for a block.
+
+The exhaustive oracles run on grid (every residue of a small GF(p), or a
+grid of small rationals), compare with plain (plain arithmetic put into
+the field, plain_recip the inverse by search) and walk every_pair, every
+Riordan pair of a small field at a small order.
 """
 
 import contextlib
@@ -27,12 +33,13 @@ import io
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from hypothesis import strategies as st
 
 from riordanlab import Field, Series, TriMatrix, cli
-from riordanlab.errors import MathDomainError, RootOfUnity
+from riordanlab.errors import DivisionByZero, MathDomainError, RootOfUnity
 from riordanlab.functionals import Functional
 from riordanlab.riordan import RiordanPair, Weight
 from riordanlab.sampling import graded_matrix, perturbed_non_riordan, riordan_matrix, scalar, weight
@@ -108,6 +115,57 @@ def call(argv, stdin=""):
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Lift Python's limit on the digits of int <-> str conversion for the
+    body, then restore it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def grid(p):
+    """The plain values an exhaustive oracle runs over: every residue of
+    GF(p), or over QQ (p None) the rationals a/b, a in -3..3, b in 1..3."""
+    if p is not None:
+        return list(range(p))
+    return sorted({Fraction(a, b) for a in range(-3, 4) for b in range(1, 4)})
+
+
+def plain_recip(p, y):
+    """1/y in plain arithmetic: a Fraction, or over GF(p) the residue z with
+    y z = 1 mod p found by search; ZeroDivisionError when y is zero."""
+    if p is None:
+        return 1 / Fraction(y)
+    for z in range(p):
+        if y * z % p == 1:
+            return z
+    raise ZeroDivisionError(y)
+
+
+def plain(p, f):
+    """f() on plain values put into QQ or GF(p) as the Scalar of its reduced
+    value, or outcome's (DivisionByZero, "division by zero") when f divides
+    by zero."""
+    try:
+        v = f()
+    except ZeroDivisionError:
+        return DivisionByZero, "division by zero"
+    return Scalar(Fraction(v) if p is None else v % p, p)
+
+
+def every_pair(field, order):
+    """Every Riordan pair of a finite field at the order, alpha_0 != 0,
+    beta_0 = 0 and beta_1 != 0: (p - 1)^2 p^(2 order - 3) of them."""
+    xs, zero = field.range_elements(field.p), field.zero()
+    alphas = [Series(field, c) for c in product(xs, repeat=order) if c[0]]
+    betas = [Series(field, (zero, *c)) for c in product(xs, repeat=order - 1) if c[0]]
+    return [RiordanPair(a, b) for a in alphas for b in betas]
 
 
 def exp_series(field, order, h, c0=1):
